@@ -18,7 +18,7 @@ use wool_core::{config::default_workers, Pool, PoolConfig};
 use workloads::loops_par::{
     dot_hand, dot_par, dot_par_grain, dot_seq, map_hand, map_par, map_par_grain, map_seq,
 };
-use ws_bench::microbench::{repo_root_file, Bench};
+use ws_bench::microbench::Bench;
 
 /// Items per kernel invocation: large enough to split 8 ways per
 /// worker at default grain, small enough that one sample holds many
@@ -76,5 +76,5 @@ fn main() {
     }
 
     b.finish();
-    b.write_json(&repo_root_file("BENCH_par_loops.json"));
+    b.write_json("BENCH_par_loops.json");
 }

@@ -1,8 +1,10 @@
 //! Microbenchmark: cost of one spawn+inlined-join (the Table II fast
 //! path) under every join strategy, plus the serial call baseline.
 
-use wool_core::{Fork, LockedBase, Pool, PoolConfig, Strategy, SyncOnTask, TaskSpecific, WoolFull};
-use ws_bench::microbench::{repo_root_file, Bench};
+use wool_core::{
+    Fork, LockedBase, Pool, Strategy, SyncOnTask, TaskSpecific, WoolAllPublic, WoolFull,
+};
+use ws_bench::microbench::Bench;
 
 fn fib<C: Fork>(c: &mut C, n: u64) -> u64 {
     if n < 2 {
@@ -20,15 +22,9 @@ fn fib_serial(n: u64) -> u64 {
     }
 }
 
-fn bench_strategy<S: Strategy>(b: &mut Bench, group: &str, force_public: bool) {
-    let cfg = PoolConfig::with_workers(1).force_publish_all(force_public);
-    let mut pool: Pool<S> = Pool::with_config(cfg);
-    let label = if force_public {
-        format!("{}+all-public", S::NAME)
-    } else {
-        S::NAME.to_string()
-    };
-    b.bench(&format!("{group}/{label}/20"), || {
+fn bench_strategy<S: Strategy>(b: &mut Bench, group: &str) {
+    let mut pool: Pool<S> = Pool::new(1);
+    b.bench(&format!("{group}/{}/20", S::NAME), || {
         std::hint::black_box(pool.run(|h| fib(h, std::hint::black_box(20))));
     });
 }
@@ -38,11 +34,11 @@ fn main() {
     b.bench("spawn_join/serial-call", || {
         std::hint::black_box(fib_serial(std::hint::black_box(20)));
     });
-    bench_strategy::<LockedBase>(&mut b, "spawn_join", false);
-    bench_strategy::<SyncOnTask>(&mut b, "spawn_join", false);
-    bench_strategy::<TaskSpecific>(&mut b, "spawn_join", false);
-    bench_strategy::<WoolFull>(&mut b, "spawn_join", true);
-    bench_strategy::<WoolFull>(&mut b, "spawn_join", false);
+    bench_strategy::<LockedBase>(&mut b, "spawn_join");
+    bench_strategy::<SyncOnTask>(&mut b, "spawn_join");
+    bench_strategy::<TaskSpecific>(&mut b, "spawn_join");
+    bench_strategy::<WoolAllPublic>(&mut b, "spawn_join");
+    bench_strategy::<WoolFull>(&mut b, "spawn_join");
     b.finish();
-    b.write_json(&repo_root_file("BENCH_spawn_join.json"));
+    b.write_json("BENCH_spawn_join.json");
 }

@@ -1,8 +1,8 @@
 //! Ablation sweeps over the design parameters of §III-B.
 //!
 //! The paper fixes the trip-wire distance and publication batch by
-//! construction; this experiment sweeps them (plus the force-public
-//! switch) on a steal-intensive workload and reports run time, steal
+//! construction; this experiment sweeps them (plus the all-public
+//! rung, `WoolAllPublic`) on a steal-intensive workload and reports run time, steal
 //! counts and publication counts, quantifying how much each knob
 //! matters — the ablation DESIGN.md calls out for the private-task
 //! scheme.
@@ -22,7 +22,7 @@ pub struct Row {
     pub trip_distance: usize,
     /// Publication batch size.
     pub publish_batch: usize,
-    /// Whether all tasks were forced public.
+    /// Whether this row ran the all-public rung (`WoolAllPublic`).
     pub force_public: bool,
     /// Run time, seconds.
     pub seconds: f64,
@@ -73,13 +73,17 @@ pub fn run(args: &BenchArgs) -> Result {
 
     let mut rows = Vec::new();
     let mut run_one = |trip: usize, batch: usize, force: bool| {
-        let cfg = PoolConfig::with_workers(workers).force_publish_all(force);
         let cfg = PoolConfig {
             trip_distance: trip,
             publish_batch: batch,
-            ..cfg
+            ..PoolConfig::with_workers(workers)
         };
-        let mut sys = System::create_with(SystemKind::Wool, cfg);
+        let kind = if force {
+            SystemKind::WoolAllPublic
+        } else {
+            SystemKind::Wool
+        };
+        let mut sys = System::create_with(kind, cfg);
         let m = measure_job(&mut sys, &spec, 2);
         let t = sys.last_stats();
         rows.push(Row {

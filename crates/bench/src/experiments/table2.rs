@@ -9,12 +9,11 @@
 //! | Base                         | `Pool<LockedBase>`                |
 //! | Synchronize on task          | `Pool<SyncOnTask>`                |
 //! | Task specific join           | `Pool<TaskSpecific>`              |
-//! | Private tasks (no private)   | `Pool<WoolFull>` + force-publish  |
+//! | Private tasks (no private)   | `Pool<WoolAllPublic>`             |
 //! | Private tasks (all private)  | `Pool<WoolFull>` (1 worker ⇒ all  |
 //! |                              | tasks stay private)               |
 //! | Serial                       | plain recursion, no constructs    |
 
-use wool_core::PoolConfig;
 use workloads::fib::fib_spawn_count;
 use workloads::{WorkloadKind, WorkloadSpec};
 
@@ -87,10 +86,7 @@ pub fn run(args: &BenchArgs) -> Result {
         ),
         (
             "Private tasks (no private)".into(),
-            System::create_with(
-                SystemKind::Wool,
-                PoolConfig::with_workers(1).force_publish_all(true),
-            ),
+            System::create(SystemKind::WoolAllPublic, 1),
         ),
         (
             "Private tasks (all private)".into(),

@@ -15,7 +15,6 @@
 //! paper's `T_tree - T_C`, on a uniprocessor it isolates the same
 //! scheduling overhead from a serialized execution.
 
-use wool_core::PoolConfig;
 use workloads::fib::fib_spawn_count;
 use workloads::{WorkloadKind, WorkloadSpec};
 
@@ -50,15 +49,14 @@ pub struct Result {
     pub rows: Vec<Row>,
 }
 
-fn inlined_overhead(kind: SystemKind, n: u64, force_public: bool, t_s: f64) -> f64 {
+fn inlined_overhead(kind: SystemKind, n: u64, t_s: f64) -> f64 {
     let spec = WorkloadSpec {
         kind: WorkloadKind::Fib,
         p1: n as usize,
         p2: 0,
         reps: 1,
     };
-    let cfg = PoolConfig::with_workers(1).force_publish_all(force_public);
-    let mut sys = System::create_with(kind, cfg);
+    let mut sys = System::create(kind, 1);
     let m = measure_job(&mut sys, &spec, 3);
     (m.seconds - t_s).max(0.0) * 1e9 * wool_core::cycles::ticks_per_ns() / fib_spawn_count(n) as f64
 }
@@ -117,9 +115,9 @@ pub fn run(args: &BenchArgs) -> Result {
     let mut rows = Vec::new();
     for kind in SystemKind::PAPER_SYSTEMS {
         eprintln!("[table3] {}", kind.name());
-        let inlined = inlined_overhead(kind, fib_n, false, t_s);
-        let inlined_public =
-            (kind == SystemKind::Wool).then(|| inlined_overhead(kind, fib_n, true, t_s));
+        let inlined = inlined_overhead(kind, fib_n, t_s);
+        let inlined_public = (kind == SystemKind::Wool)
+            .then(|| inlined_overhead(SystemKind::WoolAllPublic, fib_n, t_s));
         let mut steal_cycles = Vec::new();
         for &k in &ks {
             steal_cycles.push((1usize << k, steal_overhead(kind, k, leaf_iters, hw)));

@@ -16,9 +16,15 @@
 //! nanoseconds per iteration (best-of is the standard noise-rejection
 //! choice for throughput kernels — interference only ever adds time).
 //! A positional CLI argument filters benchmarks by substring, matching
-//! `cargo bench -- <filter>` usage.
+//! `cargo bench -- <filter>` usage, and `--out-dir DIR` names the
+//! directory the `BENCH_*.json` trajectory is written to (without it,
+//! nothing is written):
+//!
+//! ```text
+//! cargo bench -p ws-bench --bench spawn_join -- --out-dir "$PWD"
+//! ```
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use minijson::Json;
@@ -50,27 +56,29 @@ pub struct BenchResult {
 #[derive(Default)]
 pub struct Bench {
     filter: Option<String>,
+    out_dir: Option<PathBuf>,
     ran: usize,
     results: Vec<BenchResult>,
 }
 
 impl Bench {
     /// Builds a harness from `std::env::args`, accepting the flags
-    /// cargo passes to bench binaries (`--bench`) and an optional
-    /// positional substring filter.
+    /// cargo passes to bench binaries (`--bench`), `--out-dir DIR` and
+    /// an optional positional substring filter.
     pub fn from_args() -> Self {
-        let mut filter = None;
-        for a in std::env::args().skip(1) {
-            if a == "--bench" || a.starts_with("--") {
-                continue;
+        Self::parse(std::env::args().skip(1))
+    }
+
+    fn parse(mut args: impl Iterator<Item = String>) -> Self {
+        let mut b = Bench::default();
+        while let Some(a) = args.next() {
+            if a == "--out-dir" {
+                b.out_dir = args.next().map(PathBuf::from);
+            } else if !a.starts_with("--") {
+                b.filter = Some(a);
             }
-            filter = Some(a);
         }
-        Bench {
-            filter,
-            ran: 0,
-            results: Vec::new(),
-        }
+        b
     }
 
     /// Runs one benchmark unless filtered out.
@@ -156,14 +164,23 @@ impl Bench {
         ])
     }
 
-    /// Writes [`to_json`](Bench::to_json) to `path` (pretty-printed).
-    /// Errors are reported, not fatal: a read-only checkout must not
+    /// Writes [`to_json`](Bench::to_json) (pretty-printed) to `file`
+    /// in the `--out-dir` directory; without that flag it only says so.
+    /// Errors are reported, not fatal: a read-only directory must not
     /// fail the bench run itself.
-    pub fn write_json(&self, path: &Path) {
-        match std::fs::write(path, self.to_json().pretty() + "\n") {
+    pub fn write_json(&self, file: &str) {
+        let Some(path) = self.json_path(file) else {
+            println!("not writing {file}: no --out-dir given");
+            return;
+        };
+        match std::fs::write(&path, self.to_json().pretty() + "\n") {
             Ok(()) => println!("wrote {}", path.display()),
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
+    }
+
+    fn json_path(&self, file: &str) -> Option<PathBuf> {
+        self.out_dir.as_deref().map(|d| d.join(file))
     }
 
     /// Prints a footer; call after the last benchmark.
@@ -172,16 +189,6 @@ impl Bench {
             println!("(no benchmarks matched the filter)");
         }
     }
-}
-
-/// Absolute path of `file` at the repository root (two levels above
-/// this crate), where the `BENCH_*.json` perf trajectories live.
-pub fn repo_root_file(file: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("bench lives at <root>/crates/bench")
-        .join(file)
 }
 
 fn fmt_ns(ns: f64) -> String {
@@ -242,14 +249,19 @@ mod tests {
     }
 
     #[test]
-    fn repo_root_file_points_above_crates() {
-        let p = repo_root_file("BENCH_x.json");
-        let root = p.parent().unwrap();
-        assert!(
-            root.join("crates").is_dir(),
-            "{} has no crates/",
-            root.display()
+    fn out_dir_flag_places_json_at_run_time() {
+        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let b = Bench::parse(args(&["--bench", "--out-dir", "/some/dir", "spawn"]).into_iter());
+        assert_eq!(b.filter.as_deref(), Some("spawn"));
+        assert_eq!(
+            b.json_path("BENCH_x.json"),
+            Some(PathBuf::from("/some/dir/BENCH_x.json"))
         );
+        // No flag, no file: a build tree never writes into a checkout
+        // it was copied from.
+        let b = Bench::parse(args(&["--bench"]).into_iter());
+        assert_eq!(b.filter, None);
+        assert_eq!(b.json_path("BENCH_x.json"), None);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use wool_core::{
     Executor, Job, LockedBase, Pool, PoolConfig, Stats, StealLockBase, StealLockPeek,
-    StealLockTrylock, SyncOnTask, TaskSpecific, WoolFull, WoolNoLeap,
+    StealLockTrylock, SyncOnTask, TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap,
 };
 use ws_baseline::{
     cilk_like, omp_like, tbb_like, CentralPool, CilkLikePool, OmpLikePool, SerialExecutor,
@@ -20,6 +20,9 @@ use ws_baseline::{
 pub enum SystemKind {
     /// Full Wool: direct task stack + task-specific join + private tasks.
     Wool,
+    /// Full Wool with every task published at its spawn (Table II
+    /// "private tasks (no private)").
+    WoolAllPublic,
     /// Wool without private tasks (Table II "task specific join",
     /// Figure 4 "nolock").
     WoolTaskSpecific,
@@ -69,6 +72,7 @@ impl SystemKind {
     pub fn name(self) -> &'static str {
         match self {
             SystemKind::Wool => "wool",
+            SystemKind::WoolAllPublic => "wool/all-public",
             SystemKind::WoolTaskSpecific => "wool/task-specific",
             SystemKind::WoolSyncOnTask => "wool/sync-on-task",
             SystemKind::WoolLockedBase => "wool/base",
@@ -89,6 +93,8 @@ impl SystemKind {
 pub enum System {
     /// See [`SystemKind::Wool`].
     Wool(Pool<WoolFull>),
+    /// See [`SystemKind::WoolAllPublic`].
+    WoolAllPublic(Pool<WoolAllPublic>),
     /// See [`SystemKind::WoolTaskSpecific`].
     WoolTaskSpecific(Pool<TaskSpecific>),
     /// See [`SystemKind::WoolSyncOnTask`].
@@ -127,6 +133,7 @@ impl System {
         let w = cfg.workers;
         match kind {
             SystemKind::Wool => System::Wool(Pool::with_config(cfg)),
+            SystemKind::WoolAllPublic => System::WoolAllPublic(Pool::with_config(cfg)),
             SystemKind::WoolTaskSpecific => System::WoolTaskSpecific(Pool::with_config(cfg)),
             SystemKind::WoolSyncOnTask => System::WoolSyncOnTask(Pool::with_config(cfg)),
             SystemKind::WoolLockedBase => System::WoolLockedBase(Pool::with_config(cfg)),
@@ -148,6 +155,7 @@ impl System {
     pub fn kind(&self) -> SystemKind {
         match self {
             System::Wool(_) => SystemKind::Wool,
+            System::WoolAllPublic(_) => SystemKind::WoolAllPublic,
             System::WoolTaskSpecific(_) => SystemKind::WoolTaskSpecific,
             System::WoolSyncOnTask(_) => SystemKind::WoolSyncOnTask,
             System::WoolLockedBase(_) => SystemKind::WoolLockedBase,
@@ -167,6 +175,7 @@ impl System {
     pub fn run_job<R: Send, J: Job<R>>(&mut self, job: J) -> R {
         match self {
             System::Wool(p) => p.run_job(job),
+            System::WoolAllPublic(p) => p.run_job(job),
             System::WoolTaskSpecific(p) => p.run_job(job),
             System::WoolSyncOnTask(p) => p.run_job(job),
             System::WoolLockedBase(p) => p.run_job(job),
@@ -187,6 +196,7 @@ impl System {
     pub fn last_stats(&self) -> Stats {
         match self {
             System::Wool(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
+            System::WoolAllPublic(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
             System::WoolTaskSpecific(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
             System::WoolSyncOnTask(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
             System::WoolLockedBase(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
@@ -206,6 +216,7 @@ impl System {
     pub fn last_report(&self) -> Option<&wool_core::RunReport> {
         match self {
             System::Wool(p) => p.last_report(),
+            System::WoolAllPublic(p) => p.last_report(),
             System::WoolTaskSpecific(p) => p.last_report(),
             System::WoolSyncOnTask(p) => p.last_report(),
             System::WoolLockedBase(p) => p.last_report(),
@@ -258,6 +269,7 @@ mod tests {
     fn every_system_computes_fib() {
         let kinds = [
             SystemKind::Wool,
+            SystemKind::WoolAllPublic,
             SystemKind::WoolTaskSpecific,
             SystemKind::WoolSyncOnTask,
             SystemKind::WoolLockedBase,
@@ -298,6 +310,7 @@ mod tests {
         use std::collections::HashSet;
         let names: HashSet<_> = [
             SystemKind::Wool,
+            SystemKind::WoolAllPublic,
             SystemKind::WoolTaskSpecific,
             SystemKind::WoolSyncOnTask,
             SystemKind::WoolLockedBase,
@@ -312,6 +325,6 @@ mod tests {
         .iter()
         .map(|k| k.name())
         .collect();
-        assert_eq!(names.len(), 11);
+        assert_eq!(names.len(), 12);
     }
 }

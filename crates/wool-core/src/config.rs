@@ -17,10 +17,6 @@ pub struct PoolConfig {
     pub trip_distance: usize,
     /// How many additional descriptors the owner publishes per request.
     pub publish_batch: usize,
-    /// Force every spawned task public immediately (Table II row
-    /// "Private tasks (no private)": the machinery is present but never
-    /// leaves a task private).
-    pub force_publish_all: bool,
     /// Enable work/span instrumentation for the next runs.
     pub instrument_span: bool,
     /// Enable Figure 6 CPU-time breakdown for the next runs.
@@ -74,7 +70,6 @@ impl Default for PoolConfig {
             stack_capacity: 8192,
             trip_distance: 2,
             publish_batch: 4,
-            force_publish_all: false,
             instrument_span: false,
             instrument_time: false,
             span_overhead: DEFAULT_OVERHEAD_CYCLES,
@@ -114,12 +109,6 @@ impl PoolConfig {
     /// Builder-style: enables time-breakdown instrumentation.
     pub fn instrument_time(mut self, on: bool) -> Self {
         self.instrument_time = on;
-        self
-    }
-
-    /// Builder-style: forces all tasks public.
-    pub fn force_publish_all(mut self, on: bool) -> Self {
-        self.force_publish_all = on;
         self
     }
 
@@ -231,11 +220,10 @@ mod tests {
             .stack_capacity(64)
             .instrument_span(true)
             .instrument_time(true)
-            .force_publish_all(true)
             .validated();
         assert_eq!(c.workers, 3);
         assert_eq!(c.stack_capacity, 64);
-        assert!(c.instrument_span && c.instrument_time && c.force_publish_all);
+        assert!(c.instrument_span && c.instrument_time);
     }
 
     #[test]

@@ -126,7 +126,6 @@ pub struct WorkerHandle<S: Strategy> {
     /// Cached configuration (hot-path reads).
     trip_distance: usize,
     publish_batch: usize,
-    force_publish_all: bool,
     min_grain: usize,
     _strategy: PhantomData<S>,
     _not_send: PhantomData<*mut ()>,
@@ -146,7 +145,6 @@ impl<S: Strategy> WorkerHandle<S> {
             idx,
             trip_distance: pool.cfg.trip_distance,
             publish_batch: pool.cfg.publish_batch,
-            force_publish_all: pool.cfg.force_publish_all,
             min_grain: pool.cfg.min_grain,
             _strategy: PhantomData,
             _not_send: PhantomData,
@@ -236,43 +234,53 @@ impl<S: Strategy> WorkerHandle<S> {
         RA: Send,
         RB: Send,
     {
-        // SAFETY: `own` borrows are short-lived and never held across
-        // user code; slot accesses follow the state-word protocol; the
-        // spawned task is joined on every control path out of this
-        // function (JoinGuard covers unwinding out of `a`).
-        unsafe {
-            if let Err(ClosureTask(b)) = self.try_push(ClosureTask(b)) {
-                // Task-pool overflow: execute eagerly, in program order.
-                self.own().stats.overflow_inlines += 1;
-                let ra = a(self);
-                let rb = b(self);
-                return (ra, rb);
-            }
-
-            let instr = self.own().span.enabled;
-            let frame = if instr {
-                Some(self.own().span.fork_start())
-            } else {
-                None
-            };
-
-            let guard = JoinGuard::<S, ClosureTask<FB>>::arm(self);
-            let ra = a(self);
-            guard.disarm();
-
-            let a_span = if instr {
-                Some(self.own().span.fork_mid())
-            } else {
-                None
-            };
-
-            let (rb, b_span) = self.join_task::<ClosureTask<FB>>(instr);
-
-            if let Some(frame) = frame {
-                self.own().span.fork_join(frame, a_span.unwrap(), b_span);
-            }
-            (ra, rb)
+        // SAFETY: `own` contract (owner thread, short-lived borrow).
+        if unsafe { self.own().span.enabled } {
+            // SAFETY: this handle is live on its owner thread.
+            return cold_path(move || unsafe { self.fork_body::<true, _, _, _, _>(a, b) });
         }
+        // SAFETY: this handle is live on its owner thread.
+        unsafe { self.fork_body::<false, _, _, _, _>(a, b) }
+    }
+
+    /// `fork` with span instrumentation compiled in (`SPAN`) or out.
+    /// Its `own` borrows are short-lived and never held across user code,
+    /// and the spawned task is joined on every control path out of it
+    /// (JoinGuard covers unwinding out of `a`).
+    ///
+    /// # Safety
+    /// Must run on the thread owning this handle's worker.
+    #[inline(always)]
+    unsafe fn fork_body<const SPAN: bool, RA, RB, FA, FB>(&mut self, a: FA, b: FB) -> (RA, RB)
+    where
+        FA: FnOnce(&mut Self) -> RA + Send,
+        FB: FnOnce(&mut Self) -> RB + Send,
+        RA: Send,
+        RB: Send,
+    {
+        if let Err(ClosureTask(b)) = self.try_push(ClosureTask(b)) {
+            // Task-pool overflow: execute eagerly, in program order.
+            self.own().stats.overflow_inlines += 1;
+            let ra = a(self);
+            let rb = b(self);
+            return (ra, rb);
+        }
+        let frame = SPAN.then(|| self.own().span.fork_start());
+        let guard = JoinGuard::<S, ClosureTask<FB>>::arm(self, 1);
+        let ra = a(self);
+        std::mem::forget(guard);
+        let a_span = if SPAN {
+            self.own().span.take_branch()
+        } else {
+            (0, 0)
+        };
+        let rb = self.join_task::<ClosureTask<FB>>();
+        if let Some(frame) = frame {
+            let span = &mut self.own().span;
+            let b_span = span.take_branch();
+            span.fork_join(frame, a_span, b_span);
+        }
+        (ra, rb)
     }
 
     /// Spawns `body(i)` for `i` in `1..n` as individual tasks, runs
@@ -289,52 +297,63 @@ impl<S: Strategy> WorkerHandle<S> {
         if n == 0 {
             return;
         }
-        // SAFETY: as in `fork`: short `own` borrows; every spawned
-        // iteration is joined before return (ForEachGuard on unwind).
-        unsafe {
-            let instr = self.own().span.enabled;
-            let frame = if instr {
-                Some(self.own().span.fork_start())
-            } else {
-                None
-            };
+        // SAFETY: `own` contract (owner thread, short-lived borrow).
+        if unsafe { self.own().span.enabled } {
+            // SAFETY: this handle is live on its owner thread.
+            return cold_path(move || unsafe { self.for_each_body::<true, F>(n, body) });
+        }
+        // SAFETY: this handle is live on its owner thread.
+        unsafe { self.for_each_body::<false, F>(n, body) }
+    }
 
-            let mut guard = ForEachGuard::<'_, S, F> {
-                h: self as *mut Self,
-                remaining: 0,
-                _marker: PhantomData,
-            };
-            for i in 1..n {
-                match self.try_push(ForEachTask { body, i }) {
-                    Ok(()) => guard.remaining += 1,
-                    Err(t) => {
-                        // Overflow: run eagerly.
-                        self.own().stats.overflow_inlines += 1;
-                        t.run(self);
-                    }
+    /// `for_each_spawn` (for `n >= 1`) with span instrumentation
+    /// compiled in (`SPAN`) or out. As in `fork_body`, `own` borrows are
+    /// short and every spawned iteration is joined before return
+    /// (JoinGuard on unwind).
+    ///
+    /// # Safety
+    /// Must run on the thread owning this handle's worker.
+    #[inline(always)]
+    unsafe fn for_each_body<const SPAN: bool, F>(&mut self, n: usize, body: &F)
+    where
+        F: Fn(&mut Self, usize) + Sync,
+    {
+        let frame = SPAN.then(|| self.own().span.fork_start());
+        let mut guard = JoinGuard::<S, ForEachTask<'_, F>>::arm(self, 0);
+        for i in 1..n {
+            match self.try_push(ForEachTask { body, i }) {
+                Ok(()) => guard.pending += 1,
+                Err(t) => {
+                    // Overflow: run eagerly.
+                    self.own().stats.overflow_inlines += 1;
+                    t.run(self);
                 }
             }
-            body(self, 0);
+        }
+        body(self, 0);
 
-            // Span of the direct call; each joined task folds into it as
-            // a parallel sibling.
-            let mut folded = if instr {
-                self.own().span.fork_mid()
-            } else {
-                (0, 0)
-            };
-            let overhead = self.own().span.overhead;
-
-            while guard.remaining > 0 {
-                guard.remaining -= 1;
-                let ((), s) = self.join_task::<ForEachTask<'_, F>>(instr);
-                folded = (combine(folded.0, s.0, 0), combine(folded.1, s.1, overhead));
+        // Span of the direct call; each joined task folds into it as a
+        // parallel sibling.
+        let mut folded = if SPAN {
+            self.own().span.take_branch()
+        } else {
+            (0, 0)
+        };
+        while guard.pending > 0 {
+            guard.pending -= 1;
+            self.join_task::<ForEachTask<'_, F>>();
+            if SPAN {
+                let span = &mut self.own().span;
+                let s = span.take_branch();
+                folded = (
+                    combine(folded.0, s.0, 0),
+                    combine(folded.1, s.1, span.overhead),
+                );
             }
-            std::mem::forget(guard);
-
-            if let Some(frame) = frame {
-                self.own().span.fork_join(frame, folded, (0, 0));
-            }
+        }
+        std::mem::forget(guard);
+        if let Some(frame) = frame {
+            self.own().span.fork_join(frame, folded, (0, 0));
         }
     }
 
@@ -375,7 +394,7 @@ impl<S: Strategy> WorkerHandle<S> {
     where
         F: FnOnce(&mut Self) + Send,
     {
-        let _ = self.join_task::<ClosureTask<F>>(false);
+        self.join_task::<ClosureTask<F>>();
     }
 
     // ------------------------------------------------------------------
@@ -385,9 +404,14 @@ impl<S: Strategy> WorkerHandle<S> {
     /// Pushes a task onto the direct task stack (`spawn_f` in Figure 3).
     /// Returns the task back on overflow.
     ///
+    /// Spawns are not counted here: every pushed task is joined exactly
+    /// once by its owner, so the report derives `Stats::spawns` from the
+    /// join counters (see `OwnerState::finish`).
+    ///
     /// # Safety
     /// The pushed task may borrow the caller's stack; the caller must
     /// join it (possibly via a guard) before those borrows expire.
+    #[inline(always)]
     unsafe fn try_push<B: TaskBody<S>>(&mut self, b: B) -> Result<(), B> {
         let wkr = self.wkr();
         let own = self.own();
@@ -411,7 +435,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // task to thieves. (Either way this compiles to a plain store on
         // x86 — the paper's TSO argument for synchronization-free
         // spawns.)
-        if S::PRIVATE_TASKS && !self.force_publish_all {
+        if S::PRIVATE_TASKS && !S::PUBLISH_ALL {
             // relaxed-ok: the slot is private (above `n_public`); no
             // thief may read it until the later Release store to
             // `n_public` publishes it, and that store orders this one.
@@ -420,12 +444,11 @@ impl<S: Strategy> WorkerHandle<S> {
             slot.state.store(TASK, Release);
         }
         own.top = k + 1;
-        own.stats.spawns += 1;
         if S::SHARED_TOP {
             wkr.top_shared.store(k + 1, Release);
         }
         if S::PRIVATE_TASKS {
-            if self.force_publish_all {
+            if S::PUBLISH_ALL {
                 wkr.n_public.store(k + 1, Release);
             // relaxed-ok: advisory trip-wire flag; a missed set only
             // delays publication until the next spawn or steal request.
@@ -469,14 +492,17 @@ impl<S: Strategy> WorkerHandle<S> {
     /// private task, with no atomic read-modify-write at all) and calls
     /// it directly.
     ///
-    /// Returns the result and, when instrumented, the task's span.
+    /// When span instrumentation is on, the joined task's span is left
+    /// in the worker's span accumulators for the caller to
+    /// [`take_branch`](crate::span::SpanState::take_branch).
     ///
     /// # Safety
     /// `B` must be exactly the type of the most recent un-joined push
     /// (guaranteed by `fork`/`for_each_spawn` nesting discipline).
-    unsafe fn join_task<B: TaskBody<S>>(&mut self, instr: bool) -> (B::Output, (u64, u64)) {
+    #[inline(always)]
+    unsafe fn join_task<B: TaskBody<S>>(&mut self) -> B::Output {
         if S::SHARED_TOP {
-            return self.join_task_shared_top::<B>(instr);
+            return self.join_task_shared_top::<B>();
         }
         let wkr = self.wkr();
         let own = self.own();
@@ -510,14 +536,14 @@ impl<S: Strategy> WorkerHandle<S> {
             // (transient thieves excepted, see the guard above).
             slot.state.store(EMPTY, Relaxed);
             trace_ev!(self, JoinFastPrivate, k);
-            return self.call_inline::<B>(slot, instr);
+            return self.call_inline::<B>(slot);
         }
 
         // Public fast path: one atomic exchange (§III-A).
         let s = slot.state.swap(EMPTY, AcqRel);
         if s == TASK {
             own.stats.inlined_public += 1;
-            if S::PRIVATE_TASKS && !self.force_publish_all {
+            if S::PRIVATE_TASKS && !S::PUBLISH_ALL {
                 // We inlined a public task — the situation private tasks
                 // are designed to exploit (§III-B): privatize down to
                 // the new top. Safe because the swap above acquired the
@@ -528,17 +554,14 @@ impl<S: Strategy> WorkerHandle<S> {
                 }
             }
             trace_ev!(self, JoinFastPublic, k);
-            return self.call_inline::<B>(slot, instr);
+            return self.call_inline::<B>(slot);
         }
-        self.rts_join::<B>(slot, k, s, instr)
+        self.rts_join::<B>(slot, k, s)
     }
 
     /// Table II *base*: join under the per-worker lock, steal detection
     /// by comparing the shared `top` with `bot`.
-    unsafe fn join_task_shared_top<B: TaskBody<S>>(
-        &mut self,
-        instr: bool,
-    ) -> (B::Output, (u64, u64)) {
+    unsafe fn join_task_shared_top<B: TaskBody<S>>(&mut self) -> B::Output {
         let wkr = self.wkr();
         let own = self.own();
         own.top -= 1;
@@ -556,7 +579,7 @@ impl<S: Strategy> WorkerHandle<S> {
         if !was_stolen {
             own.stats.inlined_public += 1;
             trace_ev!(self, JoinFastPublic, k);
-            return self.call_inline::<B>(slot, instr);
+            return self.call_inline::<B>(slot);
         }
         own.stats.rts_joins += 1;
         own.stats.stolen_joins += 1;
@@ -592,59 +615,31 @@ impl<S: Strategy> WorkerHandle<S> {
         // strategy; the lock's edges order the store.
         wkr.top_shared.store(k, Relaxed);
         wkr.lock.unlock();
-        self.finish_stolen::<B>(slot, s, instr)
+        self.finish_stolen::<B>(slot, s)
     }
 
     /// The inlined call: direct (task-specific) or through the wrapper.
-    unsafe fn call_inline<B: TaskBody<S>>(
-        &mut self,
-        slot: &TaskSlot,
-        instr: bool,
-    ) -> (B::Output, (u64, u64)) {
+    #[inline(always)]
+    unsafe fn call_inline<B: TaskBody<S>>(&mut self, slot: &TaskSlot) -> B::Output {
         if S::TASK_SPECIFIC_JOIN {
             // Direct call, visible to the optimizer — the paper's
             // task-specific join. Panics propagate naturally.
-            let b = TaskRepr::<B, B::Output>::take_closure(slot);
-            let r = b.run(self);
-            let b_span = if instr {
-                let span = &mut self.own().span;
-                let s = span.branch_end();
-                span.span0 = 0;
-                span.span_c = 0;
-                s
-            } else {
-                (0, 0)
-            };
-            (r, b_span)
+            TaskRepr::<B, B::Output>::take_closure(slot).run(self)
         } else {
-            self.call_via_wrapper::<B>(slot, instr)
+            self.call_via_wrapper::<B>(slot)
         }
     }
 
     /// Generic (non-task-specific) inlined call through the wrapper
     /// function pointer; used by the `SyncOnTask` and `LockedBase` rungs
     /// and by the re-acquisition path of `RTS_join`.
-    unsafe fn call_via_wrapper<B: TaskBody<S>>(
-        &mut self,
-        slot: &TaskSlot,
-        instr: bool,
-    ) -> (B::Output, (u64, u64)) {
+    unsafe fn call_via_wrapper<B: TaskBody<S>>(&mut self, slot: &TaskSlot) -> B::Output {
         let wrapper = slot.wrapper();
-        let ok = wrapper(slot as *const TaskSlot, self as *mut Self as *mut ());
-        let b_span = if instr {
-            let span = &mut self.own().span;
-            let s = span.branch_end();
-            span.span0 = 0;
-            span.span_c = 0;
-            s
-        } else {
-            (0, 0)
-        };
-        if !ok {
+        if !wrapper(slot as *const TaskSlot, self as *mut Self as *mut ()) {
             let payload = TaskRepr::<B, B::Output>::take_panic(slot);
             std::panic::resume_unwind(payload);
         }
-        (TaskRepr::<B, B::Output>::take_result(slot), b_span)
+        TaskRepr::<B, B::Output>::take_result(slot)
     }
 
     /// `RTS_join` (Figure 3): the join found the slot not simply
@@ -656,8 +651,7 @@ impl<S: Strategy> WorkerHandle<S> {
         slot: &TaskSlot,
         k: usize,
         mut s: usize,
-        instr: bool,
-    ) -> (B::Output, (u64, u64)) {
+    ) -> B::Output {
         self.own().stats.rts_joins += 1;
         #[cfg(feature = "trace")]
         let mut join_thief = u32::MAX as usize;
@@ -672,7 +666,7 @@ impl<S: Strategy> WorkerHandle<S> {
                 // it again with the swap.
                 s = slot.state.swap(EMPTY, AcqRel);
                 if s == TASK {
-                    return self.call_via_wrapper::<B>(slot, instr);
+                    return self.call_via_wrapper::<B>(slot);
                 }
                 continue;
             }
@@ -715,29 +709,31 @@ impl<S: Strategy> WorkerHandle<S> {
                 debug_assert_eq!(wkr.bot.load(Relaxed), k + 1);
                 wkr.bot.store(k, Release);
             }
-            return self.finish_stolen::<B>(slot, s, instr);
+            return self.finish_stolen::<B>(slot, s);
         }
     }
 
     /// Reads the result (or re-raises the panic) of a completed stolen
-    /// task and harvests its measured span.
-    unsafe fn finish_stolen<B: TaskBody<S>>(
-        &mut self,
-        slot: &TaskSlot,
-        s: usize,
-        instr: bool,
-    ) -> (B::Output, (u64, u64)) {
-        let b_span = if instr { slot.span() } else { (0, 0) };
-        if instr {
+    /// task and, when span-instrumented, adds its measured span to the
+    /// accumulators (where an inlined join would have accumulated it).
+    unsafe fn finish_stolen<B: TaskBody<S>>(&mut self, slot: &TaskSlot, s: usize) -> B::Output {
+        let span = &mut self.own().span;
+        if span.enabled {
+            // In series with what the accumulators hold: nothing after a
+            // fork's or for_each's `take_branch`, the parent's segment at
+            // a scope join.
+            let (s0, sc) = slot.span();
+            span.span0 += s0;
+            span.span_c += sc;
             // Do not charge the wait to the parent's span: restart the
             // leaf mark now that the join has resolved.
-            self.own().span.mark = cycles::now();
+            span.mark = cycles::now();
         }
         if s == DONE_PANIC {
             let payload = TaskRepr::<B, B::Output>::take_panic(slot);
             std::panic::resume_unwind(payload);
         }
-        (TaskRepr::<B, B::Output>::take_result(slot), b_span)
+        TaskRepr::<B, B::Output>::take_result(slot)
     }
 
     /// Leap-frogging (§I, Wagner & Calder): while our task is away,
@@ -1109,65 +1105,46 @@ fn steal_uses_lock<S: Strategy>() -> bool {
     !matches!(S::STEAL_SYNC, StealSync::NoLock)
 }
 
-/// Panic guard: joins (and discards) the pending spawned task if the
-/// inline branch of a `fork` unwinds, so the spawned closure's borrows
-/// of the unwinding frame are not left live in a thief.
+/// Panic guard: joins (and discards) the `pending` spawned tasks of type
+/// `B` if the code between their spawns and their joins unwinds, so the
+/// spawned closures' borrows of the unwinding frame are not left live in
+/// a thief.
 struct JoinGuard<S: Strategy, B: TaskBody<S>> {
     h: *mut WorkerHandle<S>,
+    pending: usize,
     _marker: PhantomData<fn() -> B>,
 }
 
 impl<S: Strategy, B: TaskBody<S>> JoinGuard<S, B> {
-    fn arm(h: &mut WorkerHandle<S>) -> Self {
+    fn arm(h: &mut WorkerHandle<S>, pending: usize) -> Self {
         JoinGuard {
             h,
+            pending,
             _marker: PhantomData,
         }
-    }
-
-    fn disarm(self) {
-        std::mem::forget(self);
     }
 }
 
 impl<S: Strategy, B: TaskBody<S>> Drop for JoinGuard<S, B> {
     fn drop(&mut self) {
         // SAFETY: the handle outlives the guard (same stack frame); the
-        // pending task is exactly of type `B` (pushed immediately before
-        // arming). If the join itself panics we are already unwinding
-        // and the process aborts (double panic) — documented behavior.
+        // pending tasks are exactly of type `B` and the youngest on the
+        // stack. If a join itself panics we are already unwinding and
+        // the process aborts (double panic) — documented behavior.
         unsafe {
             let h = &mut *self.h;
-            let _ = h.join_task::<B>(false);
-        }
-    }
-}
-
-/// Panic guard for `for_each_spawn`: joins all still-pending iterations.
-struct ForEachGuard<'a, S, F>
-where
-    S: Strategy,
-    F: Fn(&mut WorkerHandle<S>, usize) + Sync,
-{
-    h: *mut WorkerHandle<S>,
-    remaining: usize,
-    _marker: PhantomData<&'a F>,
-}
-
-impl<'a, S, F> Drop for ForEachGuard<'a, S, F>
-where
-    S: Strategy,
-    F: Fn(&mut WorkerHandle<S>, usize) + Sync,
-{
-    fn drop(&mut self) {
-        // SAFETY: as for JoinGuard; each pending task is a
-        // `ForEachTask<'a, F>`.
-        unsafe {
-            let h = &mut *self.h;
-            while self.remaining > 0 {
-                self.remaining -= 1;
-                let _ = h.join_task::<ForEachTask<'a, F>>(false);
+            while self.pending > 0 {
+                self.pending -= 1;
+                h.join_task::<B>();
             }
         }
     }
+}
+
+/// Runs `f` out of line. The span-instrumented fork bodies go through
+/// here, so their cycle-counter reads stay off the uninstrumented path.
+#[cold]
+#[inline(never)]
+fn cold_path<R>(f: impl FnOnce() -> R) -> R {
+    f()
 }

@@ -103,7 +103,7 @@ pub use serve::{ServeEngine, ServeReport};
 pub use stats::Stats;
 pub use strategy::{
     LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, Strategy, SyncOnTask, TaskSpecific,
-    WoolFull, WoolNoLeap,
+    WoolAllPublic, WoolFull, WoolNoLeap,
 };
 
 #[cfg(test)]
@@ -205,9 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn force_publish_all_uses_public_joins() {
-        let cfg = PoolConfig::with_workers(1).force_publish_all(true);
-        let mut pool: Pool<WoolFull> = Pool::with_config(cfg);
+    fn all_public_rung_uses_public_joins() {
+        let mut pool: Pool<WoolAllPublic> = Pool::new(1);
         pool.run(|h| fib(h, 15));
         let report = pool.last_report().unwrap();
         assert_eq!(report.total.inlined_private, 0);

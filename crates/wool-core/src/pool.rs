@@ -190,20 +190,13 @@ impl<S: Strategy> Pool<S> {
         unsafe {
             let own = &mut *w0.own.get();
             debug_assert_eq!(own.top, 0, "task stack must be quiescent between runs");
-            own.stats = Stats::default();
-            own.span.reset(cfg.instrument_span, cfg.span_overhead);
-            own.tb.reset(cfg.instrument_time, Category::Na);
+            own.begin(cfg, Category::Na);
             own.seen_epoch = epoch;
-            #[cfg(feature = "trace")]
-            if cfg.instrument_trace {
-                own.trace.clear();
-                own.trace.set_enabled(true);
-            }
         }
         debug_assert_eq!(w0.bot.load(Relaxed), 0);
         // `n_public` may be left above the (empty) stack when the last
-        // public task of the previous region was stolen, or under
-        // force-publish; re-arm it for the fresh stack.
+        // public task of the previous region was stolen, or under the
+        // all-public rung; re-arm it for the fresh stack.
         w0.n_public.store(0, Relaxed);
         w0.publish_request.store(false, Relaxed);
 
@@ -222,23 +215,16 @@ impl<S: Strategy> Pool<S> {
         inner.completed.store(epoch, Release);
         let wall = cycles::now().wrapping_sub(t0);
 
-        // Worker 0's report.
-        let (w0_stats, w0_work, w0_span0, w0_span_c, w0_tb) = unsafe {
-            let own = &mut *w0.own.get();
-            #[cfg(feature = "trace")]
-            own.trace.set_enabled(false);
-            let (work, span0, span_c) = own.span.finish();
-            let tb = own.tb.finish();
-            (own.stats, work, span0, span_c, tb)
-        };
+        // Worker 0's report. SAFETY: as at region start.
+        let w0_report = unsafe { (*w0.own.get()).finish() };
 
         // Collect background workers' reports for this epoch.
         let p = inner.workers.len();
         let mut per_worker = Vec::with_capacity(p);
         let mut per_worker_breakdown = Vec::with_capacity(p);
-        per_worker.push(w0_stats);
-        per_worker_breakdown.push(w0_tb);
-        let mut work = w0_work;
+        per_worker.push(w0_report.stats);
+        per_worker_breakdown.push(w0_report.breakdown);
+        let mut work = w0_report.work;
         #[cfg(feature = "trace")]
         let mut trace_snaps = if cfg.instrument_trace {
             // SAFETY: this thread is worker 0's owner.
@@ -290,8 +276,8 @@ impl<S: Strategy> Pool<S> {
             per_worker,
             total,
             work,
-            span0: w0_span0,
-            span_c: w0_span_c,
+            span0: w0_report.span0,
+            span_c: w0_report.span_c,
             breakdown,
             per_worker_breakdown,
         });
@@ -354,13 +340,9 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                 let own = handle.own();
                 if own.seen_epoch != epoch {
                     own.seen_epoch = epoch;
-                    own.stats = Stats::default();
-                    own.span.reset(cfg.instrument_span, cfg.span_overhead);
-                    own.tb.reset(cfg.instrument_time, Category::St);
+                    own.begin(cfg, Category::St);
                     #[cfg(feature = "trace")]
                     if cfg.instrument_trace {
-                        own.trace.clear();
-                        own.trace.set_enabled(true);
                         own.trace
                             .record(wool_trace::EventKind::Unpark, cycles::now(), 0);
                     }
@@ -405,22 +387,14 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                 // `report_epoch`, which we Release-store below.
                 unsafe {
                     let own = handle.own();
-                    // Stop writing the trace ring before the Release
-                    // below: the coordinator reads it after the
-                    // matching Acquire.
-                    #[cfg(feature = "trace")]
-                    own.trace.set_enabled(false);
-                    let report = if own.seen_epoch == done {
-                        let (work, _, _) = own.span.finish();
-                        WorkerReport {
-                            stats: own.stats,
-                            work,
-                            breakdown: own.tb.finish(),
-                        }
+                    // `finish` stops the trace ring before the Release
+                    // below: the coordinator reads it after the matching
+                    // Acquire.
+                    *wkr.report.get() = if own.seen_epoch == done {
+                        own.finish()
                     } else {
                         WorkerReport::default()
                     };
-                    *wkr.report.get() = report;
                 }
                 wkr.report_epoch.store(done, Release);
             }

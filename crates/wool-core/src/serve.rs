@@ -120,7 +120,13 @@ impl<S: Strategy> ServeEngine<S> {
     /// # Panics
     /// Panics when `cfg.workers == 0` (see [`PoolConfig::validated`]).
     pub fn start(cfg: PoolConfig) -> Self {
-        let inner = PoolInner::build(cfg.validated());
+        // Spans and the time breakdown describe one fork-join region;
+        // a serve session has none, so it measures neither.
+        let inner = PoolInner::build(PoolConfig {
+            instrument_span: false,
+            instrument_time: false,
+            ..cfg.validated()
+        });
         let p = inner.cfg.workers;
         let shared = Arc::new(ServeShared::new(p, inner.cfg.injector_capacity));
         let threads = (0..p)
@@ -252,17 +258,7 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
     *shared.threads[idx].lock().unwrap() = Some(crate::sync::thread::current());
 
     // SAFETY: owner-only state, this is the owning thread.
-    unsafe {
-        let own = handle.own();
-        own.stats = Stats::default();
-        own.span.reset(false, cfg.span_overhead);
-        own.tb.reset(false, Category::St);
-        #[cfg(feature = "trace")]
-        if cfg.instrument_trace {
-            own.trace.clear();
-            own.trace.set_enabled(true);
-        }
-    }
+    unsafe { handle.own().begin(cfg, Category::St) };
 
     let mut idle = 0u32;
     loop {
@@ -370,15 +366,6 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
     // SAFETY: owner-only state; the engine reads `report` (and the
     // trace ring) only after `JoinHandle::join` returns, which
     // synchronizes with everything this thread ever wrote.
-    unsafe {
-        let own = handle.own();
-        #[cfg(feature = "trace")]
-        own.trace.set_enabled(false);
-        *wkr.report.get() = WorkerReport {
-            stats: own.stats,
-            work: 0,
-            breakdown: own.tb.finish(),
-        };
-    }
+    unsafe { *wkr.report.get() = handle.own().finish() };
     wkr.report_epoch.store(u64::MAX, Release);
 }

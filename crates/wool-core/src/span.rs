@@ -36,7 +36,8 @@ pub const DEFAULT_OVERHEAD_CYCLES: u64 = 2000;
 
 /// Per-worker span instrumentation state.
 ///
-/// Disabled state costs one predictable branch per fork.
+/// Disabled state costs one predictable branch per fork: `fork` reads
+/// `enabled` once and runs an uninstrumented copy of its body.
 #[derive(Debug, Clone)]
 pub struct SpanState {
     /// Whether instrumentation is active for the current run.
@@ -111,23 +112,17 @@ impl SpanState {
         f
     }
 
-    /// Called between the two branches: returns branch `a`'s spans and
-    /// restarts accumulation for branch `b`.
+    /// Ends the accumulation of one branch and returns its spans,
+    /// restarting accumulation from zero. Called after the direct call
+    /// `a` and after each join: an inlined branch accumulated in place, a
+    /// stolen one was copied in from its descriptor by the join.
     #[inline]
-    pub fn fork_mid(&mut self) -> (u64, u64) {
+    pub fn take_branch(&mut self) -> (u64, u64) {
         self.flush();
-        let a = (self.span0, self.span_c);
+        let b = (self.span0, self.span_c);
         self.span0 = 0;
         self.span_c = 0;
-        a
-    }
-
-    /// Ends the current accumulation (for an *inlined* branch `b`) and
-    /// returns its spans.
-    #[inline]
-    pub fn branch_end(&mut self) -> (u64, u64) {
-        self.flush();
-        (self.span0, self.span_c)
+        b
     }
 
     /// Called at the join: combines the parent span with the two branch

@@ -13,7 +13,9 @@ use std::ops::AddAssign;
 /// Event counters for one worker (or an aggregate over workers).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Stats {
-    /// Tasks spawned (the paper's `N_T`).
+    /// Tasks spawned (the paper's `N_T`). Not counted at the spawn: the
+    /// owner joins every pushed task exactly once, so a worker's report
+    /// fills it in as `inlined_private + inlined_public + rts_joins`.
     pub spawns: u64,
     /// Joins that found the task private and used the plain-load path.
     pub inlined_private: u64,

@@ -26,7 +26,7 @@ pub enum StealSync {
 
 /// A compile-time configuration of the scheduler.
 ///
-/// The five knobs correspond one-to-one to the implementation techniques
+/// The knobs correspond one-to-one to the implementation techniques
 /// §III and §IV-B/C of the paper ablate.
 pub trait Strategy: 'static + Send + Sync {
     /// Table II *base*: `top` is a shared atomic compared against `bot`
@@ -57,6 +57,12 @@ pub trait Strategy: 'static + Send + Sync {
     /// waiting would be adequate" — this knob lets the ablation bench
     /// test that claim.
     const LEAPFROG: bool = true;
+
+    /// Table II row "Private tasks (no private)": the private-task
+    /// machinery is present, but every spawn publishes its task at once,
+    /// so no join ever takes the private path. Only meaningful with
+    /// `PRIVATE_TASKS`.
+    const PUBLISH_ALL: bool = false;
 }
 
 /// The full Wool system: direct task stack + task-specific join +
@@ -72,6 +78,22 @@ impl Strategy for WoolFull {
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = true;
     const NAME: &'static str = "wool";
+}
+
+/// The full Wool system with every task published at its spawn (Table
+/// II row "Private tasks (no private)"): measures what the private-task
+/// machinery costs when it never pays off.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WoolAllPublic;
+
+impl Strategy for WoolAllPublic {
+    const SHARED_TOP: bool = false;
+    const JOIN_LOCK: bool = false;
+    const STEAL_SYNC: StealSync = StealSync::NoLock;
+    const TASK_SPECIFIC_JOIN: bool = true;
+    const PRIVATE_TASKS: bool = true;
+    const NAME: &'static str = "wool-all-public";
+    const PUBLISH_ALL: bool = true;
 }
 
 /// Direct task stack with task-specific join but *all tasks public*
@@ -183,7 +205,9 @@ mod tests {
         assert!(LockedBase::JOIN_LOCK && LockedBase::SHARED_TOP);
         assert!(!SyncOnTask::JOIN_LOCK && !SyncOnTask::TASK_SPECIFIC_JOIN);
         assert!(TaskSpecific::TASK_SPECIFIC_JOIN && !TaskSpecific::PRIVATE_TASKS);
+        assert!(WoolAllPublic::PRIVATE_TASKS && WoolAllPublic::PUBLISH_ALL);
         assert!(WoolFull::TASK_SPECIFIC_JOIN && WoolFull::PRIVATE_TASKS);
+        assert!(!WoolFull::PUBLISH_ALL);
     }
 
     #[test]

@@ -24,11 +24,12 @@ use std::cell::UnsafeCell;
 
 use crate::pad::CachePadded;
 
+use crate::config::PoolConfig;
 use crate::slot::TaskSlot;
 use crate::span::SpanState;
 use crate::spinlock::SpinLock;
 use crate::stats::Stats;
-use crate::timebreak::{TimeBreak, TimeBreakdown};
+use crate::timebreak::{Category, TimeBreak, TimeBreakdown};
 
 /// State touched only by the worker's own thread.
 #[derive(Debug)]
@@ -67,6 +68,40 @@ impl OwnerState {
         }
     }
 
+    /// Starts a measurement window (a batch region, or a serve worker's
+    /// life): zeroes the counters and arms the instrumentation `cfg`
+    /// enables, with the time breakdown starting in category `start`.
+    pub fn begin(&mut self, cfg: &PoolConfig, start: Category) {
+        self.stats = Stats::default();
+        self.span.reset(cfg.instrument_span, cfg.span_overhead);
+        self.tb.reset(cfg.instrument_time, start);
+        #[cfg(feature = "trace")]
+        if cfg.instrument_trace {
+            self.trace.clear();
+            self.trace.set_enabled(true);
+        }
+    }
+
+    /// Ends the measurement window and returns its report. Stops the
+    /// trace ring first, so a reader that synchronizes with the
+    /// report's publication may snapshot the ring.
+    pub fn finish(&mut self) -> WorkerReport {
+        #[cfg(feature = "trace")]
+        self.trace.set_enabled(false);
+        let (work, span0, span_c) = self.span.finish();
+        let mut stats = self.stats;
+        // The owner joins every task it pushed exactly once, and each
+        // join bumps exactly one of these counters.
+        stats.spawns = stats.inlined_private + stats.inlined_public + stats.rts_joins;
+        WorkerReport {
+            stats,
+            work,
+            span0,
+            span_c,
+            breakdown: self.tb.finish(),
+        }
+    }
+
     /// Next pseudo-random value (xorshift64*).
     #[inline]
     pub fn next_rand(&mut self) -> u64 {
@@ -84,6 +119,9 @@ impl OwnerState {
 pub(crate) struct WorkerReport {
     pub stats: Stats,
     pub work: u64,
+    /// The worker's final spans; only worker 0's (the root's) are used.
+    pub span0: u64,
+    pub span_c: u64,
     pub breakdown: TimeBreakdown,
 }
 

@@ -108,3 +108,37 @@ fn asymmetric_fork_span_tracks_heavy_branch() {
         "par {par}, expected about {expect}"
     );
 }
+
+/// `for_each_spawn` takes the spanned path too: `WIDTH` equal iterations
+/// have ideal parallelism close to `WIDTH`, and each iteration's nested
+/// forks fold into its own branch span.
+#[test]
+fn for_each_spawn_parallelism() {
+    const WIDTH: usize = 16;
+    const ITERS: u64 = 100_000;
+    let ideal = WIDTH as f64;
+    let mut last = 0.0;
+    for _ in 0..5 {
+        let (work, span0, span_c) = run_instrumented(|h| {
+            let sum = std::sync::atomic::AtomicU64::new(0);
+            h.for_each_spawn(WIDTH, &|h, _| {
+                let v = balanced_tree(h, 1, ITERS / 2);
+                sum.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
+            });
+            sum.into_inner()
+        });
+        assert!(work > 0 && span0 > 0);
+        assert!(span_c >= span0);
+        let par = work as f64 / span0 as f64;
+        last = par;
+        // Each iteration is itself a 2-leaf fork, so the ideal
+        // parallelism is 2 * WIDTH.
+        if par > 2.0 * ideal * 0.4 && par < 2.0 * ideal * 2.0 {
+            return;
+        }
+    }
+    panic!(
+        "parallelism {last} never near ideal {} in 5 attempts",
+        2.0 * ideal
+    );
+}

@@ -89,8 +89,8 @@ impl VictimModel {
 
     /// Mirrors `WorkerHandle::try_push` (spawn). Returns the new `top`.
     ///
-    /// `publish_all` corresponds to `force_publish_all` (the non-private
-    /// behavior of publishing every descriptor immediately).
+    /// `publish_all` corresponds to `Strategy::PUBLISH_ALL` (the
+    /// `WoolAllPublic` rung, which publishes every descriptor at once).
     pub fn owner_push(&self, top: usize, id: usize, publish_all: bool) -> usize {
         let k = top;
         let slot = &self.slots[k];

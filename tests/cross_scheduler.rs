@@ -8,9 +8,10 @@ use wool_core::{Fork, Job};
 use workloads::{WorkloadKind, WorkloadSpec};
 use ws_bench::{System, SystemKind};
 
-const ALL_SYSTEMS: [SystemKind; 13] = [
+const ALL_SYSTEMS: [SystemKind; 14] = [
     SystemKind::Serial,
     SystemKind::Wool,
+    SystemKind::WoolAllPublic,
     SystemKind::WoolTaskSpecific,
     SystemKind::WoolSyncOnTask,
     SystemKind::WoolLockedBase,

@@ -1,6 +1,10 @@
 //! Scheduler invariants under sustained multi-threaded stress.
 
-use wool_core::{Pool, PoolConfig, Strategy, WorkerHandle};
+use wool_core::{
+    LockedBase, Pool, PoolConfig, StealLockBase, StealLockPeek, StealLockTrylock, Strategy,
+    SyncOnTask, TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap, WorkerHandle,
+};
+use workloads::fib as wfib;
 
 fn fib<S: Strategy>(h: &mut WorkerHandle<S>, n: u64) -> u64 {
     if n < 2 {
@@ -21,6 +25,59 @@ fn spawns_equal_joins() {
             t.inlined_private + t.inlined_public + t.stolen_joins + (t.rts_joins - t.stolen_joins); // reacquired-task joins
         assert_eq!(t.spawns, joins, "{t:?}");
     }
+}
+
+/// `Stats::spawns` is derived from the join counters when the report is
+/// made, not counted at the spawn. Check that it still counts every
+/// pushed task exactly, on every strategy rung, at p=1 and p=2, for both
+/// `fork` and `for_each_spawn`.
+#[test]
+fn spawn_counts_are_exact_on_every_rung() {
+    fn check<S: Strategy>() {
+        const N: u64 = 18;
+        const WIDTH: u64 = 64;
+        for workers in [1, 2] {
+            let mut pool: Pool<S> = Pool::new(workers);
+            let r = pool.run(|h| wfib::fib(h, N));
+            assert_eq!(r, wfib::fib_serial(N));
+            let t = pool.last_report().unwrap().total;
+            let label = format!("{} p={workers}: {t:?}", S::NAME);
+            assert_eq!(
+                t.spawns,
+                t.inlined_private + t.inlined_public + t.rts_joins,
+                "{label}"
+            );
+            assert_eq!(t.spawns, wfib::fib_spawn_count(N), "{label}");
+
+            // `WIDTH - 1` pushed iterations, each forking a small fib.
+            pool.run(|h| {
+                h.for_each_spawn(WIDTH as usize, &|h, i| {
+                    std::hint::black_box(wfib::fib(h, i as u64 % 10));
+                })
+            });
+            let t = pool.last_report().unwrap().total;
+            let expect = (WIDTH - 1)
+                + (0..WIDTH)
+                    .map(|i| wfib::fib_spawn_count(i % 10))
+                    .sum::<u64>();
+            assert_eq!(
+                t.spawns,
+                expect,
+                "for_each_spawn on {} p={workers}: {t:?}",
+                S::NAME
+            );
+            assert_eq!(t.spawns, t.inlined_private + t.inlined_public + t.rts_joins);
+        }
+    }
+    check::<WoolFull>();
+    check::<WoolAllPublic>();
+    check::<WoolNoLeap>();
+    check::<TaskSpecific>();
+    check::<SyncOnTask>();
+    check::<LockedBase>();
+    check::<StealLockBase>();
+    check::<StealLockPeek>();
+    check::<StealLockTrylock>();
 }
 
 /// Every steal is eventually matched by a stolen join (same region).
