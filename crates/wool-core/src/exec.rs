@@ -846,8 +846,9 @@ impl<S: Strategy> WorkerHandle<S> {
             let np = victim.n_public.load(Acquire);
             if b >= np {
                 // Nothing public. There may be private work; ask the
-                // owner to publish (the trip-wire notification channel
-                // also bootstraps publication on a fresh stack).
+                // owner to publish at its next spawn. (Worker 0's flag
+                // is armed at region start, so the root's first spawn
+                // publishes without waiting for this request.)
                 // relaxed-ok: advisory trip-wire flag (see try_push).
                 victim.publish_request.store(true, Relaxed);
                 let own = self.own();

@@ -198,7 +198,11 @@ impl<S: Strategy> Pool<S> {
         // public task of the previous region was stolen, or under the
         // all-public rung; re-arm it for the fresh stack.
         w0.n_public.store(0, Relaxed);
-        w0.publish_request.store(false, Relaxed);
+        // The background workers are idle at region start, so arm the
+        // trip wire: the root's first spawn publishes at once instead of
+        // waiting for a thief's request. A one-worker region has no
+        // thief and never publishes.
+        w0.publish_request.store(inner.workers.len() > 1, Relaxed);
 
         let t0 = cycles::now();
         inner.active.store(true, Release);

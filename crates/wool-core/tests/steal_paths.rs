@@ -4,47 +4,60 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use wool_core::{Pool, PoolConfig, TaskSpecific, WorkerHandle};
+use wool_core::{Pool, PoolConfig, Strategy, TaskSpecific, WoolFull, WorkerHandle};
 
 /// Forces a steal: the CALL branch spins until the spawned branch has
 /// been executed — which can only happen on another worker, so the join
 /// *must* take the stolen path (STOLEN wait or DONE).
 ///
-/// Uses the all-public `TaskSpecific` strategy: with private tasks, a
-/// worker that never spawns/joins while spinning would also never
-/// publish, which is the documented liveness boundary of the trip-wire
-/// scheme (§III-B: notifications are checked "on every spawn and join").
+/// Runs under the all-public `TaskSpecific` strategy and under private
+/// tasks (`WoolFull`). With private tasks, the owner checks the trip wire
+/// only at a spawn, so a worker that spins without spawning never answers
+/// a thief's request. `Pool::run` arms the trip wire when there is a
+/// thief, so the root's first spawn publishes and this test's sibling is
+/// stealable. The liveness boundary now lies below that first spawn: a
+/// worker that spins after a later, still private spawn can starve a
+/// thief of that task.
 #[test]
 fn blocked_join_takes_stolen_path() {
-    let mut pool: Pool<TaskSpecific> = Pool::new(2);
-    let stolen_by = AtomicUsize::new(usize::MAX);
-    let started = AtomicBool::new(false);
+    fn check<S: Strategy>() {
+        let mut pool: Pool<S> = Pool::new(2);
+        let stolen_by = AtomicUsize::new(usize::MAX);
+        let started = AtomicBool::new(false);
 
-    pool.run(|h| {
-        let ((), ()) = h.fork(
-            |_h| {
-                // Busy-wait (with a deadline) until the sibling runs.
-                let t0 = Instant::now();
-                while !started.load(Ordering::Acquire) {
-                    std::hint::spin_loop();
-                    if t0.elapsed() > Duration::from_secs(20) {
-                        panic!("sibling was never stolen");
+        pool.run(|h| {
+            let ((), ()) = h.fork(
+                |_h| {
+                    // Busy-wait (with a deadline) until the sibling runs.
+                    let t0 = Instant::now();
+                    while !started.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                        if t0.elapsed() > Duration::from_secs(20) {
+                            panic!("{}: sibling was never stolen", S::NAME);
+                        }
+                        std::thread::yield_now();
                     }
-                    std::thread::yield_now();
-                }
-            },
-            |h: &mut WorkerHandle<TaskSpecific>| {
-                stolen_by.store(h.worker_index(), Ordering::Relaxed);
-                started.store(true, Ordering::Release);
-            },
-        );
-    });
+                },
+                |h: &mut WorkerHandle<S>| {
+                    stolen_by.store(h.worker_index(), Ordering::Relaxed);
+                    started.store(true, Ordering::Release);
+                },
+            );
+        });
 
-    // The spawned branch ran on the thief, not on worker 0.
-    assert_ne!(stolen_by.load(Ordering::Relaxed), 0, "task was not stolen");
-    let t = pool.last_report().unwrap().total;
-    assert_eq!(t.steals, 1, "{t:?}");
-    assert_eq!(t.stolen_joins, 1, "{t:?}");
+        // The spawned branch ran on the thief, not on worker 0.
+        let label = S::NAME;
+        assert_ne!(
+            stolen_by.load(Ordering::Relaxed),
+            0,
+            "{label}: task was not stolen"
+        );
+        let t = pool.last_report().unwrap().total;
+        assert_eq!(t.steals, 1, "{label}: {t:?}");
+        assert_eq!(t.stolen_joins, 1, "{label}: {t:?}");
+    }
+    check::<TaskSpecific>();
+    check::<WoolFull>();
 }
 
 /// Steal-child memory behavior (§I): spawning a list of `n` tasks
@@ -94,7 +107,7 @@ fn worker_identity_in_tasks() {
 /// no-atomic private path.
 #[test]
 fn trip_wire_publishes_under_stealing() {
-    fn fib(h: &mut WorkerHandle<wool_core::WoolFull>, n: u64) -> u64 {
+    fn fib(h: &mut WorkerHandle<WoolFull>, n: u64) -> u64 {
         if n < 2 {
             return n;
         }

@@ -17,9 +17,10 @@ use crate::handle::{JobCore, JobHandle};
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The injector queue is at capacity (only returned by
-    /// [`try_submit`](ServePool::try_submit); [`submit`](ServePool::submit)
-    /// applies backpressure instead).
+    /// The injector queue is at capacity. Only
+    /// [`try_submit`](ServePool::try_submit) returns it, and it is the way
+    /// to shed load: [`submit`](ServePool::submit) never fails with `Full`
+    /// but yield-spins, without a bound, until the queue has room.
     Full,
     /// [`shutdown`](ServePool::shutdown) has begun (or completed): the
     /// pool no longer accepts jobs.
@@ -183,6 +184,13 @@ impl<S: Strategy> ServePool<S> {
 
     /// Submits a job, blocking (yield-spinning) while the injector is
     /// full. Returns a [`JobHandle`] resolving to the closure's result.
+    ///
+    /// The wait is unbounded: while the injector stays full (for example
+    /// because the workers are busy with long jobs), the caller keeps
+    /// spinning and yielding, and returns only when a cell frees up or
+    /// [`shutdown`](ServePool::shutdown) begins. To bound the wait or shed
+    /// load, use [`try_submit`](ServePool::try_submit), which fails with
+    /// [`SubmitError::Full`] instead.
     ///
     /// Safe to call from any thread, concurrently; `&self` is enough.
     pub fn submit<R, F>(&self, f: F) -> Result<JobHandle<R>, SubmitError>

@@ -93,6 +93,39 @@ fn trip_wire_publishes_private_work() {
     });
 }
 
+/// The armed start of `Pool::run`: worker 0's `publish_request` is set
+/// before any thief runs, so the owner's first spawn publishes without a
+/// request, while later spawns stay private until a thief asks. The
+/// thief may steal the first task at any point; the joins must still
+/// privatize and resolve, every task must run exactly once, and the
+/// boundary never passes the two descriptors that existed.
+#[test]
+fn armed_start_publishes_first_spawn() {
+    wool_loom::model_config(bounded(2), || {
+        let m = VictimModel::new(2, 2, true);
+        m.publish_request.store(true, Relaxed);
+        let m = Arc::new(m);
+        let done = Arc::new(AtomicBool::new(false));
+        let thief = {
+            let m = Arc::clone(&m);
+            let done = Arc::clone(&done);
+            thread::spawn(move || thief_loop(&m, 7, &done, 3))
+        };
+        let top = m.owner_push(0, 0, false);
+        // Only the owner writes `n_public`: the first spawn published,
+        // whatever the thief has done so far.
+        assert_eq!(m.n_public.load(Relaxed), 1);
+        let top = m.owner_push(top, 1, false);
+        let top = m.owner_join(top);
+        let top = m.owner_join(top);
+        assert_eq!(top, 0);
+        done.store(true, SeqCst);
+        let _ = thief.join().unwrap();
+        m.assert_each_executed_once();
+        assert!(m.n_public.load(Relaxed) <= 2);
+    });
+}
+
 /// Two thieves against a private stack: the publication batch admits
 /// one public descriptor at a time, so at most one thief can win each
 /// batch and the second CAS (or the back-off) must reject the other.

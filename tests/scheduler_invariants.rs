@@ -30,7 +30,9 @@ fn spawns_equal_joins() {
 /// `Stats::spawns` is derived from the join counters when the report is
 /// made, not counted at the spawn. Check that it still counts every
 /// pushed task exactly, on every strategy rung, at p=1 and p=2, for both
-/// `fork` and `for_each_spawn`.
+/// `fork` and `for_each_spawn`. A one-worker region must also never
+/// publish: the region-start trip wire is armed only when there is a
+/// thief.
 #[test]
 fn spawn_counts_are_exact_on_every_rung() {
     fn check<S: Strategy>() {
@@ -48,6 +50,10 @@ fn spawn_counts_are_exact_on_every_rung() {
                 "{label}"
             );
             assert_eq!(t.spawns, wfib::fib_spawn_count(N), "{label}");
+            if workers == 1 {
+                // No thief, so nothing may ever be published.
+                assert_eq!(t.publishes, 0, "{label}");
+            }
 
             // `WIDTH - 1` pushed iterations, each forking a small fib.
             pool.run(|h| {
@@ -67,6 +73,9 @@ fn spawn_counts_are_exact_on_every_rung() {
                 S::NAME
             );
             assert_eq!(t.spawns, t.inlined_private + t.inlined_public + t.rts_joins);
+            if workers == 1 {
+                assert_eq!(t.publishes, 0, "for_each_spawn on {} p=1: {t:?}", S::NAME);
+            }
         }
     }
     check::<WoolFull>();
