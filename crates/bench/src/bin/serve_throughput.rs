@@ -20,17 +20,9 @@
 use std::time::Instant;
 
 use minijson::{Json, ToJson};
-use wool_core::Fork;
 use wool_serve::ServePool;
+use workloads::fib::fib;
 use ws_bench::{dump_json, BenchArgs, Table};
-
-fn fib<C: Fork>(c: &mut C, n: u64) -> u64 {
-    if n < 2 {
-        return n;
-    }
-    let (a, b) = c.fork(|c| fib(c, n - 1), |c| fib(c, n - 2));
-    a + b
-}
 
 /// One sweep point: `submitters` client threads against one pool.
 struct Row {

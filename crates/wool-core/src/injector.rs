@@ -12,10 +12,10 @@
 //!
 //! Deliberately *not* a work-stealing deque: the injector lives outside
 //! the direct task stack so that the spawn/join fast path of §III-A is
-//! untouched by serve mode. Idle workers poll it only after a failed
-//! steal sweep (see `crate::serve`), which keeps intra-job parallelism
-//! (stealing) strictly ahead of new root jobs — the same priority order
-//! injector-fed runtimes like Tokio and crossbeam's `Injector` use.
+//! untouched by serve mode. A serve worker polls it before it tries to
+//! steal (see `crate::serve`): a queued root job is independent work,
+//! while a steal attempt on a busy owner rings its trip wire and makes
+//! it publish. Intra-job stealing resumes once the queue is empty.
 
 use crate::sync::atomic::AtomicUsize;
 use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
@@ -251,6 +251,12 @@ impl Injector {
     /// submit side).
     pub fn is_empty(&self) -> bool {
         self.tail.load(SeqCst) >= self.head.load(SeqCst)
+    }
+
+    /// Number of successful pushes so far (each claims one position).
+    pub fn pushed(&self) -> usize {
+        // relaxed-ok: advisory statistic, like `len`.
+        self.head.load(Relaxed)
     }
 
     /// Approximate number of queued jobs.

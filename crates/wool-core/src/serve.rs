@@ -8,13 +8,19 @@
 //!
 //! The scheduling order per worker is deliberate:
 //!
-//! 1. **steal sweep** — finish in-flight jobs first (intra-job
-//!    parallelism through the untouched §III-A/B fast path);
-//! 2. **injector poll** — only an empty-handed thief starts a new root
-//!    job, so accepting traffic never slows the direct task stack;
+//! 1. **injector poll** — a queued root job is independent work that
+//!    touches nobody's task stack, so it comes first;
+//! 2. **steal sweep** — only with the injector empty (intra-job
+//!    parallelism through the untouched §III-A/B fast path): a failed
+//!    steal rings the victim's trip wire and makes a busy owner publish
+//!    for nothing;
 //! 3. **escalation** — spin → yield → park, with an injector-aware
 //!    wakeup: submitters unpark a sleeping worker eagerly instead of
 //!    relying on the park timeout.
+//!
+//! The tradeoff: while roots are queued, a running job's inner
+//! parallelism waits until the queue drains. Throughput does not suffer,
+//! since every worker already has independent work.
 //!
 //! This module is the engine only — type-erased jobs in, completed jobs
 //! out. The user-facing API (`ServePool`, `JobHandle` futures, graceful
@@ -110,7 +116,8 @@ pub struct ServeReport {
 pub struct ServeEngine<S: Strategy = WoolFull> {
     inner: Arc<PoolInner>,
     shared: Arc<ServeShared>,
-    threads: Vec<JoinHandle<()>>,
+    /// Taken by the first `stop`.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     _strategy: PhantomData<S>,
 }
 
@@ -142,7 +149,7 @@ impl<S: Strategy> ServeEngine<S> {
         ServeEngine {
             inner,
             shared,
-            threads,
+            threads: Mutex::new(threads),
             _strategy: PhantomData,
         }
     }
@@ -162,9 +169,11 @@ impl<S: Strategy> ServeEngine<S> {
         self.shared.injector.len()
     }
 
-    /// Root jobs completed so far.
-    pub fn jobs_done(&self) -> u64 {
-        self.shared.jobs.load(Relaxed)
+    /// Jobs accepted but not yet completed (queued plus running,
+    /// approximate): the injector's push count minus the jobs run.
+    pub fn pending_jobs(&self) -> usize {
+        let done = self.shared.jobs.load(Relaxed) as usize;
+        self.shared.injector.pushed().saturating_sub(done)
     }
 
     /// The strategy name (paper series label).
@@ -191,20 +200,20 @@ impl<S: Strategy> ServeEngine<S> {
 
     /// Stops the engine: workers finish their current job, drain the
     /// injector, and exit; their statistics (and trace, if configured)
-    /// are collected into the returned report.
+    /// are collected into the returned report. A later call returns the
+    /// same report.
     ///
     /// Jobs still queued at this point are *executed*, not dropped —
-    /// graceful-drain policy (reject-then-drain) is the caller's job,
-    /// which is why there is no way to stop without draining short of
-    /// dropping the whole engine mid-flight.
-    pub fn stop(mut self) -> ServeReport {
-        self.stop_inner()
-    }
-
-    fn stop_inner(&mut self) -> ServeReport {
+    /// graceful-drain policy (reject-then-drain) is the caller's job.
+    /// A job submitted after `stop` never runs; dropping the engine
+    /// disposes of it.
+    pub fn stop(&self) -> ServeReport {
+        // Joining under the lock makes a second caller's report reads
+        // happen after every worker exited.
+        let mut threads = self.threads.lock().expect("an earlier stop panicked");
         self.inner.shutdown.store(true, SeqCst);
         self.shared.wake_all();
-        for t in self.threads.drain(..) {
+        for t in threads.drain(..) {
             let _ = t.join();
         }
         let p = self.inner.workers.len();
@@ -212,8 +221,8 @@ impl<S: Strategy> ServeEngine<S> {
         #[cfg(feature = "trace")]
         let mut trace_snaps = Vec::new();
         for (i, w) in self.inner.workers.iter().enumerate() {
-            // SAFETY: every worker thread has been joined; this thread
-            // has exclusive access to the report and owner cells.
+            // SAFETY: every worker thread has been joined, and no thread
+            // writes the report and owner cells any more.
             let report: WorkerReport = unsafe { *w.report.get() };
             per_worker.push(report.stats);
             #[cfg(feature = "trace")]
@@ -240,8 +249,8 @@ impl<S: Strategy> ServeEngine<S> {
 
 impl<S: Strategy> Drop for ServeEngine<S> {
     fn drop(&mut self) {
-        if !self.threads.is_empty() {
-            let _ = self.stop_inner();
+        if self.threads.get_mut().is_ok_and(|t| !t.is_empty()) {
+            let _ = self.stop();
         }
     }
 }
@@ -262,14 +271,7 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
 
     let mut idle = 0u32;
     loop {
-        // 1. Steal sweep: in-flight jobs' forked tasks come first.
-        // SAFETY: this thread owns worker `idx`.
-        if unsafe { handle.steal_round() } {
-            idle = 0;
-            continue;
-        }
-
-        // 2. Empty-handed: poll the injector for a fresh root job.
+        // 1. A queued root job comes first.
         if let Some(job) = shared.injector.pop() {
             // More queued work behind this one? Pass the wakeup on so
             // one submission burst does not drain through one worker.
@@ -304,6 +306,13 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
                 // SAFETY: this thread owns worker `idx`.
                 unsafe { trace_ev!(handle, JobDone, tag) }
             }
+            idle = 0;
+            continue;
+        }
+
+        // 2. Injector empty: help an in-flight job.
+        // SAFETY: this thread owns worker `idx`.
+        if unsafe { handle.steal_round() } {
             idle = 0;
             continue;
         }

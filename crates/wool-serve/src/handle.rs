@@ -9,44 +9,44 @@
 //! whichever consumer resolves it, mirroring `std::thread::JoinHandle`.
 //!
 //! The completion path is lock-free for the common case: the worker
-//! writes the result and flips one atomic; the mutex/condvar pair is
-//! touched only when a consumer actually has to sleep (or registered an
-//! async waker).
+//! writes the result and swaps one state word, PENDING → DONE. A
+//! consumer that has to sleep (or register an async waker) first moves
+//! the word PENDING → WAITING under the waiters lock, and only a swap
+//! that finds WAITING makes the worker take that lock and wake anyone.
 
 use std::cell::UnsafeCell;
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::task::{Context, Poll, Waker};
 use wool_core::sync::atomic::AtomicU8;
-use wool_core::sync::atomic::Ordering::{Acquire, Release};
+use wool_core::sync::atomic::Ordering::{AcqRel, Acquire};
 
 const PENDING: u8 = 0;
-const DONE: u8 = 1;
+/// A consumer sleeps on the condvar or has registered a waker.
+const WAITING: u8 = 1;
+const DONE: u8 = 2;
 
 /// What the job produced: the result, or the panic it raised.
 type Outcome<R> = std::thread::Result<R>; // lint-ok: type alias only, no thread API use
 
-struct Waiters {
-    /// Mirror of the DONE state, maintained under the lock so a
-    /// sleeping `join` cannot miss the notify.
-    done: bool,
-    /// At most one async consumer (the handle is not cloneable).
-    waker: Option<Waker>,
-}
-
 /// Shared completion cell between the worker that runs the job and the
 /// handle that consumes it.
 pub(crate) struct JobCore<R> {
+    /// PENDING → DONE, or PENDING → WAITING → DONE. Consumers move it to
+    /// WAITING only while holding the waiters lock, which is what lets a
+    /// sleeping `join` rely on the notify.
     state: AtomicU8,
     outcome: UnsafeCell<Option<Outcome<R>>>,
-    waiters: Mutex<Waiters>,
+    /// At most one async consumer (the handle is not cloneable).
+    waker: Mutex<Option<Waker>>,
     cv: Condvar,
 }
 
 // SAFETY: `outcome` is written exactly once by the completing worker
-// before the Release store of DONE, and read only by the single handle
-// owner after an Acquire load of DONE — a classic one-shot hand-off.
+// before the Release half of its swap to DONE, and read only by the
+// single handle owner after an Acquire read of DONE — a classic one-shot
+// hand-off.
 unsafe impl<R: Send> Send for JobCore<R> {}
 unsafe impl<R: Send> Sync for JobCore<R> {}
 
@@ -55,35 +55,46 @@ impl<R> JobCore<R> {
         JobCore {
             state: AtomicU8::new(PENDING),
             outcome: UnsafeCell::new(None),
-            waiters: Mutex::new(Waiters {
-                done: false,
-                waker: None,
-            }),
+            waker: Mutex::new(None),
             cv: Condvar::new(),
         }
     }
 
-    /// Publishes the job's outcome and wakes every kind of waiter.
-    /// Called exactly once, by the worker that ran the job (or by the
-    /// teardown path for a job that will never run).
+    /// Publishes the job's outcome and wakes the consumer, if one
+    /// waits. Called exactly once, by the worker that ran the job (or by
+    /// the teardown path for a job that will never run).
     pub(crate) fn complete(&self, outcome: Outcome<R>) {
         // SAFETY: single writer (exactly-once contract), and no reader
-        // until the Release store below.
+        // until the swap below.
         unsafe { *self.outcome.get() = Some(outcome) };
-        self.state.store(DONE, Release);
-        let waker = {
-            let mut w = self.waiters.lock().unwrap();
-            w.done = true;
-            w.waker.take()
-        };
-        self.cv.notify_all();
-        if let Some(w) = waker {
-            w.wake();
+        if self.state.swap(DONE, AcqRel) == WAITING {
+            // The consumer set WAITING under the lock and holds it until
+            // it sleeps, so taking the lock here orders the notify after
+            // its wait began.
+            let waker = self.waiters().take();
+            self.cv.notify_all();
+            if let Some(w) = waker {
+                w.wake();
+            }
         }
+    }
+
+    /// The waiters lock, recovered if a waker's `clone` or `drop` panicked
+    /// under it (the `Option` stays valid), so `complete` never panics.
+    fn waiters(&self) -> MutexGuard<'_, Option<Waker>> {
+        self.waker.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn is_done(&self) -> bool {
         self.state.load(Acquire) == DONE
+    }
+
+    /// Moves PENDING → WAITING before a consumer sleeps or waits for its
+    /// waker; false if the job is done. Call with the waiters lock held.
+    fn announce_wait(&self) -> bool {
+        self.state
+            .compare_exchange(PENDING, WAITING, Acquire, Acquire)
+            .map_or_else(|s| s == WAITING, |_| true)
     }
 
     /// Takes the outcome. Caller must have observed `is_done()`.
@@ -145,9 +156,11 @@ impl<R: Send> JobHandle<R> {
     /// Re-raises the job's panic, if it panicked.
     pub fn join(self) -> R {
         if !self.core.is_done() {
-            let mut w = self.core.waiters.lock().unwrap();
-            while !w.done {
-                w = self.core.cv.wait(w).unwrap();
+            let mut w = self.core.waiters();
+            if self.core.announce_wait() {
+                while !self.core.is_done() {
+                    w = self.core.cv.wait(w).unwrap_or_else(PoisonError::into_inner);
+                }
             }
         }
         // SAFETY: handle consumed by value — exclusive access.
@@ -168,14 +181,14 @@ impl<R: Send> Future for JobHandle<R> {
             // SAFETY: pinned exclusive borrow of the only handle.
             return Poll::Ready(resolve(unsafe { this.core.take() }));
         }
-        let mut w = this.core.waiters.lock().unwrap();
-        if w.done {
-            drop(w);
-            // SAFETY: as above.
-            return Poll::Ready(resolve(unsafe { this.core.take() }));
+        let mut w = this.core.waiters();
+        if this.core.announce_wait() {
+            *w = Some(cx.waker().clone());
+            return Poll::Pending;
         }
-        w.waker = Some(cx.waker().clone());
-        Poll::Pending
+        drop(w);
+        // SAFETY: as above.
+        Poll::Ready(resolve(unsafe { this.core.take() }))
     }
 }
 
@@ -184,5 +197,94 @@ impl<R> std::fmt::Debug for JobHandle<R> {
         f.debug_struct("JobHandle")
             .field("finished", &self.core.is_done())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::Ordering::SeqCst;
+    use std::task::Wake;
+
+    const ROUNDS: usize = 2_000;
+
+    /// Races `complete(i)` on another thread, after a delay that varies
+    /// with `i`, against `consume` on this one. `consume` must resolve to
+    /// `i`; what else it returns goes to `settled` once the completer
+    /// has finished.
+    fn race<T>(
+        mut consume: impl FnMut(JobHandle<usize>) -> (usize, T),
+        mut settled: impl FnMut(T),
+    ) {
+        for i in 0..ROUNDS {
+            let core = Arc::new(JobCore::new());
+            let handle = JobHandle::new(Arc::clone(&core));
+            let (v, rest) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    for _ in 0..i % 64 {
+                        std::hint::spin_loop();
+                    }
+                    core.complete(Ok(i));
+                });
+                consume(handle)
+            });
+            assert_eq!(v, i, "round {i}");
+            settled(rest);
+        }
+    }
+
+    #[test]
+    fn complete_races_join() {
+        race(|h| (h.join(), ()), drop);
+    }
+
+    #[test]
+    fn complete_races_try_join() {
+        let spin = |mut h: JobHandle<usize>| loop {
+            match h.try_join() {
+                Ok(v) => return (v, ()),
+                Err(back) => h = back,
+            }
+        };
+        race(spin, drop);
+    }
+
+    /// Counts how often it was woken.
+    struct CountingWaker(AtomicUsize);
+
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, SeqCst);
+        }
+    }
+
+    /// Every poll registers a fresh waker. No waker fires twice, and the
+    /// one registered by the last `Pending` poll fires exactly once (an
+    /// executor sleeping on it would hang otherwise).
+    #[test]
+    fn complete_races_future_poll() {
+        let poll_until_ready = |mut h: JobHandle<usize>| {
+            let mut wakers = Vec::new();
+            let mut last_pending = None;
+            loop {
+                let w = Arc::new(CountingWaker(AtomicUsize::new(0)));
+                let waker = Waker::from(Arc::clone(&w));
+                let poll = Pin::new(&mut h).poll(&mut Context::from_waker(&waker));
+                wakers.push(Arc::clone(&w));
+                match poll {
+                    Poll::Ready(v) => return (v, (wakers, last_pending)),
+                    Poll::Pending => last_pending = Some(w),
+                }
+            }
+        };
+        race(poll_until_ready, |(wakers, last_pending)| {
+            for w in &wakers {
+                assert!(w.0.load(SeqCst) <= 1, "a waker fired twice");
+            }
+            if let Some(w) = last_pending {
+                assert_eq!(w.0.load(SeqCst), 1, "the last Pending poll was never woken");
+            }
+        });
     }
 }

@@ -8,12 +8,14 @@
 //! one computation and accepts jobs from many threads at once.
 //!
 //! [`ServePool`] provides that. Jobs enter through a bounded, lock-free
-//! MPMC injector queue; workers only look at the injector *after* a
-//! failed steal sweep, so the paper's direct-task-stack fast path —
-//! private tasks, trip-wire publication, leapfrogging — is byte-for-
-//! byte the one `Pool::run` uses. Each submission returns a
-//! [`JobHandle`]: poll it, block on it, or `.await` it; panics inside
-//! the job resurface at the join, never on the worker.
+//! MPMC injector queue outside the task stacks, so the paper's fast
+//! path — private tasks, trip-wire publication, leapfrogging — is
+//! byte-for-byte the one `Pool::run` uses. Workers run queued jobs
+//! before they try to steal, so a job's inner parallelism waits while
+//! jobs are queued; throughput does not suffer, since every worker then
+//! has a job of its own. Each submission returns a [`JobHandle`]: poll
+//! it, block on it, or `.await` it; panics inside the job resurface at
+//! the join, never on the worker.
 //!
 //! ```
 //! use wool_serve::ServePool;

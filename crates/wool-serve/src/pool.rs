@@ -2,9 +2,8 @@
 
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
-use wool_core::sync::atomic::Ordering::SeqCst;
+use std::sync::Arc;
+use wool_core::sync::atomic::Ordering::{Relaxed, Release, SeqCst};
 use wool_core::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize};
 
 use wool_core::injector::Runnable;
@@ -38,36 +37,24 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// Submission gate: tracks in-flight jobs for the graceful drain and
-/// rejects submissions once draining has begun.
+/// Submission gate: rejects submissions once draining has begun, and
+/// counts the submissions still on their way into the injector so that
+/// `shutdown` stops the engine only after every accepted push landed.
 struct Gate {
     /// Set by `shutdown`; checked by every submission.
     draining: AtomicBool,
-    /// Jobs accepted but not yet completed (queued + running).
+    /// Submissions in flight: past the increment, not yet pushed or
+    /// backed out.
     pending: AtomicUsize,
-    /// Sleep/wake pair for the drain wait.
-    mx: Mutex<()>,
-    cv: Condvar,
     /// Tag sequence for trace correlation.
     next_tag: AtomicU32,
 }
 
-impl Gate {
-    /// Called on every job completion (run, or disposed at teardown).
-    fn job_finished(&self) {
-        if self.pending.fetch_sub(1, SeqCst) == 1 && self.draining.load(SeqCst) {
-            let _g = self.mx.lock().unwrap();
-            self.cv.notify_all();
-        }
-    }
-}
-
-/// The payload behind a [`Runnable`]: the user closure plus the wiring
-/// to resolve its handle and the drain accounting.
+/// The payload behind a [`Runnable`]: the user closure plus the cell
+/// that resolves its handle.
 struct Payload<S: Strategy, F, R> {
     f: F,
     core: Arc<JobCore<R>>,
-    gate: Arc<Gate>,
     _strategy: PhantomData<fn(S)>,
 }
 
@@ -79,30 +66,27 @@ where
     F: FnOnce(&mut WorkerHandle<S>) -> R + Send,
     R: Send,
 {
-    let Payload { f, core, gate, .. } = *Box::from_raw(data as *mut Payload<S, F, R>);
+    let Payload { f, core, .. } = *Box::from_raw(data as *mut Payload<S, F, R>);
     let h = &mut *(ctx as *mut WorkerHandle<S>);
     // Contain the job's panic to the job: the worker survives, the
     // panic payload travels to whoever joins the handle.
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(h)));
-    core.complete(outcome);
-    gate.job_finished();
+    core.complete(std::panic::catch_unwind(AssertUnwindSafe(|| f(h))));
 }
 
 /// Disposal path for a job that will never run (pool torn down with the
 /// job still queued, or a failed `try_submit`): resolve the handle with
-/// a panic payload so no waiter hangs, and balance the drain counter.
+/// a panic payload so no waiter hangs.
 unsafe fn drop_payload<S, F, R>(data: *mut ())
 where
     S: Strategy,
     F: FnOnce(&mut WorkerHandle<S>) -> R + Send,
     R: Send,
 {
-    let Payload { f, core, gate, .. } = *Box::from_raw(data as *mut Payload<S, F, R>);
+    let Payload { f, core, .. } = *Box::from_raw(data as *mut Payload<S, F, R>);
     drop(f);
     core.complete(Err(Box::new(
         "wool-serve: job discarded without running (pool torn down)",
     )));
-    gate.job_finished();
 }
 
 /// A persistent work-stealing pool accepting concurrent job submissions
@@ -114,8 +98,9 @@ where
 /// injector for as long as it lives, and drains gracefully on
 /// [`shutdown`](ServePool::shutdown). Each job runs as the root of its
 /// own fork-join region — inside the job closure, `fork` /
-/// `for_each_spawn` parallelism work exactly as under `Pool::run`, and
-/// idle workers steal across concurrently running jobs.
+/// `for_each_spawn` parallelism work exactly as under `Pool::run`. A
+/// worker starts a queued job before it tries to steal, so idle workers
+/// steal across running jobs only while no job waits in the injector.
 ///
 /// ```
 /// use wool_serve::ServePool;
@@ -128,8 +113,8 @@ where
 /// assert_eq!(h.join(), 42);
 /// ```
 pub struct ServePool<S: Strategy = WoolFull> {
-    engine: Option<ServeEngine<S>>,
-    gate: Arc<Gate>,
+    engine: ServeEngine<S>,
+    gate: Gate,
 }
 
 impl ServePool<WoolFull> {
@@ -151,30 +136,28 @@ impl<S: Strategy> ServePool<S> {
     /// Panics when `cfg.workers == 0`.
     pub fn with_config(cfg: PoolConfig) -> Self {
         ServePool {
-            engine: Some(ServeEngine::start(cfg)),
-            gate: Arc::new(Gate {
+            engine: ServeEngine::start(cfg),
+            gate: Gate {
                 draining: AtomicBool::new(false),
                 pending: AtomicUsize::new(0),
-                mx: Mutex::new(()),
-                cv: Condvar::new(),
                 next_tag: AtomicU32::new(0),
-            }),
+            },
         }
     }
 
     /// Number of workers.
     pub fn workers(&self) -> usize {
-        self.engine.as_ref().map_or(0, |e| e.workers())
+        self.engine.workers()
     }
 
     /// Capacity of the injector queue (after power-of-two rounding).
     pub fn queue_capacity(&self) -> usize {
-        self.engine.as_ref().map_or(0, |e| e.injector_capacity())
+        self.engine.injector_capacity()
     }
 
     /// Jobs accepted but not yet completed (queued plus running).
     pub fn pending_jobs(&self) -> usize {
-        self.gate.pending.load(SeqCst)
+        self.engine.pending_jobs()
     }
 
     /// The strategy name (paper series label).
@@ -198,23 +181,18 @@ impl<S: Strategy> ServePool<S> {
         F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let engine = self.engine.as_ref().ok_or(SubmitError::ShuttingDown)?;
-        let (mut job, handle) = self.make_job(f)?;
-        loop {
-            match engine.submit(job) {
-                Ok(()) => return Ok(handle),
+        self.admit(f, |mut job| loop {
+            match self.engine.submit(job) {
+                Ok(()) => return Ok(()),
+                // Dropping the runnable resolves its handle with a
+                // teardown panic; the handle is never given out.
+                Err(_) if self.gate.draining.load(SeqCst) => return Err(SubmitError::ShuttingDown),
                 Err(back) => {
-                    if self.gate.draining.load(SeqCst) {
-                        // Dropping the runnable resolves `handle` with a
-                        // teardown panic; we never give it out.
-                        drop(back);
-                        return Err(SubmitError::ShuttingDown);
-                    }
                     job = back;
                     wool_core::sync::thread::yield_now();
                 }
             }
-        }
+        })
     }
 
     /// Submits a job without blocking: fails with
@@ -225,15 +203,9 @@ impl<S: Strategy> ServePool<S> {
         F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let engine = self.engine.as_ref().ok_or(SubmitError::ShuttingDown)?;
-        let (job, handle) = self.make_job(f)?;
-        match engine.submit(job) {
-            Ok(()) => Ok(handle),
-            Err(back) => {
-                drop(back);
-                Err(SubmitError::Full)
-            }
-        }
+        self.admit(f, |job| {
+            self.engine.submit(job).map_err(|_| SubmitError::Full)
+        })
     }
 
     /// Submits an executor-agnostic [`Job`] (the interface the paper's
@@ -246,72 +218,74 @@ impl<S: Strategy> ServePool<S> {
         self.submit(move |h| job.call(h))
     }
 
-    /// Packages a closure into an injectable runnable plus its handle,
-    /// registering it with the drain gate.
-    fn make_job<R, F>(&self, f: F) -> Result<(Runnable, JobHandle<R>), SubmitError>
+    /// Packages a closure into an injectable runnable and hands it to
+    /// `push`, as one submission in flight through the drain gate.
+    fn admit<R, F>(
+        &self,
+        f: F,
+        push: impl FnOnce(Runnable) -> Result<(), SubmitError>,
+    ) -> Result<JobHandle<R>, SubmitError>
     where
         F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        // Count the job *before* the drain check: `shutdown` sets
+        // Count the submission *before* the drain check: `shutdown` sets
         // `draining` and then waits for `pending == 0`, so whichever
-        // side wins this race, no accepted job is left behind.
+        // side wins this race, no accepted push lands after the engine
+        // stops.
         self.gate.pending.fetch_add(1, SeqCst);
-        if self.gate.draining.load(SeqCst) {
-            self.gate.job_finished();
-            return Err(SubmitError::ShuttingDown);
-        }
-        let core = Arc::new(JobCore::new());
-        let handle = JobHandle::new(Arc::clone(&core));
-        let payload = Box::new(Payload::<S, F, R> {
-            f,
-            core,
-            gate: Arc::clone(&self.gate),
-            _strategy: PhantomData,
-        });
-        let tag = self.gate.next_tag.fetch_add(1, SeqCst);
-        // SAFETY: the box pointer is consumed exactly once by either
-        // `run_payload` (a worker of this pool, whose handle is a
-        // `WorkerHandle<S>` — the type this call is monomorphized for)
-        // or `drop_payload`; the payload is Send by the bounds above.
-        let job = unsafe {
-            Runnable::new(
-                Box::into_raw(payload) as *mut (),
-                run_payload::<S, F, R>,
-                drop_payload::<S, F, R>,
-                cycles::now(),
-                tag,
-            )
+        let admitted = if self.gate.draining.load(SeqCst) {
+            Err(SubmitError::ShuttingDown)
+        } else {
+            let core = Arc::new(JobCore::new());
+            let handle = JobHandle::new(Arc::clone(&core));
+            let payload = Box::new(Payload::<S, F, R> {
+                f,
+                core,
+                _strategy: PhantomData,
+            });
+            // Relaxed: the tags only need to be distinct.
+            let tag = self.gate.next_tag.fetch_add(1, Relaxed);
+            // SAFETY: the box pointer is consumed exactly once by either
+            // `run_payload` (a worker of this pool, whose handle is a
+            // `WorkerHandle<S>` — the type this call is monomorphized
+            // for) or `drop_payload`; the payload is Send by the bounds
+            // above.
+            let job = unsafe {
+                Runnable::new(
+                    Box::into_raw(payload) as *mut (),
+                    run_payload::<S, F, R>,
+                    drop_payload::<S, F, R>,
+                    cycles::now(),
+                    tag,
+                )
+            };
+            push(job).map(|()| handle)
         };
-        Ok((job, handle))
+        // Release: `shutdown` reads 0 only after the push above landed.
+        self.gate.pending.fetch_sub(1, Release);
+        admitted
     }
 
-    /// Graceful shutdown: stop accepting submissions, wait until every
-    /// accepted job has completed, then stop the workers. Returns the
-    /// session report (scheduler statistics, job count, and — when
-    /// tracing was configured — the merged event trace), or `None` if
-    /// the pool was already shut down.
+    /// Graceful shutdown: stop accepting submissions, wait for the
+    /// submissions already in flight to land in the injector, then stop
+    /// the engine, which runs every queued job before its workers exit.
+    /// Returns the session report (scheduler statistics, job count, and
+    /// — when tracing was configured — the merged event trace), or
+    /// `None` if shutdown had already begun.
     ///
-    /// Submissions racing with shutdown either complete before the
-    /// drain finishes or are rejected with
-    /// [`SubmitError::ShuttingDown`]; none are silently lost.
-    pub fn shutdown(&mut self) -> Option<ServeReport> {
-        let engine = self.engine.take()?;
-        self.gate.draining.store(true, SeqCst);
-        {
-            let mut g = self.gate.mx.lock().unwrap();
-            while self.gate.pending.load(SeqCst) != 0 {
-                // The timeout covers the completion-before-draining
-                // race (a finisher that missed the notify condition).
-                let (guard, _) = self
-                    .gate
-                    .cv
-                    .wait_timeout(g, Duration::from_millis(10))
-                    .unwrap();
-                g = guard;
-            }
+    /// Safe to call while other threads submit: each racing submission
+    /// either is accepted and runs before the engine stops, or is
+    /// rejected with [`SubmitError::ShuttingDown`]; none are silently
+    /// lost.
+    pub fn shutdown(&self) -> Option<ServeReport> {
+        if self.gate.draining.swap(true, SeqCst) {
+            return None;
         }
-        Some(engine.stop())
+        while self.gate.pending.load(SeqCst) != 0 {
+            wool_core::sync::thread::yield_now();
+        }
+        Some(self.engine.stop())
     }
 }
 
@@ -321,10 +295,10 @@ impl<S: Strategy> Drop for ServePool<S> {
     }
 }
 
-// Submission is `&self` and internally synchronized; handing references
-// across threads (e.g. `thread::scope` clients) is the intended use.
-// The auto-traits would already derive this, but spell the requirement
-// out against accidental regressions:
+// Submission and shutdown are `&self` and internally synchronized;
+// handing references across threads (e.g. `thread::scope` clients) is
+// the intended use. The auto-traits would already derive this, but
+// spell the requirement out against accidental regressions:
 const _: fn() = || {
     fn assert_sync<T: Sync + Send>() {}
     assert_sync::<ServePool<WoolFull>>();

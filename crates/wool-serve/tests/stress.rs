@@ -3,14 +3,15 @@
 //! resolution, backpressure, and lifecycle edge cases.
 
 use std::future::Future;
+use std::panic::AssertUnwindSafe;
 use std::pin::Pin;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use wool_serve::strategy::{Strategy, SyncOnTask};
+use wool_serve::strategy::{Strategy, SyncOnTask, WoolFull};
 use wool_serve::{PoolConfig, ServePool, SubmitError, WorkerHandle};
 
 fn fib<S: Strategy>(h: &mut WorkerHandle<S>, n: u64) -> u64 {
@@ -36,7 +37,7 @@ fn stress_many_submitters() {
     const CLIENTS: usize = 4;
     const JOBS: usize = 2_600; // 4 * 2600 = 10_400 total
 
-    let mut pool = ServePool::start(4);
+    let pool = ServePool::start(4);
     std::thread::scope(|s| {
         for client in 0..CLIENTS {
             let pool = &pool;
@@ -62,7 +63,7 @@ fn stress_many_submitters() {
 #[test]
 fn shutdown_drains_queued_jobs() {
     let counter = Arc::new(AtomicUsize::new(0));
-    let mut pool = ServePool::start(2);
+    let pool = ServePool::start(2);
     for _ in 0..500 {
         let counter = Arc::clone(&counter);
         pool.submit(move |_| {
@@ -213,7 +214,7 @@ fn try_submit_reports_full_queue() {
 
 #[test]
 fn submit_after_shutdown_is_rejected() {
-    let mut pool = ServePool::start(2);
+    let pool = ServePool::start(2);
     pool.submit(|h| fib(h, 10)).unwrap().join();
     pool.shutdown().unwrap();
     assert_eq!(
@@ -249,7 +250,7 @@ fn drop_is_graceful() {
 #[test]
 fn dropped_handle_detaches() {
     let counter = Arc::new(AtomicUsize::new(0));
-    let mut pool = ServePool::start(2);
+    let pool = ServePool::start(2);
     for _ in 0..100 {
         let counter = Arc::clone(&counter);
         drop(
@@ -266,11 +267,96 @@ fn dropped_handle_detaches() {
 /// The serve pool is strategy-generic like the batch pool.
 #[test]
 fn non_default_strategy_serves() {
-    let mut pool: ServePool<SyncOnTask> = ServePool::with_config(PoolConfig::with_workers(3));
+    let pool: ServePool<SyncOnTask> = ServePool::with_config(PoolConfig::with_workers(3));
     assert_eq!(pool.strategy_name(), "sync-on-task");
     let h = pool.submit(|h| fib(h, 15)).unwrap();
     assert_eq!(h.join(), fib_seq(15));
     pool.shutdown().unwrap();
+}
+
+/// With the injector empty, an idle worker still steals from a running
+/// job: the job's two branches meet at a rendezvous neither can pass
+/// alone, so each must run on its own worker. While waiting, a branch
+/// keeps spawning, which is where its owner honours a thief's trip wire
+/// and publishes the other branch.
+#[test]
+fn idle_worker_steals_from_running_job() {
+    let pool = ServePool::start(2);
+    let job = pool.submit(|h| {
+        let arrived = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let branch = |h: &mut WorkerHandle<WoolFull>| {
+            arrived.fetch_add(1, SeqCst);
+            while arrived.load(SeqCst) < 2 && Instant::now() < deadline {
+                h.fork(|_| (), |_| ());
+            }
+            (h.worker_index(), arrived.load(SeqCst) == 2)
+        };
+        h.fork(branch, branch)
+    });
+    let ((a, met_a), (b, met_b)) = job.unwrap().join();
+    assert!(met_a && met_b, "branches never met: no steal within 20 s");
+    assert_ne!(a, b, "both branches ran on worker {a}");
+}
+
+/// Submitters racing `shutdown`: every accepted job runs before the
+/// engine stops and resolves to its own value, never to the teardown
+/// panic of a job left in the queue; every other submission is turned
+/// away.
+#[test]
+fn submitters_race_shutdown() {
+    const CLIENTS: u64 = 3;
+    for round in 0..40 {
+        let pool = ServePool::start(2);
+        let accepted = AtomicUsize::new(0);
+        let (report, handles) = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    let (pool, accepted) = (&pool, &accepted);
+                    s.spawn(move || {
+                        let mut handles = Vec::new();
+                        for i in (client..).step_by(CLIENTS as usize) {
+                            // One client sheds load instead of waiting.
+                            let sent = if client == 0 {
+                                pool.try_submit(move |h| fib(h, 6) + i)
+                            } else {
+                                pool.submit(move |h| fib(h, 6) + i)
+                            };
+                            match sent {
+                                Ok(h) => {
+                                    handles.push((i, h));
+                                    accepted.fetch_add(1, SeqCst);
+                                }
+                                Err(SubmitError::Full) => std::thread::yield_now(),
+                                Err(SubmitError::ShuttingDown) => return handles,
+                            }
+                        }
+                        unreachable!("submissions end at shutdown")
+                    })
+                })
+                .collect();
+            // Shut down at a different point of the submission stream
+            // each round.
+            while accepted.load(SeqCst) < round * 5 {
+                std::thread::yield_now();
+            }
+            let report = pool.shutdown().expect("first shutdown");
+            let handles: Vec<_> = clients
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect();
+            (report, handles)
+        });
+        assert!(handles.len() >= round * 5);
+        assert_eq!(report.jobs, handles.len() as u64, "round {round}");
+        // Dropping the pool disposes of any job still queued, resolving
+        // its handle with the teardown panic.
+        drop(pool);
+        for (i, h) in handles {
+            let out = std::panic::catch_unwind(AssertUnwindSafe(|| h.join()));
+            assert_eq!(out.ok(), Some(fib_seq(6) + i), "round {round}: job {i}");
+        }
+    }
 }
 
 /// Satellite: zero workers must be rejected loudly, not hang.
@@ -301,7 +387,7 @@ fn trace_records_injector_events() {
     let cfg = PoolConfig::with_workers(2)
         .instrument_trace(true)
         .trace_capacity(4096);
-    let mut pool: ServePool = ServePool::with_config(cfg);
+    let pool: ServePool = ServePool::with_config(cfg);
     let jobs = 16;
     let handles: Vec<_> = (0..jobs)
         .map(|_| pool.submit(|h| fib(h, 8)).unwrap())

@@ -23,7 +23,8 @@ use wool_verify::support::bounded;
 use wool_verify::support::probe::{probe, Counters};
 
 /// The worker's poll/park sequence from `serve_loop` (minus the steal
-/// sweep and shutdown clause, which the model has no peers for), with
+/// attempt after a failed pop and the shutdown clause, which the model
+/// has no peers for), with
 /// the idle escalation reduced to one spin step. Returns after running
 /// one job. The spin sits after a *failed* pop — the point where the
 /// worker has re-checked shared state and genuinely cannot progress

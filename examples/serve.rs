@@ -65,7 +65,6 @@ fn main() {
     });
     let elapsed = t0.elapsed();
 
-    let mut pool = pool;
     let report = pool.shutdown().expect("first shutdown");
     println!(
         "ran {} jobs in {:.1} ms: {} spawns, {} steals, {:.1}% private joins",
