@@ -358,46 +358,6 @@ impl<S: Strategy> WorkerHandle<S> {
     }
 
     // ------------------------------------------------------------------
-    // scope plumbing (see crate::scope)
-    // ------------------------------------------------------------------
-
-    /// Pushes a scope task; on overflow executes it eagerly and returns
-    /// false (nothing pending).
-    ///
-    /// # Safety
-    /// The caller (the `Scope` drop guard) must join the task with
-    /// [`join_scope_task`] before any of its borrows expire.
-    ///
-    /// [`join_scope_task`]: WorkerHandle::join_scope_task
-    pub(crate) unsafe fn push_boxed<F>(&mut self, f: F) -> bool
-    where
-        F: FnOnce(&mut Self) + Send,
-    {
-        match self.try_push(ClosureTask(f)) {
-            Ok(()) => true,
-            Err(ClosureTask(f)) => {
-                self.own().stats.overflow_inlines += 1;
-                f(self);
-                false
-            }
-        }
-    }
-
-    /// Joins the most recent un-joined scope push of closure type `F`.
-    ///
-    /// # Safety
-    /// `F` must be exactly the type passed to the matching
-    /// [`push_boxed`]; LIFO discipline as for all joins.
-    ///
-    /// [`push_boxed`]: WorkerHandle::push_boxed
-    pub(crate) unsafe fn join_scope_task<F>(&mut self)
-    where
-        F: FnOnce(&mut Self) + Send,
-    {
-        self.join_task::<ClosureTask<F>>();
-    }
-
-    // ------------------------------------------------------------------
     // spawn
     // ------------------------------------------------------------------
 
@@ -720,8 +680,7 @@ impl<S: Strategy> WorkerHandle<S> {
         let span = &mut self.own().span;
         if span.enabled {
             // In series with what the accumulators hold: nothing after a
-            // fork's or for_each's `take_branch`, the parent's segment at
-            // a scope join.
+            // fork's or for_each's `take_branch`.
             let (s0, sc) = slot.span();
             span.span0 += s0;
             span.span_c += sc;

@@ -72,19 +72,18 @@ macro_rules! trace_ev {
     ($h:expr, $kind:ident, $arg:expr) => {};
 }
 
-pub mod api;
+mod api;
 pub mod config;
 pub mod cycles;
 mod exec;
 pub mod injector;
-pub mod pad;
+mod pad;
 mod pool;
-pub mod scope;
 pub mod serve;
 pub mod slot;
 pub mod span;
 pub mod spinlock;
-pub mod stats;
+mod stats;
 pub mod strategy;
 pub mod sync;
 pub mod timebreak;
@@ -98,7 +97,6 @@ pub use config::PoolConfig;
 pub use exec::WorkerHandle;
 pub use injector::{Injector, Runnable};
 pub use pool::{Pool, RunReport};
-pub use scope::Scope;
 pub use serve::{ServeEngine, ServeReport};
 pub use stats::Stats;
 pub use strategy::{

@@ -18,11 +18,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         CachePadded { value }
     }
-
-    /// Consumes the wrapper, returning the value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> std::ops::Deref for CachePadded<T> {
@@ -58,6 +53,5 @@ mod tests {
         let mut p = CachePadded::new(7u32);
         *p += 1;
         assert_eq!(*p, 8);
-        assert_eq!(p.into_inner(), 8);
     }
 }

@@ -70,6 +70,55 @@ impl PoolInner {
         }
         inner
     }
+
+    /// Waits until every worker has published its report for `epoch`
+    /// and gathers the reports in worker order, with the merged trace
+    /// when tracing is configured. A batch region collects with its
+    /// own epoch; the serve engine collects with `u64::MAX` after
+    /// joining its workers.
+    pub(crate) fn collect_reports(&self, epoch: u64) -> Reports {
+        let mut reports = Vec::with_capacity(self.workers.len());
+        for w in self.workers.iter() {
+            let mut spins = 0u32;
+            while w.report_epoch.load(Acquire) != epoch {
+                spins += 1;
+                if spins < 256 {
+                    crate::sync::hint::spin_loop();
+                } else {
+                    crate::sync::thread::yield_now();
+                }
+            }
+            // SAFETY: the Acquire above pairs with the owner's Release
+            // publish; the owner will not write this epoch's report
+            // again.
+            reports.push(unsafe { *w.report.get() });
+        }
+        #[cfg(feature = "trace")]
+        let trace = self.cfg.instrument_trace.then(|| {
+            let snaps = self.workers.iter().enumerate();
+            // SAFETY: covered by the same Acquire edges as the reports:
+            // an owner disables its ring strictly before its Release
+            // publish and re-enables it only at its next `begin`, which
+            // for a batch worker needs the next region (`&mut Pool`) and
+            // never comes for a serve worker.
+            let snaps = snaps.map(|(i, w)| unsafe { (*w.own.get()).trace.snapshot(i) });
+            wool_trace::Trace::new(snaps.collect(), cycles::ticks_per_ns())
+        });
+        Reports {
+            reports,
+            #[cfg(feature = "trace")]
+            trace,
+        }
+    }
+}
+
+/// What [`PoolInner::collect_reports`] gathers for one epoch.
+pub(crate) struct Reports {
+    /// One report per worker, in worker order.
+    pub reports: Vec<WorkerReport>,
+    /// The merged event trace, when tracing is configured.
+    #[cfg(feature = "trace")]
+    pub trace: Option<wool_trace::Trace>,
 }
 
 /// Everything measured during one [`Pool::run`].
@@ -91,8 +140,6 @@ pub struct RunReport {
     pub span_c: u64,
     /// Merged CPU-time breakdown (zeros unless time-instrumented).
     pub breakdown: TimeBreakdown,
-    /// Per-worker CPU-time breakdowns.
-    pub per_worker_breakdown: Vec<TimeBreakdown>,
 }
 
 impl RunReport {
@@ -219,71 +266,31 @@ impl<S: Strategy> Pool<S> {
         inner.completed.store(epoch, Release);
         let wall = cycles::now().wrapping_sub(t0);
 
-        // Worker 0's report. SAFETY: as at region start.
-        let w0_report = unsafe { (*w0.own.get()).finish() };
+        // Worker 0 publishes its report through its own mailbox, like
+        // the background workers. SAFETY: as at region start.
+        unsafe { *w0.report.get() = (*w0.own.get()).finish() };
+        w0.report_epoch.store(epoch, Release);
 
-        // Collect background workers' reports for this epoch.
-        let p = inner.workers.len();
-        let mut per_worker = Vec::with_capacity(p);
-        let mut per_worker_breakdown = Vec::with_capacity(p);
-        per_worker.push(w0_report.stats);
-        per_worker_breakdown.push(w0_report.breakdown);
-        let mut work = w0_report.work;
-        #[cfg(feature = "trace")]
-        let mut trace_snaps = if cfg.instrument_trace {
-            // SAFETY: this thread is worker 0's owner.
-            vec![unsafe { (*w0.own.get()).trace.snapshot(0) }]
-        } else {
-            Vec::new()
-        };
-        for i in 1..p {
-            let w = &inner.workers[i];
-            let mut spins = 0u32;
-            while w.report_epoch.load(Acquire) != epoch {
-                spins += 1;
-                if spins < 256 {
-                    crate::sync::hint::spin_loop();
-                } else {
-                    crate::sync::thread::yield_now();
-                }
-            }
-            // SAFETY: the Acquire above pairs with the worker's Release
-            // publish; the worker will not write this epoch's report
-            // again.
-            let report: WorkerReport = unsafe { *w.report.get() };
-            work += report.work;
-            per_worker.push(report.stats);
-            per_worker_breakdown.push(report.breakdown);
-            #[cfg(feature = "trace")]
-            if cfg.instrument_trace {
-                // SAFETY: covered by the same Acquire edge as `report`:
-                // the worker disables its ring strictly before the
-                // Release publish and re-enables it only at the next
-                // region start, which requires `&mut self`.
-                trace_snaps.push(unsafe { (*w.own.get()).trace.snapshot(i) });
-            }
-        }
+        let collected = inner.collect_reports(epoch);
         #[cfg(feature = "trace")]
         {
-            self.last_trace = cfg
-                .instrument_trace
-                .then(|| wool_trace::Trace::new(trace_snaps, cycles::ticks_per_ns()));
+            self.last_trace = collected.trace;
         }
-        let total: Stats = per_worker.iter().copied().sum();
+        let reports = collected.reports;
         let mut breakdown = TimeBreakdown::default();
-        for b in &per_worker_breakdown {
-            breakdown.merge(b);
+        for r in &reports {
+            breakdown.merge(&r.breakdown);
         }
+        let per_worker: Vec<Stats> = reports.iter().map(|r| r.stats).collect();
         self.last_report = Some(RunReport {
-            workers: p,
+            workers: reports.len(),
             wall_ticks: wall,
+            total: per_worker.iter().copied().sum(),
             per_worker,
-            total,
-            work,
-            span0: w0_report.span0,
-            span_c: w0_report.span_c,
+            work: reports.iter().map(|r| r.work).sum(),
+            span0: reports[0].span0,
+            span_c: reports[0].span_c,
             breakdown,
-            per_worker_breakdown,
         });
 
         match result {
@@ -397,6 +404,10 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                     *wkr.report.get() = if own.seen_epoch == done {
                         own.finish()
                     } else {
+                        // The ring (already stopped) still holds an
+                        // earlier region's events; this region has none.
+                        #[cfg(feature = "trace")]
+                        own.trace.clear();
                         WorkerReport::default()
                     };
                 }

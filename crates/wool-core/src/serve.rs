@@ -41,7 +41,6 @@ use crate::pool::PoolInner;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::Category;
-use crate::worker::WorkerReport;
 
 /// Submission-side coordination state, shared with every worker.
 pub(crate) struct ServeShared {
@@ -164,11 +163,6 @@ impl<S: Strategy> ServeEngine<S> {
         self.shared.injector.capacity()
     }
 
-    /// Jobs currently waiting in the injector (approximate).
-    pub fn queued(&self) -> usize {
-        self.shared.injector.len()
-    }
-
     /// Jobs accepted but not yet completed (queued plus running,
     /// approximate): the injector's push count minus the jobs run.
     pub fn pending_jobs(&self) -> usize {
@@ -213,36 +207,22 @@ impl<S: Strategy> ServeEngine<S> {
         let mut threads = self.threads.lock().expect("an earlier stop panicked");
         self.inner.shutdown.store(true, SeqCst);
         self.shared.wake_all();
-        for t in threads.drain(..) {
-            let _ = t.join();
-        }
-        let p = self.inner.workers.len();
-        let mut per_worker = Vec::with_capacity(p);
-        #[cfg(feature = "trace")]
-        let mut trace_snaps = Vec::new();
-        for (i, w) in self.inner.workers.iter().enumerate() {
-            // SAFETY: every worker thread has been joined, and no thread
-            // writes the report and owner cells any more.
-            let report: WorkerReport = unsafe { *w.report.get() };
-            per_worker.push(report.stats);
-            #[cfg(feature = "trace")]
-            if self.inner.cfg.instrument_trace {
-                trace_snaps.push(unsafe { (*w.own.get()).trace.snapshot(i) });
+        for (w, t) in self.inner.workers.iter().zip(threads.drain(..)) {
+            if t.join().is_err() {
+                // A job unwound through the worker loop before it could
+                // publish; publish its (empty) report on its behalf.
+                w.report_epoch.store(u64::MAX, Release);
             }
-            let _ = i;
         }
-        let total: Stats = per_worker.iter().copied().sum();
+        let collected = self.inner.collect_reports(u64::MAX);
+        let per_worker: Vec<Stats> = collected.reports.iter().map(|r| r.stats).collect();
         ServeReport {
-            workers: p,
+            workers: per_worker.len(),
             jobs: self.shared.jobs.load(Relaxed),
+            total: per_worker.iter().copied().sum(),
             per_worker,
-            total,
             #[cfg(feature = "trace")]
-            trace: self
-                .inner
-                .cfg
-                .instrument_trace
-                .then(|| wool_trace::Trace::new(trace_snaps, crate::cycles::ticks_per_ns())),
+            trace: collected.trace,
         }
     }
 }
@@ -377,4 +357,25 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
     // synchronizes with everything this thread ever wrote.
     unsafe { *wkr.report.get() = handle.own().finish() };
     wkr.report_epoch.store(u64::MAX, Release);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stop_reports_after_a_job_unwinds_its_worker() {
+        unsafe fn unwind(_: *mut (), _: *mut ()) {
+            panic!("job unwinds its worker");
+        }
+        unsafe fn dispose(_: *mut ()) {}
+        let engine: ServeEngine = ServeEngine::start(PoolConfig::with_workers(2));
+        // SAFETY: the payload is empty and neither function reads it.
+        let job = unsafe { Runnable::new(std::ptr::null_mut(), unwind, dispose, 0, 0) };
+        assert!(engine.submit(job).is_ok());
+        // The workers run the queued job before they exit, so one of
+        // them dies without publishing its report.
+        let report = engine.stop();
+        assert_eq!((report.workers, report.jobs), (2, 0));
+    }
 }

@@ -8,7 +8,7 @@
 //! for why that is the deliberate trade-off). Outside a model the types
 //! degrade to direct single-threaded cell access.
 
-/// Atomic shims plus [`fence`]; mirrors `std::sync::atomic`.
+/// Atomic shims plus [`fence`](atomic::fence); mirrors `std::sync::atomic`.
 pub mod atomic {
     use crate::rt;
     use std::cell::UnsafeCell;

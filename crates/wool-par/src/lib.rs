@@ -2,8 +2,9 @@
 //!
 //! A rayon-style data-parallel layer lowered onto `wool-core`'s
 //! spawn/join via binary splitting. Where the paper hand-rolls its
-//! recursive loop splitting per benchmark (`workloads::loops`), this
-//! crate packages the same lowering behind slice/range iterators:
+//! recursive loop splitting per benchmark, this crate packages the same
+//! lowering behind slice/range iterators (the `par_loops` bench keeps
+//! one hand-rolled splitter to race it against):
 //!
 //! ```
 //! use wool_core::Pool;

@@ -12,9 +12,9 @@
 //! * [`mm`] — dense matrix multiply, outer loop spawned flat (Table IV),
 //! * [`ssf`] — sub-string finder over Fibonacci strings,
 //! * [`cholesky`] — sparse quadtree Cholesky factorization (Cilk-5),
-//! * [`loops`] — recursive-splitting `par_for`/`par_reduce` helpers,
-//! * [`loops_par`] — the same loop kernels on `wool-par`'s adaptive
-//!   data-parallel iterators (old-vs-new benchmarkable).
+//! * [`loops_par`] — map and dot-product loop kernels on `wool-par`'s
+//!   data-parallel iterators (the `par_loops` bench races them against
+//!   a hand-rolled splitter).
 //!
 //! [`spec`] describes every workload/parameter combination of Table I
 //! so the bench harness can enumerate them. [`extra`] adds classic
@@ -26,7 +26,6 @@
 pub mod cholesky;
 pub mod extra;
 pub mod fib;
-pub mod loops;
 pub mod loops_par;
 pub mod mm;
 pub mod spec;

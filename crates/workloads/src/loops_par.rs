@@ -1,18 +1,12 @@
-//! The loop kernels of [`crate::loops`], ported onto `wool-par` — a
-//! second implementation of the same map/reduce shapes so hand-rolled
-//! recursive splitting and the data-parallel iterator layer are
-//! directly benchmarkable against each other (`par_loops` bench).
+//! Two loop kernels on `wool-par`, with their sequential baselines: an
+//! in-place map (`x <- x*x + 1`, wrapping) and a dot-product reduce.
+//! Both are memory-light enough that per-task overhead — the thing the
+//! paper's granularity model is about — dominates at small grains.
 //!
-//! Three variants of each kernel:
-//! * `*_seq` — plain sequential loop (the `T_S` baseline),
-//! * `*_hand` — hand-rolled binary splitting at an explicit grain, the
-//!   idiom `loops::par_for`/`par_reduce` established,
-//! * `*_par` — `wool-par` iterators; grain adaptive unless pinned.
-//!
-//! The map kernel squares in place (`x <- x*x + 1`, wrapping); the
-//! reduce kernel is a dot product. Both are memory-light enough that
-//! per-task overhead — the thing the paper's granularity model is
-//! about — dominates at small grains.
+//! Each kernel comes as `*_seq` (plain sequential loop, the `T_S`
+//! baseline), `*_par` (adaptive grain) and `*_par_grain` (pinned
+//! grain). The `par_loops` bench races them against a hand-rolled
+//! recursive splitter that lives in the bench itself.
 
 use wool_core::Fork;
 use wool_par::{par_iter_mut, par_range};
@@ -28,19 +22,6 @@ pub fn map_seq(xs: &mut [u64]) {
     for x in xs.iter_mut() {
         *x = map_step(*x);
     }
-}
-
-/// Hand-rolled recursive splitting map at an explicit `grain`
-/// (slice-splitting version of [`crate::loops::par_for`]).
-pub fn map_hand<C: Fork>(c: &mut C, xs: &mut [u64], grain: usize) {
-    debug_assert!(grain >= 1);
-    if xs.len() <= grain {
-        map_seq(xs);
-        return;
-    }
-    let mid = xs.len() / 2;
-    let (lo, hi) = xs.split_at_mut(mid);
-    c.fork(|c| map_hand(c, lo, grain), |c| map_hand(c, hi, grain));
 }
 
 /// `wool-par` map with adaptive grain.
@@ -63,21 +44,6 @@ pub fn dot_seq(xs: &[u64], ys: &[u64]) -> u64 {
         acc = acc.wrapping_add(xs[i].wrapping_mul(ys[i]));
     }
     acc
-}
-
-/// Hand-rolled dot product via [`crate::loops::par_reduce`] at an
-/// explicit `grain`.
-pub fn dot_hand<C: Fork>(c: &mut C, xs: &[u64], ys: &[u64], grain: usize) -> u64 {
-    assert_eq!(xs.len(), ys.len());
-    crate::loops::par_reduce(
-        c,
-        0,
-        xs.len(),
-        grain,
-        0u64,
-        &|_c, i| xs[i].wrapping_mul(ys[i]),
-        &|a, b| a.wrapping_add(b),
-    )
 }
 
 /// `wool-par` dot product with adaptive grain.
@@ -116,10 +82,6 @@ mod tests {
             let mut expect = base.clone();
             map_seq(&mut expect);
 
-            let mut hand = base.clone();
-            pool.run(|h| map_hand(h, &mut hand, 64));
-            assert_eq!(hand, expect, "hand n={n}");
-
             let mut par = base.clone();
             pool.run(|h| map_par(h, &mut par));
             assert_eq!(par, expect, "par n={n}");
@@ -136,7 +98,6 @@ mod tests {
         for n in [0usize, 1, 1023, 20_000] {
             let (xs, ys) = data(n);
             let expect = dot_seq(&xs, &ys);
-            assert_eq!(pool.run(|h| dot_hand(h, &xs, &ys, 128)), expect);
             assert_eq!(pool.run(|h| dot_par(h, &xs, &ys)), expect);
             assert_eq!(pool.run(|h| dot_par_grain(h, &xs, &ys, 33)), expect);
         }

@@ -64,7 +64,7 @@ impl Matrix {
 
 /// Shared-output writer: hands each task exclusive access to one row.
 ///
-/// SAFETY rationale: `for_each_spawn`/`par_for` call `body` exactly once
+/// SAFETY rationale: `for_each_spawn` calls `body` exactly once
 /// per row index, so writes are disjoint; the join at the end of the
 /// loop orders all writes before the owner reads the result.
 struct RowWriter {

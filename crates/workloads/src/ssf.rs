@@ -10,10 +10,10 @@
 //! other positions `j` and count how many characters match starting at
 //! `i` and `j`; record the `j` with the longest match. Positions are
 //! processed in parallel with recursive range splitting (the TBB
-//! `parallel_for` idiom).
+//! `parallel_for` idiom), here wool-par's splitter at a pinned grain.
 
-use crate::loops::par_for;
 use wool_core::Fork;
+use wool_par::par_range;
 
 /// Builds the Fibonacci string `s_n` (`s_0 = "a"`, `s_1 = "b"`,
 /// `s_n = s_{n-1} s_{n-2}`).
@@ -136,7 +136,7 @@ pub fn ssf_par<C: Fork>(c: &mut C, s: &[u8], grain: usize) -> SsfResult {
         max: out.max.as_mut_ptr(),
         pos: out.pos.as_mut_ptr(),
     };
-    par_for(c, 0, n, grain, &|_c, i| {
+    par_range(0..n).with_grain(grain).for_each(c, |i| {
         let (p, m) = best_for(s, i);
         // SAFETY: index `i` is visited exactly once (see OutWriter).
         // (The method call captures `&w`, keeping the raw pointers
@@ -219,6 +219,26 @@ mod tests {
         let got = pool.run(|h| ssf_par(h, &s, 8));
         assert_eq!(got, want);
         assert_eq!(got.checksum(), want.checksum());
+    }
+
+    #[test]
+    fn spawn_count_is_the_halving_tree() {
+        // Table I's G_T = T_S / spawns needs ssf's fork tree to be the
+        // plain halving recursion: one spawn per range longer than
+        // `grain`, halves of `len / 2` and `len - len / 2`.
+        fn internal_nodes(len: usize, grain: usize) -> u64 {
+            if len <= grain {
+                return 0;
+            }
+            1 + internal_nodes(len / 2, grain) + internal_nodes(len - len / 2, grain)
+        }
+        let s = fib_string(12);
+        let mut pool: wool_core::Pool = wool_core::Pool::new(2);
+        for grain in [1, 4] {
+            pool.run(|h| ssf_par(h, &s, grain));
+            let spawns = pool.last_report().unwrap().total.spawns;
+            assert_eq!(spawns, internal_nodes(s.len(), grain), "grain {grain}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A central-queue scheduler: the software analogue of Carbon.
 //!
 //! The Wool paper's related work (§I) discusses Carbon (Kumar et al.,
-//! ISCA 2007), which "collect[s] all of the work queues in a central
+//! ISCA 2007), which "collect\[s\] all of the work queues in a central
 //! location; the cores have to get and put tasks there". This module
 //! provides the software version of that design point: **one** global
 //! task pool shared by all workers, protected by a single lock. It

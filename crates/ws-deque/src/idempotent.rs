@@ -3,7 +3,7 @@
 //!
 //! §III-A of the Wool paper cites this algorithm as the other known way
 //! to avoid Dijkstra-style fence synchronization: "the idempotent work
-//! stealing [18] avoid[s] Dijkstra style synchronization in favor of
+//! stealing \[18\] avoid\[s\] Dijkstra style synchronization in favor of
 //! atomic operations (in the latter case by exploiting synchronization
 //! elsewhere in the algorithm)". The trick is to relax the extraction
 //! guarantee from *exactly once* to **at least once**: owner and thieves
