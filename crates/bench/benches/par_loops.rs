@@ -18,7 +18,7 @@
 //! the repo root (median + p10/p90 per case) as the perf trajectory
 //! future PRs compare against.
 
-use wool_core::{config::default_workers, Fork, Pool, PoolConfig};
+use wool_core::{default_workers, Fork, Pool, PoolConfig};
 use workloads::loops_par::{dot_par, dot_par_grain, dot_seq, map_par, map_par_grain, map_seq};
 use ws_bench::microbench::Bench;
 

@@ -1,5 +1,5 @@
 //! Serve-mode throughput and latency: an open-loop load generator for
-//! `wool-serve`.
+//! `wool_core::ServePool`.
 //!
 //! Sweeps the number of submitter threads from 1 up to `--workers`;
 //! each submitter pushes its share of jobs through the global injector
@@ -20,7 +20,7 @@
 use std::time::Instant;
 
 use minijson::{Json, ToJson};
-use wool_serve::ServePool;
+use wool_core::ServePool;
 use workloads::fib::fib;
 use ws_bench::{dump_json, BenchArgs, Table};
 

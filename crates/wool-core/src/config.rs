@@ -50,7 +50,7 @@ pub struct PoolConfig {
     /// poll interval there.
     pub park_timeout_us: u64,
     /// Capacity of the global injector queue of a serve-mode pool
-    /// (`wool-serve`), in jobs; rounded up to a power of two. Batch
+    /// ([`ServePool`](crate::ServePool)), in jobs; rounded up to a power of two. Batch
     /// pools never allocate or touch the injector.
     pub injector_capacity: usize,
     /// Minimum leaf size for data-parallel splitting (`wool-par`), in
@@ -166,7 +166,7 @@ impl PoolConfig {
     /// # Panics
     /// Panics when `workers == 0`: a pool needs at least one worker —
     /// there is no thread that could ever run a task. (Both
-    /// `Pool::with_config` and `wool-serve`'s `ServePool::start` funnel
+    /// `Pool::with_config` and `ServePool::with_config` funnel
     /// through here, so the rejection is uniform.) Likewise panics when
     /// `min_grain == 0`: a zero-item leaf could never terminate the
     /// splitter's recursion.

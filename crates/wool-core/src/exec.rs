@@ -384,8 +384,8 @@ impl<S: Strategy> WorkerHandle<S> {
         // EMPTY, left DONE/DONE_PANIC by a joined steal, or — rarely —
         // still TASK: a stale thief's back-off can restore TASK *after*
         // the owner consumed the task through the private fast path
-        // (the owner's private-path spin waits the thief out first, so
-        // the restore is totally ordered before this push). What must
+        // (its CAS landed between the owner's TASK load and EMPTY
+        // store; see the back-off in `steal_nolock`). What must
         // never be here is a live STOLEN marker: that descriptor is
         // executing on another worker.
         check_transition(slot, |s| !is_stolen(s), "spawn reuses slot");
@@ -489,8 +489,8 @@ impl<S: Strategy> WorkerHandle<S> {
             }
             // Guard: we just observed TASK, but a stale thief may CAS
             // TASK→EMPTY between that observation and this store (its
-            // back-off will restore TASK; harmless either way since we
-            // overwrite with EMPTY). Anything else is a protocol bug.
+            // back-off restores TASK only over an EMPTY; harmless since
+            // we overwrite with EMPTY). Anything else is a protocol bug.
             check_transition(slot, |s| s == TASK || s == EMPTY, "private pop");
             // relaxed-ok: un-publishes a slot only this thread may touch
             // (transient thieves excepted, see the guard above).
@@ -846,15 +846,20 @@ impl<S: Strategy> WorkerHandle<S> {
         // observes values at least as fresh as our winning CAS.
         if victim.bot.load(Acquire) != b || (S::PRIVATE_TASKS && victim.n_public.load(Acquire) <= b)
         {
-            // Guard: between our CAS and this restore we hold the slot —
-            // the only concurrent write is the owner's public-path swap
-            // (or private-path store) of EMPTY, which does not change
-            // the value we observe.
-            check_transition(slot, |s| s == EMPTY, "back-off restore");
             // "Writing back the old value of state is appropriate since
             // the transient value (EMPTY) only makes thieves abort and
-            // the joining owner wait." (§III-A)
-            slot.state.store(TASK, Release);
+            // the joining owner wait." (§III-A) Restore only over our
+            // own EMPTY, though: our CAS can land between the owner's
+            // private-path TASK load and its EMPTY store, in which case
+            // the owner has consumed the task and may already have
+            // pushed, published or joined the next incarnation here. A
+            // plain store would overwrite that incarnation's state; the
+            // CAS fails instead and leaves it alone. (If the owner's
+            // EMPTY is still there, the CAS leaves dead TASK residue
+            // above its top, as `try_push` describes.)
+            // relaxed-ok: failure ordering — a failed CAS publishes
+            // nothing and we touch the slot no further.
+            let _ = slot.state.compare_exchange(EMPTY, TASK, Release, Relaxed);
             self.own().stats.backoffs += 1;
             trace_ev!(self, Backoff, victim_idx);
             return StealOutcome::Retry;

@@ -17,8 +17,11 @@
 //!   no atomic instruction at all.
 //! * Leap-frogging for joins whose task was stolen.
 //! * The complete ablation ladder of the paper as compile-time
-//!   [`strategy`] types (Table II join variants, Figure 4 steal
+//!   [`Strategy`] types (Table II join variants, Figure 4 steal
 //!   variants), all fully monomorphized.
+//! * [`ServePool`] — serve mode: persistent workers that take root jobs
+//!   from any thread through the bounded [`Injector`] and return
+//!   [`JobHandle`] futures, leaving the task-stack fast path untouched.
 //! * Instrumentation: scheduler event counters ([`Stats`]), online
 //!   work/span measurement with the paper's 0-cycle and 2000-cycle
 //!   overhead models ([`span`]), and the Figure 6 CPU-time breakdown
@@ -73,18 +76,18 @@ macro_rules! trace_ev {
 }
 
 mod api;
-pub mod config;
+mod config;
 pub mod cycles;
 mod exec;
-pub mod injector;
+mod injector;
 mod pad;
 mod pool;
-pub mod serve;
+mod serve;
 pub mod slot;
 pub mod span;
 pub mod spinlock;
 mod stats;
-pub mod strategy;
+mod strategy;
 pub mod sync;
 pub mod timebreak;
 mod worker;
@@ -93,15 +96,15 @@ mod worker;
 pub use wool_trace;
 
 pub use api::{Executor, Fork, Job};
-pub use config::PoolConfig;
+pub use config::{default_workers, PoolConfig};
 pub use exec::WorkerHandle;
-pub use injector::{Injector, Runnable};
+pub use injector::Injector;
 pub use pool::{Pool, RunReport};
-pub use serve::{ServeEngine, ServeReport};
+pub use serve::{JobHandle, ServePool, ServeReport, SubmitError};
 pub use stats::Stats;
 pub use strategy::{
-    LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, Strategy, SyncOnTask, TaskSpecific,
-    WoolAllPublic, WoolFull, WoolNoLeap,
+    LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, StealSync, Strategy, SyncOnTask,
+    TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap,
 };
 
 #[cfg(test)]

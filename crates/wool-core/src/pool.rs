@@ -46,7 +46,7 @@ pub(crate) struct PoolInner {
 impl PoolInner {
     /// Builds the shared state for a validated configuration, with
     /// trace rings installed when tracing is configured. Used by both
-    /// the batch [`Pool`] and the serve engine (`crate::serve`).
+    /// the batch [`Pool`] and the serve pool (`crate::serve`).
     pub(crate) fn build(cfg: PoolConfig) -> Arc<PoolInner> {
         let p = cfg.workers;
         let workers: Box<[Worker]> = (0..p).map(|i| Worker::new(i, cfg.stack_capacity)).collect();
@@ -74,7 +74,7 @@ impl PoolInner {
     /// Waits until every worker has published its report for `epoch`
     /// and gathers the reports in worker order, with the merged trace
     /// when tracing is configured. A batch region collects with its
-    /// own epoch; the serve engine collects with `u64::MAX` after
+    /// own epoch; the serve pool collects with `u64::MAX` after
     /// joining its workers.
     pub(crate) fn collect_reports(&self, epoch: u64) -> Reports {
         let mut reports = Vec::with_capacity(self.workers.len());

@@ -1,10 +1,15 @@
 //! Serve mode: a persistent worker fleet fed by the global injector.
 //!
 //! The batch [`Pool`](crate::Pool) is strictly fork-join: one root task
-//! at a time, launched from the owning thread. The engine here removes
+//! at a time, launched from the owning thread. A [`ServePool`] removes
 //! both restrictions for service workloads: **all** workers are
 //! background threads, and root jobs arrive through the bounded MPMC
-//! [`Injector`] from any thread, at any time, concurrently.
+//! [`Injector`] from any thread, at any time, concurrently. Jobs enter
+//! outside the task stacks, so the paper's fast path — private tasks,
+//! trip-wire publication, leapfrogging — is byte-for-byte the one
+//! `Pool::run` uses. Each submission returns a [`JobHandle`]: poll it,
+//! block on it, or `.await` it; panics inside the job resurface at the
+//! join, never on the worker.
 //!
 //! The scheduling order per worker is deliberate:
 //!
@@ -22,30 +27,125 @@
 //! parallelism waits until the queue drains. Throughput does not suffer,
 //! since every worker already has independent work.
 //!
-//! This module is the engine only — type-erased jobs in, completed jobs
-//! out. The user-facing API (`ServePool`, `JobHandle` futures, graceful
-//! drain, panic propagation) lives in the `wool-serve` crate, which
-//! monomorphizes submissions down to [`Runnable`]s.
+//! Design rationale for the injector (and why it is *not* a per-worker
+//! structure) is in `DESIGN.md` §10; the `trace` feature records
+//! `inject` / `dequeue` / `job_done` events at the queue boundaries
+//! (see `docs/TRACING.md`).
 
+mod handle;
+
+#[cfg(feature = "trace")]
+use crate::sync::atomic::AtomicU32;
 use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use crate::sync::atomic::{fence, AtomicBool, AtomicU64};
+use crate::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize};
 use crate::sync::thread::{JoinHandle, Thread};
-use std::marker::PhantomData;
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
 use crate::config::PoolConfig;
 use crate::exec::WorkerHandle;
-use crate::injector::{Injector, Runnable};
+use crate::injector::Injector;
 use crate::pad::CachePadded;
 use crate::pool::PoolInner;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::Category;
 
-/// Submission-side coordination state, shared with every worker.
-pub(crate) struct ServeShared {
+pub use handle::JobHandle;
+
+/// Why a submission was not accepted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SubmitError {
+    /// The injector queue is at capacity. Only
+    /// [`try_submit`](ServePool::try_submit) returns it, and it is the way
+    /// to shed load: [`submit`](ServePool::submit) never fails with `Full`
+    /// but yield-spins, without a bound, until the queue has room.
+    Full,
+    /// [`shutdown`](ServePool::shutdown) has begun (or completed): the
+    /// pool no longer accepts jobs.
+    ShuttingDown,
+}
+
+impl std::fmt::Display for SubmitError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SubmitError::Full => write!(f, "injector queue is full"),
+            SubmitError::ShuttingDown => write!(f, "serve pool is shutting down"),
+        }
+    }
+}
+
+impl std::error::Error for SubmitError {}
+
+/// Everything measured over the lifetime of a serve pool, returned by
+/// [`ServePool::shutdown`].
+#[derive(Debug)]
+pub struct ServeReport {
+    /// Number of workers the pool ran.
+    pub workers: usize,
+    /// Root jobs executed to completion.
+    pub jobs: u64,
+    /// Per-worker scheduler statistics for the whole serve session.
+    pub per_worker: Vec<Stats>,
+    /// Sum of `per_worker`.
+    pub total: Stats,
+    /// The merged event trace of the session, when the pool was
+    /// configured with `instrument_trace`.
+    #[cfg(feature = "trace")]
+    pub trace: Option<wool_trace::Trace>,
+}
+
+/// Runs a job on a worker; the second argument is the pool's
+/// completed-jobs counter.
+type Run<S> = Box<dyn FnOnce(&mut WorkerHandle<S>, &AtomicU64) + Send>;
+
+/// A queued root job: the submitted closure, wrapped so that running it
+/// resolves its handle (see [`Job::new`]).
+struct Job<S: Strategy> {
+    run: Run<S>,
+    /// Cycle timestamp of the submission, for the backdated Inject event.
+    #[cfg(feature = "trace")]
+    submit_ts: u64,
+    /// Correlates the job's Inject, Dequeue and JobDone events.
+    #[cfg(feature = "trace")]
+    tag: u32,
+}
+
+impl<S: Strategy> Job<S> {
+    /// Packages `f` with the completing half of its handle. Running the
+    /// job resolves the handle with `f`'s result or panic; dropping it
+    /// unrun resolves the handle with a discard panic.
+    fn new<R, F>(f: F) -> (Self, JobHandle<R>)
+    where
+        F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        let (done, handle) = handle::channel();
+        let run = Box::new(move |h: &mut WorkerHandle<S>, completed: &AtomicU64| {
+            // Contain the job's panic to the job: the worker survives,
+            // the payload travels to whoever joins the handle.
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(h)));
+            // Count the job before its handle resolves: a joiner's
+            // Acquire of the result then also sees the count, so
+            // `pending_jobs` never counts a joined job.
+            completed.fetch_add(1, Relaxed);
+            done.complete(outcome);
+        });
+        let job = Job {
+            run,
+            #[cfg(feature = "trace")]
+            submit_ts: crate::cycles::now(),
+            #[cfg(feature = "trace")]
+            tag: 0,
+        };
+        (job, handle)
+    }
+}
+
+/// The state every worker shares with the pool.
+struct Shared<S: Strategy> {
     /// The global injector queue.
-    pub injector: Injector,
+    injector: Injector<Job<S>>,
     /// Per-worker "I am parked (or about to park)" flags; SeqCst against
     /// the queue state, see the wakeup protocol below.
     parked: Box<[CachePadded<AtomicBool>]>,
@@ -56,18 +156,7 @@ pub(crate) struct ServeShared {
     jobs: AtomicU64,
 }
 
-impl ServeShared {
-    fn new(workers: usize, injector_capacity: usize) -> Self {
-        ServeShared {
-            injector: Injector::with_capacity(injector_capacity),
-            parked: (0..workers)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-            threads: (0..workers).map(|_| Mutex::new(None)).collect(),
-            jobs: AtomicU64::new(0),
-        }
-    }
-
+impl<S: Strategy> Shared<S> {
     /// Wakes one parked worker, if any. Claiming the flag with a swap
     /// means concurrent submitters wake *different* workers.
     fn wake_one(&self) {
@@ -92,40 +181,71 @@ impl ServeShared {
     }
 }
 
-/// Everything measured over the lifetime of a serve engine, returned by
-/// [`ServeEngine::stop`].
-#[derive(Debug)]
-pub struct ServeReport {
-    /// Number of workers the engine ran.
-    pub workers: usize,
-    /// Root jobs executed to completion.
-    pub jobs: u64,
-    /// Per-worker scheduler statistics for the whole serve session.
-    pub per_worker: Vec<Stats>,
-    /// Sum of `per_worker`.
-    pub total: Stats,
-    /// The merged event trace of the session, when the engine was
-    /// configured with `instrument_trace`.
-    #[cfg(feature = "trace")]
-    pub trace: Option<wool_trace::Trace>,
-}
-
-/// The serve-mode execution engine: `cfg.workers` persistent background
-/// workers, a global injector, and nothing else. See the module docs.
-pub struct ServeEngine<S: Strategy = WoolFull> {
+/// A persistent work-stealing pool accepting concurrent job submissions
+/// from any thread.
+///
+/// Unlike the batch [`Pool`](crate::Pool), *all* workers are background
+/// threads and there is no notion of a single parallel region: the pool
+/// is started once, serves jobs submitted through the bounded global
+/// injector for as long as it lives, and drains gracefully on
+/// [`shutdown`](ServePool::shutdown) (or drop). Each job runs as the
+/// root of its own fork-join region — inside the job closure, `fork` /
+/// `for_each_spawn` parallelism work exactly as under `Pool::run`. A
+/// worker starts a queued job before it tries to steal, so idle workers
+/// steal across running jobs only while no job waits in the injector.
+///
+/// ```
+/// use wool_core::ServePool;
+///
+/// let pool = ServePool::start(4);
+///
+/// // Submit from any thread; each job is a fork-join root.
+/// let handles: Vec<_> = (0..8u64)
+///     .map(|i| {
+///         pool.submit(move |h| {
+///             let (a, b) = h.fork(move |_| i * i, move |_| i);
+///             a + b
+///         })
+///         .unwrap()
+///     })
+///     .collect();
+///
+/// let total: u64 = handles.into_iter().map(|h| h.join()).sum();
+/// assert_eq!(total, (0..8).map(|i| i * i + i).sum());
+/// ```
+pub struct ServePool<S: Strategy = WoolFull> {
     inner: Arc<PoolInner>,
-    shared: Arc<ServeShared>,
-    /// Taken by the first `stop`.
+    shared: Arc<Shared<S>>,
+    /// The worker threads, joined by `shutdown`.
     threads: Mutex<Vec<JoinHandle<()>>>,
-    _strategy: PhantomData<S>,
+    /// Set by `shutdown`; checked by every submission.
+    draining: AtomicBool,
+    /// Submissions in flight: past the increment, not yet pushed or
+    /// backed out.
+    in_flight: AtomicUsize,
+    /// Tag sequence for trace correlation.
+    #[cfg(feature = "trace")]
+    next_tag: AtomicU32,
 }
 
-impl<S: Strategy> ServeEngine<S> {
-    /// Starts the engine.
+impl ServePool<WoolFull> {
+    /// Starts a pool of `workers` workers with the default
+    /// configuration and the full Wool strategy.
     ///
     /// # Panics
-    /// Panics when `cfg.workers == 0` (see [`PoolConfig::validated`]).
-    pub fn start(cfg: PoolConfig) -> Self {
+    /// Panics when `workers == 0` — a serve pool with no workers could
+    /// never run a job (see [`PoolConfig::validated`]).
+    pub fn start(workers: usize) -> Self {
+        Self::with_config(PoolConfig::with_workers(workers))
+    }
+}
+
+impl<S: Strategy> ServePool<S> {
+    /// Starts a pool from an explicit configuration (any strategy).
+    ///
+    /// # Panics
+    /// Panics when `cfg.workers == 0`.
+    pub fn with_config(cfg: PoolConfig) -> Self {
         // Spans and the time breakdown describe one fork-join region;
         // a serve session has none, so it measures neither.
         let inner = PoolInner::build(PoolConfig {
@@ -134,7 +254,14 @@ impl<S: Strategy> ServeEngine<S> {
             ..cfg.validated()
         });
         let p = inner.cfg.workers;
-        let shared = Arc::new(ServeShared::new(p, inner.cfg.injector_capacity));
+        let shared = Arc::new(Shared {
+            injector: Injector::with_capacity(inner.cfg.injector_capacity),
+            parked: (0..p)
+                .map(|_| CachePadded::new(AtomicBool::new(false)))
+                .collect(),
+            threads: (0..p).map(|_| Mutex::new(None)).collect(),
+            jobs: AtomicU64::new(0),
+        });
         let threads = (0..p)
             .map(|i| {
                 let inner = Arc::clone(&inner);
@@ -145,11 +272,14 @@ impl<S: Strategy> ServeEngine<S> {
                     .expect("failed to spawn serve worker thread")
             })
             .collect();
-        ServeEngine {
+        ServePool {
             inner,
             shared,
             threads: Mutex::new(threads),
-            _strategy: PhantomData,
+            draining: AtomicBool::new(false),
+            in_flight: AtomicUsize::new(0),
+            #[cfg(feature = "trace")]
+            next_tag: AtomicU32::new(0),
         }
     }
 
@@ -159,12 +289,13 @@ impl<S: Strategy> ServeEngine<S> {
     }
 
     /// Capacity of the injector queue (after power-of-two rounding).
-    pub fn injector_capacity(&self) -> usize {
+    pub fn queue_capacity(&self) -> usize {
         self.shared.injector.capacity()
     }
 
-    /// Jobs accepted but not yet completed (queued plus running,
-    /// approximate): the injector's push count minus the jobs run.
+    /// Jobs accepted but not yet completed (queued plus running). A job
+    /// the caller has joined is never counted; submissions and
+    /// completions racing the call may or may not be.
     pub fn pending_jobs(&self) -> usize {
         let done = self.shared.jobs.load(Relaxed) as usize;
         self.shared.injector.pushed().saturating_sub(done)
@@ -175,39 +306,109 @@ impl<S: Strategy> ServeEngine<S> {
         S::NAME
     }
 
-    /// Enqueues a type-erased job and wakes a parked worker. Returns
-    /// the job back when the injector is full (the caller decides
-    /// whether to back off and retry or shed load).
+    /// Submits a job, blocking (yield-spinning) while the injector is
+    /// full. Returns a [`JobHandle`] resolving to the closure's result.
     ///
-    /// Safe to call from any thread, concurrently.
-    pub fn submit(&self, job: Runnable) -> Result<(), Runnable> {
-        self.shared.injector.push(job)?;
-        // Wakeup protocol (pairs with the park sequence in serve_loop):
-        // the push above is Release on the cell; the fence orders it
-        // before the `parked` reads in wake_one, so either the parking
-        // worker's final is_empty() check sees our job, or we see its
-        // parked flag and unpark it.
-        fence(SeqCst);
-        self.shared.wake_one();
-        Ok(())
+    /// The wait is unbounded: while the injector stays full (for example
+    /// because the workers are busy with long jobs), the caller keeps
+    /// spinning and yielding, and returns only when a cell frees up or
+    /// [`shutdown`](ServePool::shutdown) begins. To bound the wait or shed
+    /// load, use [`try_submit`](ServePool::try_submit), which fails with
+    /// [`SubmitError::Full`] instead.
+    ///
+    /// Safe to call from any thread, concurrently; `&self` is enough.
+    pub fn submit<R, F>(&self, f: F) -> Result<JobHandle<R>, SubmitError>
+    where
+        F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        self.admit(f, true)
     }
 
-    /// Stops the engine: workers finish their current job, drain the
-    /// injector, and exit; their statistics (and trace, if configured)
-    /// are collected into the returned report. A later call returns the
-    /// same report.
+    /// Submits a job without blocking: fails with
+    /// [`SubmitError::Full`] when the injector is at capacity (load
+    /// shedding).
+    pub fn try_submit<R, F>(&self, f: F) -> Result<JobHandle<R>, SubmitError>
+    where
+        F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        self.admit(f, false)
+    }
+
+    /// Packages a closure into a queued job and pushes it, as one
+    /// submission in flight through the drain gate. With `wait`, a full
+    /// queue is retried until it has room or shutdown begins.
+    fn admit<R, F>(&self, f: F, wait: bool) -> Result<JobHandle<R>, SubmitError>
+    where
+        F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
+        R: Send + 'static,
+    {
+        // Count the submission *before* the drain check: `shutdown` sets
+        // `draining` and then waits for `in_flight == 0`, so whichever
+        // side wins this race, no accepted push lands after the workers
+        // stop.
+        self.in_flight.fetch_add(1, SeqCst);
+        let admitted = if self.draining.load(SeqCst) {
+            Err(SubmitError::ShuttingDown)
+        } else {
+            let (mut job, handle) = Job::new(f);
+            #[cfg(feature = "trace")]
+            {
+                // Relaxed: the tags only need to be distinct.
+                job.tag = self.next_tag.fetch_add(1, Relaxed);
+            }
+            // A job turned away below is dropped, which resolves its
+            // handle with the discard panic; the handle is never given out.
+            loop {
+                match self.shared.injector.push(job) {
+                    Ok(()) => {
+                        // Wakeup protocol (pairs with the park sequence in
+                        // serve_loop): the push is Release on the cell; the
+                        // fence orders it before the `parked` reads in
+                        // wake_one, so either the parking worker's final
+                        // is_empty() check sees our job, or we see its
+                        // parked flag and unpark it.
+                        fence(SeqCst);
+                        self.shared.wake_one();
+                        break Ok(handle);
+                    }
+                    Err(_) if !wait => break Err(SubmitError::Full),
+                    Err(_) if self.draining.load(SeqCst) => break Err(SubmitError::ShuttingDown),
+                    Err(back) => {
+                        job = back;
+                        crate::sync::thread::yield_now();
+                    }
+                }
+            }
+        };
+        // Release: `shutdown` reads 0 only after the push above landed.
+        self.in_flight.fetch_sub(1, Release);
+        admitted
+    }
+
+    /// Graceful shutdown: stop accepting submissions, wait for the
+    /// submissions already in flight to land in the injector, then stop
+    /// the workers, which run every queued job before they exit.
+    /// Returns the session report (scheduler statistics, job count, and
+    /// — when tracing was configured — the merged event trace), or
+    /// `None` if shutdown had already begun.
     ///
-    /// Jobs still queued at this point are *executed*, not dropped —
-    /// graceful-drain policy (reject-then-drain) is the caller's job.
-    /// A job submitted after `stop` never runs; dropping the engine
-    /// disposes of it.
-    pub fn stop(&self) -> ServeReport {
-        // Joining under the lock makes a second caller's report reads
-        // happen after every worker exited.
-        let mut threads = self.threads.lock().expect("an earlier stop panicked");
+    /// Safe to call while other threads submit: each racing submission
+    /// either is accepted and runs before the workers stop, or is
+    /// rejected with [`SubmitError::ShuttingDown`]; none are silently
+    /// lost.
+    pub fn shutdown(&self) -> Option<ServeReport> {
+        if self.draining.swap(true, SeqCst) {
+            return None;
+        }
+        while self.in_flight.load(SeqCst) != 0 {
+            crate::sync::thread::yield_now();
+        }
         self.inner.shutdown.store(true, SeqCst);
         self.shared.wake_all();
-        for (w, t) in self.inner.workers.iter().zip(threads.drain(..)) {
+        let threads = std::mem::take(&mut *self.threads.lock().unwrap());
+        for (w, t) in self.inner.workers.iter().zip(threads) {
             if t.join().is_err() {
                 // A job unwound through the worker loop before it could
                 // publish; publish its (empty) report on its behalf.
@@ -216,29 +417,37 @@ impl<S: Strategy> ServeEngine<S> {
         }
         let collected = self.inner.collect_reports(u64::MAX);
         let per_worker: Vec<Stats> = collected.reports.iter().map(|r| r.stats).collect();
-        ServeReport {
+        Some(ServeReport {
             workers: per_worker.len(),
             jobs: self.shared.jobs.load(Relaxed),
             total: per_worker.iter().copied().sum(),
             per_worker,
             #[cfg(feature = "trace")]
             trace: collected.trace,
-        }
+        })
     }
 }
 
-impl<S: Strategy> Drop for ServeEngine<S> {
+impl<S: Strategy> Drop for ServePool<S> {
+    /// Drains and stops the pool, as [`shutdown`](ServePool::shutdown).
     fn drop(&mut self) {
-        if self.threads.get_mut().is_ok_and(|t| !t.is_empty()) {
-            let _ = self.stop();
-        }
+        let _ = self.shutdown();
     }
 }
+
+// Submission and shutdown are `&self` and internally synchronized;
+// handing references across threads (e.g. `thread::scope` clients) is
+// the intended use. The auto-traits would already derive this, but
+// spell the requirement out against accidental regressions:
+const _: fn() = || {
+    fn assert_sync<T: Sync + Send>() {}
+    assert_sync::<ServePool<WoolFull>>();
+};
 
 /// Main loop of a serve worker.
-fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx: usize) {
-    // SAFETY: the engine (via Arc) outlives the loop; this thread is
-    // the unique owner of worker `idx`.
+fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: usize) {
+    // SAFETY: the pool (via Arc) outlives the loop; this thread is the
+    // unique owner of worker `idx`.
     let mut handle = unsafe { WorkerHandle::<S>::new(&inner, idx) };
     let cfg = &inner.cfg;
     let wkr = &inner.workers[idx];
@@ -259,7 +468,7 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
                 shared.wake_one();
             }
             #[cfg(feature = "trace")]
-            let tag = job.tag();
+            let tag = job.tag;
             #[cfg(feature = "trace")]
             if cfg.instrument_trace {
                 // SAFETY: this thread owns worker `idx`. The Inject
@@ -268,19 +477,14 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
                 unsafe {
                     let own = handle.own();
                     if own.trace.is_enabled() {
-                        let submit_ts = job.submit_ts();
                         own.trace
-                            .record(wool_trace::EventKind::Inject, submit_ts, tag);
+                            .record(wool_trace::EventKind::Inject, job.submit_ts, tag);
                         own.trace
                             .record(wool_trace::EventKind::Dequeue, crate::cycles::now(), tag);
                     }
                 }
             }
-            // SAFETY: the submitting side (wool-serve) monomorphized
-            // this job for strategy `S`; `handle` is a live worker of
-            // that pool on its owning thread.
-            unsafe { job.run(&mut handle as *mut WorkerHandle<S> as *mut ()) };
-            shared.jobs.fetch_add(1, Relaxed);
+            (job.run)(&mut handle, &shared.jobs);
             #[cfg(feature = "trace")]
             {
                 // SAFETY: this thread owns worker `idx`.
@@ -350,11 +554,11 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
         }
     }
 
-    // Publish this worker's statistics for the engine to collect after
+    // Publish this worker's statistics for the pool to collect after
     // joining the thread.
-    // SAFETY: owner-only state; the engine reads `report` (and the
-    // trace ring) only after `JoinHandle::join` returns, which
-    // synchronizes with everything this thread ever wrote.
+    // SAFETY: owner-only state; the pool reads `report` (and the trace
+    // ring) only after `JoinHandle::join` returns, which synchronizes
+    // with everything this thread ever wrote.
     unsafe { *wkr.report.get() = handle.own().finish() };
     wkr.report_epoch.store(u64::MAX, Release);
 }
@@ -362,20 +566,40 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<ServeShared>, idx:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::catch_unwind;
+
+    /// Asserts that joining `handle` re-raises the discard panic.
+    fn assert_discarded(handle: JobHandle<u32>) {
+        let err = catch_unwind(AssertUnwindSafe(|| handle.join()))
+            .expect_err("a dropped job must resolve its handle with a panic");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&handle::DISCARDED));
+    }
+
+    #[test]
+    fn dropped_job_resolves_its_handle() {
+        let (job, handle) = Job::<WoolFull>::new(|_| 1u32);
+        assert!(!handle.is_finished());
+        drop(job);
+        assert_discarded(handle);
+
+        let injector = Injector::with_capacity(2);
+        let (job, handle) = Job::<WoolFull>::new(|_| 2u32);
+        assert!(injector.push(job).is_ok());
+        drop(injector);
+        assert_discarded(handle);
+    }
 
     #[test]
     fn stop_reports_after_a_job_unwinds_its_worker() {
-        unsafe fn unwind(_: *mut (), _: *mut ()) {
-            panic!("job unwinds its worker");
-        }
-        unsafe fn dispose(_: *mut ()) {}
-        let engine: ServeEngine = ServeEngine::start(PoolConfig::with_workers(2));
-        // SAFETY: the payload is empty and neither function reads it.
-        let job = unsafe { Runnable::new(std::ptr::null_mut(), unwind, dispose, 0, 0) };
-        assert!(engine.submit(job).is_ok());
+        let pool = ServePool::start(2);
+        let (mut job, _handle) = Job::new(|_| ());
+        job.run = Box::new(|_: &mut WorkerHandle<WoolFull>, _: &AtomicU64| {
+            panic!("job unwinds its worker")
+        });
+        assert!(pool.shared.injector.push(job).is_ok());
         // The workers run the queued job before they exit, so one of
         // them dies without publishing its report.
-        let report = engine.stop();
+        let report = pool.shutdown().expect("first shutdown");
         assert_eq!((report.workers, report.jobs), (2, 0));
     }
 }

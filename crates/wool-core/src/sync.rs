@@ -2,8 +2,8 @@
 //! and `std::thread`.
 //!
 //! Every crate in the scheduler's trusted core (`wool-core`,
-//! `wool-serve`, `wool-verify`) imports its atomics, spin hints, and
-//! thread primitives from here instead of `std`. Normally the facade is
+//! `wool-verify`) imports its atomics, spin hints, and thread
+//! primitives from here instead of `std`. Normally the facade is
 //! a zero-cost re-export of the std items; under `RUSTFLAGS="--cfg
 //! loom"` it swaps in the `wool-loom` model-checked equivalents, so the
 //! *production* protocol code — slot state machine, injector, spinlock,

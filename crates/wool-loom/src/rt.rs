@@ -33,7 +33,7 @@
 //! re-checks an unchanged condition, and it is what makes models with
 //! spin-wait loops (the slot join, the spinlock) terminate. The contract:
 //! facade users only call `spin_loop`/`yield_now` from condition re-check
-//! loops, which holds for every call site in wool-core and wool-serve.
+//! loops, which holds for every call site in wool-core.
 //!
 //! # Failure detection
 //!

@@ -13,11 +13,14 @@
 //!    and the thief back-off that protects private descriptors (§III-B).
 //! 3. **The Vyukov MPMC injector** (`tests/injector_mpmc.rs`): the real
 //!    [`wool_core::Injector`] under concurrent submit/dequeue, full and
-//!    empty edges, and sequence-lap wraparound.
+//!    empty edges, and sequence-lap wraparound. The jobs are
+//!    [`support::probe::Probe`] values, which count their runs and,
+//!    in `Drop`, their disposals.
 //! 4. **The serve park/wake protocol** (`tests/serve_wakeup.rs`): the
-//!    Dekker-style parked-flag handshake between `submit` and
-//!    `serve_loop`, proving a submission cannot be lost while a worker
-//!    parks — plus a deliberately broken variant the checker must catch.
+//!    Dekker-style parked-flag handshake between `ServePool`'s
+//!    submission path and `serve_loop`, proving a submission cannot be
+//!    lost while a worker parks — plus a deliberately broken variant the
+//!    checker must catch.
 //!
 //! A fifth suite (`tests/spinlock_model.rs`) proves mutual exclusion and
 //! panic-safety of the TATAS [`wool_core::spinlock::SpinLock`], and a

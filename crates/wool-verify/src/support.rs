@@ -230,8 +230,9 @@ impl VictimModel {
         }
         // §III-A back-off validation.
         if self.bot.load(Acquire) != b || (self.private && self.n_public.load(Acquire) <= b) {
-            check_transition(slot, |s| s == EMPTY, "model back-off restore");
-            slot.state.store(TASK, Release);
+            // Restore only over an EMPTY: the owner may have consumed
+            // this incarnation and reused the slot meanwhile.
+            let _ = slot.state.compare_exchange(EMPTY, TASK, Release, Relaxed);
             return Attempt::Retry;
         }
         check_transition(slot, |s| s == EMPTY, "model STOLEN announcement");
@@ -280,13 +281,12 @@ impl VictimModel {
     }
 }
 
-/// Counter-instrumented [`wool_core::Runnable`] payloads for the
-/// injector and serve models: each probe adds its value to a shared sum
-/// when run, and bumps `dropped` if disposed unrun.
+/// Counter-instrumented jobs for the injector and serve models: each
+/// probe adds its value to a shared sum when run, and bumps `dropped` if
+/// disposed unrun.
 pub mod probe {
     use std::sync::Arc;
     use wool_core::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-    use wool_core::Runnable;
 
     /// Shared counters the probes report into.
     #[derive(Default)]
@@ -299,31 +299,35 @@ pub mod probe {
         pub dropped: AtomicUsize,
     }
 
-    struct Payload {
+    /// A job carrying a value; `None` once it has run.
+    pub struct Probe {
         counters: Arc<Counters>,
-        value: usize,
+        value: Option<usize>,
     }
 
-    unsafe fn call(data: *mut (), _ctx: *mut ()) {
-        let p = Box::from_raw(data as *mut Payload);
-        p.counters.sum.fetch_add(p.value, Relaxed);
-        p.counters.ran.fetch_add(1, Relaxed);
+    impl Probe {
+        /// Runs the job: adds its value to the sum and counts the run.
+        pub fn run(mut self) {
+            let value = self.value.take().expect("a probe runs once");
+            self.counters.sum.fetch_add(value, Relaxed);
+            self.counters.ran.fetch_add(1, Relaxed);
+        }
     }
 
-    unsafe fn drop_fn(data: *mut ()) {
-        let p = Box::from_raw(data as *mut Payload);
-        p.counters.dropped.fetch_add(1, Relaxed);
+    impl Drop for Probe {
+        fn drop(&mut self) {
+            if self.value.is_some() {
+                self.counters.dropped.fetch_add(1, Relaxed);
+            }
+        }
     }
 
     /// Builds a probe job carrying `value`.
-    pub fn probe(counters: &Arc<Counters>, value: usize) -> Runnable {
-        let b = Box::new(Payload {
+    pub fn probe(counters: &Arc<Counters>, value: usize) -> Probe {
+        Probe {
             counters: Arc::clone(counters),
-            value,
-        });
-        // SAFETY: the box pointer is consumed exactly once by `call` or
-        // `drop_fn`, per the queue's contract.
-        unsafe { Runnable::new(Box::into_raw(b) as *mut (), call, drop_fn, 0, value as u32) }
+            value: Some(value),
+        }
     }
 }
 
@@ -375,8 +379,7 @@ mod tests {
         let q = wool_core::Injector::with_capacity(2);
         q.push(probe::probe(&c, 5)).ok().unwrap();
         q.push(probe::probe(&c, 7)).ok().unwrap();
-        // SAFETY: probe payloads ignore the ctx pointer.
-        unsafe { q.pop().unwrap().run(std::ptr::null_mut()) };
+        q.pop().unwrap().run();
         drop(q); // second probe disposed unrun
         assert_eq!(c.sum.load(Relaxed), 5);
         assert_eq!(c.ran.load(Relaxed), 1);

@@ -36,9 +36,8 @@ fn two_producers_one_consumer_exactly_once() {
         let mut got = 0;
         while got < 2 {
             match q.pop() {
-                // SAFETY: probe payloads ignore the ctx pointer.
                 Some(job) => {
-                    unsafe { job.run(std::ptr::null_mut()) };
+                    job.run();
                     got += 1;
                 }
                 None => hint::spin_loop(),
@@ -87,9 +86,8 @@ fn spsc_full_edge_and_wraparound() {
         let mut got = 0;
         while got < 3 {
             match q.pop() {
-                // SAFETY: probe payloads ignore the ctx pointer.
                 Some(job) => {
-                    unsafe { job.run(std::ptr::null_mut()) };
+                    job.run();
                     got += 1;
                 }
                 None => hint::spin_loop(),

@@ -63,6 +63,44 @@ fn private_join_vs_stale_thief_backoff() {
     });
 }
 
+/// The stale thief's CAS lands inside the owner's private pop, between
+/// its TASK load and its EMPTY store, and its back-off comes only after
+/// the owner has run that task and spawned the next incarnation. The
+/// restore must leave that incarnation alone; a plain TASK store over
+/// it trips the back-off's transition guard here. The thief stops at
+/// its first miss, and the owner waits for it to start before its
+/// first join and to finish before its last one, which spends no
+/// preemptions on either.
+#[test]
+fn stale_backoff_after_slot_reuse() {
+    wool_loom::model_config(bounded(3), || {
+        let m = Arc::new(VictimModel::new(1, 3, true));
+        let started = Arc::new(AtomicBool::new(false));
+        let thief = {
+            let m = Arc::clone(&m);
+            let started = Arc::clone(&started);
+            thread::spawn(move || {
+                started.store(true, SeqCst);
+                thief_loop(&m, 7, &AtomicBool::new(true), 1)
+            })
+        };
+        // Incarnation 0 is public; its inline join privatizes the slot.
+        let top = m.owner_push(0, 0, true);
+        while !started.load(SeqCst) {
+            hint::spin_loop();
+        }
+        let top = m.owner_join(top);
+        // Incarnation 1 is private: the stale CAS can land in its pop.
+        let top = m.owner_push(top, 1, false);
+        let top = m.owner_join(top);
+        // Incarnation 2 stays in the slot until the thief is through.
+        let top = m.owner_push(top, 2, false);
+        let _ = thief.join().unwrap();
+        let _ = m.owner_join(top);
+        m.assert_each_executed_once();
+    });
+}
+
 /// The trip-wire publish path on a fresh private stack: thieves find
 /// `bot >= n_public`, raise `publish_request`, and the owner's next
 /// spawn publishes a batch. Interleavings cover publish-then-steal,

@@ -1,6 +1,6 @@
 //! Exhaustive model of the serve-mode park/wake handshake: the
-//! Dekker-style parked-flag protocol between `ServeEngine::submit` and
-//! the park sequence in `serve_loop` (`wool-core/src/serve.rs`).
+//! Dekker-style parked-flag protocol between `ServePool`'s submission
+//! path and the park sequence in `serve_loop` (`wool-core/src/serve.rs`).
 //!
 //! The worker's side: `parked.store(true, SeqCst); fence(SeqCst);`
 //! re-check the injector; park only if still empty. The submitter's
@@ -20,7 +20,7 @@ use wool_core::sync::atomic::{fence, AtomicBool};
 use wool_core::sync::{hint, thread};
 use wool_core::Injector;
 use wool_verify::support::bounded;
-use wool_verify::support::probe::{probe, Counters};
+use wool_verify::support::probe::{probe, Counters, Probe};
 
 /// The worker's poll/park sequence from `serve_loop` (minus the steal
 /// attempt after a failed pop and the shutdown clause, which the model
@@ -30,12 +30,11 @@ use wool_verify::support::probe::{probe, Counters};
 /// worker has re-checked shared state and genuinely cannot progress
 /// (e.g. a submitter holds a reserved-but-unpublished cell) — and the
 /// park re-check resets the escalation exactly as `serve_loop` does.
-fn worker_loop(q: &Injector, parked: &AtomicBool) {
+fn worker_loop(q: &Injector<Probe>, parked: &AtomicBool) {
     let mut idle = 0;
     loop {
         if let Some(job) = q.pop() {
-            // SAFETY: probe payloads ignore the ctx pointer.
-            unsafe { job.run(std::ptr::null_mut()) };
+            job.run();
             return;
         }
         idle += 1;
@@ -57,12 +56,18 @@ fn worker_loop(q: &Injector, parked: &AtomicBool) {
     }
 }
 
-/// `ServeEngine::submit` + `ServeShared::wake_one`, verbatim (the
-/// model's single worker makes wake_one's scan a single flag check; the
-/// thread registry lock is skipped — registration precedes the first
-/// parked-flag store in program order, so a visible flag implies a
-/// registered thread).
-fn submit(q: &Injector, parked: &AtomicBool, worker: &thread::Thread, c: &Arc<Counters>, v: usize) {
+/// The push, fence and `Shared::wake_one` of `ServePool`'s submission
+/// path (`admit`), verbatim (the model's single worker makes wake_one's
+/// scan a single flag check; the thread registry lock is skipped —
+/// registration precedes the first parked-flag store in program order,
+/// so a visible flag implies a registered thread).
+fn submit(
+    q: &Injector<Probe>,
+    parked: &AtomicBool,
+    worker: &thread::Thread,
+    c: &Arc<Counters>,
+    v: usize,
+) {
     q.push(probe(c, v)).ok().expect("queue full");
     fence(SeqCst);
     if parked.load(Relaxed) && parked.swap(false, SeqCst) {
@@ -124,7 +129,7 @@ fn back_to_back_submissions_both_run() {
 #[should_panic(expected = "deadlock")]
 fn lost_wakeup_without_recheck_is_found() {
     wool_loom::model_config(bounded(3), || {
-        let q = Arc::new(Injector::with_capacity(2));
+        let q = Arc::new(Injector::<Probe>::with_capacity(2));
         let parked = Arc::new(AtomicBool::new(false));
         let c = Arc::new(Counters::default());
         let worker = {
@@ -132,8 +137,7 @@ fn lost_wakeup_without_recheck_is_found() {
             let parked = Arc::clone(&parked);
             thread::spawn(move || loop {
                 if let Some(job) = q.pop() {
-                    // SAFETY: probe payloads ignore the ctx pointer.
-                    unsafe { job.run(std::ptr::null_mut()) };
+                    job.run();
                     return;
                 }
                 // BROKEN: no fence, no re-check of the queue.

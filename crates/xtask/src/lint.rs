@@ -1,7 +1,7 @@
 //! The sync-facade lint.
 //!
-//! Two rules over the scheduler crates (`wool-core`, `wool-serve`,
-//! `wool-par`, `wool-verify`):
+//! Two rules over the scheduler crates (`wool-core`, `wool-par`,
+//! `wool-verify`):
 //!
 //! 1. **Facade rule** — `std::sync::atomic` and `std::thread` may appear
 //!    only in `sync.rs` (the facade itself). Everything else must go
@@ -28,7 +28,7 @@ use std::process::ExitCode;
 /// Crates whose `src/` trees are subject to the lint. `wool-loom` is
 /// deliberately absent: it *is* the `--cfg loom` backend and implements
 /// the facade with real `std` primitives.
-const LINTED_CRATES: &[&str] = &["wool-core", "wool-serve", "wool-par", "wool-verify"];
+const LINTED_CRATES: &[&str] = &["wool-core", "wool-par", "wool-verify"];
 
 /// Files where every `Relaxed` needs a `relaxed-ok` justification.
 const RELAXED_AUDITED_FILES: &[&str] = &["slot.rs", "injector.rs", "exec.rs"];

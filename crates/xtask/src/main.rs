@@ -141,6 +141,7 @@ fn run_tsan() -> ExitCode {
         "--",
         "slot::",
         "injector::",
+        "serve::",
         "spinlock::",
     ]);
     let mut flags = std::env::var("RUSTFLAGS").unwrap_or_default();

@@ -16,7 +16,7 @@ fn main() {
     let workers: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .unwrap_or_else(wool_core::config::default_workers);
+        .unwrap_or_else(wool_core::default_workers);
 
     let n = 1 << 20;
     let cfg = PoolConfig::with_workers(workers).min_grain(64);

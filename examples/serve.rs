@@ -5,13 +5,12 @@
 //! the pool drains gracefully at the end and prints its session report.
 //!
 //! ```text
-//! cargo run --release -p wool-serve --example serve
+//! cargo run --release -p wool-core --example serve
 //! ```
 
 use std::time::Instant;
 
-use wool_serve::strategy::Strategy;
-use wool_serve::{ServePool, WorkerHandle};
+use wool_core::{ServePool, Strategy, WorkerHandle};
 
 /// Parallel Fibonacci — the paper's fine-grain stress kernel. Each job
 /// is a root of its own fork-join region; idle workers steal across

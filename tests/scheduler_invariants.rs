@@ -238,7 +238,8 @@ fn overflow_under_concurrency() {
 
 /// A pool with no workers could never run anything: constructing one
 /// must fail loudly with an actionable message, not hang or divide by
-/// zero later (`wool-serve` has the twin test for `ServePool::start`).
+/// zero later (wool-core's `tests/stress.rs` has the twin test for
+/// `ServePool::start`).
 #[test]
 fn pool_zero_workers_rejected() {
     let err = match std::panic::catch_unwind(|| {
