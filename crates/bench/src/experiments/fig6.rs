@@ -7,8 +7,7 @@
 //! workers minus the tracked categories. Values are normalized to the
 //! single-worker NA time, as in the paper.
 
-use wool_core::timebreak::Category;
-use wool_core::PoolConfig;
+use wool_core::{Category, PoolConfig};
 use workloads::{WorkloadKind, WorkloadSpec};
 
 use crate::cli::BenchArgs;

@@ -25,7 +25,7 @@
 //! * Instrumentation: scheduler event counters ([`Stats`]), online
 //!   work/span measurement with the paper's 0-cycle and 2000-cycle
 //!   overhead models ([`span`]), and the Figure 6 CPU-time breakdown
-//!   ([`timebreak`]).
+//!   ([`TimeBreakdown`] by [`Category`]).
 //!
 //! ## Quick start
 //!
@@ -80,16 +80,19 @@ mod config;
 pub mod cycles;
 mod exec;
 mod injector;
+#[cfg(loom)]
+#[doc(hidden)]
+pub mod model;
 mod pad;
 mod pool;
 mod serve;
-pub mod slot;
+mod slot;
 pub mod span;
 pub mod spinlock;
 mod stats;
 mod strategy;
 pub mod sync;
-pub mod timebreak;
+mod timebreak;
 mod worker;
 
 #[cfg(feature = "trace")]
@@ -106,6 +109,7 @@ pub use strategy::{
     LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, StealSync, Strategy, SyncOnTask,
     TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap,
 };
+pub use timebreak::{Category, TimeBreakdown};
 
 #[cfg(test)]
 mod tests {

@@ -71,6 +71,31 @@ impl PoolInner {
         inner
     }
 
+    /// Starts worker 0's part of region `epoch`: opens its measurement
+    /// window and re-arms its stack for the root task.
+    ///
+    /// # Safety
+    /// The calling thread must be the unique thread acting as worker 0,
+    /// and no region may be live. (Background workers never touch
+    /// worker 0's owner state.)
+    pub(crate) unsafe fn begin_root(&self, epoch: u64) {
+        let w0 = &self.workers[0];
+        let own = &mut *w0.own.get();
+        debug_assert_eq!(own.top, 0, "task stack must be quiescent between runs");
+        own.begin(&self.cfg, Category::Na);
+        own.seen_epoch = epoch;
+        debug_assert_eq!(w0.bot.load(Relaxed), 0);
+        // `n_public` may be left above the (empty) stack when the last
+        // public task of the previous region was stolen, or under the
+        // all-public rung; re-arm it for the fresh stack.
+        w0.n_public.store(0, Relaxed);
+        // The background workers are idle at region start, so arm the
+        // trip wire: the root's first spawn publishes at once instead of
+        // waiting for a thief's request. A one-worker region has no
+        // thief and never publishes.
+        w0.publish_request.store(self.workers.len() > 1, Relaxed);
+    }
+
     /// Waits until every worker has published its report for `epoch`
     /// and gathers the reports in worker order, with the merged trace
     /// when tracing is configured. A batch region collects with its
@@ -228,28 +253,10 @@ impl<S: Strategy> Pool<S> {
     {
         let inner = &*self.inner;
         let epoch = inner.epoch.fetch_add(1, Relaxed) + 1;
-        let cfg = &inner.cfg;
-
-        // Initialize worker 0 for the region. SAFETY: we hold `&mut
-        // self`, so no other `run` is live; background workers never
-        // touch worker 0's owner state.
+        // SAFETY: we hold `&mut self`, so no other `run` is live and this
+        // thread is worker 0 until the region ends.
+        unsafe { inner.begin_root(epoch) };
         let w0 = &inner.workers[0];
-        unsafe {
-            let own = &mut *w0.own.get();
-            debug_assert_eq!(own.top, 0, "task stack must be quiescent between runs");
-            own.begin(cfg, Category::Na);
-            own.seen_epoch = epoch;
-        }
-        debug_assert_eq!(w0.bot.load(Relaxed), 0);
-        // `n_public` may be left above the (empty) stack when the last
-        // public task of the previous region was stolen, or under the
-        // all-public rung; re-arm it for the fresh stack.
-        w0.n_public.store(0, Relaxed);
-        // The background workers are idle at region start, so arm the
-        // trip wire: the root's first spawn publishes at once instead of
-        // waiting for a thief's request. A one-worker region has no
-        // thief and never publishes.
-        w0.publish_request.store(inner.workers.len() > 1, Relaxed);
 
         let t0 = cycles::now();
         inner.active.store(true, Release);

@@ -23,17 +23,31 @@
 //!
 //! # Spin loops
 //!
-//! A thread that calls [`crate::hint::spin_loop`] or
-//! [`crate::thread::yield_now`] declares "I re-checked shared state and
-//! cannot progress". If nothing has been written since the thread's last
-//! operation, re-running it would read the same values and land on the
-//! same spin — an identical global state — so the scheduler parks it as
-//! `Spinning` and does not consider it again until some thread performs a
-//! write. This prunes the otherwise-infinite schedules in which a spinner
-//! re-checks an unchanged condition, and it is what makes models with
-//! spin-wait loops (the slot join, the spinlock) terminate. The contract:
-//! facade users only call `spin_loop`/`yield_now` from condition re-check
-//! loops, which holds for every call site in wool-core.
+//! A thread that calls [`crate::hint::spin_loop`],
+//! [`crate::thread::yield_now`] or [`crate::thread::sleep`] declares "I
+//! re-checked shared state and cannot progress". The re-check began when
+//! the thread last resumed from a spin at the *same call site*. If no
+//! other thread has written since then, re-running the loop would read
+//! the same values and land on the same spin — an identical global
+//! state — so the scheduler parks the thread as `Spinning` and does not
+//! consider it again until some thread performs a write. This prunes the
+//! otherwise-infinite schedules in which a spinner re-checks an unchanged
+//! condition, and it is what makes models with spin-wait loops (the slot
+//! join, the spinlock) terminate.
+//!
+//! Two details keep the rule sound for loops whose re-check is several
+//! operations long (a state load, then a steal attempt, then the spin):
+//!
+//! * a write that lands *during* the re-check, after the load it would
+//!   have changed, keeps the spinner runnable, so it loops once more and
+//!   sees it;
+//! * the site key (the spin functions are `#[track_caller]`) keeps a
+//!   nested spin, such as a spinlock inside the re-check, from resetting
+//!   the outer loop's window.
+//!
+//! The first spin at a site never parks. The contract: facade users only
+//! spin from condition re-check loops, which holds for every call site
+//! in wool-core.
 //!
 //! # Failure detection
 //!
@@ -47,7 +61,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe, Location};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Exploration limits. The default is exhaustive (no preemption bound).
@@ -92,9 +106,22 @@ struct Th {
     state: ThState,
     /// Pending `unpark` delivered before the matching `park`.
     unpark_token: bool,
-    /// Global write epoch observed at this thread's last operation; a
-    /// spin with `obs == write_epoch` has provably seen the latest state.
-    obs: u64,
+    /// Write-class operations this thread has performed.
+    own_writes: u64,
+    /// Per spin call site: the count of other threads' writes when this
+    /// thread last resumed from a spin there.
+    spin_sites: Vec<(&'static Location<'static>, u64)>,
+}
+
+impl Th {
+    fn new() -> Self {
+        Th {
+            state: ThState::Runnable,
+            unpark_token: false,
+            own_writes: 0,
+            spin_sites: Vec::new(),
+        }
+    }
 }
 
 /// One scheduling decision: the enabled alternatives and which one this
@@ -192,11 +219,7 @@ impl Rt {
         let mut g = self.inner.lock().unwrap();
         debug_assert!(g.handles.is_empty(), "handles not drained");
         g.threads.clear();
-        g.threads.push(Th {
-            state: ThState::Runnable,
-            unpark_token: false,
-            obs: 0,
-        });
+        g.threads.push(Th::new());
         g.cur = 0;
         g.switch_idx = 0;
         g.write_epoch = 0;
@@ -299,9 +322,9 @@ impl Rt {
         }
         if wrote {
             g.write_epoch += 1;
+            g.threads[me].own_writes += 1;
         }
         let st = new_state(&mut g);
-        g.threads[me].obs = g.write_epoch;
         g.threads[me].state = st;
         if wrote {
             for t in g.threads.iter_mut() {
@@ -438,22 +461,41 @@ pub(crate) fn op<R>(wrote: bool, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// A condition-re-check yield: parks the thread as `Spinning` unless a
-/// write happened since its last operation (in which case the re-check
-/// may newly succeed and the thread stays runnable).
-pub(crate) fn spin() {
+impl Inner {
+    /// Write-class operations performed by threads other than `me`.
+    fn others_writes(&self, me: usize) -> u64 {
+        self.write_epoch - self.threads[me].own_writes
+    }
+}
+
+/// A condition-re-check yield at call site `site`: parks the thread as
+/// `Spinning` when no other thread has written since it last resumed
+/// from a spin at `site` (see the module docs); otherwise the re-check
+/// may newly succeed and the thread stays runnable.
+pub(crate) fn spin(site: &'static Location<'static>) {
     if std::thread::panicking() {
         return;
     }
     match current() {
         None => std::hint::spin_loop(),
-        Some((rt, me)) => rt.switch(me, false, |g| {
-            if g.write_epoch > g.threads[me].obs {
-                ThState::Runnable
-            } else {
-                ThState::Spinning
+        Some((rt, me)) => {
+            rt.switch(me, false, |g| {
+                let others = g.others_writes(me);
+                let seen = g.threads[me].spin_sites.iter().find(|(s, _)| *s == site);
+                match seen {
+                    Some(&(_, w)) if w == others => ThState::Spinning,
+                    _ => ThState::Runnable,
+                }
+            });
+            // Resumed: the next re-check reads everything written so far.
+            let mut g = rt.inner.lock().unwrap();
+            let others = g.others_writes(me);
+            let sites = &mut g.threads[me].spin_sites;
+            match sites.iter_mut().find(|(s, _)| *s == site) {
+                Some(entry) => entry.1 = others,
+                None => sites.push((site, others)),
             }
-        }),
+        }
     }
 }
 
@@ -549,12 +591,7 @@ pub(crate) fn register_thread() -> (Arc<Rt>, usize) {
             "model spawned more than max_threads ({}) threads",
             rt.cfg.max_threads
         );
-        let obs = g.write_epoch;
-        g.threads.push(Th {
-            state: ThState::Runnable,
-            unpark_token: false,
-            obs,
-        });
+        g.threads.push(Th::new());
         tid
     };
     (rt, tid)

@@ -132,9 +132,11 @@ impl Builder {
 }
 
 /// A plain scheduling point that also declares "nothing I can do right
-/// now": see the spin-loop contract in the crate docs.
+/// now": the same spin rule as [`crate::hint::spin_loop`], keyed by
+/// this call site.
+#[track_caller]
 pub fn yield_now() {
-    rt::spin();
+    rt::spin(std::panic::Location::caller());
 }
 
 /// Parks until [`Thread::unpark`]; a lost wakeup deadlocks the model
@@ -148,9 +150,10 @@ pub fn park_timeout(_dur: Duration) {
     rt::park();
 }
 
-/// Modeled as a scheduling point; model time does not advance.
+/// Modeled as a spin at this call site; model time does not advance.
+#[track_caller]
 pub fn sleep(_dur: Duration) {
-    rt::spin();
+    rt::spin(std::panic::Location::caller());
 }
 
 /// A fixed small value: models must not branch on host parallelism.

@@ -187,6 +187,29 @@ fn finds_livelock() {
     });
 }
 
+/// A re-check that is several operations long must not lose a write
+/// that lands in its middle: here the flag store can come after the
+/// flag load but before the second load and the spin. Parking the
+/// spinner then would report a livelock although one more pass of the
+/// loop exits.
+#[test]
+fn multi_op_recheck_is_not_a_livelock() {
+    wool_loom::model(|| {
+        let done = Arc::new(AtomicBool::new(false));
+        let other = AtomicUsize::new(0);
+        let d2 = Arc::clone(&done);
+        let t = thread::spawn(move || d2.store(true, SeqCst));
+        loop {
+            if done.load(SeqCst) {
+                break;
+            }
+            other.load(SeqCst);
+            wool_loom::hint::spin_loop();
+        }
+        t.join().unwrap();
+    });
+}
+
 /// The preemption bound caps exploration but still finds shallow bugs
 /// (the lost update needs only one preemption).
 #[test]

@@ -1,16 +1,21 @@
-//! Model-checking harness for `wool-core`'s synchronization protocols.
+//! Model-checking suites for `wool-core`'s synchronization protocols.
 //!
-//! This crate holds no scheduler code. It packages **models** — small,
-//! self-contained re-statements of the four protocols the direct task
-//! stack stands on — and checks them exhaustively with the vendored
-//! [`wool_loom`] interleaving explorer:
+//! This crate holds no scheduler code and no copies of it. Its models run
+//! the **production** code exhaustively, up to a preemption bound, under
+//! the vendored [`wool_loom`] interleaving explorer:
 //!
-//! 1. **The slot state machine** (`tests/slot_protocol.rs`): owner swap
-//!    vs. thief CAS over `EMPTY`/`TASK`/`STOLEN(i)`/`DONE`, including
-//!    the owner-join-races-thief window and descriptor reincarnation.
-//! 2. **The private/public publish path** (`tests/publish_protocol.rs`):
-//!    the `n_public` boundary, the trip-wire `publish_request` channel,
-//!    and the thief back-off that protects private descriptors (§III-B).
+//! 1. **The slot state machine** (`tests/slot_protocol.rs`), **the
+//!    private/public publish path** (`tests/publish_protocol.rs`) and
+//!    **the shared-top rung** (`tests/shared_top_model.rs`) drive
+//!    `WorkerHandle::fork`, `for_each_spawn` and `try_steal_from` from
+//!    `exec.rs` through the `cfg(loom)` harness `wool_core::model`:
+//!    worker 0 runs a sequence of forks while model threads steal. Each
+//!    join checks, where it returns, that its task ran exactly once and
+//!    handed back its result (`support::exec::Region`). The publish suite also holds the known open double-run defect as a
+//!    `should_panic` model (ROADMAP item 4).
+//! 2. **Every strategy rung** (`tests/strategy_rungs.rs`): one generic
+//!    model — nested fork, `for_each_spawn(3)`, and stack overflow —
+//!    for all 9 rungs of the Table II / Figure 4 ladder.
 //! 3. **The Vyukov MPMC injector** (`tests/injector_mpmc.rs`): the real
 //!    [`wool_core::Injector`] under concurrent submit/dequeue, full and
 //!    empty edges, and sequence-lap wraparound. The jobs are
@@ -21,24 +26,21 @@
 //!    submission path and `serve_loop`, proving a submission cannot be
 //!    lost while a worker parks — plus a deliberately broken variant the
 //!    checker must catch.
+//! 5. **The TATAS spinlock** (`tests/spinlock_model.rs`): mutual
+//!    exclusion and panic-safety of [`wool_core::spinlock::SpinLock`].
 //!
-//! A fifth suite (`tests/spinlock_model.rs`) proves mutual exclusion and
-//! panic-safety of the TATAS [`wool_core::spinlock::SpinLock`], and a
-//! sixth (`tests/shared_top_model.rs`) models the shared-top
-//! (`LockedBase`) steal/join protocol, including the leap-frog
-//! `top_shared` restore regression found by `wool-par`'s property
-//! tests.
-//!
-//! The model suites are compiled only under `--cfg loom`:
+//! The model suites are compiled only under `--cfg loom`; the command
+//! below also turns on debug assertions, so the `debug_assert!`s of
+//! `exec.rs` and `pool.rs` are checked in every modeled execution:
 //!
 //! ```text
-//! RUSTFLAGS="--cfg loom" cargo test -p wool-verify --release
+//! cargo xtask loom
 //! ```
 //!
-//! Without the cfg, `cargo test -p wool-verify` only runs the support
-//! module's own unit tests (so tier-1 CI stays fast). See
-//! `docs/VERIFICATION.md` for the full matrix and what each model does
-//! and does not prove; in particular, the explorer is sequentially
+//! Without the cfg, `cargo test -p wool-verify` only runs the injector
+//! probe's unit test (so tier-1 CI stays fast). See
+//! `docs/VERIFICATION.md` for the bounds, the negative controls and what
+//! the models do not prove; in particular, the explorer is sequentially
 //! consistent, so weak-memory reorderings are covered by the Miri and
 //! TSan jobs, not here.
 

@@ -1,193 +1,130 @@
-//! Exhaustive models of the private-task machinery (§III-B): the
-//! `n_public` boundary, the trip-wire `publish_request` channel, the
-//! privatization in joins, and the thief back-off clause that keeps
-//! thieves off private descriptors.
+//! Exhaustive models of the private-task machinery (§III-B) on the
+//! `WoolFull` rung: the `n_public` boundary, the trip-wire
+//! `publish_request` channel, the armed region start, the privatization
+//! in joins, and the thief back-off that keeps thieves off private
+//! descriptors. The owner and the thieves run the production `fork`,
+//! `for_each_spawn` and `try_steal_from` of `exec.rs`.
 //!
-//! Run with: `RUSTFLAGS="--cfg loom" cargo test -p wool-verify --release`
+//! Run with: `cargo xtask loom`
 #![cfg(loom)]
 
-use std::sync::Arc;
-use wool_core::sync::atomic::AtomicBool;
-use wool_core::sync::atomic::Ordering::{Relaxed, SeqCst};
-use wool_core::sync::{hint, thread};
-use wool_verify::support::{bounded, Attempt, VictimModel};
-
-/// See `slot_protocol.rs`: miss-capped thief loop; the cap bounds each
-/// execution's length while the DFS varies where the attempts land.
-fn thief_loop(m: &VictimModel, me: usize, owner_done: &AtomicBool, max_misses: usize) -> usize {
-    let mut executed = 0;
-    let mut misses = 0;
-    while misses < max_misses {
-        match m.thief_attempt(me) {
-            Attempt::Executed(_) => executed += 1,
-            Attempt::Empty | Attempt::Retry => {
-                misses += 1;
-                if owner_done.load(SeqCst) {
-                    break;
-                }
-                hint::spin_loop();
-            }
-        }
-    }
-    executed
-}
+use wool_core::model::{request_publication, stats, Thief};
+use wool_core::{Stats, WoolFull};
+use wool_verify::support::exec::{check_region, check_region_with, thief_loop, Region};
 
 /// The canonical private-task race (the comment block in `join_task`'s
-/// private fast path): the owner joins a public task inline,
-/// *privatizes* the boundary down, and reuses the slot for a private
-/// task — while a stale thief that validated against the old boundary
-/// still holds a CAS window. The §III-B back-off clause
-/// (`n_public <= b` ⇒ restore TASK) is what makes the owner's private
-/// spin terminate; the model proves the combination leaves every task
-/// executed exactly once and the join never hangs.
+/// private fast path): the first fork's task is public (armed start),
+/// its inline join *privatizes* the boundary down, and the second fork
+/// reuses the slot for a private task — while a stale thief that
+/// validated against the old boundary still holds a CAS window. The
+/// §III-B back-off clause (`n_public <= b` ⇒ restore TASK) is what makes
+/// the owner's private spin terminate.
 #[test]
 fn private_join_vs_stale_thief_backoff() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(VictimModel::new(1, 2, true));
-        let done = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 7, &done, 3))
-        };
-        // Incarnation 1: published. The join privatizes on the inline
-        // path (n_public -> 0).
-        let top = m.owner_push(0, 0, true);
-        let top = m.owner_join(top);
-        // Incarnation 2: private. A stale thief CAS here must back off.
-        let top = m.owner_push(top, 1, false);
-        let _ = m.owner_join(top);
-        done.store(true, SeqCst);
-        let _ = thief.join().unwrap();
-        m.assert_each_executed_once();
+    check_region::<WoolFull, _>(2, 2, 16, 3, 2, |h, t| {
+        t.fork(h, 0, |_| ());
+        t.fork(h, 1, |_| ());
+    });
+}
+
+/// Flags of the stale-thief scenario: the thief has started, and it is
+/// through.
+const STARTED: usize = 0;
+const FINISHED: usize = 1;
+
+/// A thief that makes a single steal attempt (more only while it keeps
+/// stealing), bracketed by the two flags.
+fn stale_thief(thief: Thief<WoolFull>, t: &Region) -> Stats {
+    t.signal(STARTED);
+    let stats = thief_loop(thief, t, 1);
+    t.signal(FINISHED);
+    stats
+}
+
+/// Three forks on one slot against the `stale_thief`. The first fork's call branch
+/// waits for the thief to start and the third's for it to finish, which
+/// spends no preemptions on either. With `publish`, a publication
+/// request before the third fork makes that incarnation public.
+fn stale_thief_over_three_incarnations(publish: bool) {
+    check_region_with(3, 2, 16, 3, stale_thief, move |h, t| {
+        // Incarnation 0 is public; its inline join privatizes the slot.
+        t.fork(h, 0, |_| t.wait(STARTED));
+        // Incarnation 1 is private: the stale CAS can land in its pop.
+        t.fork(h, 1, |_| ());
+        if publish {
+            request_publication(h);
+        }
+        // Incarnation 2 stays in the slot until the thief is through.
+        t.fork(h, 2, |_| t.wait(FINISHED));
     });
 }
 
 /// The stale thief's CAS lands inside the owner's private pop, between
 /// its TASK load and its EMPTY store, and its back-off comes only after
 /// the owner has run that task and spawned the next incarnation. The
-/// restore must leave that incarnation alone; a plain TASK store over
-/// it trips the back-off's transition guard here. The thief stops at
-/// its first miss, and the owner waits for it to start before its
-/// first join and to finish before its last one, which spends no
-/// preemptions on either.
+/// back-off's compare-and-swap restore must leave that incarnation
+/// alone; a plain TASK store over it trips a transition guard or runs a
+/// task twice.
 #[test]
 fn stale_backoff_after_slot_reuse() {
-    wool_loom::model_config(bounded(3), || {
-        let m = Arc::new(VictimModel::new(1, 3, true));
-        let started = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let started = Arc::clone(&started);
-            thread::spawn(move || {
-                started.store(true, SeqCst);
-                thief_loop(&m, 7, &AtomicBool::new(true), 1)
-            })
-        };
-        // Incarnation 0 is public; its inline join privatizes the slot.
-        let top = m.owner_push(0, 0, true);
-        while !started.load(SeqCst) {
-            hint::spin_loop();
-        }
-        let top = m.owner_join(top);
-        // Incarnation 1 is private: the stale CAS can land in its pop.
-        let top = m.owner_push(top, 1, false);
-        let top = m.owner_join(top);
-        // Incarnation 2 stays in the slot until the thief is through.
-        let top = m.owner_push(top, 2, false);
-        let _ = thief.join().unwrap();
-        let _ = m.owner_join(top);
-        m.assert_each_executed_once();
-    });
+    stale_thief_over_three_incarnations(false);
 }
 
-/// The trip-wire publish path on a fresh private stack: thieves find
-/// `bot >= n_public`, raise `publish_request`, and the owner's next
-/// spawn publishes a batch. Interleavings cover publish-then-steal,
-/// steal-the-batch-then-re-request (the trip wire fires again at the
-/// boundary), and the owner consuming everything before any publication
-/// lands.
+/// **Known open defect** (ROADMAP item 4), kept as a live negative
+/// control on the shipped code: the same stale thief, but the owner
+/// also *publishes* the next incarnation before the thief validates.
+/// The validation (`bot` unchanged, slot below `n_public`) then passes,
+/// and the thief announces `STOLEN` over that incarnation's `TASK`: the
+/// debug/loom guard fires, and a release build can run the task twice.
+/// A CAS on the announcement alone is no fix, because the owner may
+/// also have joined the incarnation and left `EMPTY`. The planned fix
+/// is a generation tag in the `TASK` value (ROADMAP items 3 and 4), so
+/// a stale CAS cannot succeed on a later incarnation; with it, this
+/// becomes an ordinary passing model and loses its `should_panic`.
+#[test]
+#[should_panic(expected = "STOLEN announcement")]
+fn stale_announcement_over_published_incarnation() {
+    stale_thief_over_three_incarnations(true);
+}
+
+/// The trip-wire publish path: `for_each_spawn(3)` pushes two tasks.
+/// The first publishes at once (armed start); the second is private
+/// unless a thief asked for more. Interleavings cover publish-then-steal,
+/// steal-at-the-boundary-then-re-request (the trip wire), a privacy
+/// miss answered by the next spawn, and the owner consuming everything
+/// before any request lands.
 #[test]
 fn trip_wire_publishes_private_work() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(VictimModel::new(2, 2, true));
-        let done = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 7, &done, 3))
-        };
-        let top = m.owner_push(0, 0, false);
-        let top = m.owner_push(top, 1, false);
-        let top = m.owner_join(top);
-        let top = m.owner_join(top);
-        assert_eq!(top, 0);
-        done.store(true, SeqCst);
-        let _ = thief.join().unwrap();
-        m.assert_each_executed_once();
-        // The boundary never exceeds the number of descriptors that
-        // existed, and ends at or below the empty stack's top.
-        assert!(m.n_public.load(Relaxed) <= 2);
+    check_region::<WoolFull, _>(2, 2, 16, 3, 3, |h, t| {
+        h.for_each_spawn(3, &|_, i| {
+            t.run(i);
+        });
+        (0..3).for_each(|i| t.assert_ran(i));
     });
 }
 
-/// The armed start of `Pool::run`: worker 0's `publish_request` is set
-/// before any thief runs, so the owner's first spawn publishes without a
-/// request, while later spawns stay private until a thief asks. The
-/// thief may steal the first task at any point; the joins must still
-/// privatize and resolve, every task must run exactly once, and the
-/// boundary never passes the two descriptors that existed.
+/// The armed start of `Pool::run` (`PoolInner::begin_root`): worker 0's
+/// `publish_request` is set before any thief runs, so the owner's first
+/// spawn publishes without a request, whatever the thief has done so
+/// far (only the owner publishes); the second spawn stays private
+/// unless a thief asks. The thief may steal the first task at any
+/// point; the joins must still privatize and resolve.
 #[test]
 fn armed_start_publishes_first_spawn() {
-    wool_loom::model_config(bounded(2), || {
-        let m = VictimModel::new(2, 2, true);
-        m.publish_request.store(true, Relaxed);
-        let m = Arc::new(m);
-        let done = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 7, &done, 3))
-        };
-        let top = m.owner_push(0, 0, false);
-        // Only the owner writes `n_public`: the first spawn published,
-        // whatever the thief has done so far.
-        assert_eq!(m.n_public.load(Relaxed), 1);
-        let top = m.owner_push(top, 1, false);
-        let top = m.owner_join(top);
-        let top = m.owner_join(top);
-        assert_eq!(top, 0);
-        done.store(true, SeqCst);
-        let _ = thief.join().unwrap();
-        m.assert_each_executed_once();
-        assert!(m.n_public.load(Relaxed) <= 2);
+    check_region::<WoolFull, _>(2, 2, 16, 3, 2, |h, t| {
+        t.fork(h, 0, |h| {
+            assert_eq!(stats(h).publishes, 1, "the first spawn publishes");
+            t.fork(h, 1, |_| ());
+        });
     });
 }
 
-/// Two thieves against a private stack: the publication batch admits
-/// one public descriptor at a time, so at most one thief can win each
-/// batch and the second CAS (or the back-off) must reject the other.
+/// Two thieves against a private stack: each publication admits only
+/// the descriptors below `n_public`, and the CAS plus the back-off admit
+/// at most one thief per descriptor.
 #[test]
 fn two_thieves_on_private_stack() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(VictimModel::new(2, 2, true));
-        let done = Arc::new(AtomicBool::new(false));
-        let thieves: Vec<_> = [7usize, 8]
-            .into_iter()
-            .map(|me| {
-                let m = Arc::clone(&m);
-                let done = Arc::clone(&done);
-                thread::spawn(move || thief_loop(&m, me, &done, 2))
-            })
-            .collect();
-        let top = m.owner_push(0, 0, false);
-        let top = m.owner_push(top, 1, false);
-        let top = m.owner_join(top);
-        let _ = m.owner_join(top);
-        done.store(true, SeqCst);
-        for t in thieves {
-            let _ = t.join().unwrap();
-        }
-        m.assert_each_executed_once();
+    check_region::<WoolFull, _>(2, 3, 16, 2, 2, |h, t| {
+        t.fork(h, 0, |h| t.fork(h, 1, |_| ()));
     });
 }

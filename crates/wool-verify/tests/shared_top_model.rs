@@ -1,7 +1,8 @@
 //! Exhaustive models of the **shared-top** protocol (the Table II
 //! *base* rung, `LockedBase`): steal validity decided by the
 //! `top_shared`/`bot` comparison under the victim lock, the state word
-//! demoted to a completion signal.
+//! demoted to a completion signal. The owner and the thief run the
+//! production `fork` and `try_steal_from` of `exec.rs`.
 //!
 //! The regression scenario here was found by `wool-par`'s property
 //! tests: during a stolen join the owner leap-frogs, and leap-frogged
@@ -9,197 +10,65 @@
 //! `top_shared` and their joins lower it only back to `k + 1` (the
 //! lowest nested slot). If the post-wait `bot = k` restore does not
 //! also re-lower `top_shared`, the consumed slot `k` re-enters the
-//! `[bot, top_shared)` window and a thief steals a dead descriptor.
+//! `[bot, top_shared)` window and a thief steals a dead descriptor,
+//! which the steal's transition guard reports.
 //!
-//! Run with: `RUSTFLAGS="--cfg loom" cargo test -p wool-verify --release`
+//! Run with: `cargo xtask loom`
 #![cfg(loom)]
 
-use std::sync::Arc;
-use wool_core::slot::{is_done, stolen, TaskSlot, DONE, TASK};
-use wool_core::spinlock::SpinLock;
-use wool_core::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use wool_core::sync::atomic::{AtomicBool, AtomicUsize};
-use wool_core::sync::{hint, thread};
-use wool_verify::support::bounded;
-
-/// One victim's shared-top deque: the words of `worker.rs` that this
-/// strategy's thieves and owner exchange, with a task-id word and an
-/// execution counter per task standing in for the closure payload.
-struct SharedTopModel {
-    lock: SpinLock,
-    bot: AtomicUsize,
-    top_shared: AtomicUsize,
-    slots: Vec<TaskSlot>,
-    /// Per-slot task id, written where `TaskRepr::store` writes the
-    /// closure.
-    data: Vec<AtomicUsize>,
-    /// Per-task-id execution counter; exactly-once means every entry
-    /// ends at 1.
-    executed: Vec<AtomicUsize>,
-}
-
-impl SharedTopModel {
-    fn new(nslots: usize, ntasks: usize) -> Self {
-        SharedTopModel {
-            lock: SpinLock::new(),
-            bot: AtomicUsize::new(0),
-            top_shared: AtomicUsize::new(0),
-            slots: (0..nslots).map(|_| TaskSlot::default()).collect(),
-            data: (0..nslots).map(|_| AtomicUsize::new(usize::MAX)).collect(),
-            executed: (0..ntasks).map(|_| AtomicUsize::new(0)).collect(),
-        }
-    }
-
-    /// Mirrors `try_push` for a `SHARED_TOP` strategy: write the
-    /// payload, mark TASK, publish the new `top_shared` (Release, no
-    /// lock). Returns the new `top`.
-    fn owner_push(&self, top: usize, id: usize) -> usize {
-        let slot = &self.slots[top];
-        self.data[top].store(id, Relaxed);
-        slot.state.store(TASK, Release);
-        self.top_shared.store(top + 1, Release);
-        top + 1
-    }
-
-    /// Mirrors `join_task_shared_top`: lower `top_shared` under the
-    /// lock, detect a steal by `bot > k`; for a stolen task run
-    /// `nested` (the leap-frog window, where leap-frogged executions
-    /// spawn on this same stack), wait for DONE, then restore `bot`
-    /// and re-lower `top_shared` under the lock. Returns the new
-    /// `top`.
-    fn owner_join(&self, top: usize, nested: impl FnOnce(usize)) -> usize {
-        let k = top - 1;
-        let slot = &self.slots[k];
-        self.lock.lock();
-        self.top_shared.store(k, Relaxed);
-        let was_stolen = self.bot.load(Relaxed) > k;
-        self.lock.unlock();
-
-        if !was_stolen {
-            self.execute(k);
-            return k;
-        }
-        nested(top);
-        while !is_done(slot.state.load(Acquire)) {
-            hint::spin_loop();
-        }
-        self.lock.lock();
-        self.bot.store(k, Relaxed);
-        // The regression this file guards: without this store a nested
-        // join leaves `top_shared` at `k + 1 > bot`, re-exposing the
-        // consumed slot `k` to thieves.
-        self.top_shared.store(k, Relaxed);
-        self.lock.unlock();
-        k
-    }
-
-    /// Mirrors `steal_shared_top`, including its protocol guard: a live
-    /// slot in `[bot, top_shared)` must hold TASK.
-    fn thief_attempt(&self, me: usize) -> bool {
-        self.lock.lock();
-        let b = self.bot.load(Relaxed);
-        let t = self.top_shared.load(Acquire);
-        if b >= t {
-            self.lock.unlock();
-            return false;
-        }
-        let slot = &self.slots[b];
-        let s = slot.state.load(Relaxed);
-        assert_eq!(
-            s, TASK,
-            "shared-top protocol violation: live slot {b} (bot {b}, top {t}) holds state {s}"
-        );
-        slot.state.store(stolen(me), Release);
-        self.bot.store(b + 1, Relaxed);
-        self.lock.unlock();
-        self.execute(b);
-        slot.state.store(DONE, Release);
-        true
-    }
-
-    /// "Runs" the task in slot `k`: bumps its execution counter.
-    fn execute(&self, k: usize) {
-        let id = self.data[k].load(Relaxed);
-        self.executed[id].fetch_add(1, SeqCst);
-    }
-
-    fn assert_each_executed_once(&self) {
-        for (id, n) in self.executed.iter().enumerate() {
-            assert_eq!(n.load(SeqCst), 1, "task {id} execution count");
-        }
-    }
-}
-
-/// Runs thief attempts until the owner signals done or the miss budget
-/// is exhausted (same shape as `slot_protocol.rs::thief_loop`).
-fn thief_loop(m: &SharedTopModel, me: usize, owner_done: &AtomicBool, max_misses: usize) -> usize {
-    let mut executed = 0;
-    let mut misses = 0;
-    while misses < max_misses {
-        if m.thief_attempt(me) {
-            executed += 1;
-        } else {
-            misses += 1;
-            if owner_done.load(SeqCst) {
-                break;
-            }
-            hint::spin_loop();
-        }
-    }
-    executed
-}
+use wool_core::model::Thief;
+use wool_core::sync::hint;
+use wool_core::{LockedBase, Stats};
+use wool_verify::support::exec::{check_region, check_region_with, thief_loop, Region};
 
 /// Baseline: one task, one thief — the steal-vs-inline-join race under
 /// the lock resolves to exactly one execution either way.
 #[test]
 fn shared_top_one_task_one_thief() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(SharedTopModel::new(1, 1));
-        let done = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 7, &done, 3))
-        };
-        let top = m.owner_push(0, 0);
-        let _ = m.owner_join(top, |_| {});
-        done.store(true, SeqCst);
-        let stole = thief.join().unwrap();
-        assert!(stole <= 1);
-        m.assert_each_executed_once();
+    check_region::<LockedBase, _>(2, 2, 16, 3, 1, |h, t| {
+        t.fork(h, 0, |_| ());
     });
 }
 
-/// The leap-frog regression: thief A deterministically steals and
-/// completes task 0, forcing the owner's join onto the stolen path,
-/// where a nested task (the leap-frogged spawn) is pushed and joined
-/// on the same stack. Thief B probes concurrently; its protocol guard
-/// fails if the `bot` restore leaves `top_shared` above the consumed
-/// slot.
+/// Flags of the leap-frog scenario: tasks A and C have started.
+const A_STARTED: usize = 0;
+const C_STARTED: usize = 1;
+
+/// A thief that retries until it has stolen task A, then probes the
+/// owner's stack as usual.
+fn first_steal_then_probe(mut thief: Thief<LockedBase>, t: &Region) -> Stats {
+    while !thief.steal() {
+        hint::spin_loop();
+    }
+    thief_loop(thief, t, 3)
+}
+
+/// The leap-frog regression, on two workers. The owner's call branch
+/// waits until the thief has stolen task A, so the owner's join takes
+/// the stolen path. A spawns C on the thief's stack and waits until the
+/// owner's leap-frog steals it; C runs on the owner and forks D on the
+/// owner's stack above the awaited slot. After its steal the thief keeps
+/// probing the owner's stack, and its guard fails if the owner's `bot`
+/// restore leaves `top_shared` above the consumed slot.
 #[test]
 fn shared_top_leapfrog_spawn_regression() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(SharedTopModel::new(2, 2));
-        let done = Arc::new(AtomicBool::new(false));
-
-        let top = m.owner_push(0, 0);
-        // Scripted: with no contention yet this steal must succeed,
-        // completing task 0 before the owner's join begins.
-        assert!(m.thief_attempt(7), "scripted steal of task 0 must win");
-
-        let thief_b = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 8, &done, 4))
-        };
-        let _ = m.owner_join(top, |t| {
-            // Leap-frogged execution: a nested task spawned and joined
-            // on this stack while the outer join waits.
-            let t = m.owner_push(t, 1);
-            let _ = m.owner_join(t, |_| {});
-        });
-        done.store(true, SeqCst);
-        let _ = thief_b.join().unwrap();
-        m.assert_each_executed_once();
+    check_region_with(2, 2, 16, 3, first_steal_then_probe, |h, t| {
+        let (_, a) = h.fork(
+            |_| t.wait(A_STARTED),
+            |h| {
+                t.signal(A_STARTED);
+                let (_, c) = h.fork(
+                    |_| t.wait(C_STARTED),
+                    |h| {
+                        t.signal(C_STARTED);
+                        t.fork(h, 2, |_| ());
+                        t.run(1)
+                    },
+                );
+                t.assert_joined(1, c);
+                t.run(0)
+            },
+        );
+        t.assert_joined(0, a);
     });
 }

@@ -1,62 +1,24 @@
 //! Exhaustive models of the slot state machine (§III-A): owner swap vs.
 //! thief CAS over `EMPTY`/`TASK`/`STOLEN(i)`/`DONE`, with public-only
-//! descriptors (the `n_public` machinery is modeled separately in
-//! `publish_protocol.rs`).
+//! descriptors (the `TaskSpecific` rung; the `n_public` machinery is
+//! modeled in `publish_protocol.rs`). The owner and the thieves run the
+//! production `fork` and `try_steal_from` of `exec.rs`.
 //!
-//! Run with: `RUSTFLAGS="--cfg loom" cargo test -p wool-verify --release`
+//! Run with: `cargo xtask loom`
 #![cfg(loom)]
 
-use std::sync::Arc;
-use wool_core::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use wool_core::sync::{hint, thread};
-use wool_verify::support::{bounded, Attempt, VictimModel};
-
-/// Runs `thief_attempt` until the owner signals completion or the thief
-/// has burned `max_misses` fruitless attempts; returns how many tasks
-/// this thief executed. The spin between attempts lets the explorer
-/// prune idle re-polls, and the miss cap bounds the per-execution
-/// operation count (the DFS still chooses *which* owner operations the
-/// capped attempts race against — different executions place them at
-/// different protocol points). Successful steals do not count misses.
-fn thief_loop(m: &VictimModel, me: usize, owner_done: &AtomicBool, max_misses: usize) -> usize {
-    let mut executed = 0;
-    let mut misses = 0;
-    while misses < max_misses {
-        match m.thief_attempt(me) {
-            Attempt::Executed(_) => executed += 1,
-            Attempt::Empty | Attempt::Retry => {
-                misses += 1;
-                if owner_done.load(SeqCst) {
-                    break;
-                }
-                hint::spin_loop();
-            }
-        }
-    }
-    executed
-}
+use wool_core::TaskSpecific;
+use wool_verify::support::exec::check_region;
 
 /// The core owner-join-races-thief window: one task, one thief. In some
 /// interleavings the owner's swap wins (inline join), in others the
 /// thief's CAS wins and the owner must follow the EMPTY → STOLEN → DONE
-/// resolution path, restoring `bot` afterwards. Either way the task runs
-/// exactly once and the join always resolves.
+/// resolution path, restoring `bot` afterwards. Either way the task has
+/// run exactly once when the join returns, and the join always resolves.
 #[test]
 fn one_task_owner_vs_one_thief() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(VictimModel::new(1, 1, false));
-        let done = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 7, &done, 3))
-        };
-        let top = m.owner_push(0, 0, true);
-        let _ = m.owner_join(top);
-        done.store(true, SeqCst);
-        let stolen = thief.join().unwrap();
-        assert!(stolen <= 1);
-        m.assert_each_executed_once();
+    check_region::<TaskSpecific, _>(2, 2, 16, 3, 1, |h, t| {
+        t.fork(h, 0, |_| ());
     });
 }
 
@@ -65,71 +27,31 @@ fn one_task_owner_vs_one_thief() {
 /// and retries or gives up.
 #[test]
 fn one_task_two_thieves() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(VictimModel::new(1, 1, false));
-        let done = Arc::new(AtomicBool::new(false));
-        let thieves: Vec<_> = [7usize, 8]
-            .into_iter()
-            .map(|me| {
-                let m = Arc::clone(&m);
-                let done = Arc::clone(&done);
-                thread::spawn(move || thief_loop(&m, me, &done, 2))
-            })
-            .collect();
-        let top = m.owner_push(0, 0, true);
-        let _ = m.owner_join(top);
-        done.store(true, SeqCst);
-        let stolen: usize = thieves.into_iter().map(|t| t.join().unwrap()).sum();
-        assert!(stolen <= 1);
-        m.assert_each_executed_once();
+    check_region::<TaskSpecific, _>(2, 3, 16, 2, 1, |h, t| {
+        t.fork(h, 0, |_| ());
     });
 }
 
-/// Descriptor reincarnation: the owner pushes and joins the same slot
-/// twice while a thief runs. A stale thief that read `bot` before the
-/// first incarnation resolved may CAS the second incarnation's TASK —
-/// the §III-A back-off validation (`bot` re-check) decides whether that
-/// acquisition stands. Both incarnations must execute exactly once.
+/// Descriptor reincarnation: the owner forks twice on the same slot
+/// while a thief runs. A stale thief that read `bot` before the first
+/// incarnation resolved may CAS the second incarnation's TASK — the
+/// §III-A back-off validation (`bot` re-check) decides whether that
+/// acquisition stands. Both incarnations must run exactly once.
 #[test]
 fn reincarnation_stale_thief() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(VictimModel::new(1, 2, false));
-        let done = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 7, &done, 3))
-        };
-        let top = m.owner_push(0, 0, true);
-        let top = m.owner_join(top);
-        let top = m.owner_push(top, 1, true);
-        let _ = m.owner_join(top);
-        done.store(true, SeqCst);
-        let _ = thief.join().unwrap();
-        m.assert_each_executed_once();
+    check_region::<TaskSpecific, _>(2, 2, 16, 3, 2, |h, t| {
+        t.fork(h, 0, |_| ());
+        t.fork(h, 1, |_| ());
     });
 }
 
-/// Depth-two stack: the owner spawns two tasks and joins them in LIFO
-/// order while a thief steals from the bottom — the configuration where
-/// `bot` and `top` genuinely diverge and the post-steal `bot` restore
-/// must line up with the next join.
+/// Depth-two stack: a nested fork spawns two tasks and joins them in
+/// LIFO order while a thief steals from the bottom — the configuration
+/// where `bot` and `top` genuinely diverge and the post-steal `bot`
+/// restore must line up with the next join.
 #[test]
 fn two_slots_lifo_join_vs_thief() {
-    wool_loom::model_config(bounded(2), || {
-        let m = Arc::new(VictimModel::new(2, 2, false));
-        let done = Arc::new(AtomicBool::new(false));
-        let thief = {
-            let m = Arc::clone(&m);
-            let done = Arc::clone(&done);
-            thread::spawn(move || thief_loop(&m, 7, &done, 3))
-        };
-        let top = m.owner_push(0, 0, true);
-        let top = m.owner_push(top, 1, true);
-        let top = m.owner_join(top);
-        let _ = m.owner_join(top);
-        done.store(true, SeqCst);
-        let _ = thief.join().unwrap();
-        m.assert_each_executed_once();
+    check_region::<TaskSpecific, _>(2, 2, 16, 3, 2, |h, t| {
+        t.fork(h, 0, |h| t.fork(h, 1, |_| ()));
     });
 }

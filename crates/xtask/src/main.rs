@@ -62,24 +62,30 @@ fn cargo_probe(args: &[&str]) -> bool {
         .unwrap_or(false)
 }
 
+/// The model suite: wool-verify's tests under `--cfg loom`, optimized
+/// but with debug assertions on, so the `debug_assert!`s of exec.rs and
+/// pool.rs are checked in every modeled execution.
 fn run_loom() -> ExitCode {
     let mut cmd = Command::new("cargo");
     cmd.args(["test", "-p", "wool-verify", "--release"]);
     // Append to any ambient RUSTFLAGS rather than clobbering them.
     let mut flags = std::env::var("RUSTFLAGS").unwrap_or_default();
-    if !flags.contains("--cfg loom") {
-        if !flags.is_empty() {
-            flags.push(' ');
+    for flag in ["--cfg loom", "-C debug-assertions"] {
+        if !flags.contains(flag) {
+            if !flags.is_empty() {
+                flags.push(' ');
+            }
+            flags.push_str(flag);
         }
-        flags.push_str("--cfg loom");
     }
     cmd.env("RUSTFLAGS", flags);
     exec(cmd)
 }
 
 /// The Miri subset: single- and dual-thread protocol unit tests plus the
-/// wool-verify sequential models. Excludes the stress tests (thousands
-/// of iterations are impractical under the interpreter).
+/// wool-verify library test, the injector probe (its other models need
+/// `--cfg loom`). Excludes the stress tests (thousands of iterations are
+/// impractical under the interpreter).
 fn run_miri() -> ExitCode {
     if !cargo_probe(&["+nightly", "miri", "--version"]) {
         eprintln!(
