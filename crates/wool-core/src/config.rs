@@ -11,6 +11,11 @@ pub struct PoolConfig {
     /// Task-pool capacity per worker, in task descriptors. A spawn that
     /// would overflow the pool executes its task eagerly instead
     /// (counted in [`crate::Stats::overflow_inlines`]).
+    ///
+    /// The capacity bounds nesting depth and reserves address space
+    /// (128 bytes per descriptor); memory is committed a page at a time
+    /// on first use, 32 descriptors per 4 KiB page, so a deep reserve
+    /// costs only the pages the program's nesting reaches.
     pub stack_capacity: usize,
     /// §III-B trip wire: when a steal lands within this many descriptors
     /// of the public boundary, the thief requests publication.
@@ -94,7 +99,8 @@ impl PoolConfig {
         }
     }
 
-    /// Builder-style: sets the task-pool capacity.
+    /// Builder-style: sets the task-pool capacity (see the field of the
+    /// same name: capacity reserves address space, not memory).
     pub fn stack_capacity(mut self, cap: usize) -> Self {
         self.stack_capacity = cap;
         self

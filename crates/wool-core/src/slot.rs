@@ -3,7 +3,11 @@
 //! The task pool of each worker is an array of fixed-size [`TaskSlot`]s
 //! (§III-A: "the task pool is made up of fixed size task descriptors
 //! (rather than pointers to task descriptors) and memory management is
-//! simplified by adhering to a strict stack discipline").
+//! simplified by adhering to a strict stack discipline"), held in a
+//! [`TaskStack`]. The array is allocated zeroed and never written at
+//! pool start: an all-zero slot is an empty one, so each 4 KiB page of
+//! descriptors is committed by the first spawn that reaches it, and the
+//! stack's capacity bounds nesting depth rather than memory use.
 //!
 //! Each slot carries:
 //!
@@ -26,9 +30,12 @@
 //!   (the paper's span measurement facility behind Table I).
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
+use std::alloc::{self, Layout};
 use std::cell::UnsafeCell;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
+use std::ops::Deref;
 use std::panic::AssertUnwindSafe;
+use std::ptr::NonNull;
 
 /// Inline storage per task descriptor, in 8-byte words.
 pub const DATA_WORDS: usize = 8;
@@ -112,17 +119,6 @@ pub struct TaskSlot {
 unsafe impl Sync for TaskSlot {}
 unsafe impl Send for TaskSlot {}
 
-impl Default for TaskSlot {
-    fn default() -> Self {
-        TaskSlot {
-            state: AtomicUsize::new(EMPTY),
-            wrapper: UnsafeCell::new(MaybeUninit::uninit()),
-            span: UnsafeCell::new((0, 0)),
-            data: UnsafeCell::new(MaybeUninit::uninit()),
-        }
-    }
-}
-
 impl TaskSlot {
     /// Reads the wrapper function.
     ///
@@ -157,6 +153,88 @@ impl TaskSlot {
     #[inline(always)]
     fn data_ptr(&self) -> *mut u8 {
         self.data.get() as *mut u8
+    }
+}
+
+/// A worker's direct task stack: a fixed array of [`TaskSlot`]s,
+/// allocated zeroed and never written at creation.
+///
+/// All-zero bytes are an empty descriptor: `state` is [`EMPTY`], `span`
+/// is `(0, 0)`, and `wrapper` and `data` are `MaybeUninit`. So the zero
+/// pages the allocator maps for a large block are already valid
+/// descriptors, and each 4 KiB page (32 descriptors) is committed by the
+/// first spawn that reaches it.
+///
+/// The block is allocated with 16-byte alignment, which `calloc` serves
+/// on 64-bit targets without clearing freshly mapped pages; at
+/// `TaskSlot`'s own alignment `alloc_zeroed` falls back to
+/// allocate-then-`memset`, which touches every page. The block is one
+/// descriptor longer than the stack, and the slots start at its first
+/// 128-aligned address.
+pub(crate) struct TaskStack {
+    /// The block as allocated.
+    base: NonNull<u8>,
+    /// The slots, inside `base`'s block.
+    slots: NonNull<[TaskSlot]>,
+}
+
+// SAFETY: a `TaskStack` owns its block, as a `Box<[TaskSlot]>` would,
+// and shares it only as `&[TaskSlot]`; `TaskSlot` is `Send` and `Sync`.
+unsafe impl Send for TaskStack {}
+unsafe impl Sync for TaskStack {}
+
+impl TaskStack {
+    /// Allocates a stack of `len` empty descriptors.
+    pub fn new(len: usize) -> Self {
+        let layout = Self::layout(len);
+        // SAFETY: `layout` has a non-zero size (at least one descriptor).
+        let base = unsafe { alloc::alloc_zeroed(layout) };
+        let Some(base) = NonNull::new(base) else {
+            alloc::handle_alloc_error(layout)
+        };
+        // Bytes up to the next 128-aligned address, computed from the
+        // address itself because `align_offset` may return `usize::MAX`.
+        let pad = base.as_ptr().addr().wrapping_neg() % align_of::<TaskSlot>();
+        // SAFETY: `pad` is less than one descriptor and the block is one
+        // descriptor longer than `len` of them, so the first slot and
+        // the `len` slots from it lie inside the block.
+        let first = unsafe { base.add(pad) }.cast::<TaskSlot>();
+        TaskStack {
+            base,
+            slots: NonNull::slice_from_raw_parts(first, len),
+        }
+    }
+
+    /// The block for `len` descriptors: one descriptor of slack for the
+    /// alignment, at an alignment `calloc` serves.
+    fn layout(len: usize) -> Layout {
+        len.checked_mul(size_of::<TaskSlot>())
+            .and_then(|bytes| bytes.checked_add(align_of::<TaskSlot>()))
+            .and_then(|size| Layout::from_size_align(size, 16).ok())
+            .expect("task stack size overflows the address space")
+    }
+}
+
+impl Deref for TaskStack {
+    type Target = [TaskSlot];
+
+    #[inline(always)]
+    fn deref(&self) -> &[TaskSlot] {
+        // SAFETY: the slots are 128-aligned and lie inside the block this
+        // stack owns (see `new`). The block was zeroed, all-zero bytes
+        // are a valid `TaskSlot`, and slots are only ever changed
+        // through their atomics and `UnsafeCell`s.
+        unsafe { self.slots.as_ref() }
+    }
+}
+
+impl Drop for TaskStack {
+    fn drop(&mut self) {
+        const { assert!(!std::mem::needs_drop::<TaskSlot>()) };
+        // SAFETY: `base` was allocated in `new` with this layout, and no
+        // borrow of the slots outlives `&mut self`. `TaskSlot` has no
+        // drop glue (asserted above), so there is nothing to run first.
+        unsafe { alloc::dealloc(self.base.as_ptr(), Self::layout(self.slots.len())) }
     }
 }
 
@@ -391,6 +469,26 @@ mod tests {
     }
 
     #[test]
+    fn task_stack_slots_start_empty_and_aligned() {
+        for n in [1, 16, 8192] {
+            let stack = TaskStack::new(n);
+            assert_eq!(stack.len(), n);
+            for (i, slot) in stack.iter().enumerate() {
+                // relaxed-ok: single-threaded test read.
+                assert_eq!(slot.state.load(Ordering::Relaxed), EMPTY);
+                // SAFETY: single-threaded test; nothing else holds the slot.
+                assert_eq!(unsafe { slot.span() }, (0, 0));
+                let addr = std::ptr::from_ref(slot).addr();
+                assert_eq!(addr % 128, 0, "slot {i} of {n} misaligned");
+                if i > 0 {
+                    let prev = std::ptr::from_ref(&stack[i - 1]).addr();
+                    assert_eq!(addr - prev, 128, "slot {i} of {n} not contiguous");
+                }
+            }
+        }
+    }
+
+    #[test]
     #[allow(clippy::assertions_on_constants)] // the constants ARE the subject
     fn inline_decision() {
         assert!(TaskRepr::<fn() -> u64, u64>::INLINE);
@@ -410,13 +508,14 @@ mod tests {
         unsafe fn wrapper(_: *const TaskSlot, _: *mut ()) -> bool {
             true
         }
-        let slot = TaskSlot::default();
+        let stack = TaskStack::new(1);
+        let slot = &stack[0];
         // SAFETY: single-threaded test; we own the slot throughout.
         unsafe {
-            TaskRepr::<F, R>::store(&slot, f, wrapper);
-            let ok = TaskRepr::<F, R>::exec_in_place(&slot, |f| f());
+            TaskRepr::<F, R>::store(slot, f, wrapper);
+            let ok = TaskRepr::<F, R>::exec_in_place(slot, |f| f());
             assert!(ok);
-            TaskRepr::<F, R>::take_result(&slot)
+            TaskRepr::<F, R>::take_result(slot)
         }
     }
 
@@ -448,18 +547,20 @@ mod tests {
 
     #[test]
     fn take_closure_direct_call() {
-        let slot = TaskSlot::default();
+        let stack = TaskStack::new(1);
+        let slot = &stack[0];
         let s = String::from("hello");
         // SAFETY: single-threaded test.
         unsafe {
-            let g = store_then_take(&slot, move || s.len());
+            let g = store_then_take(slot, move || s.len());
             assert_eq!(g(), 5);
         }
     }
 
     #[test]
     fn panic_payload_roundtrip() {
-        let slot = TaskSlot::default();
+        let stack = TaskStack::new(1);
+        let slot = &stack[0];
         unsafe fn wrapper(_: *const TaskSlot, _: *mut ()) -> bool {
             true
         }
@@ -469,10 +570,10 @@ mod tests {
         let f: fn() -> u64 = boom;
         // SAFETY: single-threaded test.
         unsafe {
-            TaskRepr::<fn() -> u64, u64>::store(&slot, f, wrapper);
-            let ok = TaskRepr::<fn() -> u64, u64>::exec_in_place(&slot, |f| f());
+            TaskRepr::<fn() -> u64, u64>::store(slot, f, wrapper);
+            let ok = TaskRepr::<fn() -> u64, u64>::exec_in_place(slot, |f| f());
             assert!(!ok);
-            let payload = TaskRepr::<fn() -> u64, u64>::take_panic(&slot);
+            let payload = TaskRepr::<fn() -> u64, u64>::take_panic(slot);
             let msg = payload.downcast_ref::<&str>().unwrap();
             assert_eq!(*msg, "boom-42");
         }
@@ -480,11 +581,12 @@ mod tests {
 
     #[test]
     fn spin_while_empty_returns_stable_state() {
-        let slot = TaskSlot::default();
+        let stack = TaskStack::new(1);
+        let slot = &stack[0];
         slot.state.store(TASK, Ordering::Release);
-        assert_eq!(spin_while_empty(&slot), TASK);
+        assert_eq!(spin_while_empty(slot), TASK);
         slot.state.store(stolen(3), Ordering::Release);
-        assert_eq!(spin_while_empty(&slot), stolen(3));
+        assert_eq!(spin_while_empty(slot), stolen(3));
     }
 
     #[test]
@@ -499,13 +601,14 @@ mod tests {
                 DROPS.fetch_add(1, Ordering::Relaxed);
             }
         }
-        let slot = TaskSlot::default();
+        let stack = TaskStack::new(1);
+        let slot = &stack[0];
         let t = Tracker([1; 16]);
         // SAFETY: single-threaded test. (`let t = t;` forces the whole
         // Tracker into the closure; capturing `t.0` alone would copy the
         // Copy array and leave the tracker outside.)
         unsafe {
-            let g = store_then_take(&slot, move || {
+            let g = store_then_take(slot, move || {
                 let t = t;
                 t.0[0]
             });

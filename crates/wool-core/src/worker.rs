@@ -1,7 +1,10 @@
 //! Per-worker state: the direct task stack and its pointers.
 //!
 //! Each worker owns an array of [`TaskSlot`]s managed with strict stack
-//! discipline (§III-A). Two indices delimit the live region:
+//! discipline (§III-A), a [`TaskStack`]: zero-mapped at construction,
+//! so a worker's start writes none of its descriptors and each page is
+//! committed by the first spawn that reaches it. Two indices delimit the
+//! live region:
 //!
 //! * `top` — the next slot the owner will spawn into. **Private to the
 //!   owner** in the direct task stack (one of the paper's key points);
@@ -25,7 +28,7 @@ use std::cell::UnsafeCell;
 use crate::pad::CachePadded;
 
 use crate::config::PoolConfig;
-use crate::slot::TaskSlot;
+use crate::slot::{TaskSlot, TaskStack};
 use crate::span::SpanState;
 use crate::spinlock::SpinLock;
 use crate::stats::Stats;
@@ -139,7 +142,7 @@ pub(crate) struct Worker {
     /// Per-worker lock used by the lock-based strategies.
     pub lock: SpinLock,
     /// The direct task stack itself.
-    pub slots: Box<[TaskSlot]>,
+    pub slots: TaskStack,
     /// Owner-only state; see the `Sync` safety comment.
     pub own: UnsafeCell<OwnerState>,
     /// End-of-region report mailbox, published by the owner and read by
@@ -168,17 +171,13 @@ unsafe impl Send for Worker {}
 
 impl Worker {
     pub fn new(index: usize, capacity: usize) -> Self {
-        let slots = (0..capacity)
-            .map(|_| TaskSlot::default())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Worker {
             bot: CachePadded::new(AtomicUsize::new(0)),
             n_public: AtomicUsize::new(0),
             publish_request: AtomicBool::new(false),
             top_shared: AtomicUsize::new(0),
             lock: SpinLock::new(),
-            slots,
+            slots: TaskStack::new(capacity),
             own: UnsafeCell::new(OwnerState::new(
                 0x9E3779B97F4A7C15u64.wrapping_mul(index as u64 + 1),
             )),

@@ -82,10 +82,11 @@ fn run_loom() -> ExitCode {
     exec(cmd)
 }
 
-/// The Miri subset: single- and dual-thread protocol unit tests plus the
-/// wool-verify library test, the injector probe (its other models need
-/// `--cfg loom`). Excludes the stress tests (thousands of iterations are
-/// impractical under the interpreter).
+/// The Miri subset: single- and dual-thread protocol unit tests, the
+/// worker tests (`Worker::new` and its drop own the task stack's raw
+/// allocation), plus the wool-verify library test, the injector probe
+/// (its other models need `--cfg loom`). Excludes the stress tests
+/// (thousands of iterations are impractical under the interpreter).
 fn run_miri() -> ExitCode {
     if !cargo_probe(&["+nightly", "miri", "--version"]) {
         eprintln!(
@@ -106,6 +107,7 @@ fn run_miri() -> ExitCode {
         "--lib",
         "--",
         "slot::",
+        "worker::",
         "injector::",
         "spinlock::",
         "--skip",
