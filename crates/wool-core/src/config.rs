@@ -2,6 +2,10 @@
 
 use crate::span::DEFAULT_OVERHEAD_CYCLES;
 
+/// Largest accepted worker count. A thief's index is encoded in a task
+/// state word as `STOLEN_BASE + i`, which this bound keeps in range.
+pub(crate) const MAX_WORKERS: usize = 1 << 16;
+
 /// Configuration for a [`crate::Pool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -69,9 +73,23 @@ pub struct PoolConfig {
 }
 
 impl Default for PoolConfig {
+    /// The defaults with [`default_workers`] workers. This asks the host
+    /// for its parallelism (on Linux it reads cgroup files); a caller
+    /// that knows its worker count should use
+    /// [`with_workers`](PoolConfig::with_workers), which does not.
     fn default() -> Self {
+        PoolConfig::with_workers(default_workers())
+    }
+}
+
+impl PoolConfig {
+    /// A configuration with `workers` workers and defaults otherwise.
+    /// The defaults are written here, once; unlike
+    /// [`Default::default`], this does not ask the host for its
+    /// parallelism.
+    pub fn with_workers(workers: usize) -> Self {
         PoolConfig {
-            workers: default_workers(),
+            workers,
             stack_capacity: 8192,
             trip_distance: 2,
             publish_batch: 4,
@@ -86,16 +104,6 @@ impl Default for PoolConfig {
             park_timeout_us: 200,
             injector_capacity: 1024,
             min_grain: 1,
-        }
-    }
-}
-
-impl PoolConfig {
-    /// A configuration with `workers` workers and defaults otherwise.
-    pub fn with_workers(workers: usize) -> Self {
-        PoolConfig {
-            workers,
-            ..Default::default()
         }
     }
 
@@ -188,8 +196,8 @@ impl PoolConfig {
              at least one item (use min_grain(1) for no floor)"
         );
         assert!(
-            self.workers <= crate::slot::STOLEN_BASE.max(1 << 16),
-            "worker count does not fit the state encoding"
+            self.workers <= MAX_WORKERS,
+            "invalid PoolConfig: more than MAX_WORKERS workers"
         );
         self.stack_capacity = self.stack_capacity.max(16);
         self.publish_batch = self.publish_batch.max(1);
@@ -246,6 +254,34 @@ mod tests {
     #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let _ = PoolConfig::with_workers(0).validated();
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_WORKERS")]
+    fn too_many_workers_rejected() {
+        let _ = PoolConfig::with_workers(MAX_WORKERS + 1).validated();
+    }
+
+    #[test]
+    fn most_workers_accepted() {
+        assert_eq!(
+            PoolConfig::with_workers(MAX_WORKERS).validated().workers,
+            MAX_WORKERS
+        );
+    }
+
+    #[test]
+    fn with_workers_matches_default_field_for_field() {
+        for n in [1, 2, 7] {
+            let from_default = PoolConfig {
+                workers: n,
+                ..PoolConfig::default()
+            };
+            assert_eq!(
+                format!("{:?}", PoolConfig::with_workers(n)),
+                format!("{from_default:?}")
+            );
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! does, and each [`Thief`] lends a model thread one worker whose only
 //! operation is the real `try_steal_from` against worker 0. Everything a
 //! stolen task does on its thief — nested forks, joins, leap-frogging —
-//! is the shipped code too. The models live in `crates/wool-verify`.
+//! is the shipped code too. The region claim is modeled the same way:
+//! [`ModelPool::close`] and [`Thief::join`] are `Pool::run`'s close and
+//! `background_loop`'s join. The models live in `crates/wool-verify`.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -67,6 +69,20 @@ impl<S: Strategy> ModelPool<S> {
             f(&mut WorkerHandle::new(&self.inner, 0))
         }
     }
+
+    /// `Pool::run`'s region-exit close of region `epoch` on background
+    /// worker `idx`: true when the worker had not joined it.
+    pub fn close(&self, idx: usize, epoch: u64) -> bool {
+        self.inner.close_region(idx, epoch)
+    }
+
+    /// Background worker `idx`'s region claim word (the joined epoch,
+    /// or a closed epoch with its tag bit).
+    pub fn claim_word(&self, idx: usize) -> u64 {
+        self.inner.workers[idx]
+            .joined
+            .load(crate::sync::atomic::Ordering::Acquire)
+    }
 }
 
 impl<S: Strategy> Thief<S> {
@@ -80,6 +96,12 @@ impl<S: Strategy> Thief<S> {
             let mut h = WorkerHandle::<S>::new(&self.inner, self.idx);
             h.try_steal_from(0, false) == StealOutcome::Executed
         }
+    }
+
+    /// `background_loop`'s join of region `epoch`: true when this
+    /// worker joined it, false when the coordinator had closed it.
+    pub fn join(&self, epoch: u64) -> bool {
+        self.inner.join_region(self.idx, epoch)
     }
 
     /// This worker's counters so far.

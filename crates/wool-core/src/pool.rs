@@ -6,12 +6,21 @@
 //! regions separated by serial code on worker 0, with the other workers
 //! polling for stealable work for the whole duration of the program.
 //!
+//! A region waits only for the workers that took part in it. A background
+//! worker joins a region with one CAS on its claim word
+//! ([`Worker::joined`]) before it steals; at region end `run` closes each
+//! background worker's word with another CAS and waits for the report of
+//! a worker only if that worker's join won. A worker that slept through
+//! the region contributes an empty report, and nothing of its state is
+//! read: it stole nothing, and the root joined every task it spawned
+//! before returning.
+//!
 //! After each `run`, a [`RunReport`] is available with the per-worker
 //! scheduler statistics, the measured work/span (Table I), and the
 //! CPU-time breakdown (Figure 6), depending on which instrumentation the
 //! [`PoolConfig`] enabled.
 
-use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use crate::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use crate::sync::atomic::{AtomicBool, AtomicU64};
 use crate::sync::thread::JoinHandle;
 use std::marker::PhantomData;
@@ -24,7 +33,7 @@ use crate::exec::WorkerHandle;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::{Category, TimeBreakdown};
-use crate::worker::{Worker, WorkerReport};
+use crate::worker::{Worker, WorkerReport, CLOSED};
 
 /// Shared, strategy-independent pool state.
 pub(crate) struct PoolInner {
@@ -96,14 +105,63 @@ impl PoolInner {
         w0.publish_request.store(self.workers.len() > 1, Relaxed);
     }
 
-    /// Waits until every worker has published its report for `epoch`
-    /// and gathers the reports in worker order, with the merged trace
-    /// when tracing is configured. A batch region collects with its
-    /// own epoch; the serve pool collects with `u64::MAX` after
-    /// joining its workers.
-    pub(crate) fn collect_reports(&self, epoch: u64) -> Reports {
+    /// Background worker `idx` joins region `epoch`, before it touches
+    /// anything of the region: one CAS on its claim word, from any
+    /// earlier epoch. False when the coordinator has already closed
+    /// `epoch` without it; the worker then must not steal in the region.
+    pub(crate) fn join_region(&self, idx: usize, epoch: u64) -> bool {
+        let word = &self.workers[idx].joined;
+        let cur = word.load(Acquire);
+        cur & !CLOSED < epoch && word.compare_exchange(cur, epoch, AcqRel, Acquire).is_ok()
+    }
+
+    /// The coordinator closes region `epoch` on background worker `idx`,
+    /// after the root has returned: one CAS on its claim word. True when
+    /// the worker had not joined, so it holds nothing of the region and
+    /// will not join it any more; false when it joined, and its report
+    /// must be awaited.
+    pub(crate) fn close_region(&self, idx: usize, epoch: u64) -> bool {
+        let word = &self.workers[idx].joined;
+        let cur = word.load(Acquire);
+        if cur == epoch {
+            return false;
+        }
+        match word.compare_exchange(cur, epoch | CLOSED, AcqRel, Acquire) {
+            Ok(_) => true,
+            Err(now) => {
+                debug_assert_eq!(now, epoch, "only the worker's join races the close");
+                false
+            }
+        }
+    }
+
+    /// Gathers the reports of `epoch` in worker order, with the merged
+    /// trace when tracing is configured. `joined(i)` says whether worker
+    /// `i` took part. The coordinator waits for the report of each worker
+    /// that did. A worker that did not gets an empty report and an empty
+    /// trace, and its state is not touched at all: its thread may be
+    /// running, and its ring still holds an earlier region's events.
+    ///
+    /// A batch region collects with its own epoch and closes each
+    /// background worker out in `joined`; the serve pool collects with
+    /// `u64::MAX` after joining its workers, all of which took part.
+    pub(crate) fn collect_reports(&self, epoch: u64, joined: impl Fn(usize) -> bool) -> Reports {
         let mut reports = Vec::with_capacity(self.workers.len());
-        for w in self.workers.iter() {
+        #[cfg(feature = "trace")]
+        let mut snaps = self.cfg.instrument_trace.then(Vec::new);
+        for (i, w) in self.workers.iter().enumerate() {
+            if !joined(i) {
+                reports.push(WorkerReport::default());
+                #[cfg(feature = "trace")]
+                if let Some(snaps) = &mut snaps {
+                    snaps.push(wool_trace::WorkerTrace {
+                        worker: i,
+                        events: Vec::new(),
+                        dropped: 0,
+                    });
+                }
+                continue;
+            }
             let mut spins = 0u32;
             while w.report_epoch.load(Acquire) != epoch {
                 spins += 1;
@@ -117,22 +175,20 @@ impl PoolInner {
             // publish; the owner will not write this epoch's report
             // again.
             reports.push(unsafe { *w.report.get() });
+            #[cfg(feature = "trace")]
+            if let Some(snaps) = &mut snaps {
+                // SAFETY: covered by the same Acquire edge as the report:
+                // an owner disables its ring strictly before its Release
+                // publish and re-enables it only at its next `begin`,
+                // which for a batch worker needs the next region (`&mut
+                // Pool`) and never comes for a serve worker.
+                snaps.push(unsafe { (*w.own.get()).trace.snapshot(i) });
+            }
         }
-        #[cfg(feature = "trace")]
-        let trace = self.cfg.instrument_trace.then(|| {
-            let snaps = self.workers.iter().enumerate();
-            // SAFETY: covered by the same Acquire edges as the reports:
-            // an owner disables its ring strictly before its Release
-            // publish and re-enables it only at its next `begin`, which
-            // for a batch worker needs the next region (`&mut Pool`) and
-            // never comes for a serve worker.
-            let snaps = snaps.map(|(i, w)| unsafe { (*w.own.get()).trace.snapshot(i) });
-            wool_trace::Trace::new(snaps.collect(), cycles::ticks_per_ns())
-        });
         Reports {
             reports,
             #[cfg(feature = "trace")]
-            trace,
+            trace: snaps.map(|s| wool_trace::Trace::new(s, cycles::ticks_per_ns())),
         }
     }
 }
@@ -278,7 +334,9 @@ impl<S: Strategy> Pool<S> {
         unsafe { *w0.report.get() = (*w0.own.get()).finish() };
         w0.report_epoch.store(epoch, Release);
 
-        let collected = inner.collect_reports(epoch);
+        // Close the region on every background worker: only those that
+        // joined it are waited for.
+        let collected = inner.collect_reports(epoch, |i| i == 0 || !inner.close_region(i, epoch));
         #[cfg(feature = "trace")]
         {
             self.last_trace = collected.trace;
@@ -357,6 +415,13 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
             unsafe {
                 let own = handle.own();
                 if own.seen_epoch != epoch {
+                    // Join the region before touching any of it. A
+                    // failed join means the coordinator has already
+                    // closed it without this worker: steal nothing and
+                    // go back to idling.
+                    if !inner.join_region(idx, epoch) {
+                        continue;
+                    }
                     own.seen_epoch = epoch;
                     own.begin(cfg, Category::St);
                     #[cfg(feature = "trace")]
@@ -394,31 +459,23 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                 }
             }
         } else {
-            // Publish a report for the most recently finished region.
-            // A worker that never noticed a (very short) region still
-            // publishes an empty report so the coordinator's collection
-            // loop terminates.
+            // Publish the report of the region this worker joined, once
+            // the region has finished. A region it did not join gets no
+            // report from it: the coordinator closed it out and waits
+            // only for the workers that joined.
             let done = inner.completed.load(Acquire);
-            if done != 0 && wkr.report_epoch.load(Relaxed) != done {
-                // SAFETY: owner-only state; the coordinator reads
-                // `report` only after Acquire-observing a matching
-                // `report_epoch`, which we Release-store below.
-                unsafe {
-                    let own = handle.own();
+            // SAFETY: owner-only state; the coordinator reads `report`
+            // only after Acquire-observing a matching `report_epoch`,
+            // which we Release-store below.
+            unsafe {
+                let own = handle.own();
+                if own.seen_epoch == done && wkr.report_epoch.load(Relaxed) != done {
                     // `finish` stops the trace ring before the Release
                     // below: the coordinator reads it after the matching
                     // Acquire.
-                    *wkr.report.get() = if own.seen_epoch == done {
-                        own.finish()
-                    } else {
-                        // The ring (already stopped) still holds an
-                        // earlier region's events; this region has none.
-                        #[cfg(feature = "trace")]
-                        own.trace.clear();
-                        WorkerReport::default()
-                    };
+                    *wkr.report.get() = own.finish();
+                    wkr.report_epoch.store(done, Release);
                 }
-                wkr.report_epoch.store(done, Release);
             }
             idle += 1;
             if idle < cfg.idle_spin {
@@ -431,5 +488,108 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                 ));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sync::atomic::AtomicUsize;
+
+    fn fib(h: &mut WorkerHandle<WoolFull>, n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let (a, b) = h.fork(|h| fib(h, n - 1), |h| fib(h, n - 2));
+        a + b
+    }
+
+    /// A region that background worker 1 must join: the root's call
+    /// waits until the spawned branch has run on another worker, which
+    /// then runs `fib(n)` there.
+    fn region_joined_by_worker_1(pool: &mut Pool, n: u64) {
+        let thief = AtomicUsize::new(0);
+        pool.run(|h| {
+            h.fork(
+                |_| {
+                    while thief.load(Acquire) == 0 {
+                        crate::sync::thread::yield_now();
+                    }
+                },
+                |h| {
+                    thief.store(h.worker_index(), Release);
+                    fib(h, n)
+                },
+            )
+        });
+        assert_eq!(thief.into_inner(), 1);
+    }
+
+    /// Closes the next region on background worker `idx` before it
+    /// starts, as `Pool::run` does when the worker sleeps through a
+    /// region: the worker cannot join that region.
+    fn close_next_region(pool: &Pool, idx: usize) {
+        let next = pool.inner.epoch.load(Relaxed) + 1;
+        assert!(pool.inner.close_region(idx, next));
+    }
+
+    fn tiny_regions(workers: usize) {
+        let mut pool: Pool = Pool::new(workers);
+        for _ in 0..10_000 {
+            assert_eq!(pool.run(|h| h.fork(|_| 1, |_| 2)), (1, 2));
+            let r = pool.last_report().unwrap();
+            assert_eq!(r.per_worker.len(), workers);
+            assert_eq!(r.total.spawns, 1);
+            assert_eq!(r.total.steals + r.total.leap_steals, r.total.stolen_joins);
+        }
+    }
+
+    #[test]
+    fn tiny_regions_on_two_workers() {
+        tiny_regions(2);
+    }
+
+    #[test]
+    fn tiny_regions_on_four_workers() {
+        tiny_regions(4);
+    }
+
+    #[test]
+    fn closed_out_worker_reports_nothing() {
+        let mut pool: Pool = Pool::new(2);
+        region_joined_by_worker_1(&mut pool, 0);
+        let first = pool.last_report().unwrap();
+        assert_eq!(first.per_worker[1].steals, 1);
+        assert_eq!(first.total.stolen_joins, 1);
+
+        close_next_region(&pool, 1);
+        assert_eq!(pool.run(|h| h.fork(|_| 1, |_| 2)), (1, 2));
+        let second = pool.last_report().unwrap();
+        assert_eq!(second.per_worker[1], Stats::default());
+        assert_eq!(second.total.spawns, 1);
+        assert_eq!(second.total.stolen_joins, 0);
+    }
+
+    /// The coordinator takes no snapshot of a closed-out worker's ring,
+    /// which still holds the previous region's events.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn closed_out_worker_contributes_no_trace() {
+        use wool_trace::EventKind;
+        let cfg = PoolConfig::with_workers(2)
+            .instrument_trace(true)
+            .trace_capacity(1 << 16);
+        let mut pool: Pool = Pool::with_config(cfg);
+        region_joined_by_worker_1(&mut pool, 18);
+        assert!(!pool.last_trace().unwrap().workers[1].events.is_empty());
+
+        close_next_region(&pool, 1);
+        pool.run(|h| h.fork(|_| 1, |_| 2));
+        let trace = pool.last_trace().unwrap();
+        assert!(trace.workers[1].events.is_empty());
+        assert_eq!(
+            trace.count(EventKind::Spawn),
+            pool.last_report().unwrap().total.spawns
+        );
     }
 }

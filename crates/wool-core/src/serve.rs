@@ -415,7 +415,7 @@ impl<S: Strategy> ServePool<S> {
                 w.report_epoch.store(u64::MAX, Release);
             }
         }
-        let collected = self.inner.collect_reports(u64::MAX);
+        let collected = self.inner.collect_reports(u64::MAX, |_| true);
         let per_worker: Vec<Stats> = collected.reports.iter().map(|r| r.stats).collect();
         Some(ServeReport {
             workers: per_worker.len(),

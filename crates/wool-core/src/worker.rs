@@ -47,7 +47,7 @@ pub(crate) struct OwnerState {
     pub span: SpanState,
     /// CPU-time breakdown instrumentation.
     pub tb: TimeBreak,
-    /// Region epoch this worker has most recently initialized for.
+    /// Region epoch this worker has most recently joined (and begun).
     pub seen_epoch: u64,
     /// Event trace ring (owner-writes-only; see `wool-trace`). Sized by
     /// the pool at construction when tracing is configured.
@@ -151,7 +151,19 @@ pub(crate) struct Worker {
     /// Epoch whose report has been published (Release/Acquire pair with
     /// reads of `report`).
     pub report_epoch: AtomicU64,
+    /// Region claim word of a batch pool's background worker: the last
+    /// epoch `e` the worker joined, or `e | CLOSED` when the coordinator
+    /// closed epoch `e` before the worker joined it. Written only by
+    /// `PoolInner::join_region` and `PoolInner::close_region`, whose
+    /// CASes decide who owns the worker's part of the region and publish
+    /// no data (the report goes through `report_epoch`). They are
+    /// `AcqRel` so that a worker whose join fails then reads the
+    /// coordinator's `active = false`.
+    pub joined: AtomicU64,
 }
+
+/// Tag bit of [`Worker::joined`]: the coordinator closed that epoch.
+pub(crate) const CLOSED: u64 = 1 << 63;
 
 // SAFETY: `own` and `report` are interior-mutable but accessed under a
 // strict protocol: `own` only ever by the thread currently acting as
@@ -161,11 +173,12 @@ pub(crate) struct Worker {
 // coordinator only after it Acquire-reads a matching `report_epoch`
 // value, which the owner Release-writes after the report. The one
 // exception for `own` is the trace ring (feature `trace`): the
-// coordinator reads `own.trace` of other workers, but only after the
-// same `report_epoch` acquire — the owner disables the ring and stops
-// writing it strictly before the Release publish, so those reads race
-// with nothing. All other fields are atomics, the lock, or `TaskSlot`s
-// with their own protocol.
+// coordinator reads `own.trace` of other workers that joined the region,
+// but only after the same `report_epoch` acquire — the owner disables
+// the ring and stops writing it strictly before the Release publish, so
+// those reads race with nothing. It never reads the ring of a worker it
+// closed out of the region. All other fields are atomics, the lock, or
+// `TaskSlot`s with their own protocol.
 unsafe impl Sync for Worker {}
 unsafe impl Send for Worker {}
 
@@ -183,6 +196,7 @@ impl Worker {
             )),
             report: UnsafeCell::new(WorkerReport::default()),
             report_epoch: AtomicU64::new(0),
+            joined: AtomicU64::new(0),
         }
     }
 

@@ -28,6 +28,11 @@
 //!    checker must catch.
 //! 5. **The TATAS spinlock** (`tests/spinlock_model.rs`): mutual
 //!    exclusion and panic-safety of [`wool_core::spinlock::SpinLock`].
+//! 6. **Region entry and exit** (`tests/region_claim.rs`): the join and
+//!    close CASes on a background worker's claim word, which
+//!    `background_loop` and `Pool::run` call, over two regions; exactly
+//!    one wins per region, and the coordinator waits only for a worker
+//!    that joined.
 //!
 //! The model suites are compiled only under `--cfg loom`; the command
 //! below also turns on debug assertions, so the `debug_assert!`s of

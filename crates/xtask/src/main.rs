@@ -124,8 +124,9 @@ fn run_miri() -> ExitCode {
     exec(cmd)
 }
 
-/// The ThreadSanitizer subset: the genuinely concurrent protocol tests,
-/// built with `-Zbuild-std` so std itself is instrumented.
+/// The ThreadSanitizer subset: the genuinely concurrent protocol tests
+/// (slot, injector, serve, spinlock, and the region entry/exit tests in
+/// `pool::`), built with `-Zbuild-std` so std itself is instrumented.
 fn run_tsan() -> ExitCode {
     if !cargo_probe(&["+nightly", "--version"]) {
         eprintln!(
@@ -151,6 +152,7 @@ fn run_tsan() -> ExitCode {
         "injector::",
         "serve::",
         "spinlock::",
+        "pool::",
     ]);
     let mut flags = std::env::var("RUSTFLAGS").unwrap_or_default();
     if !flags.is_empty() {
