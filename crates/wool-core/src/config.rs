@@ -6,7 +6,12 @@ use crate::span::DEFAULT_OVERHEAD_CYCLES;
 /// state word as `STOLEN_BASE + i`, which this bound keeps in range.
 pub(crate) const MAX_WORKERS: usize = 1 << 16;
 
-/// Configuration for a [`crate::Pool`].
+/// Configuration for a [`crate::Pool`] or a [`ServePool`](crate::ServePool).
+///
+/// Idling is not configurable. Every idle worker, batch or serve, spins
+/// for 32 empty rounds, yields until round 64, and then parks (only
+/// between regions, for a batch worker) until work is published for it
+/// or 200 µs pass.
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
     /// Total number of workers, including the thread that calls
@@ -41,23 +46,6 @@ pub struct PoolConfig {
     /// more, the oldest events are overwritten (and counted as dropped
     /// in the collected trace).
     pub trace_capacity: usize,
-    /// Idle-loop escalation, stage 1: how many consecutive empty-handed
-    /// steal rounds a worker spins (`spin_loop` hint) before it starts
-    /// yielding the CPU. Applies inside parallel regions and to
-    /// serve-mode workers.
-    pub steal_spin: u32,
-    /// Idle-loop escalation for workers *between* parallel regions:
-    /// rounds spent spinning before the first `yield_now`.
-    pub idle_spin: u32,
-    /// Idle-loop escalation, stage 2: total idle rounds after which a
-    /// between-regions (or serve-mode) worker escalates from yielding
-    /// to parking.
-    pub idle_yield: u32,
-    /// How long a parked worker sleeps before re-checking for work, in
-    /// microseconds. Serve-mode pools additionally wake parked workers
-    /// eagerly on every job submission, so this is only the fallback
-    /// poll interval there.
-    pub park_timeout_us: u64,
     /// Capacity of the global injector queue of a serve-mode pool
     /// ([`ServePool`](crate::ServePool)), in jobs; rounded up to a power of two. Batch
     /// pools never allocate or touch the injector.
@@ -98,10 +86,6 @@ impl PoolConfig {
             span_overhead: DEFAULT_OVERHEAD_CYCLES,
             instrument_trace: false,
             trace_capacity: 1 << 20,
-            steal_spin: 32,
-            idle_spin: 16,
-            idle_yield: 64,
-            park_timeout_us: 200,
             injector_capacity: 1024,
             min_grain: 1,
         }
@@ -136,30 +120,6 @@ impl PoolConfig {
     /// Builder-style: sets the per-worker trace ring capacity.
     pub fn trace_capacity(mut self, events: usize) -> Self {
         self.trace_capacity = events;
-        self
-    }
-
-    /// Builder-style: sets the spin threshold of the steal loop.
-    pub fn steal_spin(mut self, rounds: u32) -> Self {
-        self.steal_spin = rounds;
-        self
-    }
-
-    /// Builder-style: sets the between-regions spin threshold.
-    pub fn idle_spin(mut self, rounds: u32) -> Self {
-        self.idle_spin = rounds;
-        self
-    }
-
-    /// Builder-style: sets the idle rounds after which a worker parks.
-    pub fn idle_yield(mut self, rounds: u32) -> Self {
-        self.idle_yield = rounds;
-        self
-    }
-
-    /// Builder-style: sets the parked-worker poll interval, in µs.
-    pub fn park_timeout_us(mut self, us: u64) -> Self {
-        self.park_timeout_us = us;
         self
     }
 
@@ -285,27 +245,8 @@ mod tests {
     }
 
     #[test]
-    fn idle_loop_knobs_default_to_historic_values() {
-        let c = PoolConfig::default().validated();
-        assert_eq!(c.steal_spin, 32);
-        assert_eq!(c.idle_spin, 16);
-        assert_eq!(c.idle_yield, 64);
-        assert_eq!(c.park_timeout_us, 200);
-    }
-
-    #[test]
-    fn idle_loop_builders() {
-        let c = PoolConfig::with_workers(2)
-            .steal_spin(8)
-            .idle_spin(4)
-            .idle_yield(128)
-            .park_timeout_us(1000)
-            .injector_capacity(3)
-            .validated();
-        assert_eq!(c.steal_spin, 8);
-        assert_eq!(c.idle_spin, 4);
-        assert_eq!(c.idle_yield, 128);
-        assert_eq!(c.park_timeout_us, 1000);
+    fn injector_capacity_builder() {
+        let c = PoolConfig::with_workers(2).injector_capacity(3).validated();
         assert_eq!(c.injector_capacity, 3, "rounded later, by the queue");
     }
 

@@ -35,7 +35,7 @@ use crate::slot::{
 use crate::span::combine;
 use crate::strategy::{StealSync, Strategy};
 use crate::timebreak::Category;
-use crate::worker::{OwnerState, Worker};
+use crate::worker::{Idle, OwnerState, Worker};
 
 /// Outcome of one steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -440,6 +440,10 @@ impl<S: Strategy> WorkerHandle<S> {
             wkr.n_public.store(new, Release);
             own.stats.publishes += 1;
             trace_ev!(self, Publish, new - np);
+            // Tasks are public: wake a parked worker to steal them. The
+            // trip wire armed at region start makes the root's first
+            // spawn land here, so a region that spawns wakes one at once.
+            Idle::wake_one(&self.pool().workers);
         }
     }
 
@@ -709,13 +713,13 @@ impl<S: Strategy> WorkerHandle<S> {
             own.tb.switch(Category::Lf)
         };
         trace_ev!(self, Leapfrog, thief);
-        let mut idle = 0u32;
+        let mut idle = Idle::default();
         let s = loop {
             let s = slot.state.load(Acquire);
             if is_done(s) {
                 break s;
             }
-            let outcome = if S::LEAPFROG || idle > 100_000 {
+            let outcome = if S::LEAPFROG || idle.rounds > 100_000 {
                 // Without leap-frogging, chains of blocked joins can form
                 // a wait-for cycle among workers (the reason Wagner &
                 // Calder's leap-frogging exists); after a long quiet wait
@@ -728,21 +732,10 @@ impl<S: Strategy> WorkerHandle<S> {
                 StealOutcome::Empty
             };
             match outcome {
-                StealOutcome::Executed => idle = 0,
-                StealOutcome::Retry => {
-                    idle += 1;
-                    crate::sync::hint::spin_loop();
-                }
-                StealOutcome::Empty => {
-                    idle += 1;
-                    if idle < 64 {
-                        crate::sync::hint::spin_loop();
-                    } else {
-                        // The thief may be descheduled (oversubscribed
-                        // host); let it run.
-                        crate::sync::thread::yield_now();
-                    }
-                }
+                StealOutcome::Executed => idle.rounds = 0,
+                // Spin, then yield: the thief may be descheduled
+                // (oversubscribed host); let it run.
+                StealOutcome::Retry | StealOutcome::Empty => idle.snooze(),
             }
         };
         let own = self.own();

@@ -4,7 +4,13 @@
 //! thread, which acts as worker 0 inside [`Pool::run`]. This mirrors the
 //! paper's benchmark structure: a program is a sequence of parallel
 //! regions separated by serial code on worker 0, with the other workers
-//! polling for stealable work for the whole duration of the program.
+//! stealing inside regions and idling between them.
+//!
+//! Between regions a background worker idles through [`Idle`]: spin,
+//! yield, then park. The root's first spawn publishes (the trip wire is
+//! armed at region start) and `publish` wakes a parked worker, so an
+//! empty region wakes no one. Inside a region a thief never parks: only
+//! thieves ring the trip wire, so nothing would publish to wake it.
 //!
 //! A region waits only for the workers that took part in it. A background
 //! worker joins a region with one CAS on its claim word
@@ -20,7 +26,7 @@
 //! CPU-time breakdown (Figure 6), depending on which instrumentation the
 //! [`PoolConfig`] enabled.
 
-use crate::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
+use crate::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 use crate::sync::atomic::{AtomicBool, AtomicU64};
 use crate::sync::thread::JoinHandle;
 use std::marker::PhantomData;
@@ -33,7 +39,7 @@ use crate::exec::WorkerHandle;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::{Category, TimeBreakdown};
-use crate::worker::{Worker, WorkerReport, CLOSED};
+use crate::worker::{DeadOnUnwind, Idle, Worker, WorkerReport, CLOSED};
 
 /// Shared, strategy-independent pool state.
 pub(crate) struct PoolInner {
@@ -144,7 +150,8 @@ impl PoolInner {
     ///
     /// A batch region collects with its own epoch and closes each
     /// background worker out in `joined`; the serve pool collects with
-    /// `u64::MAX` after joining its workers, all of which took part.
+    /// `u64::MAX` after joining its workers, and leaves out the dead. A
+    /// batch region panics when a worker that joined it has died.
     pub(crate) fn collect_reports(&self, epoch: u64, joined: impl Fn(usize) -> bool) -> Reports {
         let mut reports = Vec::with_capacity(self.workers.len());
         #[cfg(feature = "trace")]
@@ -162,14 +169,10 @@ impl PoolInner {
                 }
                 continue;
             }
-            let mut spins = 0u32;
+            let mut idle = Idle::default();
             while w.report_epoch.load(Acquire) != epoch {
-                spins += 1;
-                if spins < 256 {
-                    crate::sync::hint::spin_loop();
-                } else {
-                    crate::sync::thread::yield_now();
-                }
+                assert!(!w.dead.load(Acquire), "wool worker {i} died");
+                idle.snooze();
             }
             // SAFETY: the Acquire above pairs with the owner's Release
             // publish; the owner will not write this epoch's report
@@ -316,8 +319,11 @@ impl<S: Strategy> Pool<S> {
 
         let t0 = cycles::now();
         inner.active.store(true, Release);
-        for t in &self.threads {
-            t.thread().unpark();
+        // A parked worker is woken by the root's first publication. The
+        // rungs without the trip wire never publish, so for them region
+        // start wakes every parked worker.
+        if !S::PRIVATE_TASKS || S::PUBLISH_ALL {
+            Idle::wake_all(&inner.workers);
         }
 
         // SAFETY: the pool outlives the handle; this thread is the
@@ -325,8 +331,11 @@ impl<S: Strategy> Pool<S> {
         let mut handle = unsafe { WorkerHandle::<S>::new(inner, 0) };
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
 
-        inner.active.store(false, Release);
+        // `completed` first: a worker that sees the region inactive then
+        // also sees it completed, so it never goes idle, and parks, still
+        // owing the report that the coordinator waits for below.
         inner.completed.store(epoch, Release);
+        inner.active.store(false, Release);
         let wall = cycles::now().wrapping_sub(t0);
 
         // Worker 0 publishes its report through its own mailbox, like
@@ -386,10 +395,8 @@ impl<S: Strategy> Pool<S> {
 
 impl<S: Strategy> Drop for Pool<S> {
     fn drop(&mut self) {
-        self.inner.shutdown.store(true, Release);
-        for t in &self.threads {
-            t.thread().unpark();
-        }
+        self.inner.shutdown.store(true, SeqCst);
+        Idle::wake_all(&self.inner.workers);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -402,8 +409,9 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
     // unique owner of worker `idx`.
     let mut handle = unsafe { WorkerHandle::<S>::new(&inner, idx) };
     let wkr = &inner.workers[idx];
+    let _dead_on_unwind = DeadOnUnwind(wkr);
     let cfg = &inner.cfg;
-    let mut idle = 0u32;
+    let mut idle = Idle::default();
 
     loop {
         if inner.shutdown.load(Acquire) {
@@ -424,39 +432,22 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                     }
                     own.seen_epoch = epoch;
                     own.begin(cfg, Category::St);
-                    #[cfg(feature = "trace")]
-                    if cfg.instrument_trace {
-                        own.trace
-                            .record(wool_trace::EventKind::Unpark, cycles::now(), 0);
-                    }
                 }
             }
             // SAFETY: this thread owns worker `idx`.
-            let got = unsafe { handle.steal_round() };
-            if got {
-                idle = 0;
+            if unsafe { handle.steal_round() } {
+                idle.rounds = 0;
             } else {
                 #[cfg(feature = "trace")]
-                if idle == 0 {
+                if idle.rounds == 0 {
                     // First empty-handed round after useful work: the
                     // start of an idle span on the exported timeline
                     // (closed by the next steal success).
                     // SAFETY: this thread owns worker `idx`.
                     unsafe { trace_ev!(handle, Idle, 0) }
                 }
-                idle += 1;
-                if idle < cfg.steal_spin {
-                    crate::sync::hint::spin_loop();
-                } else {
-                    #[cfg(feature = "trace")]
-                    if idle == cfg.steal_spin {
-                        // Escalation from spinning to yielding the CPU.
-                        // SAFETY: this thread owns worker `idx`.
-                        unsafe { trace_ev!(handle, Park, 0) }
-                    }
-                    // Crucial on oversubscribed hosts: let victims run.
-                    crate::sync::thread::yield_now();
-                }
+                // Inside a region a thief never parks.
+                idle.snooze();
             }
         } else {
             // Publish the report of the region this worker joined, once
@@ -467,7 +458,7 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
             // SAFETY: owner-only state; the coordinator reads `report`
             // only after Acquire-observing a matching `report_epoch`,
             // which we Release-store below.
-            unsafe {
+            let seen = unsafe {
                 let own = handle.own();
                 if own.seen_epoch == done && wkr.report_epoch.load(Relaxed) != done {
                     // `finish` stops the trace ring before the Release
@@ -476,17 +467,17 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                     *wkr.report.get() = own.finish();
                     wkr.report_epoch.store(done, Release);
                 }
-            }
-            idle += 1;
-            if idle < cfg.idle_spin {
-                crate::sync::hint::spin_loop();
-            } else if idle < cfg.idle_yield {
-                crate::sync::thread::yield_now();
-            } else {
-                crate::sync::thread::park_timeout(std::time::Duration::from_micros(
-                    cfg.park_timeout_us,
-                ));
-            }
+                own.seen_epoch
+            };
+            // Park until a region this worker has not joined opens (its
+            // root's first publication wakes the worker) or the pool
+            // shuts down. SAFETY: this thread owns worker `idx`.
+            unsafe {
+                idle.wait(wkr, || {
+                    inner.shutdown.load(SeqCst)
+                        || (inner.active.load(SeqCst) && inner.epoch.load(SeqCst) != seen)
+                })
+            };
         }
     }
 }
@@ -568,6 +559,19 @@ mod tests {
         assert_eq!(second.per_worker[1], Stats::default());
         assert_eq!(second.total.spawns, 1);
         assert_eq!(second.total.stolen_joins, 0);
+    }
+
+    /// A region that waits for a dead worker's report panics with the
+    /// worker's index instead of hanging.
+    #[test]
+    #[should_panic(expected = "wool worker 1 died")]
+    fn collecting_from_a_dead_worker_panics() {
+        let inner = PoolInner::build(PoolConfig::with_workers(2).validated());
+        // Worker 1 joined region 1 and died; worker 0 has reported.
+        assert!(inner.join_region(1, 1));
+        inner.workers[1].dead.store(true, Release);
+        inner.workers[0].report_epoch.store(1, Release);
+        inner.collect_reports(1, |i| i == 0 || !inner.close_region(i, 1));
     }
 
     /// The coordinator takes no snapshot of a closed-out worker's ring,

@@ -19,9 +19,9 @@
 //!    parallelism through the untouched §III-A/B fast path): a failed
 //!    steal rings the victim's trip wire and makes a busy owner publish
 //!    for nothing;
-//! 3. **escalation** — spin → yield → park, with an injector-aware
-//!    wakeup: submitters unpark a sleeping worker eagerly instead of
-//!    relying on the park timeout.
+//! 3. **escalation** — the shared [`Idle`] spin → yield → park, with an
+//!    injector-aware wakeup: a submitter wakes a parked worker eagerly
+//!    instead of relying on the park timeout.
 //!
 //! The tradeoff: while roots are queued, a running job's inner
 //! parallelism waits until the queue drains. Throughput does not suffer,
@@ -37,19 +37,19 @@ mod handle;
 #[cfg(feature = "trace")]
 use crate::sync::atomic::AtomicU32;
 use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use crate::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize};
-use crate::sync::thread::{JoinHandle, Thread};
+use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use crate::sync::thread::JoinHandle;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
 use crate::config::PoolConfig;
 use crate::exec::WorkerHandle;
 use crate::injector::Injector;
-use crate::pad::CachePadded;
 use crate::pool::PoolInner;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::Category;
+use crate::worker::{DeadOnUnwind, Idle};
 
 pub use handle::JobHandle;
 
@@ -146,39 +146,8 @@ impl<S: Strategy> Job<S> {
 struct Shared<S: Strategy> {
     /// The global injector queue.
     injector: Injector<Job<S>>,
-    /// Per-worker "I am parked (or about to park)" flags; SeqCst against
-    /// the queue state, see the wakeup protocol below.
-    parked: Box<[CachePadded<AtomicBool>]>,
-    /// Worker thread handles for unparking, registered by each worker
-    /// before its first park. Only touched on the (cold) wake path.
-    threads: Box<[Mutex<Option<Thread>>]>,
     /// Root jobs completed, across all workers.
     jobs: AtomicU64,
-}
-
-impl<S: Strategy> Shared<S> {
-    /// Wakes one parked worker, if any. Claiming the flag with a swap
-    /// means concurrent submitters wake *different* workers.
-    fn wake_one(&self) {
-        for (i, p) in self.parked.iter().enumerate() {
-            if p.load(Relaxed) && p.swap(false, SeqCst) {
-                if let Some(t) = self.threads[i].lock().unwrap().as_ref() {
-                    t.unpark();
-                }
-                return;
-            }
-        }
-    }
-
-    /// Wakes every worker (shutdown).
-    fn wake_all(&self) {
-        for (i, p) in self.parked.iter().enumerate() {
-            p.store(false, SeqCst);
-            if let Some(t) = self.threads[i].lock().unwrap().as_ref() {
-                t.unpark();
-            }
-        }
-    }
 }
 
 /// A persistent work-stealing pool accepting concurrent job submissions
@@ -253,16 +222,11 @@ impl<S: Strategy> ServePool<S> {
             instrument_time: false,
             ..cfg.validated()
         });
-        let p = inner.cfg.workers;
         let shared = Arc::new(Shared {
             injector: Injector::with_capacity(inner.cfg.injector_capacity),
-            parked: (0..p)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-            threads: (0..p).map(|_| Mutex::new(None)).collect(),
             jobs: AtomicU64::new(0),
         });
-        let threads = (0..p)
+        let threads = (0..inner.cfg.workers)
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 let shared = Arc::clone(&shared);
@@ -363,14 +327,10 @@ impl<S: Strategy> ServePool<S> {
             loop {
                 match self.shared.injector.push(job) {
                     Ok(()) => {
-                        // Wakeup protocol (pairs with the park sequence in
-                        // serve_loop): the push is Release on the cell; the
-                        // fence orders it before the `parked` reads in
-                        // wake_one, so either the parking worker's final
-                        // is_empty() check sees our job, or we see its
-                        // parked flag and unpark it.
-                        fence(SeqCst);
-                        self.shared.wake_one();
+                        // The job is queued: wake a parked worker (the
+                        // handshake of `Idle`, whose re-check in
+                        // serve_loop reads the queue).
+                        Idle::wake_one(&self.inner.workers);
                         break Ok(handle);
                     }
                     Err(_) if !wait => break Err(SubmitError::Full),
@@ -406,16 +366,16 @@ impl<S: Strategy> ServePool<S> {
             crate::sync::thread::yield_now();
         }
         self.inner.shutdown.store(true, SeqCst);
-        self.shared.wake_all();
-        let threads = std::mem::take(&mut *self.threads.lock().unwrap());
-        for (w, t) in self.inner.workers.iter().zip(threads) {
-            if t.join().is_err() {
-                // A job unwound through the worker loop before it could
-                // publish; publish its (empty) report on its behalf.
-                w.report_epoch.store(u64::MAX, Release);
-            }
+        Idle::wake_all(&self.inner.workers);
+        for t in std::mem::take(&mut *self.threads.lock().unwrap()) {
+            let _ = t.join();
         }
-        let collected = self.inner.collect_reports(u64::MAX, |_| true);
+        // A worker whose thread a job unwound is marked dead and
+        // contributes an empty report.
+        let w = &self.inner.workers;
+        let collected = self
+            .inner
+            .collect_reports(u64::MAX, |i| !w[i].dead.load(Acquire));
         let per_worker: Vec<Stats> = collected.reports.iter().map(|r| r.stats).collect();
         Some(ServeReport {
             workers: per_worker.len(),
@@ -451,21 +411,19 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
     let mut handle = unsafe { WorkerHandle::<S>::new(&inner, idx) };
     let cfg = &inner.cfg;
     let wkr = &inner.workers[idx];
-
-    // Register for injector-aware wakeups before the first park.
-    *shared.threads[idx].lock().unwrap() = Some(crate::sync::thread::current());
+    let _dead_on_unwind = DeadOnUnwind(wkr);
 
     // SAFETY: owner-only state, this is the owning thread.
     unsafe { handle.own().begin(cfg, Category::St) };
 
-    let mut idle = 0u32;
+    let mut idle = Idle::default();
     loop {
         // 1. A queued root job comes first.
         if let Some(job) = shared.injector.pop() {
             // More queued work behind this one? Pass the wakeup on so
             // one submission burst does not drain through one worker.
             if !shared.injector.is_empty() {
-                shared.wake_one();
+                Idle::wake_one(&inner.workers);
             }
             #[cfg(feature = "trace")]
             let tag = job.tag;
@@ -490,14 +448,14 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
                 // SAFETY: this thread owns worker `idx`.
                 unsafe { trace_ev!(handle, JobDone, tag) }
             }
-            idle = 0;
+            idle.rounds = 0;
             continue;
         }
 
         // 2. Injector empty: help an in-flight job.
         // SAFETY: this thread owns worker `idx`.
         if unsafe { handle.steal_round() } {
-            idle = 0;
+            idle.rounds = 0;
             continue;
         }
 
@@ -505,53 +463,21 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
             break;
         }
 
-        // 3. Nothing anywhere: escalate spin → yield → park.
+        // 3. Nothing anywhere: escalate spin → yield → park. Submitters
+        // wake a parked worker, so the park re-checks the queue (and
+        // shutdown); a steal target that appears with no submission
+        // waits for a publication's wake or the park timeout.
         #[cfg(feature = "trace")]
-        if idle == 0 {
+        if idle.rounds == 0 {
             // SAFETY: this thread owns worker `idx`.
             unsafe { trace_ev!(handle, Idle, 0) }
         }
-        idle += 1;
-        if idle < cfg.steal_spin {
-            crate::sync::hint::spin_loop();
-        } else if idle < cfg.idle_yield {
-            crate::sync::thread::yield_now();
-        } else {
-            // Park with an injector-aware wakeup: set the flag, then
-            // re-check the queue (and shutdown). A submitter does the
-            // mirror image — push, fence, read flags — so one side
-            // always observes the other (both sequences are SeqCst);
-            // the park timeout is only a safety net, e.g. for steal
-            // targets appearing without a submission.
-            shared.parked[idx].store(true, SeqCst);
-            fence(SeqCst);
-            if !shared.injector.is_empty() || inner.shutdown.load(SeqCst) {
-                shared.parked[idx].store(false, Relaxed);
-                // Work (or shutdown) appeared between the last poll and
-                // the flag store. Restart the idle escalation rather
-                // than re-entering the park sequence in a tight loop:
-                // the queue can be non-empty with the job not yet
-                // poppable (a submitter between its slot reservation and
-                // its publish), and the escalation's spin phase is where
-                // waiting for that publish belongs.
-                idle = 0;
-                continue;
-            }
-            #[cfg(feature = "trace")]
-            {
-                // SAFETY: this thread owns worker `idx`.
-                unsafe { trace_ev!(handle, Park, 0) }
-            }
-            crate::sync::thread::park_timeout(std::time::Duration::from_micros(
-                cfg.park_timeout_us,
-            ));
-            shared.parked[idx].store(false, Relaxed);
-            #[cfg(feature = "trace")]
-            {
-                // SAFETY: this thread owns worker `idx`.
-                unsafe { trace_ev!(handle, Unpark, 0) }
-            }
-        }
+        // SAFETY: this thread owns worker `idx`.
+        unsafe {
+            idle.wait(wkr, || {
+                !shared.injector.is_empty() || inner.shutdown.load(SeqCst)
+            })
+        };
     }
 
     // Publish this worker's statistics for the pool to collect after

@@ -30,6 +30,7 @@
 //!   (the paper's span measurement facility behind Table I).
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::worker::Idle;
 use std::alloc::{self, Layout};
 use std::cell::UnsafeCell;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
@@ -421,7 +422,7 @@ pub fn check_transition(slot: &TaskSlot, legal: impl Fn(usize) -> bool, about: &
 /// `while (s == EMPTY) s = t->state;` loop.
 #[inline]
 pub fn spin_while_empty(slot: &TaskSlot) -> usize {
-    let mut spins = 0u32;
+    let mut idle = Idle::default();
     loop {
         // Acquire pairs with the thief's Release stores of `TASK` (steal
         // back-off restore) and `DONE`/`DONE_PANIC` (completion): once we
@@ -431,14 +432,9 @@ pub fn spin_while_empty(slot: &TaskSlot) -> usize {
         if s != EMPTY {
             return s;
         }
-        spins += 1;
-        if spins < 128 {
-            crate::sync::hint::spin_loop();
-        } else {
-            // The thief mid-steal may be descheduled (uniprocessor or
-            // oversubscribed hosts); yield so it can finish.
-            crate::sync::thread::yield_now();
-        }
+        // Spin, then yield: the thief mid-steal may be descheduled
+        // (uniprocessor or oversubscribed hosts); let it finish.
+        idle.snooze();
     }
 }
 

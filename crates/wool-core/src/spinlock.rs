@@ -6,6 +6,7 @@
 //! protocol itself, as in the paper's run-time-system experiments.
 
 use crate::sync::atomic::{AtomicBool, Ordering};
+use crate::worker::Idle;
 
 /// A test-and-test-and-set spinlock.
 #[derive(Debug, Default)]
@@ -24,21 +25,16 @@ impl SpinLock {
     /// Acquires the lock, spinning (with escalating pauses) until free.
     #[inline]
     pub fn lock(&self) {
-        let mut spins = 0u32;
+        let mut idle = Idle::default();
         loop {
             if !self.locked.swap(true, Ordering::Acquire) {
                 return;
             }
             // Test-and-test-and-set: spin on a plain load to avoid
             // hammering the cache line with RMWs.
+            // Spin, then yield (uniprocessor-friendly: let the holder run).
             while self.locked.load(Ordering::Relaxed) {
-                spins += 1;
-                if spins < 64 {
-                    crate::sync::hint::spin_loop();
-                } else {
-                    // Uniprocessor-friendly: let the holder run.
-                    crate::sync::thread::yield_now();
-                }
+                idle.snooze();
             }
         }
     }

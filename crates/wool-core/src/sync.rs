@@ -7,7 +7,7 @@
 //! a zero-cost re-export of the std items; under `RUSTFLAGS="--cfg
 //! loom"` it swaps in the `wool-loom` model-checked equivalents, so the
 //! *production* protocol code — slot state machine, injector, spinlock,
-//! serve wakeup — runs unchanged inside exhaustive interleaving models
+//! worker park/wake — runs unchanged inside exhaustive interleaving models
 //! (see `crates/wool-verify` and `docs/VERIFICATION.md`).
 //!
 //! The `xtask lint` static pass enforces the discipline: any direct
@@ -16,8 +16,9 @@
 //!
 //! Note for `cfg(loom)` builds: `std::sync::Mutex`/`Condvar` remain the
 //! std types and must not be held across a facade operation inside a
-//! model (the model thread would block the scheduler token). Current
-//! call sites (brief handle storage in `serve.rs`) respect this.
+//! model (the model thread would block the scheduler token). The serve
+//! pool's thread list, taken once at shutdown, respects this; a model
+//! polls `JobHandle::is_finished` rather than block in `join`.
 
 /// Atomic integers, flags, fences and `Ordering`.
 #[cfg(not(loom))]
@@ -52,8 +53,8 @@ pub mod hint {
 #[cfg(not(loom))]
 pub mod thread {
     pub use std::thread::{
-        available_parallelism, current, park, park_timeout, sleep, spawn, yield_now, Builder,
-        JoinHandle, Result, Thread,
+        available_parallelism, current, panicking, park, park_timeout, sleep, spawn, yield_now,
+        Builder, JoinHandle, Result, Thread,
     };
 }
 
@@ -61,6 +62,8 @@ pub mod thread {
 /// model time, so lost wakeups become detectable deadlocks).
 #[cfg(loom)]
 pub mod thread {
+    /// Model threads are OS threads and unwind as such.
+    pub use std::thread::panicking;
     pub use wool_loom::thread::{
         available_parallelism, current, park, park_timeout, sleep, spawn, yield_now, Builder,
         JoinHandle, Result, Thread,

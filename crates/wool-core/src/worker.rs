@@ -21,9 +21,16 @@
 //! We maintain the invariant `bot <= n_public <= top`, which under stack
 //! discipline is equivalent to the paper's per-descriptor flag: the
 //! public region is always a contiguous prefix of the live stack.
+//!
+//! [`Idle`] is the one idle escalation of every worker loop, batch and
+//! serve, with its park/wake handshake.
 
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use crate::sync::atomic::Ordering::{Relaxed, Release, SeqCst};
+use crate::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize};
+use crate::sync::thread::Thread;
 use std::cell::UnsafeCell;
+use std::sync::OnceLock;
+use std::time::Duration;
 
 use crate::pad::CachePadded;
 
@@ -160,6 +167,12 @@ pub(crate) struct Worker {
     /// `AcqRel` so that a worker whose join fails then reads the
     /// coordinator's `active = false`.
     pub joined: AtomicU64,
+    /// Set while the owner parks, or is about to (see [`Idle`]).
+    pub parked: CachePadded<AtomicBool>,
+    /// The owner's thread, registered before its first park.
+    pub thread: OnceLock<Thread>,
+    /// Set when the owner's thread unwound (see [`DeadOnUnwind`]).
+    pub dead: AtomicBool,
 }
 
 /// Tag bit of [`Worker::joined`]: the coordinator closed that epoch.
@@ -177,8 +190,8 @@ pub(crate) const CLOSED: u64 = 1 << 63;
 // but only after the same `report_epoch` acquire — the owner disables
 // the ring and stops writing it strictly before the Release publish, so
 // those reads race with nothing. It never reads the ring of a worker it
-// closed out of the region. All other fields are atomics, the lock, or
-// `TaskSlot`s with their own protocol.
+// closed out of the region. All other fields are atomics, the lock, the
+// `OnceLock` thread handle, or `TaskSlot`s with their own protocol.
 unsafe impl Sync for Worker {}
 unsafe impl Send for Worker {}
 
@@ -197,6 +210,9 @@ impl Worker {
             report: UnsafeCell::new(WorkerReport::default()),
             report_epoch: AtomicU64::new(0),
             joined: AtomicU64::new(0),
+            parked: CachePadded::new(AtomicBool::new(false)),
+            thread: OnceLock::new(),
+            dead: AtomicBool::new(false),
         }
     }
 
@@ -210,6 +226,125 @@ impl Worker {
     #[inline(always)]
     pub fn capacity(&self) -> usize {
         self.slots.len()
+    }
+}
+
+/// The idle escalation of every worker loop: spin, then yield, then
+/// park. A waiter that must stay awake (a thief inside a batch region, a
+/// joiner, a coordinator collecting reports, a spinlock) only
+/// [`snooze`](Idle::snooze)s.
+///
+/// The park is one half of a Dekker handshake. The worker sets its
+/// [`Worker::parked`] flag, fences, and re-checks for work. A waker makes
+/// work available, then [`wake_one`](Idle::wake_one) fences and reads the
+/// flags. Both fences are `SeqCst`, so either the re-check sees the work
+/// or the waker sees the flag and unparks the worker. The park timeout is
+/// only a safety net, for work that comes with no wake.
+#[derive(Default)]
+pub(crate) struct Idle {
+    /// Empty rounds since work was last found.
+    pub rounds: u32,
+}
+
+impl Idle {
+    /// Empty rounds spent spinning before the first yield, and the round
+    /// at which a worker that may park parks. Under `--cfg loom` spinning
+    /// gains a model nothing, and a short escalation keeps it small.
+    const SPIN: u32 = if cfg!(loom) { 1 } else { 32 };
+    const PARK_AT: u32 = if cfg!(loom) { 2 } else { 64 };
+    const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+
+    /// One empty round that must not park: spin, then yield.
+    #[cfg_attr(loom, track_caller)]
+    pub(crate) fn snooze(&mut self) {
+        self.rounds = self.rounds.saturating_add(1);
+        if self.rounds < Self::SPIN {
+            crate::sync::hint::spin_loop();
+        } else {
+            crate::sync::thread::yield_now();
+        }
+    }
+
+    /// One empty round of worker `wkr` that may park: snooze until the
+    /// park round, then park unless `has_work()`, which runs after the
+    /// flag is set and fenced. The trace records `park` and `unpark`
+    /// around the park itself.
+    ///
+    /// # Safety
+    /// The calling thread must own `wkr`.
+    #[cfg_attr(loom, track_caller)]
+    pub(crate) unsafe fn wait(&mut self, wkr: &Worker, has_work: impl FnOnce() -> bool) {
+        if self.rounds.saturating_add(1) < Self::PARK_AT {
+            return self.snooze();
+        }
+        wkr.thread.get_or_init(crate::sync::thread::current);
+        wkr.parked.store(true, SeqCst);
+        fence(SeqCst);
+        if has_work() {
+            wkr.parked.store(false, Relaxed);
+            // The work may not be takeable yet (a submitter between its
+            // cell reservation and its publish): wait for it spinning.
+            self.rounds = 0;
+            return;
+        }
+        #[cfg(feature = "trace")]
+        record(wkr, wool_trace::EventKind::Park);
+        crate::sync::thread::park_timeout(Self::PARK_TIMEOUT);
+        wkr.parked.store(false, Relaxed);
+        #[cfg(feature = "trace")]
+        record(wkr, wool_trace::EventKind::Unpark);
+    }
+
+    /// Wakes one parked worker, if any; call it after making work
+    /// available. Concurrent wakers claim, and wake, different workers.
+    pub(crate) fn wake_one(workers: &[Worker]) {
+        fence(SeqCst);
+        workers.iter().any(Self::claim);
+    }
+
+    /// Wakes every parked worker.
+    pub(crate) fn wake_all(workers: &[Worker]) {
+        fence(SeqCst);
+        for w in workers {
+            Self::claim(w);
+        }
+    }
+
+    /// Claims `w`'s parked flag and unparks it; false if it was not set.
+    fn claim(w: &Worker) -> bool {
+        let claimed = w.parked.load(Relaxed) && w.parked.swap(false, SeqCst);
+        if claimed {
+            // Registered before the flag store that the swap read.
+            w.thread
+                .get()
+                .expect("parked worker is registered")
+                .unpark();
+        }
+        claimed
+    }
+}
+
+/// Records `kind` in `wkr`'s trace ring, if it is on.
+///
+/// # Safety
+/// The calling thread must own `wkr`.
+#[cfg(feature = "trace")]
+unsafe fn record(wkr: &Worker, kind: wool_trace::EventKind) {
+    let ring = &mut (*wkr.own.get()).trace;
+    if ring.is_enabled() {
+        ring.record(kind, crate::cycles::now(), 0);
+    }
+}
+
+/// Marks its worker dead when its thread unwinds, so that a coordinator
+/// waiting for the worker's report panics instead of waiting forever.
+pub(crate) struct DeadOnUnwind<'a>(pub &'a Worker);
+
+impl Drop for DeadOnUnwind<'_> {
+    fn drop(&mut self) {
+        if crate::sync::thread::panicking() {
+            self.0.dead.store(true, Release);
+        }
     }
 }
 

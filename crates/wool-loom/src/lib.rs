@@ -5,7 +5,7 @@
 //! hermetic environments with no registry access. `wool-core`'s
 //! `sync` facade re-exports these types under `cfg(loom)`, so the real
 //! scheduler code — the slot state machine, the injector, the spinlock,
-//! the serve wakeup protocol — runs unchanged inside [`model`], which
+//! the worker park/wake protocol — runs unchanged inside [`model`], which
 //! re-executes it under **every** interleaving of its atomic operations.
 //!
 //! ## What it checks

@@ -79,9 +79,11 @@ pub enum EventKind {
     /// The worker ran out of local work and entered the steal loop.
     /// `arg` = 0.
     Idle = 11,
-    /// The worker parked (blocked) waiting for work. `arg` = 0.
+    /// The worker is about to park its thread, waiting for work.
+    /// `arg` = 0.
     Park = 12,
-    /// The worker resumed after finding work or being woken. `arg` = 0.
+    /// The worker's park returned (woken or timed out); follows its
+    /// `Park`. `arg` = 0.
     Unpark = 13,
     /// A root job was pushed into the serve pool's global injector.
     /// Recorded by the *dequeuing* worker (rings are owner-writes-only)

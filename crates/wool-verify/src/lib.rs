@@ -21,11 +21,11 @@
 //!    empty edges, and sequence-lap wraparound. The jobs are
 //!    [`support::probe::Probe`] values, which count their runs and,
 //!    in `Drop`, their disposals.
-//! 4. **The serve park/wake protocol** (`tests/serve_wakeup.rs`): the
-//!    Dekker-style parked-flag handshake between `ServePool`'s
-//!    submission path and `serve_loop`, proving a submission cannot be
-//!    lost while a worker parks — plus a deliberately broken variant the
-//!    checker must catch.
+//! 4. **The park/wake protocol** (`tests/wakeup.rs`): the Dekker-style
+//!    parked-flag handshake of `Idle`, run in the real `ServePool` and
+//!    `Pool`: a serve submission, and a batch region's first
+//!    publication, cannot be lost while a worker parks. Plus a
+//!    deliberately broken worker the checker must catch.
 //! 5. **The TATAS spinlock** (`tests/spinlock_model.rs`): mutual
 //!    exclusion and panic-safety of [`wool_core::spinlock::SpinLock`].
 //! 6. **Region entry and exit** (`tests/region_claim.rs`): the join and

@@ -125,8 +125,9 @@ fn run_miri() -> ExitCode {
 }
 
 /// The ThreadSanitizer subset: the genuinely concurrent protocol tests
-/// (slot, injector, serve, spinlock, and the region entry/exit tests in
-/// `pool::`), built with `-Zbuild-std` so std itself is instrumented.
+/// (slot, injector, serve, spinlock, and the region entry/exit and
+/// dead-worker tests in `pool::`), built with `-Zbuild-std` so std
+/// itself is instrumented.
 fn run_tsan() -> ExitCode {
     if !cargo_probe(&["+nightly", "--version"]) {
         eprintln!(
