@@ -76,7 +76,7 @@ impl BenchArgs {
                         it.next()
                             .unwrap_or_else(|| usage("--trace-out needs a path")),
                     );
-                    if cfg!(not(feature = "trace")) {
+                    if !wool_core::trace::TRACE {
                         eprintln!(
                             "warning: --trace-out ignored; rebuild with \
                              `--features trace` to record traces"

@@ -81,7 +81,6 @@ pub fn dump_json<T: ToJson>(path: &str, value: &T) {
 /// Renders the steal-graph summary computed from a run trace: the top
 /// thief→victim edges, the failed-steal ratio, and the back-off ratio
 /// the paper claims stays "considerably less than 1%" (§III-A).
-#[cfg(feature = "trace")]
 pub fn steal_summary_table(analysis: &wool_trace::Analysis) -> Table {
     let mut t = Table::new("Steal graph (from trace)", &["edge", "steals", "share"]);
     let total = analysis.steals.max(1) as f64;

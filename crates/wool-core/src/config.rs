@@ -1,7 +1,5 @@
 //! Pool configuration.
 
-use crate::span::DEFAULT_OVERHEAD_CYCLES;
-
 /// Largest accepted worker count. A thief's index is encoded in a task
 /// state word as `STOLEN_BASE + i`, which this bound keeps in range.
 pub(crate) const MAX_WORKERS: usize = 1 << 16;
@@ -35,12 +33,10 @@ pub struct PoolConfig {
     pub instrument_span: bool,
     /// Enable Figure 6 CPU-time breakdown for the next runs.
     pub instrument_time: bool,
-    /// The `C` of the realistic span model, in cycles.
-    pub span_overhead: u64,
     /// Enable per-worker event tracing for the next runs. Only takes
-    /// effect when the crate is built with the `trace` cargo feature;
-    /// without it the field is accepted and ignored (the recording
-    /// macro compiles to nothing).
+    /// effect when the crate is built with the `trace` cargo feature
+    /// ([`crate::trace::TRACE`]); without it the field is accepted and
+    /// ignored.
     pub instrument_trace: bool,
     /// Per-worker trace ring capacity, in events. When a run records
     /// more, the oldest events are overwritten (and counted as dropped
@@ -83,7 +79,6 @@ impl PoolConfig {
             publish_batch: 4,
             instrument_span: false,
             instrument_time: false,
-            span_overhead: DEFAULT_OVERHEAD_CYCLES,
             instrument_trace: false,
             trace_capacity: 1 << 20,
             injector_capacity: 1024,

@@ -32,9 +32,10 @@ use crate::slot::{
     check_transition, is_done, is_stolen, spin_while_empty, stolen, thief_of, RawWrapper, TaskRepr,
     TaskSlot, DONE, DONE_PANIC, EMPTY, TASK,
 };
-use crate::span::combine;
+use crate::span::{combine, DEFAULT_OVERHEAD_CYCLES};
 use crate::strategy::{StealSync, Strategy};
 use crate::timebreak::Category;
+use crate::trace::probe;
 use crate::worker::{Idle, OwnerState, Worker};
 
 /// Outcome of one steal attempt.
@@ -204,17 +205,14 @@ impl<S: Strategy> WorkerHandle<S> {
         self.min_grain
     }
 
-    /// Records a data-parallel split (a range of `_len` items about to
+    /// Records a data-parallel split (a range of `len` items about to
     /// be forked in half) in the worker's trace ring. A no-op without
     /// the `trace` cargo feature.
     #[inline(always)]
-    pub fn note_split(&mut self, _len: usize) {
+    pub fn note_split(&mut self, len: usize) {
         // SAFETY: `own()` contract — owner thread, short-lived borrow
         // not held across user code.
-        #[cfg(feature = "trace")]
-        unsafe {
-            trace_ev!(self, Split, _len.min(u32::MAX as usize));
-        }
+        unsafe { probe!(self.own(), Split, len.min(u32::MAX as usize)) }
     }
 
     // ------------------------------------------------------------------
@@ -260,7 +258,7 @@ impl<S: Strategy> WorkerHandle<S> {
     {
         if let Err(ClosureTask(b)) = self.try_push(ClosureTask(b)) {
             // Task-pool overflow: execute eagerly, in program order.
-            self.own().stats.overflow_inlines += 1;
+            probe!(self.own(), Overflow, self.wkr().capacity());
             let ra = a(self);
             let rb = b(self);
             return (ra, rb);
@@ -325,7 +323,7 @@ impl<S: Strategy> WorkerHandle<S> {
                 Ok(()) => guard.pending += 1,
                 Err(t) => {
                     // Overflow: run eagerly.
-                    self.own().stats.overflow_inlines += 1;
+                    probe!(self.own(), Overflow, self.wkr().capacity());
                     t.run(self);
                 }
             }
@@ -347,7 +345,7 @@ impl<S: Strategy> WorkerHandle<S> {
                 let s = span.take_branch();
                 folded = (
                     combine(folded.0, s.0, 0),
-                    combine(folded.1, s.1, span.overhead),
+                    combine(folded.1, s.1, DEFAULT_OVERHEAD_CYCLES),
                 );
             }
         }
@@ -416,7 +414,7 @@ impl<S: Strategy> WorkerHandle<S> {
                 self.publish();
             }
         }
-        trace_ev!(self, Spawn, k + 1);
+        probe!(self.own(), Spawn, k + 1);
         Ok(())
     }
 
@@ -438,8 +436,7 @@ impl<S: Strategy> WorkerHandle<S> {
             // Release: thieves that Acquire-read the new boundary must
             // see the TASK states and closure data written before it.
             wkr.n_public.store(new, Release);
-            own.stats.publishes += 1;
-            trace_ev!(self, Publish, new - np);
+            probe!(own, Publish, new - np);
             // Tasks are public: wake a parked worker to steal them. The
             // trip wire armed at region start makes the root's first
             // spawn land here, so a region that spawns wakes one at once.
@@ -478,7 +475,7 @@ impl<S: Strategy> WorkerHandle<S> {
         if S::PRIVATE_TASKS && k >= wkr.n_public.load(Relaxed) {
             // Private fast path: no atomic RMW, no fence — the ~3-cycle
             // row of Table II.
-            own.stats.inlined_private += 1;
+            probe!(own, JoinFastPrivate, k);
             // relaxed-ok (both loads below): the closure data was written
             // by this thread; a transient thief writes only the state
             // word (its CAS), never the data, so there is nothing to
@@ -499,14 +496,13 @@ impl<S: Strategy> WorkerHandle<S> {
             // relaxed-ok: un-publishes a slot only this thread may touch
             // (transient thieves excepted, see the guard above).
             slot.state.store(EMPTY, Relaxed);
-            trace_ev!(self, JoinFastPrivate, k);
             return self.call_inline::<B>(slot);
         }
 
         // Public fast path: one atomic exchange (§III-A).
         let s = slot.state.swap(EMPTY, AcqRel);
         if s == TASK {
-            own.stats.inlined_public += 1;
+            probe!(own, JoinFastPublic, k);
             if S::PRIVATE_TASKS && !S::PUBLISH_ALL {
                 // We inlined a public task — the situation private tasks
                 // are designed to exploit (§III-B): privatize down to
@@ -517,7 +513,6 @@ impl<S: Strategy> WorkerHandle<S> {
                     wkr.n_public.store(k, Release);
                 }
             }
-            trace_ev!(self, JoinFastPublic, k);
             return self.call_inline::<B>(slot);
         }
         self.rts_join::<B>(slot, k, s)
@@ -541,16 +536,14 @@ impl<S: Strategy> WorkerHandle<S> {
         wkr.lock.unlock();
 
         if !was_stolen {
-            own.stats.inlined_public += 1;
-            trace_ev!(self, JoinFastPublic, k);
+            probe!(own, JoinFastPublic, k);
             return self.call_inline::<B>(slot);
         }
-        own.stats.rts_joins += 1;
-        own.stats.stolen_joins += 1;
+        probe!(own, RtsJoin, k);
         let s = slot.state.load(Acquire);
         debug_assert!(is_stolen(s) || is_done(s));
-        trace_ev!(
-            self,
+        probe!(
+            own,
             JoinSlow,
             if is_stolen(s) {
                 thief_of(s)
@@ -616,8 +609,7 @@ impl<S: Strategy> WorkerHandle<S> {
         k: usize,
         mut s: usize,
     ) -> B::Output {
-        self.own().stats.rts_joins += 1;
-        #[cfg(feature = "trace")]
+        probe!(self.own(), RtsJoin, k);
         let mut join_thief = u32::MAX as usize;
         loop {
             if s == EMPTY {
@@ -635,18 +627,14 @@ impl<S: Strategy> WorkerHandle<S> {
                 continue;
             }
             if is_stolen(s) {
-                #[cfg(feature = "trace")]
-                {
-                    join_thief = thief_of(s);
-                }
-                s = self.leap_wait(slot, thief_of(s));
+                join_thief = thief_of(s);
+                s = self.leap_wait(slot, join_thief);
             }
             debug_assert!(is_done(s), "unexpected task state {s}");
             // Reached iff the task was stolen (whether or not we had to
             // wait for it); count it here so `stolen_joins` matches the
             // thieves' steal counters exactly.
-            self.own().stats.stolen_joins += 1;
-            trace_ev!(self, JoinSlow, join_thief);
+            probe!(self.own(), JoinSlow, join_thief);
             // Maintain `n_public <= top`: the stolen task may have been
             // the last public descriptor; everything above `k` is dead.
             {
@@ -710,9 +698,9 @@ impl<S: Strategy> WorkerHandle<S> {
             // so bump `top` past the awaited descriptor or the nested
             // spawns would overwrite its state word and result.
             own.top += 1;
+            probe!(own, Leapfrog, thief);
             own.tb.switch(Category::Lf)
         };
-        trace_ev!(self, Leapfrog, thief);
         let mut idle = Idle::default();
         let s = loop {
             let s = slot.state.load(Acquire);
@@ -757,9 +745,7 @@ impl<S: Strategy> WorkerHandle<S> {
     pub(crate) unsafe fn try_steal_from(&mut self, victim_idx: usize, leap: bool) -> StealOutcome {
         debug_assert_ne!(victim_idx, self.idx);
         let victim: &Worker = &self.pool().workers[victim_idx];
-        trace_ev!(self, StealAttempt, victim_idx);
-
-        let out = if S::SHARED_TOP {
+        if S::SHARED_TOP {
             self.steal_shared_top(victim, victim_idx, leap)
         } else {
             match S::STEAL_SYNC {
@@ -772,15 +758,25 @@ impl<S: Strategy> WorkerHandle<S> {
                     self.steal_locked(victim, victim_idx, leap, LockMode::Trylock)
                 }
             }
-        };
-        if !matches!(out, StealOutcome::Executed) {
-            trace_ev!(self, StealFail, victim_idx);
         }
-        out
+    }
+
+    /// Ends a steal attempt on `victim_idx` that found nothing.
+    #[inline(always)]
+    unsafe fn found_nothing(&mut self, victim_idx: usize) -> StealOutcome {
+        probe!(self.own(), StealFail, victim_idx);
+        StealOutcome::Empty
+    }
+
+    /// Ends a steal attempt on `victim_idx` that lost the race for its
+    /// task.
+    #[inline(always)]
+    unsafe fn lost_race(&mut self, victim_idx: usize) -> StealOutcome {
+        probe!(self.own(), StealLost, victim_idx);
+        StealOutcome::Retry
     }
 
     /// The direct task stack steal (`RTS_steal` in Figure 3).
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     unsafe fn steal_nolock(
         &mut self,
         victim: &Worker,
@@ -803,23 +799,14 @@ impl<S: Strategy> WorkerHandle<S> {
                 // publishes without waiting for this request.)
                 // relaxed-ok: advisory trip-wire flag (see try_push).
                 victim.publish_request.store(true, Relaxed);
-                let own = self.own();
-                own.stats.failed_steals += 1;
-                own.stats.publish_requests += 1;
-                trace_ev!(self, PublishRequest, victim_idx);
-                return StealOutcome::Empty;
+                probe!(self.own(), PublishRequest, victim_idx);
+                return self.found_nothing(victim_idx);
             }
         }
-        if b >= victim.capacity() {
-            self.own().stats.failed_steals += 1;
-            return StealOutcome::Empty;
+        if b >= victim.capacity() || victim.slot(b).state.load(Acquire) != TASK {
+            return self.found_nothing(victim_idx);
         }
         let slot = victim.slot(b);
-        let s1 = slot.state.load(Acquire);
-        if s1 != TASK {
-            self.own().stats.failed_steals += 1;
-            return StealOutcome::Empty;
-        }
         // relaxed-ok: the failure ordering — a failed CAS acquires
         // nothing and we immediately retry from scratch. The AcqRel
         // success edge pairs with the owner's publication store (task
@@ -829,8 +816,7 @@ impl<S: Strategy> WorkerHandle<S> {
             .compare_exchange(TASK, EMPTY, AcqRel, Relaxed)
             .is_err()
         {
-            self.own().stats.lost_races += 1;
-            return StealOutcome::Retry;
+            return self.lost_race(victim_idx);
         }
         // §III-A back-off: we may be a delayed thief that acquired a
         // *reincarnation* of the descriptor; validate that `bot` still
@@ -853,8 +839,7 @@ impl<S: Strategy> WorkerHandle<S> {
             // relaxed-ok: failure ordering — a failed CAS publishes
             // nothing and we touch the slot no further.
             let _ = slot.state.compare_exchange(EMPTY, TASK, Release, Relaxed);
-            self.own().stats.backoffs += 1;
-            trace_ev!(self, Backoff, victim_idx);
+            probe!(self.own(), Backoff, victim_idx);
             return StealOutcome::Retry;
         }
         // Guard: same exclusive-hold argument as the back-off restore.
@@ -871,16 +856,13 @@ impl<S: Strategy> WorkerHandle<S> {
             let np = victim.n_public.load(Relaxed);
             if np.saturating_sub(b + 1) < self.trip_distance {
                 victim.publish_request.store(true, Relaxed);
-                trace_ev!(self, PublishRequest, victim_idx);
+                probe!(self.own(), PublishRequest, victim_idx);
             }
         }
-        trace_ev!(self, StealSuccess, victim_idx);
-        self.execute_stolen(slot, leap);
-        StealOutcome::Executed
+        self.execute_stolen(slot, victim_idx, leap)
     }
 
     /// §IV-C lock-based steal protocols (Figure 4's base/peek/trylock).
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     unsafe fn steal_locked(
         &mut self,
         victim: &Worker,
@@ -893,15 +875,13 @@ impl<S: Strategy> WorkerHandle<S> {
             // and lock only when it holds a stealable task.
             let b = victim.bot.load(Acquire);
             if b >= victim.capacity() || victim.slot(b).state.load(Acquire) != TASK {
-                self.own().stats.failed_steals += 1;
-                return StealOutcome::Empty;
+                return self.found_nothing(victim_idx);
             }
         }
         match mode {
             LockMode::Trylock => {
                 if !victim.lock.try_lock() {
-                    self.own().stats.lost_races += 1;
-                    return StealOutcome::Retry;
+                    return self.lost_race(victim_idx);
                 }
             }
             _ => victim.lock.lock(),
@@ -909,17 +889,11 @@ impl<S: Strategy> WorkerHandle<S> {
         // `bot` is protected by the lock: thieves never back off (§IV-C).
         // relaxed-ok: lock-protected word.
         let b = victim.bot.load(Relaxed);
-        if b >= victim.capacity() {
+        if b >= victim.capacity() || victim.slot(b).state.load(Acquire) != TASK {
             victim.lock.unlock();
-            self.own().stats.failed_steals += 1;
-            return StealOutcome::Empty;
+            return self.found_nothing(victim_idx);
         }
         let slot = victim.slot(b);
-        if slot.state.load(Acquire) != TASK {
-            victim.lock.unlock();
-            self.own().stats.failed_steals += 1;
-            return StealOutcome::Empty;
-        }
         // The owner's join fast path still races with us on the state
         // word (it does not take the lock), so acquire with a CAS.
         // relaxed-ok: failure ordering — a failed CAS acquires nothing.
@@ -929,8 +903,7 @@ impl<S: Strategy> WorkerHandle<S> {
             .is_err()
         {
             victim.lock.unlock();
-            self.own().stats.lost_races += 1;
-            return StealOutcome::Retry;
+            return self.lost_race(victim_idx);
         }
         // Guard: we hold the slot (winning CAS) *and* the victim lock.
         check_transition(slot, |s| s == EMPTY, "locked STOLEN announcement");
@@ -938,15 +911,12 @@ impl<S: Strategy> WorkerHandle<S> {
         // relaxed-ok: lock-protected word.
         victim.bot.store(b + 1, Relaxed);
         victim.lock.unlock();
-        trace_ev!(self, StealSuccess, victim_idx);
-        self.execute_stolen(slot, leap);
-        StealOutcome::Executed
+        self.execute_stolen(slot, victim_idx, leap)
     }
 
     /// Table II *base* steal: everything under the victim lock, validity
     /// decided by the `top`/`bot` comparison; the state word is only a
     /// completion signal.
-    #[cfg_attr(not(feature = "trace"), allow(unused_variables))]
     unsafe fn steal_shared_top(
         &mut self,
         victim: &Worker,
@@ -959,8 +929,7 @@ impl<S: Strategy> WorkerHandle<S> {
         let t = victim.top_shared.load(Acquire);
         if b >= t {
             victim.lock.unlock();
-            self.own().stats.failed_steals += 1;
-            return StealOutcome::Empty;
+            return self.found_nothing(victim_idx);
         }
         let slot = victim.slot(b);
         // Under the lock the steal end is exclusively ours: mark and go.
@@ -974,19 +943,23 @@ impl<S: Strategy> WorkerHandle<S> {
         // relaxed-ok: lock-protected word.
         victim.bot.store(b + 1, Relaxed);
         victim.lock.unlock();
-        trace_ev!(self, StealSuccess, victim_idx);
-        self.execute_stolen(slot, leap);
-        StealOutcome::Executed
+        self.execute_stolen(slot, victim_idx, leap)
     }
 
-    /// Runs a freshly stolen task and publishes its completion.
-    unsafe fn execute_stolen(&mut self, slot: &TaskSlot, leap: bool) {
+    /// Runs a task just stolen from `victim_idx` and publishes its
+    /// completion.
+    unsafe fn execute_stolen(
+        &mut self,
+        slot: &TaskSlot,
+        victim_idx: usize,
+        leap: bool,
+    ) -> StealOutcome {
         let (prev_cat, saved_span) = {
             let own = self.own();
             if leap {
-                own.stats.leap_steals += 1;
+                probe!(own, LeapSteal, victim_idx);
             } else {
-                own.stats.steals += 1;
+                probe!(own, StealSuccess, victim_idx);
             }
             let prev_cat = own.tb.switch(own.tb.app_category());
             let saved_span = if own.span.enabled {
@@ -1027,6 +1000,7 @@ impl<S: Strategy> WorkerHandle<S> {
         slot.state
             .store(if ok { DONE } else { DONE_PANIC }, Release);
         self.own().tb.switch(prev_cat);
+        StealOutcome::Executed
     }
 
     /// One round of random-victim stealing for an idle worker; returns

@@ -22,10 +22,12 @@
 //! * [`ServePool`] — serve mode: persistent workers that take root jobs
 //!   from any thread through the bounded [`Injector`] and return
 //!   [`JobHandle`] futures, leaving the task-stack fast path untouched.
-//! * Instrumentation: scheduler event counters ([`Stats`]), online
-//!   work/span measurement with the paper's 0-cycle and 2000-cycle
-//!   overhead models ([`span`]), and the Figure 6 CPU-time breakdown
-//!   ([`TimeBreakdown`] by [`Category`]).
+//! * Instrumentation: scheduler event counters ([`Stats`]) and, with
+//!   the `trace` cargo feature, per-worker event traces, both fed by
+//!   one event vocabulary ([`trace`]); online work/span measurement
+//!   with the paper's 0-cycle and 2000-cycle overhead models
+//!   ([`span`]); and the Figure 6 CPU-time breakdown ([`TimeBreakdown`]
+//!   by [`Category`]).
 //!
 //! ## Quick start
 //!
@@ -47,34 +49,6 @@
 
 #![warn(missing_docs)]
 
-/// Records a scheduler event into the calling worker's trace ring.
-///
-/// `$h` is anything with an `own()` accessor to the worker's
-/// [`worker::OwnerState`] (in practice a `WorkerHandle`). Expands to
-/// nothing without the `trace` cargo feature, so instrumented hot paths
-/// compile to exactly the uninstrumented code. With the feature on but
-/// tracing not enabled for the run, the cost is one branch — the
-/// timestamp is only read when the ring is live.
-///
-/// Callers must satisfy the `own()` contract (owner thread, short-lived
-/// borrow); every use site is inside code already operating under it.
-#[cfg(feature = "trace")]
-macro_rules! trace_ev {
-    ($h:expr, $kind:ident, $arg:expr) => {{
-        let own = $h.own();
-        if own.trace.is_enabled() {
-            let ts = $crate::cycles::now();
-            own.trace
-                .record(::wool_trace::EventKind::$kind, ts, ($arg) as u32);
-        }
-    }};
-}
-
-#[cfg(not(feature = "trace"))]
-macro_rules! trace_ev {
-    ($h:expr, $kind:ident, $arg:expr) => {};
-}
-
 mod api;
 mod config;
 pub mod cycles;
@@ -93,10 +67,8 @@ mod stats;
 mod strategy;
 pub mod sync;
 mod timebreak;
+pub mod trace;
 mod worker;
-
-#[cfg(feature = "trace")]
-pub use wool_trace;
 
 pub use api::{Executor, Fork, Job};
 pub use config::{default_workers, PoolConfig};

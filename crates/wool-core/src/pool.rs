@@ -39,6 +39,7 @@ use crate::exec::WorkerHandle;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::{Category, TimeBreakdown};
+use crate::trace::{probe, Trace, TraceRing, WorkerTrace, TRACE};
 use crate::worker::{DeadOnUnwind, Idle, Worker, WorkerReport, CLOSED};
 
 /// Shared, strategy-independent pool state.
@@ -73,14 +74,11 @@ impl PoolInner {
             epoch: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         });
-        #[cfg(feature = "trace")]
-        if inner.cfg.instrument_trace {
+        if TRACE && inner.cfg.instrument_trace {
             for w in inner.workers.iter() {
                 // SAFETY: no worker thread exists yet; this thread has
                 // exclusive access to every owner cell.
-                unsafe {
-                    (*w.own.get()).trace = wool_trace::TraceRing::new(inner.cfg.trace_capacity);
-                }
+                unsafe { (*w.own.get()).trace = TraceRing::new(inner.cfg.trace_capacity) };
             }
         }
         inner
@@ -154,14 +152,12 @@ impl PoolInner {
     /// batch region panics when a worker that joined it has died.
     pub(crate) fn collect_reports(&self, epoch: u64, joined: impl Fn(usize) -> bool) -> Reports {
         let mut reports = Vec::with_capacity(self.workers.len());
-        #[cfg(feature = "trace")]
-        let mut snaps = self.cfg.instrument_trace.then(Vec::new);
+        let mut snaps = (TRACE && self.cfg.instrument_trace).then(Vec::new);
         for (i, w) in self.workers.iter().enumerate() {
             if !joined(i) {
                 reports.push(WorkerReport::default());
-                #[cfg(feature = "trace")]
                 if let Some(snaps) = &mut snaps {
-                    snaps.push(wool_trace::WorkerTrace {
+                    snaps.push(WorkerTrace {
                         worker: i,
                         events: Vec::new(),
                         dropped: 0,
@@ -178,7 +174,6 @@ impl PoolInner {
             // publish; the owner will not write this epoch's report
             // again.
             reports.push(unsafe { *w.report.get() });
-            #[cfg(feature = "trace")]
             if let Some(snaps) = &mut snaps {
                 // SAFETY: covered by the same Acquire edge as the report:
                 // an owner disables its ring strictly before its Release
@@ -190,8 +185,7 @@ impl PoolInner {
         }
         Reports {
             reports,
-            #[cfg(feature = "trace")]
-            trace: snaps.map(|s| wool_trace::Trace::new(s, cycles::ticks_per_ns())),
+            trace: snaps.map(|s| Trace::new(s, cycles::ticks_per_ns())),
         }
     }
 }
@@ -200,9 +194,8 @@ impl PoolInner {
 pub(crate) struct Reports {
     /// One report per worker, in worker order.
     pub reports: Vec<WorkerReport>,
-    /// The merged event trace, when tracing is configured.
-    #[cfg(feature = "trace")]
-    pub trace: Option<wool_trace::Trace>,
+    /// The merged event trace, when tracing is built in and configured.
+    pub trace: Option<Trace>,
 }
 
 /// Everything measured during one [`Pool::run`].
@@ -252,8 +245,7 @@ pub struct Pool<S: Strategy = WoolFull> {
     inner: Arc<PoolInner>,
     threads: Vec<JoinHandle<()>>,
     last_report: Option<RunReport>,
-    #[cfg(feature = "trace")]
-    last_trace: Option<wool_trace::Trace>,
+    last_trace: Option<Trace>,
     _strategy: PhantomData<S>,
 }
 
@@ -283,7 +275,6 @@ impl<S: Strategy> Pool<S> {
             inner,
             threads,
             last_report: None,
-            #[cfg(feature = "trace")]
             last_trace: None,
             _strategy: PhantomData,
         }
@@ -346,10 +337,7 @@ impl<S: Strategy> Pool<S> {
         // Close the region on every background worker: only those that
         // joined it are waited for.
         let collected = inner.collect_reports(epoch, |i| i == 0 || !inner.close_region(i, epoch));
-        #[cfg(feature = "trace")]
-        {
-            self.last_trace = collected.trace;
-        }
+        self.last_trace = collected.trace;
         let reports = collected.reports;
         let mut breakdown = TimeBreakdown::default();
         for r in &reports {
@@ -380,15 +368,14 @@ impl<S: Strategy> Pool<S> {
 
     /// The event trace of the most recent [`run`](Pool::run), when the
     /// pool was configured with
-    /// [`instrument_trace`](PoolConfig::instrument_trace).
-    #[cfg(feature = "trace")]
-    pub fn last_trace(&self) -> Option<&wool_trace::Trace> {
+    /// [`instrument_trace`](PoolConfig::instrument_trace) and the crate
+    /// was built with the `trace` feature; `None` otherwise.
+    pub fn last_trace(&self) -> Option<&Trace> {
         self.last_trace.as_ref()
     }
 
     /// Takes ownership of the most recent run's event trace.
-    #[cfg(feature = "trace")]
-    pub fn take_trace(&mut self) -> Option<wool_trace::Trace> {
+    pub fn take_trace(&mut self) -> Option<Trace> {
         self.last_trace.take()
     }
 }
@@ -438,13 +425,12 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
             if unsafe { handle.steal_round() } {
                 idle.rounds = 0;
             } else {
-                #[cfg(feature = "trace")]
                 if idle.rounds == 0 {
                     // First empty-handed round after useful work: the
                     // start of an idle span on the exported timeline
                     // (closed by the next steal success).
                     // SAFETY: this thread owns worker `idx`.
-                    unsafe { trace_ev!(handle, Idle, 0) }
+                    unsafe { probe!(handle.own(), Idle, 0) }
                 }
                 // Inside a region a thief never parks.
                 idle.snooze();
@@ -579,7 +565,7 @@ mod tests {
     #[cfg(feature = "trace")]
     #[test]
     fn closed_out_worker_contributes_no_trace() {
-        use wool_trace::EventKind;
+        use crate::trace::EventKind;
         let cfg = PoolConfig::with_workers(2)
             .instrument_trace(true)
             .trace_capacity(1 << 16);

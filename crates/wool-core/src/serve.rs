@@ -34,10 +34,8 @@
 
 mod handle;
 
-#[cfg(feature = "trace")]
-use crate::sync::atomic::AtomicU32;
 use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 use crate::sync::thread::JoinHandle;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
@@ -49,6 +47,7 @@ use crate::pool::PoolInner;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::Category;
+use crate::trace::{probe, Trace, TRACE};
 use crate::worker::{DeadOnUnwind, Idle};
 
 pub use handle::JobHandle;
@@ -90,9 +89,9 @@ pub struct ServeReport {
     /// Sum of `per_worker`.
     pub total: Stats,
     /// The merged event trace of the session, when the pool was
-    /// configured with `instrument_trace`.
-    #[cfg(feature = "trace")]
-    pub trace: Option<wool_trace::Trace>,
+    /// configured with `instrument_trace` and the crate was built with
+    /// the `trace` feature.
+    pub trace: Option<Trace>,
 }
 
 /// Runs a job on a worker; the second argument is the pool's
@@ -103,11 +102,10 @@ type Run<S> = Box<dyn FnOnce(&mut WorkerHandle<S>, &AtomicU64) + Send>;
 /// resolves its handle (see [`Job::new`]).
 struct Job<S: Strategy> {
     run: Run<S>,
-    /// Cycle timestamp of the submission, for the backdated Inject event.
-    #[cfg(feature = "trace")]
+    /// Cycle timestamp of the submission, for the backdated Inject event
+    /// (0 in an untraced build).
     submit_ts: u64,
     /// Correlates the job's Inject, Dequeue and JobDone events.
-    #[cfg(feature = "trace")]
     tag: u32,
 }
 
@@ -133,9 +131,7 @@ impl<S: Strategy> Job<S> {
         });
         let job = Job {
             run,
-            #[cfg(feature = "trace")]
-            submit_ts: crate::cycles::now(),
-            #[cfg(feature = "trace")]
+            submit_ts: if TRACE { crate::cycles::now() } else { 0 },
             tag: 0,
         };
         (job, handle)
@@ -193,7 +189,6 @@ pub struct ServePool<S: Strategy = WoolFull> {
     /// backed out.
     in_flight: AtomicUsize,
     /// Tag sequence for trace correlation.
-    #[cfg(feature = "trace")]
     next_tag: AtomicU32,
 }
 
@@ -242,7 +237,6 @@ impl<S: Strategy> ServePool<S> {
             threads: Mutex::new(threads),
             draining: AtomicBool::new(false),
             in_flight: AtomicUsize::new(0),
-            #[cfg(feature = "trace")]
             next_tag: AtomicU32::new(0),
         }
     }
@@ -317,8 +311,7 @@ impl<S: Strategy> ServePool<S> {
             Err(SubmitError::ShuttingDown)
         } else {
             let (mut job, handle) = Job::new(f);
-            #[cfg(feature = "trace")]
-            {
+            if TRACE {
                 // Relaxed: the tags only need to be distinct.
                 job.tag = self.next_tag.fetch_add(1, Relaxed);
             }
@@ -382,7 +375,6 @@ impl<S: Strategy> ServePool<S> {
             jobs: self.shared.jobs.load(Relaxed),
             total: per_worker.iter().copied().sum(),
             per_worker,
-            #[cfg(feature = "trace")]
             trace: collected.trace,
         })
     }
@@ -425,29 +417,17 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
             if !shared.injector.is_empty() {
                 Idle::wake_one(&inner.workers);
             }
-            #[cfg(feature = "trace")]
             let tag = job.tag;
-            #[cfg(feature = "trace")]
-            if cfg.instrument_trace {
-                // SAFETY: this thread owns worker `idx`. The Inject
-                // event is backdated to the submitter's timestamp so
-                // queueing latency is visible on the timeline.
-                unsafe {
-                    let own = handle.own();
-                    if own.trace.is_enabled() {
-                        own.trace
-                            .record(wool_trace::EventKind::Inject, job.submit_ts, tag);
-                        own.trace
-                            .record(wool_trace::EventKind::Dequeue, crate::cycles::now(), tag);
-                    }
-                }
+            // SAFETY: this thread owns worker `idx`. The Inject event is
+            // backdated to the submitter's timestamp so queueing latency
+            // is visible on the timeline.
+            unsafe {
+                probe!(handle.own(), Inject, tag, at = job.submit_ts);
+                probe!(handle.own(), Dequeue, tag);
             }
             (job.run)(&mut handle, &shared.jobs);
-            #[cfg(feature = "trace")]
-            {
-                // SAFETY: this thread owns worker `idx`.
-                unsafe { trace_ev!(handle, JobDone, tag) }
-            }
+            // SAFETY: as above.
+            unsafe { probe!(handle.own(), JobDone, tag) }
             idle.rounds = 0;
             continue;
         }
@@ -467,10 +447,9 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
         // wake a parked worker, so the park re-checks the queue (and
         // shutdown); a steal target that appears with no submission
         // waits for a publication's wake or the park timeout.
-        #[cfg(feature = "trace")]
         if idle.rounds == 0 {
             // SAFETY: this thread owns worker `idx`.
-            unsafe { trace_ev!(handle, Idle, 0) }
+            unsafe { probe!(handle.own(), Idle, 0) }
         }
         // SAFETY: this thread owns worker `idx`.
         unsafe {

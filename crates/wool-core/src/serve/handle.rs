@@ -243,7 +243,9 @@ mod tests {
     /// Races `complete(i)` on another thread, after a delay that varies
     /// with `i`, against `consume` on this one. `consume` must resolve to
     /// `i`; what else it returns goes to `settled` once the completer
-    /// has finished.
+    /// has finished. A consumer that retries yields between tries, so
+    /// that on a host with fewer CPUs than racing threads it does not
+    /// starve the completer it waits for.
     fn race<T>(
         mut consume: impl FnMut(JobHandle<usize>) -> (usize, T),
         mut settled: impl FnMut(T),
@@ -276,6 +278,7 @@ mod tests {
                 Ok(v) => return (v, ()),
                 Err(back) => h = back,
             }
+            std::thread::yield_now();
         };
         race(spin, drop);
     }
@@ -306,6 +309,7 @@ mod tests {
                     Poll::Ready(v) => return (v, (wakers, last_pending)),
                     Poll::Pending => last_pending = Some(w),
                 }
+                std::thread::yield_now();
             }
         };
         race(poll_until_ready, |(wakers, last_pending)| {

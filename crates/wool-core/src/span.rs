@@ -38,34 +38,19 @@ pub const DEFAULT_OVERHEAD_CYCLES: u64 = 2000;
 ///
 /// Disabled state costs one predictable branch per fork: `fork` reads
 /// `enabled` once and runs an uninstrumented copy of its body.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SpanState {
     /// Whether instrumentation is active for the current run.
     pub enabled: bool,
-    /// The `C` of the realistic model, in cycles.
-    pub overhead: u64,
     /// Total measured work on this worker (cycles of leaf time).
     pub work: u64,
     /// Running span with `C = 0` for the computation currently being
     /// accumulated (since the last reset point).
     pub span0: u64,
-    /// Running span with `C = overhead`.
+    /// Running span with `C = DEFAULT_OVERHEAD_CYCLES`.
     pub span_c: u64,
     /// Cycle timestamp of the last flush.
     pub mark: u64,
-}
-
-impl Default for SpanState {
-    fn default() -> Self {
-        SpanState {
-            enabled: false,
-            overhead: DEFAULT_OVERHEAD_CYCLES,
-            work: 0,
-            span0: 0,
-            span_c: 0,
-            mark: 0,
-        }
-    }
 }
 
 /// Saved parent accumulators across a fork (lives on the native stack).
@@ -77,9 +62,8 @@ pub struct SpanFrame {
 
 impl SpanState {
     /// Resets the accumulators at the start of an instrumented run.
-    pub fn reset(&mut self, enabled: bool, overhead: u64) {
+    pub fn reset(&mut self, enabled: bool) {
         self.enabled = enabled;
-        self.overhead = overhead;
         self.work = 0;
         self.span0 = 0;
         self.span_c = 0;
@@ -130,7 +114,7 @@ impl SpanState {
     #[inline]
     pub fn fork_join(&mut self, frame: SpanFrame, a: (u64, u64), b: (u64, u64)) {
         self.span0 = frame.parent0 + combine(a.0, b.0, 0);
-        self.span_c = frame.parent_c + combine(a.1, b.1, self.overhead);
+        self.span_c = frame.parent_c + combine(a.1, b.1, DEFAULT_OVERHEAD_CYCLES);
         self.mark = cycles::now();
     }
 
@@ -181,7 +165,7 @@ mod tests {
     #[test]
     fn fork_join_accumulates_parent() {
         let mut s = SpanState::default();
-        s.reset(true, 2000);
+        s.reset(true);
         let frame = s.fork_start();
         // Pretend branch a took 5000 cycles, b took 4000.
         let joined_frame = frame;
@@ -196,7 +180,7 @@ mod tests {
     #[test]
     fn measured_serial_loop_gives_positive_work() {
         let mut s = SpanState::default();
-        s.reset(true, 2000);
+        s.reset(true);
         let mut x = 0u64;
         for i in 0..100_000u64 {
             x = x.wrapping_add(i).rotate_left(7);
@@ -220,10 +204,13 @@ mod tests {
             }
             let a = tree(s, depth - 1, leaf);
             let b = tree(s, depth - 1, leaf);
-            (combine(a.0, b.0, 0), combine(a.1, b.1, s.overhead))
+            (
+                combine(a.0, b.0, 0),
+                combine(a.1, b.1, DEFAULT_OVERHEAD_CYCLES),
+            )
         }
         let mut s = SpanState::default();
-        s.reset(true, 2000);
+        s.reset(true);
         s.mark = cycles::now();
         let (span0, span_c) = tree(&mut s, 10, 10_000);
         let work = s.work;

@@ -6,9 +6,13 @@
 //! and the thief back-offs §III-A promises stay below 1% of successful
 //! steals. Counters live in owner-only state and are incremented with
 //! plain adds, so the hot spawn/join paths pay one `add` instruction at
-//! most.
+//! most. Each counter is the number of events of one
+//! [`EventKind`](crate::trace::EventKind), bumped by the same `probe!`
+//! that traces the event (see [`crate::trace`]).
 
 use std::ops::AddAssign;
+
+use crate::trace::EventKind;
 
 /// Event counters for one worker (or an aggregate over workers).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -17,34 +21,51 @@ pub struct Stats {
     /// owner joins every pushed task exactly once, so a worker's report
     /// fills it in as `inlined_private + inlined_public + rts_joins`.
     pub spawns: u64,
-    /// Joins that found the task private and used the plain-load path.
+    /// Joins that found the task private and used the plain-load path
+    /// (`join_fast_private` events).
     pub inlined_private: u64,
-    /// Joins that acquired the task with the atomic swap.
+    /// Joins that acquired the task with the atomic swap
+    /// (`join_fast_public`).
     pub inlined_public: u64,
-    /// Joins that entered the slow path (`RTS_join`).
+    /// Joins that entered the slow path, `RTS_join` (`rts_join`).
     pub rts_joins: u64,
-    /// Joins that found their task stolen and had to wait.
+    /// Joins that found their task stolen and had to wait (`join_slow`).
     pub stolen_joins: u64,
-    /// Successful steals (the paper's `N_M`).
+    /// Successful steals (the paper's `N_M`; `steal_success`).
     pub steals: u64,
-    /// Successful steals performed while leap-frogging.
+    /// Successful steals performed while leap-frogging (`leap_steal`).
     pub leap_steals: u64,
-    /// Steal attempts that found no stealable task.
+    /// Steal attempts that found no stealable task (`steal_fail`).
     pub failed_steals: u64,
-    /// Steal attempts that lost the CAS race to another thief or owner.
+    /// Steal attempts that lost the race for a task to another thief or
+    /// the owner (`steal_lost`).
     pub lost_races: u64,
-    /// Steals aborted by the `bot` re-check (§III-A back-off).
+    /// Steals aborted by the `bot` re-check (§III-A back-off; `backoff`).
     pub backoffs: u64,
-    /// Times the owner raised the public boundary (§III-B publications).
+    /// Times the owner raised the public boundary (§III-B publications;
+    /// `publish`).
     pub publishes: u64,
-    /// Steal attempts that found only private tasks and requested
-    /// publication.
+    /// Times a thief rang a victim's trip wire (`publish_request`): it
+    /// found only private tasks, or stole within the trip distance of
+    /// the public boundary.
     pub publish_requests: u64,
-    /// Spawns that overflowed the task pool and ran eagerly inline.
+    /// Spawns that overflowed the task pool and ran eagerly inline
+    /// (`overflow`).
     pub overflow_inlines: u64,
 }
 
 impl Stats {
+    /// The counter of `kind`'s events, `None` for a kind `Stats` does
+    /// not count. A steal attempt ends in exactly one of `steal_success`,
+    /// `leap_steal`, `steal_fail`, `steal_lost` and `backoff`.
+    pub fn count(&self, kind: EventKind) -> Option<u64> {
+        let mut copy = *self;
+        match kind {
+            EventKind::Spawn => Some(self.spawns),
+            _ => copy.counter(kind).copied(),
+        }
+    }
+
     /// Total successful steals including leap-frog steals.
     pub fn total_steals(&self) -> u64 {
         self.steals + self.leap_steals

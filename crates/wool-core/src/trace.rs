@@ -1,0 +1,373 @@
+//! The scheduler's event vocabulary.
+//!
+//! Every instrumented point of the scheduler is one [`EventKind`], and
+//! the one instrumentation call, `probe!`, both counts it and traces
+//! it:
+//!
+//! * **Counting.** A kind that [`Stats`] counts bumps exactly one
+//!   counter, named next to the kind in the table below, so each counter
+//!   is the number of events of one kind (`Stats::spawns` alone is
+//!   derived, see [`EventKind::Spawn`]).
+//! * **Tracing.** In a build with the `trace` cargo feature ([`TRACE`]),
+//!   a worker whose pool was configured with `instrument_trace` also
+//!   records the event, timestamped, into its own [`TraceRing`]. The
+//!   ring lives in the worker's owner-private state: recording is plain
+//!   stores and an increment, with no atomics, no sharing and no
+//!   allocation. The coordinator snapshots a ring only after it has
+//!   observed the worker's end-of-region report (an acquire on
+//!   `report_epoch`), which orders every prior store.
+//!
+//! Without the feature the recording half is dead code: it is still
+//! type-checked, and the compiler removes it, so an untraced hot path
+//! is the counter increment alone.
+//!
+//! A finished run's rings merge into a [`Trace`]; the `wool-trace`
+//! crate exports it as Chrome trace JSON and computes the steal graph.
+
+use std::collections::BTreeMap;
+
+use crate::stats::Stats;
+
+/// Whether this build records events (the `trace` cargo feature).
+pub const TRACE: bool = cfg!(feature = "trace");
+
+/// Counts one `$kind` event of the worker whose owner state is `$own`
+/// (a `&mut OwnerState`) and, in a [`TRACE`] build whose ring is on,
+/// records it with argument `$arg` and the current cycle count, or the
+/// timestamp given as `at = $ts`. `$arg` and `$ts` are evaluated only
+/// when the event is recorded.
+macro_rules! probe {
+    ($own:expr, $kind:ident, $arg:expr) => {
+        $crate::trace::probe!($own, $kind, $arg, at = $crate::cycles::now())
+    };
+    ($own:expr, $kind:ident, $arg:expr, at = $ts:expr) => {{
+        let own: &mut $crate::worker::OwnerState = $own;
+        let kind = $crate::trace::EventKind::$kind;
+        if let Some(n) = own.stats.counter(kind) {
+            *n += 1;
+        }
+        if $crate::trace::TRACE && own.trace.is_enabled() {
+            own.trace.record(kind, $ts, ($arg) as u32);
+        }
+    }};
+}
+pub(crate) use probe;
+
+/// Declares [`EventKind`] from one table: each kind's doc, its exported
+/// name and, after `=>`, the [`Stats`] field that counts it.
+macro_rules! events {
+    ($($(#[doc = $doc:literal])* $kind:ident = $name:literal $(=> $field:ident)?,)*) => {
+        /// What happened. The `arg` field of [`Event`] is kind-specific
+        /// (see each variant's doc).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        #[repr(u8)]
+        pub enum EventKind {
+            $($(#[doc = $doc])* $kind,)*
+        }
+
+        impl EventKind {
+            /// All kinds, in declaration order.
+            pub const ALL: [EventKind; [$($name),*].len()] = [$(EventKind::$kind),*];
+
+            /// Stable lowercase name used in exported JSON.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(EventKind::$kind => $name,)*
+                }
+            }
+        }
+
+        impl Stats {
+            /// The counter of `kind`'s events, if `Stats` counts them.
+            #[inline(always)]
+            pub(crate) fn counter(&mut self, kind: EventKind) -> Option<&mut u64> {
+                match kind {
+                    $(EventKind::$kind => None $(.or(Some(&mut self.$field)))?,)*
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// A task was pushed onto the owner's task stack. `arg` = stack
+    /// depth after the push. Not counted here: every pushed task is
+    /// joined exactly once, so `Stats::spawns` is the sum of the three
+    /// join counters.
+    Spawn = "spawn",
+    /// A spawn found the task stack full and ran its task eagerly.
+    /// `arg` = stack depth.
+    Overflow = "overflow" => overflow_inlines,
+    /// A join resolved on the private fast path (task above the public
+    /// boundary; no synchronization). `arg` = stack depth.
+    JoinFastPrivate = "join_fast_private" => inlined_private,
+    /// A join resolved on the public fast path (atomic swap saw the
+    /// task unstolen). `arg` = stack depth.
+    JoinFastPublic = "join_fast_public" => inlined_public,
+    /// A join entered the run-time system (`RTS_join`): its task was
+    /// held by a thief, stolen, or done. `arg` = stack depth.
+    RtsJoin = "rts_join" => rts_joins,
+    /// A join found its task stolen. `arg` = the thief's worker index
+    /// (`u32::MAX` when the thief had already finished it).
+    JoinSlow = "join_slow" => stolen_joins,
+    /// A blocked joiner started leapfrogging: stealing back from the
+    /// thief that holds its task. `arg` = the thief's worker index.
+    Leapfrog = "leapfrog",
+    /// A steal took a task. `arg` = victim index.
+    StealSuccess = "steal_success" => steals,
+    /// A leapfrogging joiner took a task from its thief. `arg` = victim
+    /// index.
+    LeapSteal = "leap_steal" => leap_steals,
+    /// A steal attempt found nothing to steal. `arg` = victim index.
+    StealFail = "steal_fail" => failed_steals,
+    /// A steal attempt lost the race for a task to the owner or another
+    /// thief (a failed CAS or trylock). `arg` = victim index.
+    StealLost = "steal_lost" => lost_races,
+    /// A steal attempt won its CAS but backed off, because the victim's
+    /// `bot` or public boundary moved (§III-A). `arg` = victim index.
+    Backoff = "backoff" => backoffs,
+    /// The owner made private tasks stealable. `arg` = number of tasks
+    /// published.
+    Publish = "publish" => publishes,
+    /// A thief asked a victim to publish (rang the trip wire): the
+    /// victim had only private tasks, or the steal landed within the
+    /// trip distance of its public boundary. `arg` = victim index.
+    PublishRequest = "publish_request" => publish_requests,
+    /// The worker ran out of local work and entered the steal loop.
+    /// `arg` = 0.
+    Idle = "idle",
+    /// The worker is about to park its thread, waiting for work.
+    /// `arg` = 0.
+    Park = "park",
+    /// The worker's park returned (woken or timed out); follows its
+    /// `Park`. `arg` = 0.
+    Unpark = "unpark",
+    /// A root job was pushed into the serve pool's global injector.
+    /// Recorded by the *dequeuing* worker (rings are owner-writes-only)
+    /// with the submission timestamp the job carried, so queueing
+    /// latency is visible on the exported timeline. `arg` = job tag.
+    Inject = "inject",
+    /// A root job was popped from the global injector by this worker.
+    /// `arg` = job tag.
+    Dequeue = "dequeue",
+    /// A root job ran to completion on this worker. `arg` = job tag.
+    JobDone = "job_done",
+    /// A data-parallel splitter (`wool-par`) forked a range in half.
+    /// `arg` = range length (in items) before the split, saturated to
+    /// `u32::MAX`.
+    Split = "split",
+}
+
+impl EventKind {
+    /// Whether `arg` names another worker (victim or thief).
+    pub fn arg_is_worker(self) -> bool {
+        use EventKind::*;
+        matches!(
+            self,
+            JoinSlow
+                | Leapfrog
+                | StealSuccess
+                | LeapSteal
+                | StealFail
+                | StealLost
+                | Backoff
+                | PublishRequest
+        )
+    }
+}
+
+/// One recorded scheduler event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Event {
+    /// Per-worker sequence number, monotone from 0, never reset by
+    /// wraparound.
+    pub seq: u64,
+    /// Timestamp in CPU cycles ([`crate::cycles::now`]).
+    pub ts: u64,
+    /// What happened.
+    pub kind: EventKind,
+    /// Kind-specific argument (victim/thief index, depth, count).
+    pub arg: u32,
+}
+
+/// A fixed-capacity, owner-writes-only ring of [`Event`]s.
+///
+/// It never reallocates: when it wraps, the oldest events are
+/// overwritten and counted as dropped, and sequence numbers stay
+/// monotone. Exactly one thread writes; readers take a
+/// [`snapshot`](TraceRing::snapshot) only after an external
+/// happens-before edge (the worker's report publication).
+#[derive(Debug)]
+pub struct TraceRing {
+    buf: Vec<Event>,
+    /// Next sequence number == total events ever recorded.
+    seq: u64,
+    /// Recording gate; when false, [`TraceRing::record`] is a no-op.
+    enabled: bool,
+}
+
+impl TraceRing {
+    /// Creates a ring holding at most `capacity` events (rounded up to
+    /// 1). Recording starts disabled.
+    pub fn new(capacity: usize) -> Self {
+        TraceRing {
+            buf: Vec::with_capacity(capacity.max(1)),
+            ..TraceRing::off()
+        }
+    }
+
+    /// A ring that holds nothing and must never be enabled: the
+    /// placeholder of a worker whose pool does not trace.
+    pub(crate) const fn off() -> Self {
+        TraceRing {
+            buf: Vec::new(),
+            seq: 0,
+            enabled: false,
+        }
+    }
+
+    /// Maximum number of retained events.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// Turns recording on or off.
+    pub fn set_enabled(&mut self, on: bool) {
+        self.enabled = on;
+    }
+
+    /// Whether recording is on.
+    #[inline(always)]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
+    /// Forgets all recorded events and restarts sequence numbers.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+        self.seq = 0;
+    }
+
+    /// Records one event if recording is on. Owner thread only; no
+    /// allocation.
+    #[inline]
+    pub fn record(&mut self, kind: EventKind, ts: u64, arg: u32) {
+        if !self.enabled {
+            return;
+        }
+        let ev = Event {
+            seq: self.seq,
+            ts,
+            kind,
+            arg,
+        };
+        if self.buf.len() < self.buf.capacity() {
+            self.buf.push(ev);
+        } else {
+            let cap = self.buf.capacity() as u64;
+            let idx = (self.seq % cap) as usize;
+            self.buf[idx] = ev;
+        }
+        self.seq += 1;
+    }
+
+    /// Total events ever recorded (including overwritten ones).
+    pub fn recorded(&self) -> u64 {
+        self.seq
+    }
+
+    /// Events lost to wraparound.
+    pub fn dropped(&self) -> u64 {
+        self.seq - self.buf.len() as u64
+    }
+
+    /// Copies the retained events out, oldest first, tagged with the
+    /// recording worker's index.
+    pub fn snapshot(&self, worker: usize) -> WorkerTrace {
+        let mut events = self.buf.clone();
+        // After wraparound the vector is rotated; seq order restores
+        // chronological order.
+        events.sort_by_key(|e| e.seq);
+        WorkerTrace {
+            worker,
+            events,
+            dropped: self.dropped(),
+        }
+    }
+}
+
+/// The retained events of one worker.
+#[derive(Debug, Clone)]
+pub struct WorkerTrace {
+    /// Worker index.
+    pub worker: usize,
+    /// Retained events, oldest first.
+    pub events: Vec<Event>,
+    /// Events lost to ring wraparound.
+    pub dropped: u64,
+}
+
+/// A merged multi-worker trace, plus the cycle-to-nanosecond scale
+/// needed to export wall-clock timestamps.
+#[derive(Debug, Clone)]
+pub struct Trace {
+    /// Per-worker snapshots, indexed by worker.
+    pub workers: Vec<WorkerTrace>,
+    /// CPU cycles per nanosecond (from the scheduler's calibration).
+    pub ticks_per_ns: f64,
+}
+
+impl Trace {
+    /// Merges per-worker snapshots. `ticks_per_ns` converts event
+    /// timestamps to wall-clock time on export.
+    pub fn new(workers: Vec<WorkerTrace>, ticks_per_ns: f64) -> Self {
+        Trace {
+            workers,
+            ticks_per_ns,
+        }
+    }
+
+    /// Total retained events across workers.
+    pub fn len(&self) -> usize {
+        self.workers.iter().map(|w| w.events.len()).sum()
+    }
+
+    /// Whether no events were retained.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Total events lost to wraparound across workers.
+    pub fn dropped(&self) -> u64 {
+        self.workers.iter().map(|w| w.dropped).sum()
+    }
+
+    /// The earliest timestamp in the trace, used as the zero point on
+    /// export.
+    pub fn epoch(&self) -> Option<u64> {
+        self.workers
+            .iter()
+            .flat_map(|w| w.events.iter().map(|e| e.ts))
+            .min()
+    }
+
+    /// Counts retained events per kind.
+    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
+        let mut m = BTreeMap::new();
+        for w in &self.workers {
+            for e in &w.events {
+                *m.entry(e.kind.name()).or_insert(0) += 1;
+            }
+        }
+        m
+    }
+
+    /// Counts retained events of one kind.
+    pub fn count(&self, kind: EventKind) -> u64 {
+        self.workers
+            .iter()
+            .flat_map(|w| w.events.iter())
+            .filter(|e| e.kind == kind)
+            .count() as u64
+    }
+}

@@ -40,6 +40,7 @@ use crate::span::SpanState;
 use crate::spinlock::SpinLock;
 use crate::stats::Stats;
 use crate::timebreak::{Category, TimeBreak, TimeBreakdown};
+use crate::trace::{probe, TraceRing, TRACE};
 
 /// State touched only by the worker's own thread.
 #[derive(Debug)]
@@ -56,10 +57,9 @@ pub(crate) struct OwnerState {
     pub tb: TimeBreak,
     /// Region epoch this worker has most recently joined (and begun).
     pub seen_epoch: u64,
-    /// Event trace ring (owner-writes-only; see `wool-trace`). Sized by
-    /// the pool at construction when tracing is configured.
-    #[cfg(feature = "trace")]
-    pub trace: wool_trace::TraceRing,
+    /// Event trace ring (owner-writes-only; see [`crate::trace`]).
+    /// Installed by the pool at construction when tracing is configured.
+    pub trace: TraceRing,
 }
 
 impl OwnerState {
@@ -71,10 +71,7 @@ impl OwnerState {
             span: SpanState::default(),
             tb: TimeBreak::default(),
             seen_epoch: 0,
-            // Minimal placeholder; the pool installs a ring of the
-            // configured capacity before any thread starts.
-            #[cfg(feature = "trace")]
-            trace: wool_trace::TraceRing::new(1),
+            trace: TraceRing::off(),
         }
     }
 
@@ -83,10 +80,9 @@ impl OwnerState {
     /// enables, with the time breakdown starting in category `start`.
     pub fn begin(&mut self, cfg: &PoolConfig, start: Category) {
         self.stats = Stats::default();
-        self.span.reset(cfg.instrument_span, cfg.span_overhead);
+        self.span.reset(cfg.instrument_span);
         self.tb.reset(cfg.instrument_time, start);
-        #[cfg(feature = "trace")]
-        if cfg.instrument_trace {
+        if TRACE && cfg.instrument_trace {
             self.trace.clear();
             self.trace.set_enabled(true);
         }
@@ -96,7 +92,6 @@ impl OwnerState {
     /// trace ring first, so a reader that synchronizes with the
     /// report's publication may snapshot the ring.
     pub fn finish(&mut self) -> WorkerReport {
-        #[cfg(feature = "trace")]
         self.trace.set_enabled(false);
         let (work, span0, span_c) = self.span.finish();
         let mut stats = self.stats;
@@ -185,7 +180,7 @@ pub(crate) const CLOSED: u64 = 1 << 63;
 // holds `&mut Pool`); `report` is written by that thread and read by the
 // coordinator only after it Acquire-reads a matching `report_epoch`
 // value, which the owner Release-writes after the report. The one
-// exception for `own` is the trace ring (feature `trace`): the
+// exception for `own` is the trace ring (in a `TRACE` build): the
 // coordinator reads `own.trace` of other workers that joined the region,
 // but only after the same `report_epoch` acquire — the owner disables
 // the ring and stops writing it strictly before the Release publish, so
@@ -287,12 +282,10 @@ impl Idle {
             self.rounds = 0;
             return;
         }
-        #[cfg(feature = "trace")]
-        record(wkr, wool_trace::EventKind::Park);
+        probe!(&mut *wkr.own.get(), Park, 0);
         crate::sync::thread::park_timeout(Self::PARK_TIMEOUT);
         wkr.parked.store(false, Relaxed);
-        #[cfg(feature = "trace")]
-        record(wkr, wool_trace::EventKind::Unpark);
+        probe!(&mut *wkr.own.get(), Unpark, 0);
     }
 
     /// Wakes one parked worker, if any; call it after making work
@@ -321,18 +314,6 @@ impl Idle {
                 .unpark();
         }
         claimed
-    }
-}
-
-/// Records `kind` in `wkr`'s trace ring, if it is on.
-///
-/// # Safety
-/// The calling thread must own `wkr`.
-#[cfg(feature = "trace")]
-unsafe fn record(wkr: &Worker, kind: wool_trace::EventKind) {
-    let ring = &mut (*wkr.own.get()).trace;
-    if ring.is_enabled() {
-        ring.record(kind, crate::cycles::now(), 0);
     }
 }
 

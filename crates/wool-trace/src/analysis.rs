@@ -37,12 +37,16 @@ pub struct WorkerUtilization {
 pub struct Analysis {
     /// Steal-graph edges sorted by descending count.
     pub steal_graph: Vec<StealEdge>,
-    /// Total successful steals in the trace (sum of edge counts).
+    /// Total successful steals in the trace, leap-frog steals included
+    /// (sum of edge counts).
     pub steals: u64,
-    /// Total steal attempts.
+    /// Total steal attempts: each ends in a success, a leap-frog steal,
+    /// a failure, a lost race or a back-off.
     pub attempts: u64,
     /// Attempts that found nothing.
     pub failed: u64,
+    /// Attempts that lost the race for a task.
+    pub lost: u64,
     /// Back-off events.
     pub backoffs: u64,
     /// Publish-request (trip-wire) events.
@@ -65,8 +69,8 @@ pub const TIMELINE_BUCKETS: usize = 32;
 /// Runs the full analysis pass over a merged trace.
 pub fn analyze(trace: &Trace) -> Analysis {
     let mut edges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    let mut attempts = 0;
     let mut failed = 0;
+    let mut lost = 0;
     let mut backoffs = 0;
     let mut publish_requests = 0;
     let mut leapfrogs = 0;
@@ -78,13 +82,13 @@ pub fn analyze(trace: &Trace) -> Analysis {
         let mut last_steal: Option<u64> = None;
         for e in &w.events {
             match e.kind {
-                EventKind::StealAttempt => attempts += 1,
                 EventKind::StealFail => failed += 1,
+                EventKind::StealLost => lost += 1,
                 EventKind::Backoff => backoffs += 1,
                 EventKind::PublishRequest => publish_requests += 1,
                 EventKind::Leapfrog => leapfrogs += 1,
                 EventKind::Split => splits += 1,
-                EventKind::StealSuccess => {
+                EventKind::StealSuccess | EventKind::LeapSteal => {
                     *edges.entry((w.worker, e.arg as usize)).or_insert(0) += 1;
                     if let Some(prev) = last_steal {
                         let dt = e.ts.saturating_sub(prev);
@@ -119,8 +123,9 @@ pub fn analyze(trace: &Trace) -> Analysis {
     Analysis {
         steal_graph,
         steals,
-        attempts,
+        attempts: steals + failed + lost + backoffs,
         failed,
+        lost,
         backoffs,
         publish_requests,
         leapfrogs,
@@ -239,6 +244,7 @@ impl Analysis {
             ("steals".into(), Json::Num(self.steals as f64)),
             ("attempts".into(), Json::Num(self.attempts as f64)),
             ("failed".into(), Json::Num(self.failed as f64)),
+            ("lost".into(), Json::Num(self.lost as f64)),
             ("backoffs".into(), Json::Num(self.backoffs as f64)),
             (
                 "publish_requests".into(),
@@ -284,21 +290,18 @@ mod tests {
         let mut t1 = TraceRing::new(64);
         t1.set_enabled(true);
         for _ in 0..3 {
-            t1.record(EventKind::StealAttempt, 10, 0);
             t1.record(EventKind::StealSuccess, 20, 0);
         }
-        t1.record(EventKind::StealAttempt, 30, 2);
         t1.record(EventKind::StealFail, 31, 2);
         let mut t2 = TraceRing::new(64);
         t2.set_enabled(true);
-        t2.record(EventKind::StealAttempt, 15, 0);
-        t2.record(EventKind::StealSuccess, 25, 0);
+        t2.record(EventKind::LeapSteal, 25, 0);
         t2.record(EventKind::Backoff, 40, 1);
 
         let trace = Trace::new(vec![t1.snapshot(1), t2.snapshot(2)], 1.0);
-        let a = trace.analyze();
-        assert_eq!(a.steals, 4);
-        assert_eq!(a.attempts, 5);
+        let a = analyze(&trace);
+        assert_eq!(a.steals, 4, "leap-frog steals are steals");
+        assert_eq!(a.attempts, 6);
         assert_eq!(a.failed, 1);
         assert_eq!(a.backoffs, 1);
         assert_eq!(
@@ -317,8 +320,30 @@ mod tests {
                 count: 1
             }
         );
-        assert!((a.failed_ratio() - 0.2).abs() < 1e-12);
-        assert!((a.backoff_ratio() - 0.2).abs() < 1e-12);
+        assert!((a.failed_ratio() - 1.0 / 6.0).abs() < 1e-12);
+        assert!((a.backoff_ratio() - 1.0 / 6.0).abs() < 1e-12);
+    }
+
+    /// `failed` counts only attempts that found nothing, and the
+    /// attempts are exactly the five outcomes.
+    #[test]
+    fn failed_counts_only_empty_attempts() {
+        use EventKind::*;
+        let mut r = TraceRing::new(64);
+        r.set_enabled(true);
+        let outcomes = [StealSuccess, LeapSteal, StealFail, StealLost, Backoff];
+        for (i, &kind) in outcomes.iter().enumerate() {
+            for _ in 0..=i {
+                r.record(kind, 1, 0);
+            }
+        }
+        // Neither a publication request nor a leapfrog is an outcome.
+        r.record(PublishRequest, 2, 0);
+        r.record(Leapfrog, 3, 0);
+        let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
+        assert_eq!((a.steals, a.failed, a.lost, a.backoffs), (1 + 2, 3, 4, 5));
+        assert_eq!(a.attempts, 1 + 2 + 3 + 4 + 5);
+        assert_eq!(a.attempts, a.steals + a.failed + a.lost + a.backoffs);
     }
 
     #[test]
@@ -330,7 +355,7 @@ mod tests {
         for ts in [0u64, 1, 5, 1029] {
             r.record(EventKind::StealSuccess, ts, 0);
         }
-        let a = Trace::new(vec![r.snapshot(1)], 1.0).analyze();
+        let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
         assert_eq!(a.steal_interval_hist.len(), 11);
         assert_eq!(a.steal_interval_hist[0], 1);
         assert_eq!(a.steal_interval_hist[2], 1);
@@ -346,7 +371,7 @@ mod tests {
         r.record(EventKind::Unpark, 300, 0);
         r.record(EventKind::Spawn, 400, 1);
         // Span 0..400; idle 100..300 → busy 200/400 = 0.5.
-        let a = Trace::new(vec![r.snapshot(0)], 1.0).analyze();
+        let a = analyze(&Trace::new(vec![r.snapshot(0)], 1.0));
         assert_eq!(a.utilization.len(), 1);
         assert!((a.utilization[0].busy_fraction - 0.5).abs() < 1e-9);
         let tl = &a.utilization[0].timeline;
@@ -366,7 +391,7 @@ mod tests {
         other.set_enabled(true);
         other.record(EventKind::Spawn, 200, 1);
         // Trace span 0..200, worker 0 idle 100..200 → busy 0.5.
-        let a = Trace::new(vec![r.snapshot(0), other.snapshot(1)], 1.0).analyze();
+        let a = analyze(&Trace::new(vec![r.snapshot(0), other.snapshot(1)], 1.0));
         assert!((a.utilization[0].busy_fraction - 0.5).abs() < 1e-9);
         assert!((a.utilization[1].busy_fraction - 1.0).abs() < 1e-9);
     }
@@ -375,9 +400,8 @@ mod tests {
     fn analysis_json_is_valid() {
         let mut r = TraceRing::new(16);
         r.set_enabled(true);
-        r.record(EventKind::StealAttempt, 1, 0);
         r.record(EventKind::StealSuccess, 2, 0);
-        let a = Trace::new(vec![r.snapshot(1)], 1.0).analyze();
+        let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
         let parsed = minijson::parse(&a.to_json().pretty()).unwrap();
         assert_eq!(parsed.get("steals").unwrap().as_u64(), Some(1));
     }

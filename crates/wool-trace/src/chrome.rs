@@ -13,7 +13,7 @@
 
 use minijson::Json;
 
-use crate::{EventKind, Trace};
+use crate::{Event, EventKind, Trace};
 
 /// Builds the Chrome trace document for `trace`.
 pub fn to_chrome_json(trace: &Trace) -> Json {
@@ -76,7 +76,7 @@ pub fn to_chrome_json(trace: &Trace) -> Json {
     ])
 }
 
-fn instant_event(e: &crate::Event, worker: usize, ts_us: f64) -> Json {
+fn instant_event(e: &Event, worker: usize, ts_us: f64) -> Json {
     let mut args = vec![("seq".into(), Json::Num(e.seq as f64))];
     if e.kind.arg_is_worker() {
         args.push(("peer".into(), Json::Num(e.arg as f64)));
@@ -110,13 +110,16 @@ fn duration_event(name: &str, worker: usize, start_us: f64, end_us: f64) -> Json
 fn category(kind: EventKind) -> &'static str {
     match kind {
         EventKind::Spawn
+        | EventKind::Overflow
         | EventKind::JoinFastPrivate
         | EventKind::JoinFastPublic
+        | EventKind::RtsJoin
         | EventKind::JoinSlow
         | EventKind::Split => "task",
-        EventKind::StealAttempt
-        | EventKind::StealSuccess
+        EventKind::StealSuccess
+        | EventKind::LeapSteal
         | EventKind::StealFail
+        | EventKind::StealLost
         | EventKind::Backoff
         | EventKind::Leapfrog => "steal",
         EventKind::Publish | EventKind::PublishRequest => "publish",
@@ -135,7 +138,6 @@ mod tests {
         r0.set_enabled(true);
         r0.record(EventKind::Spawn, 100, 1);
         r0.record(EventKind::Idle, 200, 0);
-        r0.record(EventKind::StealAttempt, 250, 1);
         r0.record(EventKind::StealSuccess, 300, 1);
         r0.record(EventKind::JoinFastPrivate, 400, 1);
         let mut r1 = TraceRing::new(32);
@@ -146,15 +148,15 @@ mod tests {
 
     #[test]
     fn document_shape_is_valid_and_reparses() {
-        let doc = sample_trace().to_chrome_json();
+        let doc = to_chrome_json(&sample_trace());
         let text = doc.pretty();
         let parsed = minijson::parse(&text).expect("valid JSON");
         let events = parsed
             .get("traceEvents")
             .and_then(Json::as_array)
             .expect("traceEvents array");
-        // 6 instants + 2 thread_name metadata + 1 idle duration.
-        assert_eq!(events.len(), 9);
+        // 5 instants + 2 thread_name metadata + 1 idle duration.
+        assert_eq!(events.len(), 8);
         for ev in events {
             assert!(ev.get("ph").is_some());
             assert!(ev.get("pid").is_some());
@@ -164,7 +166,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_relative_microseconds() {
-        let doc = sample_trace().to_chrome_json();
+        let doc = to_chrome_json(&sample_trace());
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
         // Epoch is ts=100 cycles at 2 ticks/ns = 2000 ticks/us. The
         // spawn at cycle 100 exports as ts 0; publish at 150 as 0.025us.
@@ -182,7 +184,7 @@ mod tests {
 
     #[test]
     fn idle_span_closed_by_steal_success() {
-        let doc = sample_trace().to_chrome_json();
+        let doc = to_chrome_json(&sample_trace());
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
         let idle = events
             .iter()
@@ -197,7 +199,7 @@ mod tests {
 
     #[test]
     fn steal_events_carry_peer() {
-        let doc = sample_trace().to_chrome_json();
+        let doc = to_chrome_json(&sample_trace());
         let events = doc.get("traceEvents").and_then(Json::as_array).unwrap();
         let steal = events
             .iter()

@@ -1,6 +1,6 @@
 //! The sync-facade lint.
 //!
-//! Two rules over the scheduler crates (`wool-core`, `wool-par`,
+//! Three rules over the scheduler crates (`wool-core`, `wool-par`,
 //! `wool-verify`):
 //!
 //! 1. **Facade rule** — `std::sync::atomic` and `std::thread` may appear
@@ -14,6 +14,10 @@
 //!    or within the ten preceding lines. Relaxed on a protocol word is
 //!    where fences quietly go missing; the annotation forces the
 //!    happens-before argument to live next to the code.
+//! 3. **Probe rule** — in `wool-core`, an event is counted and traced
+//!    only through `probe!`: no `stats.<field> +=` and no ring
+//!    `.record(` outside the macro's own definition. A counter bumped
+//!    beside the probe would count an event the trace does not hold.
 //!
 //! Escapes: lines after a `#[cfg(test)]` marker are exempt (tests may
 //! spawn real threads and poke counters), comment lines are exempt, and
@@ -111,10 +115,54 @@ pub fn check_relaxed(file_name: &str, content: &str) -> Vec<Finding> {
     findings
 }
 
-/// Applies both rules to one file.
-pub fn check_file(file_name: &str, content: &str) -> Vec<Finding> {
+/// Rule 3: a counter bump or a ring record outside `probe!`.
+pub fn check_probe_only(content: &str) -> Vec<Finding> {
+    let mut findings = Vec::new();
+    let mut in_probe = false;
+    for (idx, line) in content.lines().enumerate() {
+        let trimmed = line.trim_start();
+        if trimmed.starts_with("#[cfg(test)]") {
+            break;
+        }
+        if trimmed.starts_with("macro_rules! probe") {
+            in_probe = true;
+        }
+        if in_probe {
+            // The definition ends at its closing brace in column 0.
+            in_probe = !line.starts_with('}');
+            continue;
+        }
+        if trimmed.starts_with("//") {
+            continue;
+        }
+        if line.contains(".record(") || bumps_stats_field(line) {
+            findings.push(Finding {
+                line: idx + 1,
+                message: "event counted or traced outside `probe!`; \
+                          use `probe!(own, Kind, arg)`"
+                    .into(),
+            });
+        }
+    }
+    findings
+}
+
+/// Whether `line` holds `stats.<field> +=`.
+fn bumps_stats_field(line: &str) -> bool {
+    line.match_indices("stats.").any(|(i, m)| {
+        let rest = &line[i + m.len()..];
+        let after = rest.trim_start_matches(|c: char| c.is_ascii_alphanumeric() || c == '_');
+        after.len() < rest.len() && after.trim_start().starts_with("+=")
+    })
+}
+
+/// Applies the rules to one file of crate `krate`.
+pub fn check_file(krate: &str, file_name: &str, content: &str) -> Vec<Finding> {
     let mut f = check_facade(file_name, content);
     f.extend(check_relaxed(file_name, content));
+    if krate == "wool-core" {
+        f.extend(check_probe_only(content));
+    }
     f.sort_by_key(|x| x.line);
     f
 }
@@ -153,7 +201,7 @@ pub fn run() -> ExitCode {
             };
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             files += 1;
-            for f in check_file(&name, &content) {
+            for f in check_file(krate, &name, &content) {
                 eprintln!("{}:{}: {}", path.display(), f.line, f.message);
                 total += 1;
             }
@@ -228,6 +276,42 @@ mod tests {
             "\n".repeat(RELAXED_JUSTIFICATION_WINDOW + 1)
         );
         assert_eq!(check_relaxed("exec.rs", &far).len(), 1);
+    }
+
+    #[test]
+    fn probe_rule_flags_counter_bumps_and_ring_records() {
+        let bump = "fn f(own: &mut O) {\n    own.stats.steals += 1;\n}\n";
+        let f = check_probe_only(bump);
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].line, 2);
+        let spaced = "self.own().stats.backoffs+= 1;\n";
+        assert_eq!(check_probe_only(spaced).len(), 1);
+        let record = "own.trace.record(EventKind::Park, now(), 0);\n";
+        assert_eq!(check_probe_only(record).len(), 1);
+    }
+
+    #[test]
+    fn probe_rule_exempts_its_definition_tests_and_other_updates() {
+        let definition = "macro_rules! probe {\n    ($own:expr) => {{\n        \
+                          own.trace.record(kind, ts, arg);\n    }};\n}\n";
+        assert!(check_probe_only(definition).is_empty());
+        let after = format!("{definition}own.stats.steals += 1;\n");
+        assert_eq!(check_probe_only(&after)[0].line, 6);
+        let tests = "#[cfg(test)]\nmod tests { fn t(s: &mut S) { s.stats.steals += 1; } }\n";
+        assert!(check_probe_only(tests).is_empty());
+        let comment = "// own.stats.steals += 1 used to live here\n";
+        assert!(check_probe_only(comment).is_empty());
+        let derived = "stats.spawns = stats.inlined_private + stats.rts_joins;\n";
+        assert!(check_probe_only(derived).is_empty());
+        let merge = "self.steals += o.steals;\n";
+        assert!(check_probe_only(merge).is_empty());
+    }
+
+    #[test]
+    fn probe_rule_applies_to_wool_core_only() {
+        let bump = "own.stats.steals += 1;\n";
+        assert_eq!(check_file("wool-core", "exec.rs", bump).len(), 1);
+        assert!(check_file("wool-par", "split.rs", bump).is_empty());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Repo automation (`cargo xtask <command>`).
 //!
 //! * `lint` — the sync-facade lint: fails the build when scheduler code
-//!   bypasses `wool_core::sync` or uses an unjustified `Relaxed`
-//!   ordering on a protocol word. Pure text analysis, no nightly needed.
+//!   bypasses `wool_core::sync`, uses an unjustified `Relaxed` ordering
+//!   on a protocol word, or counts or traces an event outside `probe!`.
+//!   Pure text analysis, no nightly needed.
 //! * `loom`— runs the exhaustive model suite
 //!   (`RUSTFLAGS="--cfg loom" cargo test -p wool-verify --release`).
 //! * `miri` — runs the curated Miri subset (needs a nightly toolchain
