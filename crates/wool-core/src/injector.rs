@@ -41,11 +41,15 @@ struct Cell<T> {
 pub struct Injector<T> {
     buf: Box<[Cell<T>]>,
     mask: usize,
-    /// Enqueue position (next cell a producer will claim).
+    /// Enqueue position (the next cell a producer claims) and [`CLOSED`].
     head: CachePadded<AtomicUsize>,
     /// Dequeue position (next cell a consumer will claim).
     tail: CachePadded<AtomicUsize>,
 }
+
+/// Bit of [`Injector::head`] set by [`Injector::close`], above every
+/// position a queue reaches (2^63 pushes on a 64-bit target).
+const CLOSED: usize = 1 << (usize::BITS - 1);
 
 // SAFETY: cells are handed off producer→consumer through the Acquire/
 // Release protocol on `seq`; a cell's payload is only touched by the
@@ -79,12 +83,16 @@ impl<T> Injector<T> {
         self.buf.len()
     }
 
-    /// Enqueues a job; returns it back when the queue is full.
+    /// Enqueues a job; returns it back when the queue is full or closed.
     pub fn push(&self, job: T) -> Result<(), T> {
         // relaxed-ok: position hint only; a stale value is corrected by
         // the seq check or the CAS failure below, never acted on.
         let mut pos = self.head.load(Relaxed);
         loop {
+            // A claiming CAS that lost to `close` sees its bit here.
+            if pos & CLOSED != 0 {
+                return Err(job);
+            }
             let cell = &self.buf[pos & self.mask];
             // Acquire pairs with the consumer's Release store of
             // `pos + mask + 1`: seeing the vacancy value proves the
@@ -166,16 +174,29 @@ impl<T> Injector<T> {
 
     /// Whether the queue currently appears empty. SeqCst so it can be
     /// used in park/wake protocols (paired with a SeqCst fence on the
-    /// submit side).
+    /// submit side). A claimed cell counts before its job is written.
     pub fn is_empty(&self) -> bool {
-        self.tail.load(SeqCst) >= self.head.load(SeqCst)
+        self.tail.load(SeqCst) >= self.head.load(SeqCst) & !CLOSED
     }
 
     /// Number of successful pushes so far (each claims one position).
     pub fn pushed(&self) -> usize {
         // relaxed-ok: a statistic; a reader that synchronized with the
         // pushes some other way (e.g. by joining their jobs) sees them.
-        self.head.load(Relaxed)
+        self.head.load(Relaxed) & !CLOSED
+    }
+
+    /// Whether [`close`](Injector::close) has run.
+    pub fn is_closed(&self) -> bool {
+        // relaxed-ok: the bit stays set, and a later load of `head` (as
+        // in `is_empty`) reads it and every claim ordered before it.
+        self.head.load(Relaxed) & CLOSED != 0
+    }
+
+    /// Closes the queue: every `push` whose claim comes later returns its
+    /// job; queued jobs stay. True for the one call that closed it.
+    pub fn close(&self) -> bool {
+        self.head.fetch_or(CLOSED, SeqCst) & CLOSED == 0
     }
 }
 
@@ -236,6 +257,19 @@ mod tests {
         }
         drop(q);
         assert_eq!(Arc::strong_count(&job), 1);
+    }
+
+    #[test]
+    fn close_turns_pushes_away_and_keeps_queued_jobs() {
+        let q = Injector::with_capacity(4);
+        q.push(1).unwrap();
+        assert!(q.close(), "the first close closes");
+        assert!(!q.close(), "a second close does not");
+        assert_eq!(q.push(2), Err(2), "a push after the close returns its job");
+        assert_eq!((q.pushed(), q.is_empty()), (1, false), "the bit is masked");
+        assert_eq!(q.pop(), Some(1), "a job pushed before the close is popped");
+        assert_eq!((q.pushed(), q.is_empty()), (1, true));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

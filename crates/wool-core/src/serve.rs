@@ -19,9 +19,9 @@
 //!    parallelism through the untouched §III-A/B fast path): a failed
 //!    steal rings the victim's trip wire and makes a busy owner publish
 //!    for nothing;
-//! 3. **escalation** — the shared [`Idle`] spin → yield → park, with an
-//!    injector-aware wakeup: a submitter wakes a parked worker eagerly
-//!    instead of relying on the park timeout.
+//! 3. **escalation** — the shared [`Idle`] spin → yield → park. Every
+//!    submission wakes one parked worker, so a burst wakes as many
+//!    workers as it has jobs, and a worker passes no wake on.
 //!
 //! The tradeoff: while roots are queued, a running job's inner
 //! parallelism waits until the queue drains. Throughput does not suffer,
@@ -34,8 +34,8 @@
 
 mod handle;
 
-use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release, SeqCst};
-use crate::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use crate::sync::atomic::{AtomicU32, AtomicU64};
 use crate::sync::thread::JoinHandle;
 use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use crate::config::PoolConfig;
 use crate::exec::WorkerHandle;
 use crate::injector::Injector;
+use crate::pad::CachePadded;
 use crate::pool::PoolInner;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
@@ -80,8 +81,6 @@ impl std::error::Error for SubmitError {}
 /// [`ServePool::shutdown`].
 #[derive(Debug)]
 pub struct ServeReport {
-    /// Number of workers the pool ran.
-    pub workers: usize,
     /// Root jobs executed to completion.
     pub jobs: u64,
     /// Per-worker scheduler statistics for the whole serve session.
@@ -94,7 +93,7 @@ pub struct ServeReport {
     pub trace: Option<Trace>,
 }
 
-/// Runs a job on a worker; the second argument is the pool's
+/// Runs a job on a worker; the second argument is that worker's
 /// completed-jobs counter.
 type Run<S> = Box<dyn FnOnce(&mut WorkerHandle<S>, &AtomicU64) + Send>;
 
@@ -123,10 +122,10 @@ impl<S: Strategy> Job<S> {
             // Contain the job's panic to the job: the worker survives,
             // the payload travels to whoever joins the handle.
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(h)));
-            // Count the job before its handle resolves: a joiner's
-            // Acquire of the result then also sees the count, so
-            // `pending_jobs` never counts a joined job.
-            completed.fetch_add(1, Relaxed);
+            // relaxed-ok: only this worker writes its counter, and the
+            // count precedes `complete`'s AcqRel swap: a joiner that reads
+            // the result reads the count, so `pending_jobs` skips the job.
+            completed.store(completed.load(Relaxed) + 1, Relaxed);
             done.complete(outcome);
         });
         let job = Job {
@@ -140,10 +139,19 @@ impl<S: Strategy> Job<S> {
 
 /// The state every worker shares with the pool.
 struct Shared<S: Strategy> {
-    /// The global injector queue.
+    /// The global injector queue, closed by `shutdown`.
     injector: Injector<Job<S>>,
+    /// Root jobs completed by each worker; only worker `i` writes
+    /// `completed[i]`.
+    completed: Box<[CachePadded<AtomicU64>]>,
+}
+
+impl<S: Strategy> Shared<S> {
     /// Root jobs completed, across all workers.
-    jobs: AtomicU64,
+    fn jobs(&self) -> u64 {
+        // relaxed-ok: a statistic; joining a job (or worker) orders its count.
+        self.completed.iter().map(|c| c.load(Relaxed)).sum()
+    }
 }
 
 /// A persistent work-stealing pool accepting concurrent job submissions
@@ -183,11 +191,6 @@ pub struct ServePool<S: Strategy = WoolFull> {
     shared: Arc<Shared<S>>,
     /// The worker threads, joined by `shutdown`.
     threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Set by `shutdown`; checked by every submission.
-    draining: AtomicBool,
-    /// Submissions in flight: past the increment, not yet pushed or
-    /// backed out.
-    in_flight: AtomicUsize,
     /// Tag sequence for trace correlation.
     next_tag: AtomicU32,
 }
@@ -219,7 +222,9 @@ impl<S: Strategy> ServePool<S> {
         });
         let shared = Arc::new(Shared {
             injector: Injector::with_capacity(inner.cfg.injector_capacity),
-            jobs: AtomicU64::new(0),
+            completed: (0..inner.cfg.workers)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
         });
         let threads = (0..inner.cfg.workers)
             .map(|i| {
@@ -235,8 +240,6 @@ impl<S: Strategy> ServePool<S> {
             inner,
             shared,
             threads: Mutex::new(threads),
-            draining: AtomicBool::new(false),
-            in_flight: AtomicUsize::new(0),
             next_tag: AtomicU32::new(0),
         }
     }
@@ -255,7 +258,7 @@ impl<S: Strategy> ServePool<S> {
     /// the caller has joined is never counted; submissions and
     /// completions racing the call may or may not be.
     pub fn pending_jobs(&self) -> usize {
-        let done = self.shared.jobs.load(Relaxed) as usize;
+        let done = self.shared.jobs() as usize;
         self.shared.injector.pushed().saturating_sub(done)
     }
 
@@ -294,55 +297,39 @@ impl<S: Strategy> ServePool<S> {
         self.admit(f, false)
     }
 
-    /// Packages a closure into a queued job and pushes it, as one
-    /// submission in flight through the drain gate. With `wait`, a full
-    /// queue is retried until it has room or shutdown begins.
+    /// Packages a closure into a queued job and pushes it. With `wait`,
+    /// a full queue is retried until it has room or shutdown closes it.
     fn admit<R, F>(&self, f: F, wait: bool) -> Result<JobHandle<R>, SubmitError>
     where
         F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        // Count the submission *before* the drain check: `shutdown` sets
-        // `draining` and then waits for `in_flight == 0`, so whichever
-        // side wins this race, no accepted push lands after the workers
-        // stop.
-        self.in_flight.fetch_add(1, SeqCst);
-        let admitted = if self.draining.load(SeqCst) {
-            Err(SubmitError::ShuttingDown)
-        } else {
-            let (mut job, handle) = Job::new(f);
-            if TRACE {
-                // Relaxed: the tags only need to be distinct.
-                job.tag = self.next_tag.fetch_add(1, Relaxed);
+        let (mut job, handle) = Job::new(f);
+        if TRACE {
+            // relaxed-ok: the tags only need to be distinct.
+            job.tag = self.next_tag.fetch_add(1, Relaxed);
+        }
+        // A job turned away below is dropped, which resolves its handle
+        // with the discard panic; the handle is never given out.
+        let queue = &self.shared.injector;
+        while let Err(back) = queue.push(job) {
+            if queue.is_closed() {
+                return Err(SubmitError::ShuttingDown);
+            } else if !wait {
+                return Err(SubmitError::Full);
             }
-            // A job turned away below is dropped, which resolves its
-            // handle with the discard panic; the handle is never given out.
-            loop {
-                match self.shared.injector.push(job) {
-                    Ok(()) => {
-                        // The job is queued: wake a parked worker (the
-                        // handshake of `Idle`, whose re-check in
-                        // serve_loop reads the queue).
-                        Idle::wake_one(&self.inner.workers);
-                        break Ok(handle);
-                    }
-                    Err(_) if !wait => break Err(SubmitError::Full),
-                    Err(_) if self.draining.load(SeqCst) => break Err(SubmitError::ShuttingDown),
-                    Err(back) => {
-                        job = back;
-                        crate::sync::thread::yield_now();
-                    }
-                }
-            }
-        };
-        // Release: `shutdown` reads 0 only after the push above landed.
-        self.in_flight.fetch_sub(1, Release);
-        admitted
+            job = back;
+            crate::sync::thread::yield_now();
+        }
+        // The job is queued: wake a parked worker (the handshake of
+        // `Idle`, whose re-check in serve_loop reads the queue).
+        Idle::wake_one(&self.inner.workers);
+        Ok(handle)
     }
 
-    /// Graceful shutdown: stop accepting submissions, wait for the
-    /// submissions already in flight to land in the injector, then stop
-    /// the workers, which run every queued job before they exit.
+    /// Graceful shutdown: close the injector to new submissions, then
+    /// stop the workers, which run every queued job before they exit,
+    /// including a job whose push claimed its cell before the close.
     /// Returns the session report (scheduler statistics, job count, and
     /// — when tracing was configured — the merged event trace), or
     /// `None` if shutdown had already begun.
@@ -352,13 +339,11 @@ impl<S: Strategy> ServePool<S> {
     /// rejected with [`SubmitError::ShuttingDown`]; none are silently
     /// lost.
     pub fn shutdown(&self) -> Option<ServeReport> {
-        if self.draining.swap(true, SeqCst) {
+        if !self.shared.injector.close() {
             return None;
         }
-        while self.in_flight.load(SeqCst) != 0 {
-            crate::sync::thread::yield_now();
-        }
-        self.inner.shutdown.store(true, SeqCst);
+        // A worker exits once it reads the queue closed and empty, and a
+        // push that beat the close counts as queued from its claim on.
         Idle::wake_all(&self.inner.workers);
         for t in std::mem::take(&mut *self.threads.lock().unwrap()) {
             let _ = t.join();
@@ -371,8 +356,7 @@ impl<S: Strategy> ServePool<S> {
             .collect_reports(u64::MAX, |i| !w[i].dead.load(Acquire));
         let per_worker: Vec<Stats> = collected.reports.iter().map(|r| r.stats).collect();
         Some(ServeReport {
-            workers: per_worker.len(),
-            jobs: self.shared.jobs.load(Relaxed),
+            jobs: self.shared.jobs(),
             total: per_worker.iter().copied().sum(),
             per_worker,
             trace: collected.trace,
@@ -387,15 +371,6 @@ impl<S: Strategy> Drop for ServePool<S> {
     }
 }
 
-// Submission and shutdown are `&self` and internally synchronized;
-// handing references across threads (e.g. `thread::scope` clients) is
-// the intended use. The auto-traits would already derive this, but
-// spell the requirement out against accidental regressions:
-const _: fn() = || {
-    fn assert_sync<T: Sync + Send>() {}
-    assert_sync::<ServePool<WoolFull>>();
-};
-
 /// Main loop of a serve worker.
 fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: usize) {
     // SAFETY: the pool (via Arc) outlives the loop; this thread is the
@@ -408,15 +383,11 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
     // SAFETY: owner-only state, this is the owning thread.
     unsafe { handle.own().begin(cfg, Category::St) };
 
+    let queue = &shared.injector;
     let mut idle = Idle::default();
     loop {
         // 1. A queued root job comes first.
-        if let Some(job) = shared.injector.pop() {
-            // More queued work behind this one? Pass the wakeup on so
-            // one submission burst does not drain through one worker.
-            if !shared.injector.is_empty() {
-                Idle::wake_one(&inner.workers);
-            }
+        if let Some(job) = queue.pop() {
             let tag = job.tag;
             // SAFETY: this thread owns worker `idx`. The Inject event is
             // backdated to the submitter's timestamp so queueing latency
@@ -425,7 +396,7 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
                 probe!(handle.own(), Inject, tag, at = job.submit_ts);
                 probe!(handle.own(), Dequeue, tag);
             }
-            (job.run)(&mut handle, &shared.jobs);
+            (job.run)(&mut handle, &shared.completed[idx]);
             // SAFETY: as above.
             unsafe { probe!(handle.own(), JobDone, tag) }
             idle.rounds = 0;
@@ -439,24 +410,20 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
             continue;
         }
 
-        if inner.shutdown.load(Acquire) && shared.injector.is_empty() {
+        if queue.is_closed() && queue.is_empty() {
             break;
         }
 
         // 3. Nothing anywhere: escalate spin → yield → park. Submitters
-        // wake a parked worker, so the park re-checks the queue (and
-        // shutdown); a steal target that appears with no submission
+        // wake a parked worker, so the park re-checks the queue (and its
+        // closed bit); a steal target that appears with no submission
         // waits for a publication's wake or the park timeout.
         if idle.rounds == 0 {
             // SAFETY: this thread owns worker `idx`.
             unsafe { probe!(handle.own(), Idle, 0) }
         }
         // SAFETY: this thread owns worker `idx`.
-        unsafe {
-            idle.wait(wkr, || {
-                !shared.injector.is_empty() || inner.shutdown.load(SeqCst)
-            })
-        };
+        unsafe { idle.wait(wkr, || !queue.is_empty() || queue.is_closed()) };
     }
 
     // Publish this worker's statistics for the pool to collect after
@@ -505,6 +472,6 @@ mod tests {
         // The workers run the queued job before they exit, so one of
         // them dies without publishing its report.
         let report = pool.shutdown().expect("first shutdown");
-        assert_eq!((report.workers, report.jobs), (2, 0));
+        assert_eq!((report.per_worker.len(), report.jobs), (2, 0));
     }
 }

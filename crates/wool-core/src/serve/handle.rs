@@ -16,9 +16,12 @@
 //! consumer that has to sleep (or register an async waker) first moves
 //! the word PENDING → WAITING under the waiters lock, and only a swap
 //! that finds WAITING makes the worker take that lock and wake anyone.
+//! A blocking `join` first spins and yields as [`Idle`] does, so a job
+//! finishing meanwhile costs neither side a lock or a futex call.
 
 use crate::sync::atomic::AtomicU8;
 use crate::sync::atomic::Ordering::{AcqRel, Acquire};
+use crate::worker::Idle;
 use std::cell::UnsafeCell;
 use std::future::Future;
 use std::pin::Pin;
@@ -186,6 +189,10 @@ impl<R: Send> JobHandle<R> {
     /// # Panics
     /// Re-raises the job's panic, if it panicked.
     pub fn join(self) -> R {
+        let mut idle = Idle::default();
+        while !self.core.is_done() && !idle.parks_next() {
+            idle.snooze();
+        }
         if !self.core.is_done() {
             let mut w = self.core.waiters();
             if self.core.announce_wait() {

@@ -260,6 +260,11 @@ impl Idle {
         }
     }
 
+    /// Whether the next empty round of a waiter that may park parks.
+    pub(crate) fn parks_next(&self) -> bool {
+        self.rounds.saturating_add(1) >= Self::PARK_AT
+    }
+
     /// One empty round of worker `wkr` that may park: snooze until the
     /// park round, then park unless `has_work()`, which runs after the
     /// flag is set and fenced. The trace records `park` and `unpark`
@@ -269,7 +274,7 @@ impl Idle {
     /// The calling thread must own `wkr`.
     #[cfg_attr(loom, track_caller)]
     pub(crate) unsafe fn wait(&mut self, wkr: &Worker, has_work: impl FnOnce() -> bool) {
-        if self.rounds.saturating_add(1) < Self::PARK_AT {
+        if !self.parks_next() {
             return self.snooze();
         }
         wkr.thread.get_or_init(crate::sync::thread::current);

@@ -33,6 +33,10 @@
 //!    `background_loop` and `Pool::run` call, over two regions; exactly
 //!    one wins per region, and the coordinator waits only for a worker
 //!    that joined.
+//! 7. **The serve drain gate** (`tests/drain_gate.rs`): `submit` racing
+//!    `shutdown` on the real one-worker `ServePool`, whose gate is the
+//!    closed bit of the injector; every accepted job runs before
+//!    `shutdown` returns, every refusal is `ShuttingDown`.
 //!
 //! The model suites are compiled only under `--cfg loom`; the command
 //! below also turns on debug assertions, so the `debug_assert!`s of

@@ -9,7 +9,8 @@
 //!    reroutes every synchronization operation into the model checker; a
 //!    single stray `std` atomic would silently escape exploration.
 //! 2. **Relaxed rule** — in the protocol files (`slot.rs`,
-//!    `injector.rs`, `exec.rs`) every `Ordering::Relaxed` must carry a
+//!    `injector.rs`, `exec.rs`, and the serve hand-off in `serve.rs` and
+//!    `serve/handle.rs`) every `Ordering::Relaxed` must carry a
 //!    written justification: a `relaxed-ok` annotation on the same line
 //!    or within the ten preceding lines. Relaxed on a protocol word is
 //!    where fences quietly go missing; the annotation forces the
@@ -35,7 +36,8 @@ use std::process::ExitCode;
 const LINTED_CRATES: &[&str] = &["wool-core", "wool-par", "wool-verify"];
 
 /// Files where every `Relaxed` needs a `relaxed-ok` justification.
-const RELAXED_AUDITED_FILES: &[&str] = &["slot.rs", "injector.rs", "exec.rs"];
+const RELAXED_AUDITED_FILES: &[&str] =
+    &["slot.rs", "injector.rs", "exec.rs", "serve.rs", "handle.rs"];
 
 /// How far above a `Relaxed` use its `relaxed-ok` justification may sit.
 const RELAXED_JUSTIFICATION_WINDOW: usize = 10;
@@ -322,5 +324,10 @@ mod tests {
         assert!(check_relaxed("slot.rs", uses).is_empty());
         let tests = "#[cfg(test)]\nmod tests { fn t(a: &A) { a.x.load(Ordering::Relaxed); } }\n";
         assert!(check_relaxed("slot.rs", tests).is_empty());
+        for file in ["serve.rs", "handle.rs"] {
+            assert_eq!(check_relaxed(file, bare).len(), 1, "{file} is audited");
+            let ok = "// relaxed-ok: a statistic\na.x.load(Ordering::Relaxed);\n";
+            assert!(check_relaxed(file, ok).is_empty());
+        }
     }
 }
