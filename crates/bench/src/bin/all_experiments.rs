@@ -1,58 +1,20 @@
-//! Runs every table and figure in sequence (one-stop reproduction).
+//! Runs every table and figure in sequence (one-stop reproduction), or
+//! one of them with `--only <exhibit>`.
 //!
 //! ```text
 //! cargo run --release -p ws-bench --bin all_experiments -- --scale 0.01 --workers 4
+//! cargo run --release -p ws-bench --bin all_experiments -- --only table2 --quick
 //! ```
-use ws_bench::experiments::*;
-use ws_bench::{dump_json, BenchArgs};
+use ws_bench::experiments::EXHIBITS;
+use ws_bench::BenchArgs;
 
 fn main() {
     let args = BenchArgs::parse();
-    let dir = args.json.clone().unwrap_or_else(|| "results".to_string());
-
-    let t2 = table2::run(&args);
-    table2::render(&t2).print();
-    dump_json(&format!("{dir}/table2.json"), &t2);
-
-    let t3 = table3::run(&args);
-    table3::render(&t3).print();
-    dump_json(&format!("{dir}/table3.json"), &t3);
-
-    let t4 = table4::run(&args);
-    table4::render(&t4).print();
-    dump_json(&format!("{dir}/table4.json"), &t4);
-
-    let f1 = fig1::run(&args);
-    let (l, r) = fig1::render(&f1);
-    l.print();
-    r.print();
-    dump_json(&format!("{dir}/fig1.json"), &f1);
-
-    let f4 = fig4::run(&args);
-    for t in fig4::render(&f4) {
-        t.print();
+    let mut table3 = None;
+    for exhibit in &EXHIBITS {
+        if args.only.is_none_or(|name| name == exhibit.name) {
+            exhibit.run(&args, &mut table3);
+        }
     }
-    dump_json(&format!("{dir}/fig4.json"), &f4);
-
-    let t1 = table1::run(&args);
-    table1::render(&t1).print();
-    dump_json(&format!("{dir}/table1.json"), &t1);
-
-    let f5 = fig5::run(&args);
-    for t in fig5::render(&f5) {
-        t.print();
-    }
-    dump_json(&format!("{dir}/fig5.json"), &f5);
-
-    let f6 = fig6::run(&args);
-    for t in fig6::render(&f6) {
-        t.print();
-    }
-    dump_json(&format!("{dir}/fig6.json"), &f6);
-
-    let ab = ablation::run(&args);
-    ablation::render(&ab).print();
-    ablation::render_join_policy(&ab).print();
-    dump_json(&format!("{dir}/ablation.json"), &ab);
     ws_bench::tracing::maybe_trace(&args);
 }

@@ -1,13 +1,15 @@
-//! Minimal shared argument parsing for the experiment binaries.
+//! Minimal shared argument parsing for the harness binaries.
 //!
 //! All binaries accept:
 //!
 //! ```text
+//! --only EXHIBIT  run one exhibit of `all_experiments` (default: all nine)
 //! --workers N     maximum worker count to sweep to  (default: 4)
 //! --scale F       repetition scale factor vs the paper (default: 0.01)
 //! --paper         full paper-sized parameters (scale = 1.0)
 //! --quick         tiny smoke-test parameters (scale = 0.001)
-//! --json PATH      also dump machine-readable results to PATH
+//! --json DIR       write each exhibit's results to DIR/<exhibit>.json
+//!                  (`serve_throughput`: the file to write its rows to)
 //! --trace-out PATH record a scheduler event trace of a representative
 //!                  run and write it as Chrome/Perfetto trace JSON
 //!                  (needs the `trace` cargo feature; see docs/TRACING.md)
@@ -17,14 +19,19 @@
 //! on a 2009 8-core Opteron; `--scale` shrinks them proportionally so a
 //! full table regenerates in minutes on a small host.
 
+use crate::experiments::EXHIBITS;
+
 /// Parsed command-line arguments.
 #[derive(Debug, Clone)]
 pub struct BenchArgs {
+    /// The one exhibit to run (`--only`), one of
+    /// [`EXHIBITS`]' names; `None` runs all.
+    pub only: Option<&'static str>,
     /// Maximum worker count to sweep to.
     pub workers: usize,
     /// Repetition scale factor relative to the paper's counts.
     pub scale: f64,
-    /// Optional JSON output path.
+    /// Optional JSON output directory (`serve_throughput`: file).
     pub json: Option<String>,
     /// Optional Chrome-trace output path (`--trace-out`). Parsed
     /// unconditionally; acting on it requires the `trace` feature.
@@ -34,6 +41,7 @@ pub struct BenchArgs {
 impl Default for BenchArgs {
     fn default() -> Self {
         BenchArgs {
+            only: None,
             workers: 4,
             scale: 0.01,
             json: None,
@@ -48,34 +56,43 @@ impl BenchArgs {
         Self::parse_from(std::env::args().skip(1))
     }
 
-    /// Parses from an explicit iterator (testable).
+    /// Parses from an explicit iterator, exiting with a usage message on
+    /// error.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I) -> Self {
+        Self::try_parse_from(args).unwrap_or_else(|msg| usage(&msg))
+    }
+
+    /// Parses from an explicit iterator; `Err` holds the error message,
+    /// empty for `--help`.
+    pub fn try_parse_from<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut out = BenchArgs::default();
         let mut it = args.into_iter();
         while let Some(a) = it.next() {
+            let mut value = |what: &str| it.next().ok_or(format!("{a} needs {what}"));
             match a.as_str() {
+                "--only" => {
+                    let name = value("an exhibit")?;
+                    let names = EXHIBITS.map(|e| e.name);
+                    out.only = Some(names.into_iter().find(|&n| n == name).ok_or(format!(
+                        "unknown exhibit: {name} (one of: {})",
+                        names.join(", ")
+                    ))?);
+                }
                 "--workers" => {
-                    out.workers = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--workers needs a number"));
+                    out.workers = value("a number")?
+                        .parse()
+                        .map_err(|_| "--workers needs a number")?
                 }
                 "--scale" => {
-                    out.scale = it
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--scale needs a number"));
+                    out.scale = value("a number")?
+                        .parse()
+                        .map_err(|_| "--scale needs a number")?
                 }
                 "--paper" => out.scale = 1.0,
                 "--quick" => out.scale = 0.001,
-                "--json" => {
-                    out.json = Some(it.next().unwrap_or_else(|| usage("--json needs a path")));
-                }
+                "--json" => out.json = Some(value("a path")?),
                 "--trace-out" => {
-                    out.trace_out = Some(
-                        it.next()
-                            .unwrap_or_else(|| usage("--trace-out needs a path")),
-                    );
+                    out.trace_out = Some(value("a path")?);
                     if !wool_core::trace::TRACE {
                         eprintln!(
                             "warning: --trace-out ignored; rebuild with \
@@ -83,11 +100,11 @@ impl BenchArgs {
                         );
                     }
                 }
-                "--help" | "-h" => usage(""),
-                other => usage(&format!("unknown argument: {other}")),
+                "--help" | "-h" => return Err(String::new()),
+                other => return Err(format!("unknown argument: {other}")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Worker counts to sweep: 1, 2, 4, ... up to `workers`.
@@ -110,8 +127,8 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: <bin> [--workers N] [--scale F | --paper | --quick] [--json PATH] \
-         [--trace-out PATH]"
+        "usage: <bin> [--only EXHIBIT] [--workers N] [--scale F | --paper | --quick] \
+         [--json DIR] [--trace-out PATH]"
     );
     std::process::exit(if msg.is_empty() { 0 } else { 2 });
 }
@@ -144,6 +161,24 @@ mod tests {
     fn trace_out_flag() {
         let a = parse("--trace-out results/trace.json");
         assert_eq!(a.trace_out.as_deref(), Some("results/trace.json"));
+    }
+
+    #[test]
+    fn only_takes_each_exhibit() {
+        assert_eq!(parse("").only, None);
+        for e in &EXHIBITS {
+            assert_eq!(parse(&format!("--only {}", e.name)).only, Some(e.name));
+        }
+    }
+
+    #[test]
+    fn only_rejects_an_unknown_exhibit() {
+        let args = ["--only", "table5"].map(String::from);
+        let err = BenchArgs::try_parse_from(args).unwrap_err();
+        assert!(err.contains("unknown exhibit: table5"), "{err}");
+        for e in &EXHIBITS {
+            assert!(err.contains(e.name), "{err} lists {}", e.name);
+        }
     }
 
     #[test]

@@ -9,9 +9,10 @@
 
 use workloads::{WorkloadKind, WorkloadSpec};
 
+use super::{series_table, speedups};
 use crate::cli::BenchArgs;
 use crate::measure::measure_job;
-use crate::report::{fmt_sig, Table};
+use crate::report::Table;
 use crate::system::{System, SystemKind};
 
 /// One speedup series.
@@ -53,69 +54,37 @@ pub fn run(args: &BenchArgs) -> Result {
     let mut serial = System::create(SystemKind::Serial, 1);
     let fib_ts = measure_job(&mut serial, &fib_spec, 2).seconds;
 
-    let sweep = args.worker_sweep();
-    let mut fib_series = Vec::new();
-    let mut stress_series = Vec::new();
+    let mut fib = Vec::new();
+    let mut stress = Vec::new();
     for kind in SystemKind::PAPER_SYSTEMS {
         eprintln!("[fig1] {}", kind.name());
-        let mut fib_points = Vec::new();
-        let mut stress_points = Vec::new();
-        let mut stress_t1 = f64::NAN;
-        for &p in &sweep {
-            let mut sys = System::create(kind, p);
-            let tf = measure_job(&mut sys, &fib_spec, 1).seconds;
-            fib_points.push((p, fib_ts / tf));
-            let ts = measure_job(&mut sys, &stress_spec, 1).seconds;
-            if p == 1 {
-                stress_t1 = ts;
-            }
-            stress_points.push((p, stress_t1 / ts));
-        }
-        fib_series.push(Series {
+        let series = |spec: &WorkloadSpec, base| Series {
             system: kind.name().to_string(),
-            points: fib_points,
-        });
-        stress_series.push(Series {
-            system: kind.name().to_string(),
-            points: stress_points,
-        });
+            points: speedups(args, kind, spec, base),
+        };
+        fib.push(series(&fib_spec, Some(fib_ts)));
+        stress.push(series(&stress_spec, None));
     }
-    Result {
-        fib_n,
-        fib: fib_series,
-        stress: stress_series,
-    }
+    Result { fib_n, fib, stress }
 }
 
 /// Renders both panels as tables (one row per system, one column per
 /// worker count).
-pub fn render(r: &Result) -> (Table, Table) {
-    let render_panel = |title: &str, series: &[Series]| {
-        let mut header = vec!["System".to_string()];
-        for &(p, _) in &series[0].points {
-            header.push(format!("p={p}"));
-        }
-        let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-        let mut t = Table::new(title, &hdr);
-        for s in series {
-            let mut cells = vec![s.system.clone()];
-            for &(_, v) in &s.points {
-                cells.push(fmt_sig(v));
-            }
-            t.row(cells);
-        }
-        t
+pub fn render(r: &Result) -> [Table; 2] {
+    let panel = |title: &str, series: &[Series]| {
+        let rows = series.iter().map(|s| (s.system.as_str(), &s.points[..]));
+        series_table(title, "System", rows)
     };
-    (
-        render_panel(
+    [
+        panel(
             &format!("Figure 1 (left): fib({}) absolute speedup", r.fib_n),
             &r.fib,
         ),
-        render_panel(
+        panel(
             "Figure 1 (right): stress(4096,3) relative speedup",
             &r.stress,
         ),
-    )
+    ]
 }
 
 minijson::impl_to_json!(Series { system, points });

@@ -8,10 +8,10 @@
 
 use workloads::{WorkloadKind, WorkloadSpec};
 
+use super::{series_table, speedups};
 use crate::cli::BenchArgs;
-use crate::measure::measure_job;
-use crate::report::{fmt_sig, Table};
-use crate::system::{System, SystemKind};
+use crate::report::Table;
+use crate::system::SystemKind;
 
 /// One panel: a fixed region size, speedups per system and worker count.
 #[derive(Debug, Clone)]
@@ -43,7 +43,6 @@ pub fn run(args: &BenchArgs) -> Result {
         (10, 8192),
         (11, 4096),
     ];
-    let sweep = args.worker_sweep();
     let mut panels = Vec::new();
     for (height, base_reps) in configs {
         let reps = ((base_reps as f64 * args.scale) as u64).max(8);
@@ -54,25 +53,17 @@ pub fn run(args: &BenchArgs) -> Result {
             reps,
         };
         eprintln!("[fig4] height={height} reps={reps}");
-        let mut series = Vec::new();
-        for kind in SystemKind::FIG4_LADDER {
-            let mut points = Vec::new();
-            let mut t1 = f64::NAN;
-            for &p in &sweep {
-                let mut sys = System::create(kind, p);
-                let t = measure_job(&mut sys, &spec, 1).seconds;
-                if p == 1 {
-                    t1 = t;
-                }
-                points.push((p, t1 / t));
-            }
-            let label = if kind == SystemKind::WoolTaskSpecific {
-                "nolock".to_string()
-            } else {
-                kind.name().trim_start_matches("steal:").to_string()
-            };
-            series.push((label, points));
-        }
+        let series = SystemKind::FIG4_LADDER
+            .into_iter()
+            .map(|kind| {
+                let label = if kind == SystemKind::WoolTaskSpecific {
+                    "nolock"
+                } else {
+                    kind.name().trim_start_matches("steal:")
+                };
+                (label.to_string(), speedups(args, kind, &spec, None))
+            })
+            .collect();
         panels.push(Panel {
             height,
             reps,
@@ -90,26 +81,12 @@ pub fn render(r: &Result) -> Vec<Table> {
     r.panels
         .iter()
         .map(|panel| {
-            let mut header = vec!["Steal impl".to_string()];
-            for &(p, _) in &panel.series[0].1 {
-                header.push(format!("p={p}"));
-            }
-            let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-            let mut t = Table::new(
-                &format!(
-                    "Figure 4: stress(256, h={}) x{} — relative speedup",
-                    panel.height, panel.reps
-                ),
-                &hdr,
+            let title = format!(
+                "Figure 4: stress(256, h={}) x{} — relative speedup",
+                panel.height, panel.reps
             );
-            for (name, points) in &panel.series {
-                let mut cells = vec![name.clone()];
-                for &(_, v) in points {
-                    cells.push(fmt_sig(v));
-                }
-                t.row(cells);
-            }
-            t
+            let rows = panel.series.iter().map(|(n, pts)| (n.as_str(), &pts[..]));
+            series_table(&title, "Steal impl", rows)
         })
         .collect()
 }

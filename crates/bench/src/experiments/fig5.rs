@@ -7,9 +7,10 @@
 
 use workloads::{all_table1_specs, WorkloadKind, WorkloadSpec};
 
+use super::{series_table, speedups};
 use crate::cli::BenchArgs;
 use crate::measure::measure_job;
-use crate::report::{fmt_sig, Table};
+use crate::report::Table;
 use crate::system::{System, SystemKind};
 
 /// One panel: a workload, speedups per system and worker count.
@@ -31,33 +32,28 @@ pub struct Result {
     pub panels: Vec<Panel>,
 }
 
-/// Runs the experiment over `specs` (pass `None` to use all 24 Table I
-/// rows — at small scales a subset keeps runtime reasonable).
+/// Runs the experiment over `specs`: [`run`] passes all 24 Table I
+/// rows; at small scales a subset keeps the runtime reasonable.
 pub fn run_specs(args: &BenchArgs, specs: &[WorkloadSpec]) -> Result {
-    let sweep = args.worker_sweep();
     let mut panels = Vec::new();
     for spec in specs {
         eprintln!("[fig5] {}", spec.name());
         let absolute = spec.kind != WorkloadKind::Stress;
-        // Baseline time.
-        let base = if absolute {
-            let mut serial = System::create(SystemKind::Serial, 1);
-            measure_job(&mut serial, spec, 2).seconds
+        let base_kind = if absolute {
+            SystemKind::Serial
         } else {
-            let mut wool1 = System::create(SystemKind::Wool, 1);
-            measure_job(&mut wool1, spec, 2).seconds
+            SystemKind::Wool
         };
-
-        let mut series = Vec::new();
-        for kind in SystemKind::PAPER_SYSTEMS {
-            let mut points = Vec::new();
-            for &p in &sweep {
-                let mut sys = System::create(kind, p);
-                let t = measure_job(&mut sys, spec, 1).seconds;
-                points.push((p, base / t));
-            }
-            series.push((kind.name().to_string(), points));
-        }
+        let base = measure_job(&mut System::create(base_kind, 1), spec, 2).seconds;
+        let series = SystemKind::PAPER_SYSTEMS
+            .into_iter()
+            .map(|kind| {
+                (
+                    kind.name().to_string(),
+                    speedups(args, kind, spec, Some(base)),
+                )
+            })
+            .collect();
         panels.push(Panel {
             workload: spec.name(),
             absolute,
@@ -81,28 +77,14 @@ pub fn render(r: &Result) -> Vec<Table> {
     r.panels
         .iter()
         .map(|panel| {
-            let mut header = vec!["System".to_string()];
-            for &(p, _) in &panel.series[0].1 {
-                header.push(format!("p={p}"));
-            }
-            let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
             let kind = if panel.absolute {
                 "absolute"
             } else {
                 "relative"
             };
-            let mut t = Table::new(
-                &format!("Figure 5: {} — {kind} speedup", panel.workload),
-                &hdr,
-            );
-            for (name, points) in &panel.series {
-                let mut cells = vec![name.clone()];
-                for &(_, v) in points {
-                    cells.push(fmt_sig(v));
-                }
-                t.row(cells);
-            }
-            t
+            let title = format!("Figure 5: {} — {kind} speedup", panel.workload);
+            let rows = panel.series.iter().map(|(n, pts)| (n.as_str(), &pts[..]));
+            series_table(&title, "System", rows)
         })
         .collect()
 }

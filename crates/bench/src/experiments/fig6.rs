@@ -69,7 +69,7 @@ pub fn run(args: &BenchArgs) -> Result {
         for &p in &sweep {
             let cfg = PoolConfig::with_workers(p).instrument_time(true);
             let mut sys = System::create_with(SystemKind::Wool, cfg);
-            let m = measure_job(&mut sys, spec, 1);
+            measure_job(&mut sys, spec, 1);
             let report = sys.last_report().expect("instrumented wool run");
             let na = report.breakdown.get(Category::Na) as f64;
             let la = report.breakdown.get(Category::La) as f64;
@@ -85,7 +85,6 @@ pub fn run(args: &BenchArgs) -> Result {
                 workers: p,
                 fractions: [tr / na1, na / na1, la / na1, st / na1, lf / na1],
             });
-            let _ = m;
         }
         panels.push(Panel {
             workload: spec.name(),
@@ -101,16 +100,13 @@ pub fn render(r: &Result) -> Vec<Table> {
         .iter()
         .map(|panel| {
             let mut header = vec!["Category".to_string()];
-            for b in &panel.bars {
-                header.push(format!("p={}", b.workers));
-            }
-            let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
+            header.extend(panel.bars.iter().map(|b| format!("p={}", b.workers)));
             let mut t = Table::new(
                 &format!(
                     "Figure 6: {} — CPU time (normalized to 1-worker NA)",
                     panel.workload
                 ),
-                &hdr,
+                &header,
             );
             let labels = ["TR", "NA", "LA", "ST", "LF"];
             for (i, label) in labels.iter().enumerate() {

@@ -100,18 +100,11 @@ pub fn run(args: &BenchArgs) -> Result {
 
 /// Renders the paper-style table.
 pub fn render(r: &Result) -> Table {
-    let mut header: Vec<String> = vec![
-        "Workload".into(),
-        "Par(0)".into(),
-        "Par(2k)".into(),
-        "RepSz(kcyc)".into(),
-        "G_T(cyc)".into(),
-    ];
-    for p in &r.sweep {
-        header.push(format!("G_L({p})k"));
-    }
-    let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
-    let mut t = Table::new("Table I: workload characteristics", &hdr);
+    let mut header = ["Workload", "Par(0)", "Par(2k)", "RepSz(kcyc)", "G_T(cyc)"]
+        .map(String::from)
+        .to_vec();
+    header.extend(r.sweep.iter().map(|p| format!("G_L({p})k")));
+    let mut t = Table::new("Table I: workload characteristics", &header);
     for row in &r.rows {
         let mut cells = vec![
             row.workload.clone(),

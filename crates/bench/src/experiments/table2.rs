@@ -18,7 +18,7 @@ use workloads::fib::fib_spawn_count;
 use workloads::{WorkloadKind, WorkloadSpec};
 
 use crate::cli::BenchArgs;
-use crate::measure::measure_job;
+use crate::measure::{cycles_per, measure_job};
 use crate::report::{fmt_sig, Table};
 use crate::system::{System, SystemKind};
 
@@ -97,12 +97,10 @@ pub fn run(args: &BenchArgs) -> Result {
     let mut rows = Vec::new();
     for (label, mut sys) in ladder {
         let m = measure_job(&mut sys, &spec, repeats);
-        let overhead =
-            (m.seconds - t_s).max(0.0) * 1e9 * wool_core::cycles::ticks_per_ns() / tasks as f64;
         rows.push(Row {
             version: label,
             seconds: m.seconds,
-            overhead_cycles: overhead,
+            overhead_cycles: cycles_per((m.seconds - t_s).max(0.0), tasks),
         });
     }
     rows.push(Row {

@@ -19,7 +19,7 @@ use workloads::fib::fib_spawn_count;
 use workloads::{WorkloadKind, WorkloadSpec};
 
 use crate::cli::BenchArgs;
-use crate::measure::measure_job;
+use crate::measure::{cycles_per, measure_job};
 use crate::report::{fmt_sig, Table};
 use crate::system::{System, SystemKind};
 
@@ -58,7 +58,7 @@ fn inlined_overhead(kind: SystemKind, n: u64, t_s: f64) -> f64 {
     };
     let mut sys = System::create(kind, 1);
     let m = measure_job(&mut sys, &spec, 3);
-    (m.seconds - t_s).max(0.0) * 1e9 * wool_core::cycles::ticks_per_ns() / fib_spawn_count(n) as f64
+    cycles_per((m.seconds - t_s).max(0.0), fib_spawn_count(n))
 }
 
 /// Measures the steal overhead for `p = 2^k` workers on `kind`.
@@ -78,7 +78,7 @@ fn steal_overhead(kind: SystemKind, k: u32, leaf_iters: u64, hw: usize) -> f64 {
     let t_tree = measure_job(&mut sys, &spec, 3).seconds;
 
     let ideal = t_serial_tree / p.min(hw) as f64;
-    (t_tree - ideal).max(0.0) * 1e9 * wool_core::cycles::ticks_per_ns()
+    cycles_per((t_tree - ideal).max(0.0), 1)
 }
 
 /// Runs the experiment.
@@ -118,10 +118,10 @@ pub fn run(args: &BenchArgs) -> Result {
         let inlined = inlined_overhead(kind, fib_n, t_s);
         let inlined_public = (kind == SystemKind::Wool)
             .then(|| inlined_overhead(SystemKind::WoolAllPublic, fib_n, t_s));
-        let mut steal_cycles = Vec::new();
-        for &k in &ks {
-            steal_cycles.push((1usize << k, steal_overhead(kind, k, leaf_iters, hw)));
-        }
+        let steal_cycles = ks
+            .iter()
+            .map(|&k| (1usize << k, steal_overhead(kind, k, leaf_iters, hw)))
+            .collect();
         rows.push(Row {
             system: kind.name().to_string(),
             inlined_cycles: inlined,
@@ -140,16 +140,13 @@ pub fn run(args: &BenchArgs) -> Result {
 /// Renders the paper-style table.
 pub fn render(r: &Result) -> Table {
     let mut header = vec!["System".to_string(), "Inlined".to_string()];
-    for (p, _) in &r.rows[0].steal_cycles {
-        header.push(format!("{p}"));
-    }
-    let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
+    header.extend(r.rows[0].steal_cycles.iter().map(|(p, _)| p.to_string()));
     let mut t = Table::new(
         &format!(
             "Table III: costs (cycles) of inlined and stolen tasks (hw={})",
             r.hw_threads
         ),
-        &hdr,
+        &header,
     );
     for row in &r.rows {
         let inlined = match row.inlined_cycles_public {

@@ -1,12 +1,13 @@
 //! Table IV — *A simple steal cost model, computed and measured
 //! speed ups.*
 //!
-//! For `mm(64)`: combine the measured steal costs (Table III) and steal
+//! For `mm(64)`: combine the steal costs measured for Table III and steal
 //! counts with the §IV-D2a model and compare the predicted speedup to
 //! the measured one, per system and worker count.
 
 use workloads::{WorkloadKind, WorkloadSpec};
 
+use super::table3;
 use crate::cli::BenchArgs;
 use crate::measure::measure_job;
 use crate::model::{steal_cost_model_speedup, ModelInputs};
@@ -31,12 +32,12 @@ pub struct Result {
     /// its mm is a work-sharing loop, not tasks; ours is task-based so
     /// we include it for completeness).
     pub rows: Vec<Row>,
-    /// Steal costs reused from the Table III procedure.
+    /// Steal costs reused from Table III.
     pub steal_costs: Vec<(String, Vec<(usize, f64)>)>,
 }
 
-/// Runs the experiment.
-pub fn run(args: &BenchArgs) -> Result {
+/// Runs the experiment, with the steal costs of Table III's result `t3`.
+pub fn run(args: &BenchArgs, t3: &table3::Result) -> Result {
     let spec = WorkloadSpec {
         kind: WorkloadKind::Mm,
         p1: 64,
@@ -49,9 +50,6 @@ pub fn run(args: &BenchArgs) -> Result {
     let ms = measure_job(&mut serial, &spec, 2);
     let work_per_rep = ms.cycles / spec.reps as f64;
 
-    // Steal costs via the Table III procedure (reused).
-    let t3 = super::table3::run(args);
-
     let sweep: Vec<usize> = args.worker_sweep().into_iter().filter(|&p| p > 1).collect();
     let mut rows = Vec::new();
     for kind in SystemKind::PAPER_SYSTEMS {
@@ -61,12 +59,8 @@ pub fn run(args: &BenchArgs) -> Result {
             .iter()
             .find(|r| r.system == kind.name())
             .expect("system measured in table3");
-        let c2 = costs
-            .steal_cycles
-            .iter()
-            .find(|&&(p, _)| p == 2)
-            .map(|&(_, c)| c)
-            .unwrap_or(0.0);
+        let cost_at = |p| costs.steal_cycles.iter().find(|&&(q, _)| q == p);
+        let c2 = cost_at(2).map_or(0.0, |&(_, c)| c);
 
         let mut entries = Vec::new();
         for &p in &sweep {
@@ -75,12 +69,7 @@ pub fn run(args: &BenchArgs) -> Result {
             let mp = measure_job(&mut sys, &spec, 1);
             let measured = ms.seconds / mp.seconds;
             let steals_per_rep = mp.steals as f64 / spec.reps as f64;
-            let cp = costs
-                .steal_cycles
-                .iter()
-                .find(|&&(q, _)| q == p)
-                .map(|&(_, c)| c)
-                .unwrap_or(c2);
+            let cp = cost_at(p).map_or(c2, |&(_, c)| c);
             let predicted = steal_cost_model_speedup(ModelInputs {
                 work: work_per_rep,
                 c2,
@@ -110,16 +99,13 @@ pub fn run(args: &BenchArgs) -> Result {
 /// Renders the paper-style table (measured values in parentheses).
 pub fn render(r: &Result) -> Table {
     let mut header = vec!["System".to_string()];
-    for &(p, _, _) in &r.rows[0].entries {
-        header.push(format!("{p}"));
-    }
-    let hdr: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
+    header.extend(r.rows[0].entries.iter().map(|(p, _, _)| p.to_string()));
     let mut t = Table::new(
         &format!(
             "Table IV: steal-cost model vs measured, mm(64), RepSz={}k cycles",
             fmt_sig(r.rep_kcycles)
         ),
-        &hdr,
+        &header,
     );
     for row in &r.rows {
         let mut cells = vec![row.system.clone()];

@@ -1,7 +1,8 @@
 //! # ws-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the Wool paper's evaluation
-//! (§IV). Each binary under `src/bin/` corresponds to one exhibit; this
+//! (§IV). The `all_experiments` binary runs every exhibit of
+//! [`experiments::EXHIBITS`], or one with `--only <exhibit>`; this
 //! library provides the shared machinery:
 //!
 //! * [`system`] — a closed enum over every scheduler in the repository
@@ -13,6 +14,8 @@
 //!   (Table IV).
 //! * [`report`] — plain-text table rendering plus JSON dumping of every
 //!   result (consumed by EXPERIMENTS.md).
+//! * [`experiments`] — one module per exhibit, plus the speedup sweep
+//!   and series table that Figures 1, 4 and 5 share.
 //! * [`cli`] — a tiny argument parser shared by the binaries.
 //!
 //! [`Job`]: wool_core::Job

@@ -16,12 +16,6 @@ use workloads::WorkloadSpec;
 /// One timed result.
 #[derive(Debug, Clone)]
 pub struct Measurement {
-    /// System display name.
-    pub system: String,
-    /// Workload name (with parameters and reps).
-    pub workload: String,
-    /// Worker count.
-    pub workers: usize,
     /// Best wall time, seconds.
     pub seconds: f64,
     /// Best wall time, cycle ticks.
@@ -35,25 +29,10 @@ pub struct Measurement {
     pub checksum: f64,
 }
 
-minijson::impl_to_json!(Measurement {
-    system,
-    workload,
-    workers,
-    seconds,
-    cycles,
-    steals,
-    spawns,
-    checksum,
-});
-
 /// Runs `spec` on `system` `repeats` times, keeping the fastest run.
 pub fn measure_job(system: &mut System, spec: &WorkloadSpec, repeats: usize) -> Measurement {
     assert!(repeats >= 1);
-    let mut best_secs = f64::INFINITY;
     let mut best = Measurement {
-        system: system.name().to_string(),
-        workload: spec.name(),
-        workers: 1,
         seconds: f64::INFINITY,
         cycles: f64::INFINITY,
         steals: 0,
@@ -66,8 +45,7 @@ pub fn measure_job(system: &mut System, spec: &WorkloadSpec, repeats: usize) -> 
         let checksum = system.run_job(spec.job());
         let dt = t0.elapsed();
         let secs = dt.as_secs_f64();
-        if secs < best_secs {
-            best_secs = secs;
+        if secs < best.seconds {
             let stats = system.last_stats();
             best.seconds = secs;
             best.cycles = cycles::duration_to_ticks(dt);

@@ -16,10 +16,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub fn new<S: AsRef<str>>(title: &str, header: &[S]) -> Self {
         Table {
             title: title.to_string(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.iter().map(|s| s.as_ref().to_string()).collect(),
             rows: Vec::new(),
         }
     }

@@ -51,6 +51,24 @@ pub enum SystemKind {
 }
 
 impl SystemKind {
+    /// Every system, in declaration order.
+    pub const ALL: [SystemKind; 14] = [
+        SystemKind::Wool,
+        SystemKind::WoolAllPublic,
+        SystemKind::WoolTaskSpecific,
+        SystemKind::WoolSyncOnTask,
+        SystemKind::WoolLockedBase,
+        SystemKind::WoolStealLockBase,
+        SystemKind::WoolStealLockPeek,
+        SystemKind::WoolStealLockTrylock,
+        SystemKind::WoolNoLeapfrog,
+        SystemKind::TbbLike,
+        SystemKind::CilkLike,
+        SystemKind::OmpLike,
+        SystemKind::Central,
+        SystemKind::Serial,
+    ];
+
     /// The four systems of the paper's headline comparisons
     /// (Figures 1 and 5, Table III).
     pub const PAPER_SYSTEMS: [SystemKind; 4] = [
@@ -195,20 +213,11 @@ impl System {
     /// since the last reset (baselines). Serial returns zeros.
     pub fn last_stats(&self) -> Stats {
         match self {
-            System::Wool(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolAllPublic(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolTaskSpecific(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolSyncOnTask(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolLockedBase(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolStealLockBase(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolStealLockPeek(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolStealLockTrylock(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
-            System::WoolNoLeapfrog(p) => p.last_report().map(|r| r.total).unwrap_or_default(),
             System::TbbLike(p) => p.stats(),
             System::CilkLike(p) => p.stats(),
             System::OmpLike(p) => p.stats(),
             System::Central(p) => p.stats(),
-            System::Serial(_) => Stats::default(),
+            _ => self.last_report().map(|r| r.total).unwrap_or_default(),
         }
     }
 
@@ -267,21 +276,7 @@ mod tests {
 
     #[test]
     fn every_system_computes_fib() {
-        let kinds = [
-            SystemKind::Wool,
-            SystemKind::WoolAllPublic,
-            SystemKind::WoolTaskSpecific,
-            SystemKind::WoolSyncOnTask,
-            SystemKind::WoolLockedBase,
-            SystemKind::WoolStealLockBase,
-            SystemKind::WoolStealLockPeek,
-            SystemKind::WoolStealLockTrylock,
-            SystemKind::TbbLike,
-            SystemKind::CilkLike,
-            SystemKind::OmpLike,
-            SystemKind::Serial,
-        ];
-        for kind in kinds {
+        for kind in SystemKind::ALL {
             let mut s = System::create(kind, 2);
             assert_eq!(s.run_job(FibJob(16)), 987, "{}", s.name());
             assert_eq!(s.kind(), kind);
@@ -308,23 +303,7 @@ mod tests {
     #[test]
     fn names_are_distinct() {
         use std::collections::HashSet;
-        let names: HashSet<_> = [
-            SystemKind::Wool,
-            SystemKind::WoolAllPublic,
-            SystemKind::WoolTaskSpecific,
-            SystemKind::WoolSyncOnTask,
-            SystemKind::WoolLockedBase,
-            SystemKind::WoolStealLockBase,
-            SystemKind::WoolStealLockPeek,
-            SystemKind::WoolStealLockTrylock,
-            SystemKind::TbbLike,
-            SystemKind::CilkLike,
-            SystemKind::OmpLike,
-            SystemKind::Serial,
-        ]
-        .iter()
-        .map(|k| k.name())
-        .collect();
-        assert_eq!(names.len(), 12);
+        let names: HashSet<_> = SystemKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(names.len(), 14);
     }
 }

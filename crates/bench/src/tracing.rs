@@ -1,6 +1,6 @@
 //! `--trace-out` support: record a scheduler event trace and export it.
 //!
-//! Every experiment binary calls [`maybe_trace`] after its main work.
+//! Every harness binary calls [`maybe_trace`] after its main work.
 //! When `--trace-out PATH` was given (and the harness was built with
 //! `--features trace`), a representative run — the §IV-A `stress` tree
 //! on the full Wool scheduler — is executed once with per-worker event

@@ -331,8 +331,7 @@ impl<S: Strategy> Pool<S> {
 
         // Worker 0 publishes its report through its own mailbox, like
         // the background workers. SAFETY: as at region start.
-        unsafe { *w0.report.get() = (*w0.own.get()).finish() };
-        w0.report_epoch.store(epoch, Release);
+        unsafe { w0.publish_report(epoch) };
 
         // Close the region on every background worker: only those that
         // joined it are waited for.
@@ -441,20 +440,12 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
             // report from it: the coordinator closed it out and waits
             // only for the workers that joined.
             let done = inner.completed.load(Acquire);
-            // SAFETY: owner-only state; the coordinator reads `report`
-            // only after Acquire-observing a matching `report_epoch`,
-            // which we Release-store below.
-            let seen = unsafe {
-                let own = handle.own();
-                if own.seen_epoch == done && wkr.report_epoch.load(Relaxed) != done {
-                    // `finish` stops the trace ring before the Release
-                    // below: the coordinator reads it after the matching
-                    // Acquire.
-                    *wkr.report.get() = own.finish();
-                    wkr.report_epoch.store(done, Release);
-                }
-                own.seen_epoch
-            };
+            // SAFETY: owner-only state, this is the owning thread.
+            let seen = unsafe { handle.own().seen_epoch };
+            if seen == done && wkr.report_epoch.load(Relaxed) != done {
+                // SAFETY: this thread owns worker `idx`.
+                unsafe { wkr.publish_report(done) };
+            }
             // Park until a region this worker has not joined opens (its
             // root's first publication wakes the worker) or the pool
             // shuts down. SAFETY: this thread owns worker `idx`.

@@ -7,9 +7,9 @@
 //! [`Injector`] from any thread, at any time, concurrently. Jobs enter
 //! outside the task stacks, so the paper's fast path — private tasks,
 //! trip-wire publication, leapfrogging — is byte-for-byte the one
-//! `Pool::run` uses. Each submission returns a [`JobHandle`]: poll it,
-//! block on it, or `.await` it; panics inside the job resurface at the
-//! join, never on the worker.
+//! `Pool::run` uses. Each submission returns a [`JobHandle`]: poll it
+//! with `is_finished` or block on it with `join`; panics inside the job
+//! resurface at the join, never on the worker.
 //!
 //! The scheduling order per worker is deliberate:
 //!
@@ -34,7 +34,7 @@
 
 mod handle;
 
-use crate::sync::atomic::Ordering::{Acquire, Relaxed, Release};
+use crate::sync::atomic::Ordering::{Acquire, Relaxed};
 use crate::sync::atomic::{AtomicU32, AtomicU64};
 use crate::sync::thread::JoinHandle;
 use std::panic::AssertUnwindSafe;
@@ -427,12 +427,9 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
     }
 
     // Publish this worker's statistics for the pool to collect after
-    // joining the thread.
-    // SAFETY: owner-only state; the pool reads `report` (and the trace
-    // ring) only after `JoinHandle::join` returns, which synchronizes
-    // with everything this thread ever wrote.
-    unsafe { *wkr.report.get() = handle.own().finish() };
-    wkr.report_epoch.store(u64::MAX, Release);
+    // joining the thread, which also synchronizes with everything this
+    // thread ever wrote. SAFETY: this thread owns worker `idx`.
+    unsafe { wkr.publish_report(u64::MAX) };
 }
 
 #[cfg(test)]

@@ -1,21 +1,19 @@
 //! Job completion objects: the two halves of a submission.
 //!
 //! A [`JobHandle`] is what [`submit`](crate::ServePool::submit) hands
-//! back: a one-shot future resolving to the job's result. It supports
-//! all three consumption styles a service needs — non-blocking polls
-//! ([`try_join`](JobHandle::try_join)), blocking waits
-//! ([`join`](JobHandle::join)), and `std::future::Future` for async
-//! runtimes — and it propagates a panic raised inside the job to
-//! whichever consumer resolves it, mirroring `std::thread::JoinHandle`.
+//! back: a one-shot handle to the job's result. A client polls it with
+//! [`is_finished`](JobHandle::is_finished) and blocks on it with
+//! [`join`](JobHandle::join), which re-raises a panic raised inside the
+//! job, mirroring `std::thread::JoinHandle`.
 //! Its producer half, the [`Completer`], rides inside the queued job and
 //! resolves the handle exactly once: with the job's outcome, or, if the
 //! job is dropped unrun, with a discard panic, so no waiter hangs.
 //!
 //! The completion path is lock-free for the common case: the worker
 //! writes the result and swaps one state word, PENDING → DONE. A
-//! consumer that has to sleep (or register an async waker) first moves
-//! the word PENDING → WAITING under the waiters lock, and only a swap
-//! that finds WAITING makes the worker take that lock and wake anyone.
+//! consumer that has to sleep first moves the word PENDING → WAITING
+//! under the waiters lock, and only a swap that finds WAITING makes the
+//! worker take that lock and wake it.
 //! A blocking `join` first spins and yields as [`Idle`] does, so a job
 //! finishing meanwhile costs neither side a lock or a futex call.
 
@@ -23,13 +21,10 @@ use crate::sync::atomic::AtomicU8;
 use crate::sync::atomic::Ordering::{AcqRel, Acquire};
 use crate::worker::Idle;
 use std::cell::UnsafeCell;
-use std::future::Future;
-use std::pin::Pin;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::task::{Context, Poll, Waker};
 
 const PENDING: u8 = 0;
-/// A consumer sleeps on the condvar or has registered a waker.
+/// A consumer sleeps on the condvar, or is about to.
 const WAITING: u8 = 1;
 const DONE: u8 = 2;
 
@@ -44,7 +39,7 @@ pub(super) fn channel<R>() -> (Completer<R>, JobHandle<R>) {
     let core = Arc::new(JobCore {
         state: AtomicU8::new(PENDING),
         outcome: UnsafeCell::new(None),
-        waker: Mutex::new(None),
+        waiters: Mutex::new(()),
         cv: Condvar::new(),
     });
     let done = Completer {
@@ -86,8 +81,8 @@ struct JobCore<R> {
     /// sleeping `join` rely on the notify.
     state: AtomicU8,
     outcome: UnsafeCell<Option<Outcome<R>>>,
-    /// At most one async consumer (the handle is not cloneable).
-    waker: Mutex<Option<Waker>>,
+    /// Guards the PENDING → WAITING move and the condvar sleep.
+    waiters: Mutex<()>,
     cv: Condvar,
 }
 
@@ -109,26 +104,23 @@ impl<R> JobCore<R> {
             // The consumer set WAITING under the lock and holds it until
             // it sleeps, so taking the lock here orders the notify after
             // its wait began.
-            let waker = self.waiters().take();
+            let _w = self.waiters();
             self.cv.notify_all();
-            if let Some(w) = waker {
-                w.wake();
-            }
         }
     }
 
-    /// The waiters lock, recovered if a waker's `clone` or `drop` panicked
-    /// under it (the `Option` stays valid), so `complete` never panics.
-    fn waiters(&self) -> MutexGuard<'_, Option<Waker>> {
-        self.waker.lock().unwrap_or_else(PoisonError::into_inner)
+    /// The waiters lock. It guards no data, so a poisoned lock is as
+    /// good as a clean one, and `complete` never panics.
+    fn waiters(&self) -> MutexGuard<'_, ()> {
+        self.waiters.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn is_done(&self) -> bool {
         self.state.load(Acquire) == DONE
     }
 
-    /// Moves PENDING → WAITING before a consumer sleeps or waits for its
-    /// waker; false if the job is done. Call with the waiters lock held.
+    /// Moves PENDING → WAITING before a consumer sleeps; false if the job
+    /// is done. Call with the waiters lock held.
     fn announce_wait(&self) -> bool {
         self.state
             .compare_exchange(PENDING, WAITING, Acquire, Acquire)
@@ -139,8 +131,7 @@ impl<R> JobCore<R> {
     ///
     /// # Safety
     /// Requires exclusive access to the consuming handle (guaranteed:
-    /// `JobHandle` is not cloneable and the takers borrow it mutably or
-    /// consume it).
+    /// `JobHandle` is not cloneable and `join` consumes it).
     unsafe fn take(&self) -> Outcome<R> {
         (*self.outcome.get())
             .take()
@@ -155,7 +146,8 @@ fn resolve<R>(outcome: Outcome<R>) -> R {
     }
 }
 
-/// A handle to a submitted job: poll it, block on it, or `.await` it.
+/// A handle to a submitted job: poll it with `is_finished` or block on
+/// it with `join`.
 ///
 /// Dropping the handle detaches the job (it still runs to completion;
 /// the result is discarded) — the same semantics as
@@ -168,20 +160,6 @@ impl<R: Send> JobHandle<R> {
     /// Whether the job has finished (successfully or by panicking).
     pub fn is_finished(&self) -> bool {
         self.core.is_done()
-    }
-
-    /// Non-blocking: returns the result if the job has finished, or
-    /// the handle back if it is still running.
-    ///
-    /// # Panics
-    /// Re-raises the job's panic, if it panicked.
-    pub fn try_join(self) -> Result<R, Self> {
-        if self.core.is_done() {
-            // SAFETY: handle consumed by value — exclusive access.
-            Ok(resolve(unsafe { self.core.take() }))
-        } else {
-            Err(self)
-        }
     }
 
     /// Blocks until the job finishes and returns its result.
@@ -206,30 +184,6 @@ impl<R: Send> JobHandle<R> {
     }
 }
 
-impl<R: Send> Future for JobHandle<R> {
-    type Output = R;
-
-    /// Resolves to the job's result; re-raises the job's panic.
-    ///
-    /// Like `std::thread`'s scoped join handles, polling again after
-    /// `Ready` panics (the result has been moved out).
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<R> {
-        let this = self.get_mut();
-        if this.core.is_done() {
-            // SAFETY: pinned exclusive borrow of the only handle.
-            return Poll::Ready(resolve(unsafe { this.core.take() }));
-        }
-        let mut w = this.core.waiters();
-        if this.core.announce_wait() {
-            *w = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        drop(w);
-        // SAFETY: as above.
-        Poll::Ready(resolve(unsafe { this.core.take() }))
-    }
-}
-
 impl<R> std::fmt::Debug for JobHandle<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobHandle")
@@ -241,91 +195,25 @@ impl<R> std::fmt::Debug for JobHandle<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::atomic::Ordering::SeqCst;
-    use std::task::Wake;
 
     const ROUNDS: usize = 2_000;
 
     /// Races `complete(i)` on another thread, after a delay that varies
-    /// with `i`, against `consume` on this one. `consume` must resolve to
-    /// `i`; what else it returns goes to `settled` once the completer
-    /// has finished. A consumer that retries yields between tries, so
-    /// that on a host with fewer CPUs than racing threads it does not
-    /// starve the completer it waits for.
-    fn race<T>(
-        mut consume: impl FnMut(JobHandle<usize>) -> (usize, T),
-        mut settled: impl FnMut(T),
-    ) {
+    /// with `i`, against `join` on this one, which must return `i`.
+    #[test]
+    fn complete_races_join() {
         for i in 0..ROUNDS {
             let (done, handle) = channel();
-            let (v, rest) = std::thread::scope(|s| {
+            let v = std::thread::scope(|s| {
                 s.spawn(move || {
                     for _ in 0..i % 64 {
                         std::hint::spin_loop();
                     }
                     done.complete(Ok(i));
                 });
-                consume(handle)
+                handle.join()
             });
             assert_eq!(v, i, "round {i}");
-            settled(rest);
         }
-    }
-
-    #[test]
-    fn complete_races_join() {
-        race(|h| (h.join(), ()), drop);
-    }
-
-    #[test]
-    fn complete_races_try_join() {
-        let spin = |mut h: JobHandle<usize>| loop {
-            match h.try_join() {
-                Ok(v) => return (v, ()),
-                Err(back) => h = back,
-            }
-            std::thread::yield_now();
-        };
-        race(spin, drop);
-    }
-
-    /// Counts how often it was woken.
-    struct CountingWaker(AtomicUsize);
-
-    impl Wake for CountingWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.fetch_add(1, SeqCst);
-        }
-    }
-
-    /// Every poll registers a fresh waker. No waker fires twice, and the
-    /// one registered by the last `Pending` poll fires exactly once (an
-    /// executor sleeping on it would hang otherwise).
-    #[test]
-    fn complete_races_future_poll() {
-        let poll_until_ready = |mut h: JobHandle<usize>| {
-            let mut wakers = Vec::new();
-            let mut last_pending = None;
-            loop {
-                let w = Arc::new(CountingWaker(AtomicUsize::new(0)));
-                let waker = Waker::from(Arc::clone(&w));
-                let poll = Pin::new(&mut h).poll(&mut Context::from_waker(&waker));
-                wakers.push(Arc::clone(&w));
-                match poll {
-                    Poll::Ready(v) => return (v, (wakers, last_pending)),
-                    Poll::Pending => last_pending = Some(w),
-                }
-                std::thread::yield_now();
-            }
-        };
-        race(poll_until_ready, |(wakers, last_pending)| {
-            for w in &wakers {
-                assert!(w.0.load(SeqCst) <= 1, "a waker fired twice");
-            }
-            if let Some(w) = last_pending {
-                assert_eq!(w.0.load(SeqCst), 1, "the last Pending poll was never woken");
-            }
-        });
     }
 }

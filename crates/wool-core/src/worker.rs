@@ -177,9 +177,10 @@ pub(crate) const CLOSED: u64 = 1 << 63;
 // strict protocol: `own` only ever by the thread currently acting as
 // this worker (there is exactly one — background workers are pinned, and
 // worker 0 is driven by the single thread inside `Pool::run`, which
-// holds `&mut Pool`); `report` is written by that thread and read by the
-// coordinator only after it Acquire-reads a matching `report_epoch`
-// value, which the owner Release-writes after the report. The one
+// holds `&mut Pool`); `report` is written by that thread, in
+// `publish_report`, and read by the coordinator only after it
+// Acquire-reads a matching `report_epoch` value, which `publish_report`
+// Release-writes after the report. The one
 // exception for `own` is the trace ring (in a `TRACE` build): the
 // coordinator reads `own.trace` of other workers that joined the region,
 // but only after the same `report_epoch` acquire — the owner disables
@@ -209,6 +210,19 @@ impl Worker {
             thread: OnceLock::new(),
             dead: AtomicBool::new(false),
         }
+    }
+
+    /// Publishes the owner's report of the region `epoch`: `finish`
+    /// stops the trace ring and fills `report`, then the Release store
+    /// of `report_epoch` hands both to the coordinator (see the `Sync`
+    /// safety comment above).
+    ///
+    /// # Safety
+    /// The caller is the thread acting as this worker, and holds no
+    /// borrow of `own`.
+    pub unsafe fn publish_report(&self, epoch: u64) {
+        *self.report.get() = (*self.own.get()).finish();
+        self.report_epoch.store(epoch, Release);
     }
 
     /// The slot at stack index `i`.

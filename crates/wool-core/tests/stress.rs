@@ -1,14 +1,11 @@
 //! Serve-pool stress and correctness tests: concurrent submission from
-//! many client threads, graceful drain, panic propagation, Future
-//! resolution, backpressure, and lifecycle edge cases.
+//! many client threads, graceful drain, panic propagation,
+//! backpressure, and lifecycle edge cases.
 
-use std::future::Future;
 use std::panic::AssertUnwindSafe;
-use std::pin::Pin;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
 
 use wool_core::{PoolConfig, ServePool, Strategy, SubmitError, SyncOnTask, WoolFull, WorkerHandle};
@@ -83,14 +80,12 @@ fn joined_jobs_are_not_pending() {
     // One job at a time, read the instant the handle resolves: a count
     // bumped after the resolution would show here as a pending job.
     for i in 0..1000 {
-        let mut h = pool.submit(move |_| i).unwrap();
-        let v = loop {
-            match h.try_join() {
-                Ok(v) => break v,
-                Err(back) => h = back,
-            }
-        };
-        assert_eq!((v, pool.pending_jobs()), (i, 0));
+        let h = pool.submit(move |_| i).unwrap();
+        while !h.is_finished() {
+            std::hint::spin_loop();
+        }
+        assert_eq!(pool.pending_jobs(), 0);
+        assert_eq!(h.join(), i);
     }
     let report = pool.shutdown().expect("first shutdown returns a report");
     assert_eq!(report.jobs, (CLIENTS * JOBS + 1000) as u64);
@@ -137,7 +132,7 @@ fn try_join_polls_without_blocking() {
     let pool = ServePool::start(1);
     let gate = Arc::new(AtomicBool::new(false));
     let g = Arc::clone(&gate);
-    let mut h = pool
+    let h = pool
         .submit(move |_| {
             while !g.load(SeqCst) {
                 std::thread::yield_now();
@@ -147,57 +142,11 @@ fn try_join_polls_without_blocking() {
         .unwrap();
     // The job cannot have finished: it is parked on the gate.
     assert!(!h.is_finished());
-    h = h.try_join().expect_err("job still running");
     gate.store(true, SeqCst);
-    loop {
-        match h.try_join() {
-            Ok(v) => {
-                assert_eq!(v, 7);
-                break;
-            }
-            Err(back) => {
-                h = back;
-                std::thread::yield_now();
-            }
-        }
+    while !h.is_finished() {
+        std::thread::yield_now();
     }
-}
-
-/// Minimal executor: poll on this thread, sleep between polls on
-/// thread-park, wake on unpark.
-fn block_on<F: Future>(fut: F) -> F::Output {
-    struct ThreadWaker(std::thread::Thread);
-    impl Wake for ThreadWaker {
-        fn wake(self: Arc<Self>) {
-            self.0.unpark();
-        }
-    }
-    let waker = Waker::from(Arc::new(ThreadWaker(std::thread::current())));
-    let mut cx = Context::from_waker(&waker);
-    let mut fut = Box::pin(fut);
-    loop {
-        match Pin::new(&mut fut).poll(&mut cx) {
-            Poll::Ready(v) => return v,
-            Poll::Pending => std::thread::park_timeout(Duration::from_millis(50)),
-        }
-    }
-}
-
-#[test]
-fn handle_is_a_future() {
-    let pool = ServePool::start(2);
-    let handles: Vec<_> = (0..64u64)
-        .map(|i| pool.submit(move |h| fib(h, 8) + i).unwrap())
-        .collect();
-    let expected: u64 = (0..64).map(|i| fib_seq(8) + i).sum();
-    let total: u64 = block_on(async {
-        let mut sum = 0;
-        for h in handles {
-            sum += h.await;
-        }
-        sum
-    });
-    assert_eq!(total, expected);
+    assert_eq!(h.join(), 7);
 }
 
 /// Backpressure: with the lone worker wedged and the injector full,

@@ -57,9 +57,8 @@ impl<P: Producer> ParIter<P> {
         R: Send,
     {
         ParMap {
-            p: self.p,
+            it: self,
             f,
-            grain: self.grain,
             _out: PhantomData,
         }
     }
@@ -139,54 +138,13 @@ where
     }
 }
 
-/// A lazy mapped parallel iterator (see [`ParIter::map`]).
+/// A lazy mapped parallel iterator (see [`ParIter::map`]). Its
+/// consumers are [`ParIter`]'s, with the map fused into each leaf's
+/// loop.
 pub struct ParMap<P, F, R> {
-    p: P,
+    it: ParIter<P>,
     f: F,
-    grain: Option<usize>,
     _out: PhantomData<fn() -> R>,
-}
-
-/// The producer a `ParMap` consumer actually splits: the base producer
-/// plus a shared reference to the map closure.
-struct MapProducer<'f, P, F, R> {
-    base: P,
-    f: &'f F,
-    _out: PhantomData<fn() -> R>,
-}
-
-impl<'f, P, F, R> Producer for MapProducer<'f, P, F, R>
-where
-    P: Producer,
-    F: Fn(P::Item) -> R + Sync,
-{
-    type Item = R;
-
-    fn len(&self) -> usize {
-        self.base.len()
-    }
-
-    fn split_at(self, index: usize) -> (Self, Self) {
-        let (l, r) = self.base.split_at(index);
-        (
-            MapProducer {
-                base: l,
-                f: self.f,
-                _out: PhantomData,
-            },
-            MapProducer {
-                base: r,
-                f: self.f,
-                _out: PhantomData,
-            },
-        )
-    }
-
-    #[inline]
-    fn fold_seq<A, G: FnMut(A, R) -> A>(self, acc: A, mut g: G) -> A {
-        let f = self.f;
-        self.base.fold_seq(acc, |a, x| g(a, f(x)))
-    }
 }
 
 impl<P, F, R> ParMap<P, F, R>
@@ -197,22 +155,23 @@ where
 {
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.p.len()
+        self.it.len()
     }
 
     /// Whether there are no items.
     pub fn is_empty(&self) -> bool {
-        self.p.is_empty()
+        self.it.is_empty()
     }
 
     /// Pins the sequential-fallback cutoff (see [`ParIter::with_grain`]).
     ///
     /// # Panics
     /// Panics if `grain == 0`.
-    pub fn with_grain(mut self, grain: usize) -> Self {
-        assert!(grain >= 1, "grain must be at least 1");
-        self.grain = Some(grain);
-        self
+    pub fn with_grain(self, grain: usize) -> Self {
+        ParMap {
+            it: self.it.with_grain(grain),
+            ..self
+        }
     }
 
     /// Runs `g` on every mapped item, in parallel.
@@ -221,19 +180,8 @@ where
         C: Fork,
         G: Fn(R) + Sync,
     {
-        let grain = effective_grain(c, self.p.len(), self.grain);
-        let mp = MapProducer {
-            base: self.p,
-            f: &self.f,
-            _out: PhantomData,
-        };
-        split_reduce(
-            c,
-            mp,
-            grain,
-            &|p: MapProducer<'_, P, F, R>| p.fold_seq((), |(), x| g(x)),
-            &|(), ()| (),
-        );
+        let f = self.f;
+        self.it.for_each(c, |x| g(f(x)))
     }
 
     /// Parallel fold over the mapped items (see [`ParIter::fold`]).
@@ -245,19 +193,8 @@ where
         G: Fn(A, R) -> A + Sync,
         OP: Fn(A, A) -> A + Sync,
     {
-        let grain = effective_grain(c, self.p.len(), self.grain);
-        let mp = MapProducer {
-            base: self.p,
-            f: &self.f,
-            _out: PhantomData,
-        };
-        split_reduce(
-            c,
-            mp,
-            grain,
-            &|p: MapProducer<'_, P, F, R>| p.fold_seq(identity(), &fold),
-            &combine,
-        )
+        let f = self.f;
+        self.it.fold(c, identity, |a, x| fold(a, f(x)), combine)
     }
 
     /// Parallel reduction of the mapped items (see [`ParIter::reduce`]).

@@ -8,27 +8,10 @@ use wool_core::{Fork, Job};
 use workloads::{WorkloadKind, WorkloadSpec};
 use ws_bench::{System, SystemKind};
 
-const ALL_SYSTEMS: [SystemKind; 14] = [
-    SystemKind::Serial,
-    SystemKind::Wool,
-    SystemKind::WoolAllPublic,
-    SystemKind::WoolTaskSpecific,
-    SystemKind::WoolSyncOnTask,
-    SystemKind::WoolLockedBase,
-    SystemKind::WoolStealLockBase,
-    SystemKind::WoolStealLockPeek,
-    SystemKind::WoolStealLockTrylock,
-    SystemKind::WoolNoLeapfrog,
-    SystemKind::TbbLike,
-    SystemKind::CilkLike,
-    SystemKind::OmpLike,
-    SystemKind::Central,
-];
-
 fn check_spec(spec: WorkloadSpec, workers: usize) {
     let mut serial = System::create(SystemKind::Serial, 1);
     let expect = serial.run_job(spec.job());
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         let mut sys = System::create(kind, workers);
         let got = sys.run_job(spec.job());
         assert_eq!(
@@ -153,7 +136,7 @@ fn for_each_spawn_edge_widths_agree_everywhere() {
     // n > stack_capacity (8192 default: overflow path).
     for n in [0usize, 1, 10_000] {
         let expect = (n as u64 * (n as u64 + 1) / 2) as f64;
-        for kind in ALL_SYSTEMS {
+        for kind in SystemKind::ALL {
             let mut sys = System::create(kind, 3);
             let got = sys.run_job(ForEachJob { n });
             assert_eq!(got, expect, "for_each_spawn({n}) on {}", kind.name());
@@ -164,7 +147,7 @@ fn for_each_spawn_edge_widths_agree_everywhere() {
 #[test]
 fn many_workers_on_tiny_work() {
     // More workers than tasks: thieves mostly fail; results still exact.
-    for kind in ALL_SYSTEMS {
+    for kind in SystemKind::ALL {
         let mut sys = System::create(kind, 8);
         let spec = WorkloadSpec {
             kind: WorkloadKind::Fib,

@@ -39,7 +39,8 @@ fn table3_regenerates() {
 
 #[test]
 fn table4_regenerates() {
-    let r = table4::run(&tiny_args());
+    let args = tiny_args();
+    let r = table4::run(&args, &table3::run(&args));
     assert_eq!(r.rows.len(), 4);
     for row in &r.rows {
         for &(p, predicted, measured) in &row.entries {
@@ -59,7 +60,7 @@ fn fig1_regenerates() {
         assert!(!s.points.is_empty());
         assert!(s.points.iter().all(|&(_, v)| v > 0.0 && v.is_finite()));
     }
-    let (l, rt) = fig1::render(&r);
+    let [l, rt] = fig1::render(&r);
     assert!(l.render().contains("wool"));
     assert!(rt.render().contains("relative"));
 }
