@@ -1,13 +1,14 @@
 //! Table I — *Workload characteristics.*
 //!
 //! For every workload row: the average parallelism under the 0-cycle
-//! and 2000-cycle overhead models (measured by the span instrumentation
-//! during a one-worker Wool run), the per-repetition sequential size
-//! `RepSz`, the task granularity `G_T = T_S / N_T`, and the
-//! load-balancing granularity `G_L(p) = T_S / N_M` for each processor
-//! count in the sweep (steals counted on Wool runs with `p` workers).
+//! and 2000-cycle overhead models (measured by the serial span executor
+//! [`wool_core::span::measure`], which also counts the tasks `N_T`), the
+//! per-repetition sequential size `RepSz`, the task granularity
+//! `G_T = T_S / N_T`, and the load-balancing granularity
+//! `G_L(p) = T_S / N_M` for each processor count in the sweep (steals
+//! counted on Wool runs with `p` workers).
 
-use wool_core::PoolConfig;
+use wool_core::{span, Job};
 use workloads::{all_table1_specs, WorkloadSpec};
 
 use crate::cli::BenchArgs;
@@ -60,20 +61,18 @@ pub fn run(args: &BenchArgs) -> Result {
         let ms = measure_job(&mut serial, spec, 2);
         let t_s_cycles = ms.cycles;
 
-        // Instrumented single-worker Wool run: work/span + N_T.
-        let cfg = PoolConfig::with_workers(1).instrument_span(true);
-        let mut wool1 = System::create_with(SystemKind::Wool, cfg);
-        let m1 = measure_job(&mut wool1, spec, 1);
+        // Work/span and N_T of the task DAG; building the inputs is not
+        // part of it.
+        let job = spec.job();
+        let (checksum, dag) = span::measure(|c| job.call(c));
         assert_eq!(
             ms.checksum,
-            m1.checksum,
-            "serial and wool disagree on {}",
+            checksum,
+            "serial and span executor disagree on {}",
             spec.name()
         );
-        let report = wool1.last_report().expect("instrumented run");
-        let (par0, par_c) = (report.parallelism0(), report.parallelism_c());
 
-        let g_t = t_s_cycles / m1.spawns.max(1) as f64;
+        let g_t = t_s_cycles / dag.tasks.max(1) as f64;
         let rep_kcycles = t_s_cycles / spec.reps as f64 / 1e3;
 
         // Steal counts at each worker count.
@@ -88,8 +87,8 @@ pub fn run(args: &BenchArgs) -> Result {
         rows.push(Row {
             workload: spec.name(),
             reps: spec.reps,
-            parallelism0: par0,
-            parallelism_2000: par_c,
+            parallelism0: dag.parallelism0(),
+            parallelism_2000: dag.parallelism_c(),
             rep_kcycles,
             g_t,
             g_l,

@@ -221,7 +221,8 @@ impl System {
         }
     }
 
-    /// Full run report, if this is a Wool pool (span/breakdown data).
+    /// Full run report, if this is a Wool pool (per-worker statistics
+    /// and the time breakdown).
     pub fn last_report(&self) -> Option<&wool_core::RunReport> {
         match self {
             System::Wool(p) => p.last_report(),

@@ -29,8 +29,6 @@ pub struct PoolConfig {
     pub trip_distance: usize,
     /// How many additional descriptors the owner publishes per request.
     pub publish_batch: usize,
-    /// Enable work/span instrumentation for the next runs.
-    pub instrument_span: bool,
     /// Enable Figure 6 CPU-time breakdown for the next runs.
     pub instrument_time: bool,
     /// Enable per-worker event tracing for the next runs. Only takes
@@ -77,7 +75,6 @@ impl PoolConfig {
             stack_capacity: 8192,
             trip_distance: 2,
             publish_batch: 4,
-            instrument_span: false,
             instrument_time: false,
             instrument_trace: false,
             trace_capacity: 1 << 20,
@@ -90,12 +87,6 @@ impl PoolConfig {
     /// same name: capacity reserves address space, not memory).
     pub fn stack_capacity(mut self, cap: usize) -> Self {
         self.stack_capacity = cap;
-        self
-    }
-
-    /// Builder-style: enables span instrumentation.
-    pub fn instrument_span(mut self, on: bool) -> Self {
-        self.instrument_span = on;
         self
     }
 
@@ -187,12 +178,11 @@ mod tests {
     fn builder_chains() {
         let c = PoolConfig::with_workers(3)
             .stack_capacity(64)
-            .instrument_span(true)
             .instrument_time(true)
             .validated();
         assert_eq!(c.workers, 3);
         assert_eq!(c.stack_capacity, 64);
-        assert!(c.instrument_span && c.instrument_time);
+        assert!(c.instrument_time);
     }
 
     #[test]

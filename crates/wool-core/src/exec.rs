@@ -26,13 +26,11 @@
 use crate::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use std::marker::PhantomData;
 
-use crate::cycles;
 use crate::pool::PoolInner;
 use crate::slot::{
     check_transition, is_done, is_stolen, spin_while_empty, stolen, thief_of, RawWrapper, TaskRepr,
     TaskSlot, DONE, DONE_PANIC, EMPTY, TASK,
 };
-use crate::span::{combine, DEFAULT_OVERHEAD_CYCLES};
 use crate::strategy::{StealSync, Strategy};
 use crate::timebreak::Category;
 use crate::trace::probe;
@@ -101,8 +99,7 @@ where
 
 /// The task-specific wrapper (`wrap_f` in Figure 3), monomorphized per
 /// task type and strategy. Executes the task in place; never touches the
-/// slot's `state` (the caller publishes completion so it can order the
-/// span hand-off first).
+/// slot's `state` (the caller publishes completion).
 ///
 /// # Safety
 /// `slot` must hold a task of exactly type `B`; `ctx` must point to the
@@ -232,53 +229,24 @@ impl<S: Strategy> WorkerHandle<S> {
         RA: Send,
         RB: Send,
     {
-        // SAFETY: `own` contract (owner thread, short-lived borrow).
-        if unsafe { self.own().span.enabled } {
-            // SAFETY: this handle is live on its owner thread.
-            return cold_path(move || unsafe { self.fork_body::<true, _, _, _, _>(a, b) });
-        }
-        // SAFETY: this handle is live on its owner thread.
-        unsafe { self.fork_body::<false, _, _, _, _>(a, b) }
-    }
-
-    /// `fork` with span instrumentation compiled in (`SPAN`) or out.
-    /// Its `own` borrows are short-lived and never held across user code,
-    /// and the spawned task is joined on every control path out of it
-    /// (JoinGuard covers unwinding out of `a`).
-    ///
-    /// # Safety
-    /// Must run on the thread owning this handle's worker.
-    #[inline(always)]
-    unsafe fn fork_body<const SPAN: bool, RA, RB, FA, FB>(&mut self, a: FA, b: FB) -> (RA, RB)
-    where
-        FA: FnOnce(&mut Self) -> RA + Send,
-        FB: FnOnce(&mut Self) -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if let Err(ClosureTask(b)) = self.try_push(ClosureTask(b)) {
-            // Task-pool overflow: execute eagerly, in program order.
-            probe!(self.own(), Overflow, self.wkr().capacity());
+        // SAFETY: this handle is live on its owner thread. The `own`
+        // borrows below are short-lived and never held across user code,
+        // and the spawned task is joined on every control path out of
+        // here (JoinGuard covers unwinding out of `a`).
+        unsafe {
+            if let Err(ClosureTask(b)) = self.try_push(ClosureTask(b)) {
+                // Task-pool overflow: execute eagerly, in program order.
+                probe!(self.own(), Overflow, self.wkr().capacity());
+                let ra = a(self);
+                let rb = b(self);
+                return (ra, rb);
+            }
+            let guard = JoinGuard::<S, ClosureTask<FB>>::arm(self, 1);
             let ra = a(self);
-            let rb = b(self);
-            return (ra, rb);
+            std::mem::forget(guard);
+            let rb = self.join_task::<ClosureTask<FB>>();
+            (ra, rb)
         }
-        let frame = SPAN.then(|| self.own().span.fork_start());
-        let guard = JoinGuard::<S, ClosureTask<FB>>::arm(self, 1);
-        let ra = a(self);
-        std::mem::forget(guard);
-        let a_span = if SPAN {
-            self.own().span.take_branch()
-        } else {
-            (0, 0)
-        };
-        let rb = self.join_task::<ClosureTask<FB>>();
-        if let Some(frame) = frame {
-            let span = &mut self.own().span;
-            let b_span = span.take_branch();
-            span.fork_join(frame, a_span, b_span);
-        }
-        (ra, rb)
     }
 
     /// Spawns `body(i)` for `i` in `1..n` as individual tasks, runs
@@ -295,63 +263,27 @@ impl<S: Strategy> WorkerHandle<S> {
         if n == 0 {
             return;
         }
-        // SAFETY: `own` contract (owner thread, short-lived borrow).
-        if unsafe { self.own().span.enabled } {
-            // SAFETY: this handle is live on its owner thread.
-            return cold_path(move || unsafe { self.for_each_body::<true, F>(n, body) });
-        }
-        // SAFETY: this handle is live on its owner thread.
-        unsafe { self.for_each_body::<false, F>(n, body) }
-    }
-
-    /// `for_each_spawn` (for `n >= 1`) with span instrumentation
-    /// compiled in (`SPAN`) or out. As in `fork_body`, `own` borrows are
-    /// short and every spawned iteration is joined before return
-    /// (JoinGuard on unwind).
-    ///
-    /// # Safety
-    /// Must run on the thread owning this handle's worker.
-    #[inline(always)]
-    unsafe fn for_each_body<const SPAN: bool, F>(&mut self, n: usize, body: &F)
-    where
-        F: Fn(&mut Self, usize) + Sync,
-    {
-        let frame = SPAN.then(|| self.own().span.fork_start());
-        let mut guard = JoinGuard::<S, ForEachTask<'_, F>>::arm(self, 0);
-        for i in 1..n {
-            match self.try_push(ForEachTask { body, i }) {
-                Ok(()) => guard.pending += 1,
-                Err(t) => {
-                    // Overflow: run eagerly.
-                    probe!(self.own(), Overflow, self.wkr().capacity());
-                    t.run(self);
+        // SAFETY: as in `fork`: owner thread, short `own` borrows, and
+        // every spawned iteration is joined before return (JoinGuard on
+        // unwind).
+        unsafe {
+            let mut guard = JoinGuard::<S, ForEachTask<'_, F>>::arm(self, 0);
+            for i in 1..n {
+                match self.try_push(ForEachTask { body, i }) {
+                    Ok(()) => guard.pending += 1,
+                    Err(t) => {
+                        // Overflow: run eagerly.
+                        probe!(self.own(), Overflow, self.wkr().capacity());
+                        t.run(self);
+                    }
                 }
             }
-        }
-        body(self, 0);
-
-        // Span of the direct call; each joined task folds into it as a
-        // parallel sibling.
-        let mut folded = if SPAN {
-            self.own().span.take_branch()
-        } else {
-            (0, 0)
-        };
-        while guard.pending > 0 {
-            guard.pending -= 1;
-            self.join_task::<ForEachTask<'_, F>>();
-            if SPAN {
-                let span = &mut self.own().span;
-                let s = span.take_branch();
-                folded = (
-                    combine(folded.0, s.0, 0),
-                    combine(folded.1, s.1, DEFAULT_OVERHEAD_CYCLES),
-                );
+            body(self, 0);
+            while guard.pending > 0 {
+                guard.pending -= 1;
+                self.join_task::<ForEachTask<'_, F>>();
             }
-        }
-        std::mem::forget(guard);
-        if let Some(frame) = frame {
-            self.own().span.fork_join(frame, folded, (0, 0));
+            std::mem::forget(guard);
         }
     }
 
@@ -452,10 +384,6 @@ impl<S: Strategy> WorkerHandle<S> {
     /// task; the fast path acquires it with one atomic swap (or, for a
     /// private task, with no atomic read-modify-write at all) and calls
     /// it directly.
-    ///
-    /// When span instrumentation is on, the joined task's span is left
-    /// in the worker's span accumulators for the caller to
-    /// [`take_branch`](crate::span::SpanState::take_branch).
     ///
     /// # Safety
     /// `B` must be exactly the type of the most recent un-joined push
@@ -666,20 +594,8 @@ impl<S: Strategy> WorkerHandle<S> {
     }
 
     /// Reads the result (or re-raises the panic) of a completed stolen
-    /// task and, when span-instrumented, adds its measured span to the
-    /// accumulators (where an inlined join would have accumulated it).
+    /// task.
     unsafe fn finish_stolen<B: TaskBody<S>>(&mut self, slot: &TaskSlot, s: usize) -> B::Output {
-        let span = &mut self.own().span;
-        if span.enabled {
-            // In series with what the accumulators hold: nothing after a
-            // fork's or for_each's `take_branch`.
-            let (s0, sc) = slot.span();
-            span.span0 += s0;
-            span.span_c += sc;
-            // Do not charge the wait to the parent's span: restart the
-            // leaf mark now that the join has resolved.
-            span.mark = cycles::now();
-        }
         if s == DONE_PANIC {
             let payload = TaskRepr::<B, B::Output>::take_panic(slot);
             std::panic::resume_unwind(payload);
@@ -692,7 +608,6 @@ impl<S: Strategy> WorkerHandle<S> {
     unsafe fn leap_wait(&mut self, slot: &TaskSlot, thief: usize) -> usize {
         let prev = {
             let own = self.own();
-            own.tb.leap_depth += 1;
             // The joined descriptor sits at `top` (the join already
             // popped it); leap-frogged executions spawn on *this* stack,
             // so bump `top` past the awaited descriptor or the nested
@@ -727,7 +642,6 @@ impl<S: Strategy> WorkerHandle<S> {
             }
         };
         let own = self.own();
-        own.tb.leap_depth -= 1;
         own.top -= 1;
         own.tb.switch(prev);
         s
@@ -954,39 +868,21 @@ impl<S: Strategy> WorkerHandle<S> {
         victim_idx: usize,
         leap: bool,
     ) -> StealOutcome {
-        let (prev_cat, saved_span) = {
+        let prev_cat = {
             let own = self.own();
+            // Only a blocked join's leap-frog steals with `leap`, so its
+            // work is LA; a thief's top-level steal runs NA work.
             if leap {
                 probe!(own, LeapSteal, victim_idx);
+                own.tb.switch(Category::La)
             } else {
                 probe!(own, StealSuccess, victim_idx);
+                own.tb.switch(Category::Na)
             }
-            let prev_cat = own.tb.switch(own.tb.app_category());
-            let saved_span = if own.span.enabled {
-                let s = (own.span.span0, own.span.span_c);
-                own.span.span0 = 0;
-                own.span.span_c = 0;
-                own.span.mark = cycles::now();
-                Some(s)
-            } else {
-                None
-            };
-            (prev_cat, saved_span)
         };
 
         let wrapper: RawWrapper = slot.wrapper();
         let ok = wrapper(slot as *const TaskSlot, self as *mut Self as *mut ());
-
-        {
-            let own = self.own();
-            if let Some((s0, sc)) = saved_span {
-                own.span.flush();
-                slot.set_span(own.span.span0, own.span.span_c);
-                own.span.span0 = s0;
-                own.span.span_c = sc;
-                own.span.mark = cycles::now();
-            }
-        }
         // Guard: between our STOLEN announcement and this completion
         // store the only other writer is the joining owner's public-path
         // swap, which consumes our STOLEN marker (leaving EMPTY) and then
@@ -996,7 +892,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // original guard demanded STOLEN(me) only.)
         let me = stolen(self.idx);
         check_transition(slot, move |s| s == me || s == EMPTY, "completion publish");
-        // Publish completion *after* the result and span writes.
+        // Publish completion *after* the result write.
         slot.state
             .store(if ok { DONE } else { DONE_PANIC }, Release);
         self.own().tb.switch(prev_cat);
@@ -1071,12 +967,4 @@ impl<S: Strategy, B: TaskBody<S>> Drop for JoinGuard<S, B> {
             }
         }
     }
-}
-
-/// Runs `f` out of line. The span-instrumented fork bodies go through
-/// here, so their cycle-counter reads stay off the uninstrumented path.
-#[cold]
-#[inline(never)]
-fn cold_path<R>(f: impl FnOnce() -> R) -> R {
-    f()
 }

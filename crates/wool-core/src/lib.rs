@@ -24,10 +24,12 @@
 //!   [`JobHandle`] futures, leaving the task-stack fast path untouched.
 //! * Instrumentation: scheduler event counters ([`Stats`]) and, with
 //!   the `trace` cargo feature, per-worker event traces, both fed by
-//!   one event vocabulary ([`trace`]); online work/span measurement
-//!   with the paper's 0-cycle and 2000-cycle overhead models
-//!   ([`span`]); and the Figure 6 CPU-time breakdown ([`TimeBreakdown`]
-//!   by [`Category`]).
+//!   one event vocabulary ([`trace`]); and the Figure 6 CPU-time
+//!   breakdown ([`TimeBreakdown`] by [`Category`]).
+//! * Work/span measurement with the paper's 0-cycle and 2000-cycle
+//!   overhead models: [`span::measure`] runs a [`Fork`] program on a
+//!   serial executor, since the span of a task DAG does not depend on
+//!   the scheduler.
 //!
 //! ## Quick start
 //!
@@ -227,10 +229,15 @@ mod tests {
 
     #[test]
     fn span_instrumentation_measures_parallelism() {
-        let cfg = PoolConfig::with_workers(2).instrument_span(true);
-        let mut pool: Pool = Pool::with_config(cfg);
-        pool.run(|h| fib(h, 20));
-        let report = pool.last_report().unwrap();
+        fn fib<C: Fork>(c: &mut C, n: u64) -> u64 {
+            if n < 2 {
+                return n;
+            }
+            let (a, b) = c.fork(|c| fib(c, n - 1), |c| fib(c, n - 2));
+            a + b
+        }
+        let (r, report) = span::measure(|c| fib(c, 20));
+        assert_eq!(r, fib_ref(20));
         assert!(report.work > 0);
         assert!(report.span0 > 0);
         assert!(report.span0 <= report.span_c, "c-model span is larger");

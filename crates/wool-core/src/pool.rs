@@ -22,9 +22,8 @@
 //! before returning.
 //!
 //! After each `run`, a [`RunReport`] is available with the per-worker
-//! scheduler statistics, the measured work/span (Table I), and the
-//! CPU-time breakdown (Figure 6), depending on which instrumentation the
-//! [`PoolConfig`] enabled.
+//! scheduler statistics and, when the [`PoolConfig`] enables it, the
+//! CPU-time breakdown (Figure 6).
 
 use crate::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 use crate::sync::atomic::{AtomicBool, AtomicU64};
@@ -201,42 +200,14 @@ pub(crate) struct Reports {
 /// Everything measured during one [`Pool::run`].
 #[derive(Debug, Clone)]
 pub struct RunReport {
-    /// Number of workers in the pool.
-    pub workers: usize,
     /// Wall-clock duration of the region, in cycle ticks.
     pub wall_ticks: u64,
     /// Per-worker scheduler statistics (index 0 = the run caller).
     pub per_worker: Vec<Stats>,
     /// Sum of `per_worker`.
     pub total: Stats,
-    /// Total measured work `T_1` in cycles (0 unless span-instrumented).
-    pub work: u64,
-    /// Span with zero scheduling overhead (`T_inf`, Table I column "0").
-    pub span0: u64,
-    /// Span under the realistic overhead model (Table I column "2000").
-    pub span_c: u64,
     /// Merged CPU-time breakdown (zeros unless time-instrumented).
     pub breakdown: TimeBreakdown,
-}
-
-impl RunReport {
-    /// Parallelism `T_1 / T_inf` in the zero-overhead model.
-    pub fn parallelism0(&self) -> f64 {
-        if self.span0 == 0 {
-            0.0
-        } else {
-            self.work as f64 / self.span0 as f64
-        }
-    }
-
-    /// Parallelism under the realistic overhead model.
-    pub fn parallelism_c(&self) -> f64 {
-        if self.span_c == 0 {
-            0.0
-        } else {
-            self.work as f64 / self.span_c as f64
-        }
-    }
 }
 
 /// A work-stealing pool running the direct task stack scheduler with
@@ -344,13 +315,9 @@ impl<S: Strategy> Pool<S> {
         }
         let per_worker: Vec<Stats> = reports.iter().map(|r| r.stats).collect();
         self.last_report = Some(RunReport {
-            workers: reports.len(),
             wall_ticks: wall,
             total: per_worker.iter().copied().sum(),
             per_worker,
-            work: reports.iter().map(|r| r.work).sum(),
-            span0: reports[0].span0,
-            span_c: reports[0].span_c,
             breakdown,
         });
 

@@ -213,10 +213,9 @@ impl<S: Strategy> ServePool<S> {
     /// # Panics
     /// Panics when `cfg.workers == 0`.
     pub fn with_config(cfg: PoolConfig) -> Self {
-        // Spans and the time breakdown describe one fork-join region;
-        // a serve session has none, so it measures neither.
+        // The time breakdown describes one fork-join region; a serve
+        // session has none, so it does not measure it.
         let inner = PoolInner::build(PoolConfig {
-            instrument_span: false,
             instrument_time: false,
             ..cfg.validated()
         });
@@ -470,5 +469,47 @@ mod tests {
         // them dies without publishing its report.
         let report = pool.shutdown().expect("first shutdown");
         assert_eq!((report.per_worker.len(), report.jobs), (2, 0));
+    }
+
+    /// `park` and `unpark` bracket a real park: workers that idled into
+    /// a park, and then got a job, show each `park` followed by an
+    /// `unpark` before anything else they record.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn trace_pairs_every_park_with_an_unpark() {
+        use crate::trace::EventKind::{Park, Unpark};
+        use std::time::{Duration, Instant};
+
+        let cfg = PoolConfig::with_workers(2)
+            .instrument_trace(true)
+            .trace_capacity(1 << 14);
+        let pool: ServePool = ServePool::with_config(cfg);
+        let t0 = Instant::now();
+        while !pool.inner.workers.iter().any(|w| w.parked.load(Relaxed)) {
+            assert!(t0.elapsed() < Duration::from_secs(10), "no worker parked");
+            std::thread::yield_now();
+        }
+        // The flag is set before the worker's last check for work: wait
+        // until that check has passed, so this submission cannot beat it.
+        std::thread::sleep(Idle::PARK_TIMEOUT * 2);
+        assert_eq!(
+            pool.submit(|h| h.fork(|_| 1, |_| 2)).unwrap().join(),
+            (1, 2)
+        );
+        let trace = pool.shutdown().unwrap().trace.expect("trace configured");
+        assert!(trace.count(Park) > 0, "no worker parked");
+        for w in &trace.workers {
+            assert_eq!(w.dropped, 0);
+            let mut parked = false;
+            for e in &w.events {
+                let ok = match e.kind {
+                    Park => !std::mem::replace(&mut parked, true),
+                    Unpark => std::mem::replace(&mut parked, false),
+                    _ => !parked,
+                };
+                assert!(ok, "worker {}: {:?} out of order", w.worker, e.kind);
+            }
+            assert!(!parked, "worker {}: park without unpark", w.worker);
+        }
     }
 }

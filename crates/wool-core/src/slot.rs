@@ -25,9 +25,6 @@
 //!   closure or result does not fit are transparently boxed; the slot
 //!   then holds the box pointer, which mirrors the pointer-queue designs
 //!   the paper compares against, but only as a rare fallback.
-//! * `span` — the work/span measured for a stolen task by its thief, so
-//!   the joining owner can fold it into the critical-path computation
-//!   (the paper's span measurement facility behind Table I).
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::worker::Idle;
@@ -93,7 +90,8 @@ pub type RawWrapper = unsafe fn(*const TaskSlot, *mut ()) -> bool;
 ///
 /// `#[repr(align(128))]` keeps each descriptor on its own pair of cache
 /// lines so thieves polling one worker's `bot` slot do not false-share
-/// with the owner pushing at `top`.
+/// with the owner pushing at `top`. The fields take 80 bytes; the rest
+/// is padding.
 #[repr(align(128))]
 pub struct TaskSlot {
     /// The synchronization word (see module docs).
@@ -101,15 +99,11 @@ pub struct TaskSlot {
     /// The task-specific wrapper; written by the owner before the slot
     /// is published, read by whoever acquires the task.
     wrapper: UnsafeCell<MaybeUninit<RawWrapper>>,
-    /// Span at the two overhead levels, `(span0, span_c)`, measured by
-    /// a thief for a stolen task (work accumulates in the thief's own
-    /// counter and needs no hand-off).
-    span: UnsafeCell<(u64, u64)>,
     /// Inline closure/result storage.
     data: UnsafeCell<MaybeUninit<[u64; DATA_WORDS]>>,
 }
 
-// SAFETY: cross-thread access to `wrapper`, `span` and `data` is
+// SAFETY: cross-thread access to `wrapper` and `data` is
 // governed by the `state` word protocol: a thread may touch them only
 // while it owns the slot (after winning the CAS/swap that acquires the
 // task, or — for the owner — while the slot is above `bot` and private,
@@ -130,26 +124,6 @@ impl TaskSlot {
         (*self.wrapper.get()).assume_init()
     }
 
-    /// Records the measured `(span0, span_c)` of a stolen task.
-    ///
-    /// # Safety
-    /// Caller must own the slot (be its executing thief).
-    #[inline(always)]
-    pub unsafe fn set_span(&self, span0: u64, span_c: u64) {
-        *self.span.get() = (span0, span_c);
-    }
-
-    /// Reads the `(span0, span_c)` recorded by [`set_span`].
-    ///
-    /// # Safety
-    /// Caller must have observed `DONE`/`DONE_PANIC` with Acquire.
-    ///
-    /// [`set_span`]: TaskSlot::set_span
-    #[inline(always)]
-    pub unsafe fn span(&self) -> (u64, u64) {
-        *self.span.get()
-    }
-
     /// Raw pointer to the data area.
     #[inline(always)]
     fn data_ptr(&self) -> *mut u8 {
@@ -160,11 +134,11 @@ impl TaskSlot {
 /// A worker's direct task stack: a fixed array of [`TaskSlot`]s,
 /// allocated zeroed and never written at creation.
 ///
-/// All-zero bytes are an empty descriptor: `state` is [`EMPTY`], `span`
-/// is `(0, 0)`, and `wrapper` and `data` are `MaybeUninit`. So the zero
-/// pages the allocator maps for a large block are already valid
-/// descriptors, and each 4 KiB page (32 descriptors) is committed by the
-/// first spawn that reaches it.
+/// All-zero bytes are an empty descriptor: `state` is [`EMPTY`], and
+/// `wrapper` and `data` are `MaybeUninit`. So the zero pages the
+/// allocator maps for a large block are already valid descriptors, and
+/// each 4 KiB page (32 descriptors) is committed by the first spawn that
+/// reaches it.
 ///
 /// The block is allocated with 16-byte alignment, which `calloc` serves
 /// on 64-bit targets without clearing freshly mapped pages; at
@@ -426,7 +400,7 @@ pub fn spin_while_empty(slot: &TaskSlot) -> usize {
     loop {
         // Acquire pairs with the thief's Release stores of `TASK` (steal
         // back-off restore) and `DONE`/`DONE_PANIC` (completion): once we
-        // see the stable value, the thief's writes to `span`/`data`
+        // see the stable value, the thief's writes to `data`
         // happen-before our reads of them.
         let s = slot.state.load(Ordering::Acquire);
         if s != EMPTY {
@@ -472,8 +446,6 @@ mod tests {
             for (i, slot) in stack.iter().enumerate() {
                 // relaxed-ok: single-threaded test read.
                 assert_eq!(slot.state.load(Ordering::Relaxed), EMPTY);
-                // SAFETY: single-threaded test; nothing else holds the slot.
-                assert_eq!(unsafe { slot.span() }, (0, 0));
                 let addr = std::ptr::from_ref(slot).addr();
                 assert_eq!(addr % 128, 0, "slot {i} of {n} misaligned");
                 if i > 0 {

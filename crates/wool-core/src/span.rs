@@ -1,8 +1,7 @@
-//! Online work/span (critical path) instrumentation.
+//! Work and span (critical path) of a fork-join program.
 //!
-//! Reproduces the paper's "span (critical path length) measurement
-//! facility in the Wool run time system" that produces the two
-//! *Parallelism* columns of Table I:
+//! Reproduces the paper's span measurement behind the two *Parallelism*
+//! columns of Table I:
 //!
 //! * column "0": parallelism `T_1 / T_inf` in the abstract model where
 //!   load balancing costs nothing;
@@ -12,9 +11,14 @@
 //!   are assumed to be executed in parallel with an extra cost of 2000
 //!   cycles added".
 //!
-//! Both are computed online, during a (single- or multi-worker) run, by
-//! the recurrence applied at each join of spans `a` and `b` under cost
-//! `C`:
+//! Both are properties of the program's task DAG, not of a scheduler,
+//! so [`measure`] runs a [`Fork`]-generic program serially on a
+//! [`SpanCtx`], in the order a one-worker pool runs it: the call branch
+//! of a fork, then its spawned branch; iteration 0 of a
+//! `for_each_spawn`, then the spawned iterations in LIFO order. The
+//! context reports worker 0 of 1, so a data-parallel splitter builds the
+//! same DAG as on a one-worker pool. At each join of spans `a` and `b`
+//! under cost `C` it applies the recurrence
 //!
 //! ```text
 //! span_C(a || b) = min(a + b,  max(a, b) + C)
@@ -24,55 +28,144 @@
 //! `a + b - max(a, b)` is below `C`. With `C = 0` this degenerates to
 //! `max(a, b)`, the classic span. Work (`T_1`) accumulates leaf time.
 //!
-//! Leaf time is measured with the cycle counter between scheduler
-//! events: every fork/join boundary *flushes* the time since the last
-//! mark into the running accumulators.
+//! Leaf time is measured with the cycle counter between fork/join
+//! events: every boundary *flushes* the time since the last mark into
+//! the running accumulators. The counter keeps ticking while the thread
+//! is descheduled, so a preempted leaf inflates both work and span.
 
+use crate::api::Fork;
 use crate::cycles;
 
 /// The realistic overhead model's per-parallel-computation cost, in
 /// cycles (the paper's 2000).
 pub const DEFAULT_OVERHEAD_CYCLES: u64 = 2000;
 
-/// Per-worker span instrumentation state.
-///
-/// Disabled state costs one predictable branch per fork: `fork` reads
-/// `enabled` once and runs an uninstrumented copy of its body.
-#[derive(Debug, Clone, Default)]
-pub struct SpanState {
-    /// Whether instrumentation is active for the current run.
-    pub enabled: bool,
-    /// Total measured work on this worker (cycles of leaf time).
+/// Runs `f` on a fresh [`SpanCtx`] and returns its result together
+/// with the measured work and spans.
+pub fn measure<R>(f: impl FnOnce(&mut SpanCtx) -> R) -> (R, SpanReport) {
+    let mut ctx = SpanCtx {
+        state: SpanState::start(),
+        tasks: 0,
+    };
+    let r = f(&mut ctx);
+    let (work, span0, span_c) = ctx.state.finish();
+    let report = SpanReport {
+        work,
+        span0,
+        span_c,
+        tasks: ctx.tasks,
+    };
+    (r, report)
+}
+
+/// What [`measure`] measured, in cycles.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpanReport {
+    /// Total work `T_1`: the program's leaf time.
     pub work: u64,
+    /// Span with zero scheduling overhead (`T_inf`, Table I column "0").
+    pub span0: u64,
+    /// Span under the realistic overhead model (Table I column "2000").
+    pub span_c: u64,
+    /// Tasks a pool would spawn for the program (`N_T`): one per fork,
+    /// `n - 1` per `for_each_spawn(n, ..)`.
+    pub tasks: u64,
+}
+
+impl SpanReport {
+    /// Parallelism `T_1 / T_inf` in the zero-overhead model.
+    pub fn parallelism0(&self) -> f64 {
+        self.work as f64 / self.span0.max(1) as f64
+    }
+
+    /// Parallelism under the realistic overhead model.
+    pub fn parallelism_c(&self) -> f64 {
+        self.work as f64 / self.span_c.max(1) as f64
+    }
+}
+
+/// The serial span-measuring [`Fork`] context of [`measure`].
+#[derive(Debug)]
+pub struct SpanCtx {
+    state: SpanState,
+    tasks: u64,
+}
+
+impl Fork for SpanCtx {
+    fn fork<RA, RB, FA, FB>(&mut self, a: FA, b: FB) -> (RA, RB)
+    where
+        FA: FnOnce(&mut Self) -> RA + Send,
+        FB: FnOnce(&mut Self) -> RB + Send,
+        RA: Send,
+        RB: Send,
+    {
+        self.tasks += 1;
+        let frame = self.state.fork_start();
+        let ra = a(self);
+        let a_span = self.state.take_branch();
+        let rb = b(self);
+        let b_span = self.state.take_branch();
+        self.state.fork_join(frame, a_span, b_span);
+        (ra, rb)
+    }
+
+    fn for_each_spawn<F>(&mut self, n: usize, body: &F)
+    where
+        F: Fn(&mut Self, usize) + Sync,
+    {
+        if n == 0 {
+            return;
+        }
+        self.tasks += n as u64 - 1;
+        let frame = self.state.fork_start();
+        body(self, 0);
+        // Each joined iteration folds into the direct call's span as a
+        // parallel sibling.
+        let mut folded = self.state.take_branch();
+        for i in (1..n).rev() {
+            body(self, i);
+            let s = self.state.take_branch();
+            folded = (
+                combine(folded.0, s.0, 0),
+                combine(folded.1, s.1, DEFAULT_OVERHEAD_CYCLES),
+            );
+        }
+        self.state.fork_join(frame, folded, (0, 0));
+    }
+}
+
+/// The running accumulators of a [`SpanCtx`].
+#[derive(Debug, Clone, Default)]
+struct SpanState {
+    /// Total measured work (cycles of leaf time).
+    work: u64,
     /// Running span with `C = 0` for the computation currently being
     /// accumulated (since the last reset point).
-    pub span0: u64,
+    span0: u64,
     /// Running span with `C = DEFAULT_OVERHEAD_CYCLES`.
-    pub span_c: u64,
+    span_c: u64,
     /// Cycle timestamp of the last flush.
-    pub mark: u64,
+    mark: u64,
 }
 
 /// Saved parent accumulators across a fork (lives on the native stack).
 #[derive(Debug, Clone, Copy)]
-pub struct SpanFrame {
+struct SpanFrame {
     parent0: u64,
     parent_c: u64,
 }
 
 impl SpanState {
-    /// Resets the accumulators at the start of an instrumented run.
-    pub fn reset(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        self.work = 0;
-        self.span0 = 0;
-        self.span_c = 0;
-        self.mark = cycles::now();
+    /// Empty accumulators, marked now.
+    fn start() -> Self {
+        SpanState {
+            mark: cycles::now(),
+            ..SpanState::default()
+        }
     }
 
     /// Adds the leaf time since the last mark to work and both spans.
-    #[inline]
-    pub fn flush(&mut self) {
+    fn flush(&mut self) {
         let now = cycles::now();
         let d = now.wrapping_sub(self.mark);
         self.work += d;
@@ -83,9 +176,8 @@ impl SpanState {
 
     /// Called at a fork, before running the first branch: flushes the
     /// leaf segment, saves the parent's accumulated span and starts a
-    /// fresh accumulation for branch `a`.
-    #[inline]
-    pub fn fork_start(&mut self) -> SpanFrame {
+    /// fresh accumulation for the first branch.
+    fn fork_start(&mut self) -> SpanFrame {
         self.flush();
         let f = SpanFrame {
             parent0: self.span0,
@@ -97,11 +189,8 @@ impl SpanState {
     }
 
     /// Ends the accumulation of one branch and returns its spans,
-    /// restarting accumulation from zero. Called after the direct call
-    /// `a` and after each join: an inlined branch accumulated in place, a
-    /// stolen one was copied in from its descriptor by the join.
-    #[inline]
-    pub fn take_branch(&mut self) -> (u64, u64) {
+    /// restarting accumulation from zero.
+    fn take_branch(&mut self) -> (u64, u64) {
         self.flush();
         let b = (self.span0, self.span_c);
         self.span0 = 0;
@@ -111,15 +200,14 @@ impl SpanState {
 
     /// Called at the join: combines the parent span with the two branch
     /// spans under both cost models and resumes the parent accumulation.
-    #[inline]
-    pub fn fork_join(&mut self, frame: SpanFrame, a: (u64, u64), b: (u64, u64)) {
+    fn fork_join(&mut self, frame: SpanFrame, a: (u64, u64), b: (u64, u64)) {
         self.span0 = frame.parent0 + combine(a.0, b.0, 0);
         self.span_c = frame.parent_c + combine(a.1, b.1, DEFAULT_OVERHEAD_CYCLES);
         self.mark = cycles::now();
     }
 
-    /// Snapshot of `(work, span0, span_c)` after a final flush.
-    pub fn finish(&mut self) -> (u64, u64, u64) {
+    /// `(work, span0, span_c)` after a final flush.
+    fn finish(&mut self) -> (u64, u64, u64) {
         self.flush();
         (self.work, self.span0, self.span_c)
     }
@@ -164,8 +252,7 @@ mod tests {
 
     #[test]
     fn fork_join_accumulates_parent() {
-        let mut s = SpanState::default();
-        s.reset(true);
+        let mut s = SpanState::start();
         let frame = s.fork_start();
         // Pretend branch a took 5000 cycles, b took 4000.
         let joined_frame = frame;
@@ -179,8 +266,7 @@ mod tests {
 
     #[test]
     fn measured_serial_loop_gives_positive_work() {
-        let mut s = SpanState::default();
-        s.reset(true);
+        let mut s = SpanState::start();
         let mut x = 0u64;
         for i in 0..100_000u64 {
             x = x.wrapping_add(i).rotate_left(7);
@@ -191,6 +277,22 @@ mod tests {
         // A purely serial computation has span == work.
         assert_eq!(work, span0);
         assert_eq!(work, span_c);
+    }
+
+    #[test]
+    fn measure_follows_one_worker_order() {
+        let order = std::sync::Mutex::new(Vec::new());
+        let ((), r) = measure(|c| {
+            assert_eq!((c.worker_index(), c.num_workers()), (0, 1));
+            c.for_each_spawn(4, &|c, i| {
+                order.lock().unwrap().push(i);
+                let ((), ()) = c.fork(|_| {}, |_| {});
+            });
+        });
+        // Iteration 0 is the direct call; the spawned ones join LIFO.
+        assert_eq!(order.into_inner().unwrap(), [0, 3, 2, 1]);
+        assert_eq!(r.tasks, 3 + 4);
+        assert!(r.span0 <= r.span_c && r.span_c <= r.work);
     }
 
     #[test]
@@ -209,9 +311,7 @@ mod tests {
                 combine(a.1, b.1, DEFAULT_OVERHEAD_CYCLES),
             )
         }
-        let mut s = SpanState::default();
-        s.reset(true);
-        s.mark = cycles::now();
+        let mut s = SpanState::start();
         let (span0, span_c) = tree(&mut s, 10, 10_000);
         let work = s.work;
         let par0 = work as f64 / span0 as f64;

@@ -30,11 +30,9 @@ pub enum StealSync {
 /// §III and §IV-B/C of the paper ablate.
 pub trait Strategy: 'static + Send + Sync {
     /// Table II *base*: `top` is a shared atomic compared against `bot`
-    /// to detect steals, instead of the state word in the descriptor.
+    /// to detect steals, instead of the state word in the descriptor,
+    /// so every join takes the worker's lock.
     const SHARED_TOP: bool;
-
-    /// Table II *base*: every join takes the worker's lock.
-    const JOIN_LOCK: bool;
 
     /// Which steal-side synchronization the thieves use (Figure 4).
     const STEAL_SYNC: StealSync;
@@ -73,7 +71,6 @@ pub struct WoolFull;
 
 impl Strategy for WoolFull {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::NoLock;
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = true;
@@ -88,7 +85,6 @@ pub struct WoolAllPublic;
 
 impl Strategy for WoolAllPublic {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::NoLock;
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = true;
@@ -103,7 +99,6 @@ pub struct TaskSpecific;
 
 impl Strategy for TaskSpecific {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::NoLock;
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = false;
@@ -117,7 +112,6 @@ pub struct SyncOnTask;
 
 impl Strategy for SyncOnTask {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::NoLock;
     const TASK_SPECIFIC_JOIN: bool = false;
     const PRIVATE_TASKS: bool = false;
@@ -131,7 +125,6 @@ pub struct LockedBase;
 
 impl Strategy for LockedBase {
     const SHARED_TOP: bool = true;
-    const JOIN_LOCK: bool = true;
     const STEAL_SYNC: StealSync = StealSync::LockBase;
     const TASK_SPECIFIC_JOIN: bool = false;
     const PRIVATE_TASKS: bool = false;
@@ -145,7 +138,6 @@ pub struct StealLockBase;
 
 impl Strategy for StealLockBase {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::LockBase;
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = false;
@@ -158,7 +150,6 @@ pub struct StealLockPeek;
 
 impl Strategy for StealLockPeek {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::LockPeek;
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = false;
@@ -171,7 +162,6 @@ pub struct StealLockTrylock;
 
 impl Strategy for StealLockTrylock {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::LockTrylock;
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = false;
@@ -186,7 +176,6 @@ pub struct WoolNoLeap;
 
 impl Strategy for WoolNoLeap {
     const SHARED_TOP: bool = false;
-    const JOIN_LOCK: bool = false;
     const STEAL_SYNC: StealSync = StealSync::NoLock;
     const TASK_SPECIFIC_JOIN: bool = true;
     const PRIVATE_TASKS: bool = true;
@@ -202,8 +191,8 @@ mod tests {
     #[test]
     fn ladder_is_ordered() {
         // The Table II ladder strictly adds techniques top to bottom.
-        assert!(LockedBase::JOIN_LOCK && LockedBase::SHARED_TOP);
-        assert!(!SyncOnTask::JOIN_LOCK && !SyncOnTask::TASK_SPECIFIC_JOIN);
+        assert!(LockedBase::SHARED_TOP);
+        assert!(!SyncOnTask::SHARED_TOP && !SyncOnTask::TASK_SPECIFIC_JOIN);
         assert!(TaskSpecific::TASK_SPECIFIC_JOIN && !TaskSpecific::PRIVATE_TASKS);
         assert!(WoolAllPublic::PRIVATE_TASKS && WoolAllPublic::PUBLISH_ALL);
         assert!(WoolFull::TASK_SPECIFIC_JOIN && WoolFull::PRIVATE_TASKS);

@@ -87,9 +87,6 @@ pub struct TimeBreak {
     current: Category,
     since: u64,
     totals: TimeBreakdown,
-    /// Depth of nested leap-frog joins; while positive, stolen work
-    /// executed by this worker is classified LA rather than NA.
-    pub leap_depth: u32,
 }
 
 impl Default for TimeBreak {
@@ -99,7 +96,6 @@ impl Default for TimeBreak {
             current: Category::Tr,
             since: 0,
             totals: TimeBreakdown::default(),
-            leap_depth: 0,
         }
     }
 }
@@ -111,7 +107,6 @@ impl TimeBreak {
         self.current = cat;
         self.since = cycles::now();
         self.totals = TimeBreakdown::default();
-        self.leap_depth = 0;
     }
 
     /// Switches to `cat`, attributing elapsed time to the previous one.
@@ -136,17 +131,6 @@ impl TimeBreak {
             self.since = now;
         }
         self.totals
-    }
-
-    /// The category stolen work should run under on this worker:
-    /// LA while inside a leap-frog join, NA otherwise.
-    #[inline]
-    pub fn app_category(&self) -> Category {
-        if self.leap_depth > 0 {
-            Category::La
-        } else {
-            Category::Na
-        }
     }
 }
 
@@ -185,17 +169,6 @@ mod tests {
         assert!(t.get(Category::St) > 0);
         assert_eq!(t.get(Category::Lf), 0);
         assert_eq!(t.total(), t.get(Category::Na) + t.get(Category::St));
-    }
-
-    #[test]
-    fn leap_depth_selects_la() {
-        let mut tb = TimeBreak::default();
-        tb.reset(true, Category::Na);
-        assert_eq!(tb.app_category(), Category::Na);
-        tb.leap_depth += 1;
-        assert_eq!(tb.app_category(), Category::La);
-        tb.leap_depth -= 1;
-        assert_eq!(tb.app_category(), Category::Na);
     }
 
     #[test]

@@ -36,7 +36,6 @@ use crate::pad::CachePadded;
 
 use crate::config::PoolConfig;
 use crate::slot::{TaskSlot, TaskStack};
-use crate::span::SpanState;
 use crate::spinlock::SpinLock;
 use crate::stats::Stats;
 use crate::timebreak::{Category, TimeBreak, TimeBreakdown};
@@ -51,8 +50,6 @@ pub(crate) struct OwnerState {
     pub rng: u64,
     /// Event counters.
     pub stats: Stats,
-    /// Work/span instrumentation.
-    pub span: SpanState,
     /// CPU-time breakdown instrumentation.
     pub tb: TimeBreak,
     /// Region epoch this worker has most recently joined (and begun).
@@ -68,7 +65,6 @@ impl OwnerState {
             top: 0,
             rng: seed | 1,
             stats: Stats::default(),
-            span: SpanState::default(),
             tb: TimeBreak::default(),
             seen_epoch: 0,
             trace: TraceRing::off(),
@@ -80,7 +76,6 @@ impl OwnerState {
     /// enables, with the time breakdown starting in category `start`.
     pub fn begin(&mut self, cfg: &PoolConfig, start: Category) {
         self.stats = Stats::default();
-        self.span.reset(cfg.instrument_span);
         self.tb.reset(cfg.instrument_time, start);
         if TRACE && cfg.instrument_trace {
             self.trace.clear();
@@ -93,16 +88,12 @@ impl OwnerState {
     /// report's publication may snapshot the ring.
     pub fn finish(&mut self) -> WorkerReport {
         self.trace.set_enabled(false);
-        let (work, span0, span_c) = self.span.finish();
         let mut stats = self.stats;
         // The owner joins every task it pushed exactly once, and each
         // join bumps exactly one of these counters.
         stats.spawns = stats.inlined_private + stats.inlined_public + stats.rts_joins;
         WorkerReport {
             stats,
-            work,
-            span0,
-            span_c,
             breakdown: self.tb.finish(),
         }
     }
@@ -123,10 +114,6 @@ impl OwnerState {
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct WorkerReport {
     pub stats: Stats,
-    pub work: u64,
-    /// The worker's final spans; only worker 0's (the root's) are used.
-    pub span0: u64,
-    pub span_c: u64,
     pub breakdown: TimeBreakdown,
 }
 
@@ -261,7 +248,7 @@ impl Idle {
     /// gains a model nothing, and a short escalation keeps it small.
     const SPIN: u32 = if cfg!(loom) { 1 } else { 32 };
     const PARK_AT: u32 = if cfg!(loom) { 2 } else { 64 };
-    const PARK_TIMEOUT: Duration = Duration::from_micros(200);
+    pub(crate) const PARK_TIMEOUT: Duration = Duration::from_micros(200);
 
     /// One empty round that must not park: spin, then yield.
     #[cfg_attr(loom, track_caller)]

@@ -1,7 +1,8 @@
-//! Quantitative checks of the online work/span instrumentation against
-//! analytically known task DAGs.
+//! Quantitative checks of the serial span executor
+//! ([`wool_core::span::measure`]) against analytically known task DAGs.
 
-use wool_core::{Pool, PoolConfig, WoolFull, WorkerHandle};
+use wool_core::span::{measure, SpanCtx};
+use wool_core::Fork;
 
 /// A busy leaf of roughly fixed duration, returning a checksum.
 fn leaf(iters: u64) -> u64 {
@@ -12,7 +13,7 @@ fn leaf(iters: u64) -> u64 {
     std::hint::black_box(x)
 }
 
-fn balanced_tree(h: &mut WorkerHandle<WoolFull>, depth: u32, iters: u64) -> u64 {
+fn balanced_tree<C: Fork>(h: &mut C, depth: u32, iters: u64) -> u64 {
     if depth == 0 {
         return leaf(iters);
     }
@@ -23,11 +24,8 @@ fn balanced_tree(h: &mut WorkerHandle<WoolFull>, depth: u32, iters: u64) -> u64 
     a.wrapping_add(b)
 }
 
-fn run_instrumented(f: impl FnOnce(&mut WorkerHandle<WoolFull>) -> u64 + Send) -> (u64, u64, u64) {
-    let cfg = PoolConfig::with_workers(1).instrument_span(true);
-    let mut pool: Pool = Pool::with_config(cfg);
-    pool.run(f);
-    let r = pool.last_report().unwrap();
+fn run_instrumented(f: impl FnOnce(&mut SpanCtx) -> u64) -> (u64, u64, u64) {
+    let (_, r) = measure(f);
     (r.work, r.span0, r.span_c)
 }
 
@@ -119,7 +117,7 @@ fn asymmetric_fork_span_tracks_heavy_branch() {
     );
 }
 
-/// `for_each_spawn` takes the spanned path too: `WIDTH` equal iterations
+/// `for_each_spawn` is measured too: `WIDTH` equal iterations
 /// have ideal parallelism close to `WIDTH`, and each iteration's nested
 /// forks fold into its own branch span.
 #[test]
@@ -150,5 +148,36 @@ fn for_each_spawn_parallelism() {
     panic!(
         "parallelism {last} never near ideal {} in 5 attempts",
         2.0 * ideal
+    );
+}
+
+/// Repeated measurements of the same program agree (cache and host
+/// noise allowed), and the span never exceeds the work.
+///
+/// Retried like `balanced_tree_parallelism`: a descheduling inside one
+/// of the two runs inflates its work.
+#[test]
+fn work_is_reproducible() {
+    fn fib<C: Fork>(c: &mut C, n: u64) -> u64 {
+        if n < 2 {
+            return n;
+        }
+        let (a, b) = c.fork(|c| fib(c, n - 1), |c| fib(c, n - 2));
+        a + b
+    }
+    let mut last = (0, 0);
+    for _ in 0..5 {
+        let (w1, s1, _) = run_instrumented(|c| fib(c, 21));
+        let (w2, _, _) = run_instrumented(|c| fib(c, 21));
+        assert!(w1 > 0 && w2 > 0);
+        assert!(s1 <= w1);
+        last = (w1, w2);
+        if (0.5..2.0).contains(&(w2 as f64 / w1 as f64)) {
+            return;
+        }
+    }
+    panic!(
+        "work never reproducible in 5 attempts: {} vs {}",
+        last.0, last.1
     );
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use wool_core::{Pool, PoolConfig, Strategy, TaskSpecific, WoolFull, WorkerHandle};
+use wool_core::{Category, Pool, PoolConfig, Strategy, TaskSpecific, WoolFull, WorkerHandle};
 
 /// Forces a steal: the CALL branch spins until the spawned branch has
 /// been executed — which can only happen on another worker, so the join
@@ -18,10 +18,14 @@ use wool_core::{Pool, PoolConfig, Strategy, TaskSpecific, WoolFull, WorkerHandle
 /// stealable. The liveness boundary now lies below that first spawn: a
 /// worker that spins after a later, still private spawn can starve a
 /// thief of that task.
+///
+/// The run is time-instrumented: a worker's time is LA (application
+/// code acquired by leap-frogging) exactly when it leap-frog stole.
 #[test]
 fn blocked_join_takes_stolen_path() {
     fn check<S: Strategy>() {
-        let mut pool: Pool<S> = Pool::new(2);
+        let mut pool: Pool<S> =
+            Pool::with_config(PoolConfig::with_workers(2).instrument_time(true));
         let stolen_by = AtomicUsize::new(usize::MAX);
         let started = AtomicBool::new(false);
 
@@ -52,9 +56,68 @@ fn blocked_join_takes_stolen_path() {
             0,
             "{label}: task was not stolen"
         );
-        let t = pool.last_report().unwrap().total;
+        let report = pool.last_report().unwrap();
+        let t = report.total;
         assert_eq!(t.steals, 1, "{label}: {t:?}");
         assert_eq!(t.stolen_joins, 1, "{label}: {t:?}");
+        let la = report.breakdown.get(Category::La);
+        assert_eq!(la > 0, t.leap_steals > 0, "{label}: LA {la}, {t:?}");
+    }
+    check::<TaskSpecific>();
+    check::<WoolFull>();
+}
+
+/// Forces a leap-frog steal: the stolen branch forks, and its call
+/// branch spins until its own spawned branch has run. With two workers
+/// only worker 0, blocked at its join with the stolen branch, can run
+/// it, so it must leap-frog steal it back from the thief. The spinning
+/// call branch keeps forking, so a private-task thief answers the
+/// publication request. The stolen task runs as LA time.
+#[test]
+fn leap_frog_steal_runs_as_la() {
+    fn check<S: Strategy>() {
+        let mut pool: Pool<S> =
+            Pool::with_config(PoolConfig::with_workers(2).instrument_time(true));
+        let started = AtomicBool::new(false);
+        let inner_ran = AtomicBool::new(false);
+        let deadline = |t0: Instant| {
+            assert!(
+                t0.elapsed() < Duration::from_secs(20),
+                "{}: a task was never stolen",
+                S::NAME
+            );
+            std::thread::yield_now();
+        };
+
+        pool.run(|h| {
+            let ((), ()) = h.fork(
+                |_h| {
+                    let t0 = Instant::now();
+                    while !started.load(Ordering::Acquire) {
+                        deadline(t0);
+                    }
+                },
+                |h: &mut WorkerHandle<S>| {
+                    started.store(true, Ordering::Release);
+                    let ((), ()) = h.fork(
+                        |h| {
+                            let t0 = Instant::now();
+                            while !inner_ran.load(Ordering::Acquire) {
+                                let ((), ()) = h.fork(|_| {}, |_| {});
+                                deadline(t0);
+                            }
+                        },
+                        |_| inner_ran.store(true, Ordering::Release),
+                    );
+                },
+            );
+        });
+
+        let label = S::NAME;
+        let report = pool.last_report().unwrap();
+        let t = report.total;
+        assert!(t.leap_steals >= 1, "{label}: {t:?}");
+        assert!(report.breakdown.get(Category::La) > 0, "{label}: {t:?}");
     }
     check::<TaskSpecific>();
     check::<WoolFull>();

@@ -363,35 +363,3 @@ fn zero_workers_rejected() {
         "panic message should explain the fix: {msg:?}"
     );
 }
-
-/// `park` and `unpark` bracket a real park: workers that idled past the
-/// park round, and then got a job, show each `park` followed by an
-/// `unpark` before anything else they record.
-#[cfg(feature = "trace")]
-#[test]
-fn trace_pairs_every_park_with_an_unpark() {
-    use wool_core::trace::EventKind::{Park, Unpark};
-
-    let cfg = PoolConfig::with_workers(2)
-        .instrument_trace(true)
-        .trace_capacity(1 << 14);
-    let pool: ServePool = ServePool::with_config(cfg);
-    // A worker parks after 64 empty rounds, microseconds after start.
-    std::thread::sleep(Duration::from_millis(20));
-    assert_eq!(pool.submit(|h| fib(h, 8)).unwrap().join(), fib_seq(8));
-    let trace = pool.shutdown().unwrap().trace.expect("trace configured");
-    assert!(trace.count(Park) > 0, "no worker parked");
-    for w in &trace.workers {
-        assert_eq!(w.dropped, 0);
-        let mut parked = false;
-        for e in &w.events {
-            let ok = match e.kind {
-                Park => !std::mem::replace(&mut parked, true),
-                Unpark => std::mem::replace(&mut parked, false),
-                _ => !parked,
-            };
-            assert!(ok, "worker {}: {:?} out of order", w.worker, e.kind);
-        }
-        assert!(!parked, "worker {}: park without unpark", w.worker);
-    }
-}

@@ -104,4 +104,14 @@ mod tests {
         let spawned = pool.last_report().unwrap().total.spawns;
         assert_eq!(spawned, fib_spawn_count(21));
     }
+
+    /// Table I's `N_T` is the span executor's task count.
+    #[test]
+    fn span_executor_counts_spawns() {
+        for n in [0, 1, 2, 15, 21] {
+            let (r, dag) = wool_core::span::measure(|c| fib(c, n));
+            assert_eq!(r, fib_serial(n));
+            assert_eq!(dag.tasks, fib_spawn_count(n), "n={n}");
+        }
+    }
 }

@@ -10,7 +10,7 @@
 //! cargo run --release -p workloads --example granularity -- [workers]
 //! ```
 
-use wool_core::{Executor, Pool, PoolConfig};
+use wool_core::{span, Executor, Job, Pool};
 use workloads::{WorkloadKind, WorkloadSpec};
 
 fn main() {
@@ -57,19 +57,18 @@ fn main() {
         "workload", "G_T(cyc)", "G_L(kcyc)", "steals", "par(0)", "par(2k)"
     );
     for spec in specs {
-        // Instrumented single-worker run: exact work, span, N_T.
-        let cfg = PoolConfig::with_workers(1).instrument_span(true);
-        let mut pool1: Pool = Pool::with_config(cfg);
-        pool1.run_job(spec.job());
-        let r1 = pool1.last_report().unwrap().clone();
+        // Serial span executor: work, span and N_T of the task DAG
+        // (the inputs are built before it starts).
+        let job = spec.job();
+        let (_, dag) = span::measure(|c| job.call(c));
 
         // Multi-worker run: steal count.
         let mut pool_p: Pool = Pool::new(workers);
         pool_p.run_job(spec.job());
         let rp = pool_p.last_report().unwrap();
 
-        let work = r1.work as f64;
-        let g_t = work / r1.total.spawns.max(1) as f64;
+        let work = dag.work as f64;
+        let g_t = work / dag.tasks.max(1) as f64;
         let steals = rp.total.total_steals();
         let g_l = work / steals.max(1) as f64 / 1e3;
         println!(
@@ -78,8 +77,8 @@ fn main() {
             g_t,
             g_l,
             steals,
-            r1.parallelism0(),
-            r1.parallelism_c(),
+            dag.parallelism0(),
+            dag.parallelism_c(),
         );
     }
     println!(

@@ -1,10 +1,11 @@
-//! Quickstart: create a pool, fork tasks, read scheduler statistics.
+//! Quickstart: create a pool, fork tasks, read scheduler statistics,
+//! and measure the program's parallelism.
 //!
 //! ```text
 //! cargo run --release -p workloads --example quickstart
 //! ```
 
-use wool_core::{Fork, Pool, PoolConfig};
+use wool_core::{span, Fork, Pool};
 
 /// Parallel Fibonacci — every recursive call is a spawnable task, no
 /// cutoff needed: with the direct task stack a spawn costs a handful of
@@ -28,9 +29,7 @@ fn sum<C: Fork>(c: &mut C, xs: &[u64]) -> u64 {
 }
 
 fn main() {
-    // A pool with instrumentation enabled so the report shows work/span.
-    let cfg = PoolConfig::with_workers(4).instrument_span(true);
-    let mut pool: Pool = Pool::with_config(cfg);
+    let mut pool: Pool = Pool::new(4);
 
     let n = 30;
     let value = pool.run(|h| fib(h, n));
@@ -43,10 +42,14 @@ fn main() {
         report.total.total_steals(),
         100.0 * report.total.private_join_ratio(),
     );
+
+    // Work and span are properties of the program, not of the pool: the
+    // span executor runs the same `fib` serially and measures both.
+    let (_, dag) = span::measure(|c| fib(c, n));
     println!(
         "  measured parallelism: {:.1} (ideal), {:.1} (with 2000-cycle steal cost)",
-        report.parallelism0(),
-        report.parallelism_c()
+        dag.parallelism0(),
+        dag.parallelism_c()
     );
 
     let xs: Vec<u64> = (0..1_000_000).collect();
