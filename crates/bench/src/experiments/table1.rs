@@ -2,11 +2,14 @@
 //!
 //! For every workload row: the average parallelism under the 0-cycle
 //! and 2000-cycle overhead models (measured by the serial span executor
-//! [`wool_core::span::measure`], which also counts the tasks `N_T`), the
-//! per-repetition sequential size `RepSz`, the task granularity
-//! `G_T = T_S / N_T`, and the load-balancing granularity
+//! [`wool_core::span::measure`] on one repetition, which also counts the
+//! tasks `N_T`), the per-repetition sequential size `RepSz`, the task
+//! granularity `G_T = T_S / N_T`, and the load-balancing granularity
 //! `G_L(p) = T_S / N_M` for each processor count in the sweep (steals
-//! counted on Wool runs with `p` workers).
+//! counted on Wool runs with `p` workers). Work and span come from the
+//! span executor run with the smallest span out of up to 20 runs.
+
+use std::time::{Duration, Instant};
 
 use wool_core::{span, Job};
 use workloads::{all_table1_specs, WorkloadSpec};
@@ -15,6 +18,14 @@ use crate::cli::BenchArgs;
 use crate::measure::measure_job;
 use crate::report::{fmt_kcycles, fmt_sig, Table};
 use crate::system::{System, SystemKind};
+
+/// Span executor runs per row, at most.
+const SPAN_RUNS: usize = 20;
+
+/// A row stops repeating its span run once its runs have taken this
+/// long. Only rows with a short span need the repeats: an interrupt adds
+/// about the same time to any span, and a long one dilutes it.
+const SPAN_BUDGET: Duration = Duration::from_secs(1);
 
 /// One regenerated Table I row.
 #[derive(Debug, Clone)]
@@ -61,18 +72,43 @@ pub fn run(args: &BenchArgs) -> Result {
         let ms = measure_job(&mut serial, spec, 2);
         let t_s_cycles = ms.cycles;
 
-        // Work/span and N_T of the task DAG; building the inputs is not
-        // part of it.
-        let job = spec.job();
-        let (checksum, dag) = span::measure(|c| job.call(c));
-        assert_eq!(
-            ms.checksum,
-            checksum,
-            "serial and span executor disagree on {}",
-            spec.name()
-        );
+        // Work and span of one repetition: the reps run one after
+        // another, so the job's parallelism is one rep's, and its `N_T`
+        // is `reps` times one rep's. A timer interrupt or a descheduling
+        // lands in the span of the run it hits, and one rep is short
+        // enough that most runs see none: repeat it and keep the run
+        // with the smallest span, as `measure_job` keeps the best time.
+        // Building the inputs is not part of a run.
+        let rep = WorkloadSpec {
+            reps: 1,
+            ..spec.clone()
+        };
+        let want = if spec.reps == 1 {
+            ms.checksum
+        } else {
+            measure_job(&mut serial, &rep, 1).checksum
+        };
+        let start = Instant::now();
+        let mut dag: Option<span::SpanReport> = None;
+        for _ in 0..SPAN_RUNS {
+            let job = rep.job();
+            let (checksum, run) = span::measure(|c| job.call(c));
+            assert_eq!(
+                want,
+                checksum,
+                "serial and span executor disagree on {}",
+                rep.name()
+            );
+            if dag.is_none_or(|best| run.span0 < best.span0) {
+                dag = Some(run);
+            }
+            if start.elapsed() > SPAN_BUDGET {
+                break;
+            }
+        }
+        let dag = dag.expect("SPAN_RUNS is positive");
 
-        let g_t = t_s_cycles / dag.tasks.max(1) as f64;
+        let g_t = t_s_cycles / (dag.tasks * spec.reps).max(1) as f64;
         let rep_kcycles = t_s_cycles / spec.reps as f64 / 1e3;
 
         // Steal counts at each worker count.

@@ -120,6 +120,13 @@ where
 pub struct WorkerHandle<S: Strategy> {
     pool: *const PoolInner,
     wkr: *const Worker,
+    /// Next slot to spawn into: the paper's private `top`, held here so
+    /// that the spawn and join fast paths reach it without going through
+    /// `wkr`.
+    top: usize,
+    /// This worker's task stack: its first descriptor and its capacity.
+    stack: *const TaskSlot,
+    capacity: usize,
     idx: usize,
     /// Cached configuration (hot-path reads).
     trip_distance: usize,
@@ -137,9 +144,14 @@ impl<S: Strategy> WorkerHandle<S> {
     /// thread must be the unique thread acting as worker `idx` for the
     /// handle's entire lifetime.
     pub(crate) unsafe fn new(pool: &PoolInner, idx: usize) -> Self {
+        let wkr = &pool.workers[idx];
         WorkerHandle {
             pool,
-            wkr: &pool.workers[idx],
+            wkr,
+            top: 0,
+            // From the whole slice, so the pointer may reach every slot.
+            stack: wkr.slots.as_ptr(),
+            capacity: wkr.capacity(),
             idx,
             trip_distance: pool.cfg.trip_distance,
             publish_batch: pool.cfg.publish_batch,
@@ -168,6 +180,23 @@ impl<S: Strategy> WorkerHandle<S> {
     pub(crate) fn wkr<'a>(&self) -> &'a Worker {
         // SAFETY: guaranteed by the constructor contract.
         unsafe { &*self.wkr }
+    }
+
+    /// The slot at index `k` of this worker's own stack, with no bounds
+    /// check: callers pass the `top` that `try_push` checked against the
+    /// capacity, or an index below `top`.
+    ///
+    /// # Safety
+    /// `k` must be below the capacity.
+    #[inline(always)]
+    unsafe fn slot<'a>(&self, k: usize) -> &'a TaskSlot {
+        debug_assert!(k < self.capacity);
+        &*self.stack.add(k)
+    }
+
+    /// Tasks spawned on this handle and not yet joined.
+    pub(crate) fn pending(&self) -> usize {
+        self.top
     }
 
     /// This worker's owner-only state.
@@ -234,17 +263,22 @@ impl<S: Strategy> WorkerHandle<S> {
         // and the spawned task is joined on every control path out of
         // here (JoinGuard covers unwinding out of `a`).
         unsafe {
-            if let Err(ClosureTask(b)) = self.try_push(ClosureTask(b)) {
-                // Task-pool overflow: execute eagerly, in program order.
-                probe!(self.own(), Overflow, self.wkr().capacity());
-                let ra = a(self);
-                let rb = b(self);
-                return (ra, rb);
-            }
+            let k = match self.try_push(ClosureTask(b)) {
+                Ok(k) => k,
+                Err(ClosureTask(b)) => {
+                    // Task-pool overflow: execute eagerly, in program order.
+                    probe!(self.own(), Overflow, self.capacity);
+                    let ra = a(self);
+                    let rb = b(self);
+                    return (ra, rb);
+                }
+            };
             let guard = JoinGuard::<S, ClosureTask<FB>>::arm(self, 1);
             let ra = a(self);
             std::mem::forget(guard);
-            let rb = self.join_task::<ClosureTask<FB>>();
+            // `a` joined everything it spawned, so slot `k` is the
+            // youngest again: join it by the index its spawn returned.
+            let rb = self.join_task::<ClosureTask<FB>>(k);
             (ra, rb)
         }
     }
@@ -270,10 +304,10 @@ impl<S: Strategy> WorkerHandle<S> {
             let mut guard = JoinGuard::<S, ForEachTask<'_, F>>::arm(self, 0);
             for i in 1..n {
                 match self.try_push(ForEachTask { body, i }) {
-                    Ok(()) => guard.pending += 1,
+                    Ok(_) => guard.pending += 1,
                     Err(t) => {
                         // Overflow: run eagerly.
-                        probe!(self.own(), Overflow, self.wkr().capacity());
+                        probe!(self.own(), Overflow, self.capacity);
                         t.run(self);
                     }
                 }
@@ -281,7 +315,7 @@ impl<S: Strategy> WorkerHandle<S> {
             body(self, 0);
             while guard.pending > 0 {
                 guard.pending -= 1;
-                self.join_task::<ForEachTask<'_, F>>();
+                self.join_task::<ForEachTask<'_, F>>(self.top - 1);
             }
             std::mem::forget(guard);
         }
@@ -291,8 +325,9 @@ impl<S: Strategy> WorkerHandle<S> {
     // spawn
     // ------------------------------------------------------------------
 
-    /// Pushes a task onto the direct task stack (`spawn_f` in Figure 3).
-    /// Returns the task back on overflow.
+    /// Pushes a task onto the direct task stack (`spawn_f` in Figure 3)
+    /// and returns the index of the slot it filled, or the task back on
+    /// overflow.
     ///
     /// Spawns are not counted here: every pushed task is joined exactly
     /// once by its owner, so the report derives `Stats::spawns` from the
@@ -302,14 +337,13 @@ impl<S: Strategy> WorkerHandle<S> {
     /// The pushed task may borrow the caller's stack; the caller must
     /// join it (possibly via a guard) before those borrows expire.
     #[inline(always)]
-    unsafe fn try_push<B: TaskBody<S>>(&mut self, b: B) -> Result<(), B> {
+    unsafe fn try_push<B: TaskBody<S>>(&mut self, b: B) -> Result<usize, B> {
         let wkr = self.wkr();
-        let own = self.own();
-        let k = own.top;
-        if k == wkr.capacity() {
+        let k = self.top;
+        if k == self.capacity {
             return Err(b);
         }
-        let slot = wkr.slot(k);
+        let slot = self.slot(k);
         // Guard: a descriptor being (re)used for a push may be freshly
         // EMPTY, left DONE/DONE_PANIC by a joined steal, or — rarely —
         // still TASK: a stale thief's back-off can restore TASK *after*
@@ -333,7 +367,7 @@ impl<S: Strategy> WorkerHandle<S> {
         } else {
             slot.state.store(TASK, Release);
         }
-        own.top = k + 1;
+        self.top = k + 1;
         if S::SHARED_TOP {
             wkr.top_shared.store(k + 1, Release);
         }
@@ -347,7 +381,7 @@ impl<S: Strategy> WorkerHandle<S> {
             }
         }
         probe!(self.own(), Spawn, k + 1);
-        Ok(())
+        Ok(k)
     }
 
     /// §III-B: raises the public boundary in response to a thief's
@@ -362,7 +396,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // relaxed-ok: `n_public` is written only by this thread; its own
         // last store is always visible to it.
         let np = wkr.n_public.load(Relaxed);
-        let top = own.top;
+        let top = self.top;
         if top > np {
             let new = (np + self.publish_batch).min(top);
             // Release: thieves that Acquire-read the new boundary must
@@ -381,23 +415,24 @@ impl<S: Strategy> WorkerHandle<S> {
     // ------------------------------------------------------------------
 
     /// The task-specific join (`join_f` in Figure 3): pops the youngest
-    /// task; the fast path acquires it with one atomic swap (or, for a
-    /// private task, with no atomic read-modify-write at all) and calls
-    /// it directly.
+    /// task, in slot `k`; the fast path acquires it with one atomic swap
+    /// (or, for a private task, with no atomic read-modify-write at all)
+    /// and calls it directly.
     ///
     /// # Safety
-    /// `B` must be exactly the type of the most recent un-joined push
-    /// (guaranteed by `fork`/`for_each_spawn` nesting discipline).
+    /// Slot `k` must hold the most recent un-joined push (`top == k +
+    /// 1`), and `B` must be exactly its type (guaranteed by
+    /// `fork`/`for_each_spawn` nesting discipline).
     #[inline(always)]
-    unsafe fn join_task<B: TaskBody<S>>(&mut self) -> B::Output {
+    unsafe fn join_task<B: TaskBody<S>>(&mut self, k: usize) -> B::Output {
+        debug_assert_eq!(self.top, k + 1, "a join pops the youngest task");
+        self.top = k;
         if S::SHARED_TOP {
-            return self.join_task_shared_top::<B>();
+            return self.join_task_shared_top::<B>(k);
         }
         let wkr = self.wkr();
         let own = self.own();
-        own.top -= 1;
-        let k = own.top;
-        let slot = wkr.slot(k);
+        let slot = self.slot(k);
 
         // relaxed-ok: `n_public` is written only by this thread.
         if S::PRIVATE_TASKS && k >= wkr.n_public.load(Relaxed) {
@@ -448,12 +483,10 @@ impl<S: Strategy> WorkerHandle<S> {
 
     /// Table II *base*: join under the per-worker lock, steal detection
     /// by comparing the shared `top` with `bot`.
-    unsafe fn join_task_shared_top<B: TaskBody<S>>(&mut self) -> B::Output {
+    unsafe fn join_task_shared_top<B: TaskBody<S>>(&mut self, k: usize) -> B::Output {
         let wkr = self.wkr();
         let own = self.own();
-        own.top -= 1;
-        let k = own.top;
-        let slot = wkr.slot(k);
+        let slot = self.slot(k);
 
         wkr.lock.lock();
         // relaxed-ok (store and load): both words are read and written
@@ -606,13 +639,13 @@ impl<S: Strategy> WorkerHandle<S> {
     /// Leap-frogging (§I, Wagner & Calder): while our task is away,
     /// steal only from the thief that took it. Returns the final state.
     unsafe fn leap_wait(&mut self, slot: &TaskSlot, thief: usize) -> usize {
+        // The joined descriptor sits at `top` (the join already popped
+        // it); leap-frogged executions spawn on *this* stack, so bump
+        // `top` past the awaited descriptor or the nested spawns would
+        // overwrite its state word and result.
+        self.top += 1;
         let prev = {
             let own = self.own();
-            // The joined descriptor sits at `top` (the join already
-            // popped it); leap-frogged executions spawn on *this* stack,
-            // so bump `top` past the awaited descriptor or the nested
-            // spawns would overwrite its state word and result.
-            own.top += 1;
             probe!(own, Leapfrog, thief);
             own.tb.switch(Category::Lf)
         };
@@ -641,9 +674,8 @@ impl<S: Strategy> WorkerHandle<S> {
                 StealOutcome::Retry | StealOutcome::Empty => idle.snooze(),
             }
         };
-        let own = self.own();
-        own.top -= 1;
-        own.tb.switch(prev);
+        self.top -= 1;
+        self.own().tb.switch(prev);
         s
     }
 
@@ -937,6 +969,11 @@ fn steal_uses_lock<S: Strategy>() -> bool {
 /// `B` if the code between their spawns and their joins unwinds, so the
 /// spawned closures' borrows of the unwinding frame are not left live in
 /// a thief.
+///
+/// The guard is dropped only on unwind (the normal paths `forget` it).
+/// Its `drop` is inlined and hands both fields by value to the
+/// out-of-line [`join_on_unwind`], so no caller takes the guard's
+/// address and it can stay in registers: arming it costs no stores.
 struct JoinGuard<S: Strategy, B: TaskBody<S>> {
     h: *mut WorkerHandle<S>,
     pending: usize,
@@ -954,17 +991,27 @@ impl<S: Strategy, B: TaskBody<S>> JoinGuard<S, B> {
 }
 
 impl<S: Strategy, B: TaskBody<S>> Drop for JoinGuard<S, B> {
+    #[inline(always)]
     fn drop(&mut self) {
         // SAFETY: the handle outlives the guard (same stack frame); the
         // pending tasks are exactly of type `B` and the youngest on the
-        // stack. If a join itself panics we are already unwinding and
-        // the process aborts (double panic) — documented behavior.
-        unsafe {
-            let h = &mut *self.h;
-            while self.pending > 0 {
-                self.pending -= 1;
-                h.join_task::<B>();
-            }
-        }
+        // stack.
+        unsafe { join_on_unwind::<S, B>(self.h, self.pending) }
+    }
+}
+
+/// The unwind join of a [`JoinGuard`]: pops and joins its `pending`
+/// tasks. If a join itself panics we are already unwinding and the
+/// process aborts (double panic) — documented behavior.
+///
+/// # Safety
+/// `h` is live, and the `pending` youngest tasks on its stack are
+/// exactly of type `B`.
+#[cold]
+#[inline(never)]
+unsafe fn join_on_unwind<S: Strategy, B: TaskBody<S>>(h: *mut WorkerHandle<S>, pending: usize) {
+    let h = &mut *h;
+    for _ in 0..pending {
+        h.join_task::<B>(h.top - 1);
     }
 }

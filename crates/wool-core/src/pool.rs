@@ -93,7 +93,6 @@ impl PoolInner {
     pub(crate) unsafe fn begin_root(&self, epoch: u64) {
         let w0 = &self.workers[0];
         let own = &mut *w0.own.get();
-        debug_assert_eq!(own.top, 0, "task stack must be quiescent between runs");
         own.begin(&self.cfg, Category::Na);
         own.seen_epoch = epoch;
         debug_assert_eq!(w0.bot.load(Relaxed), 0);
@@ -292,6 +291,7 @@ impl<S: Strategy> Pool<S> {
         // unique worker 0 for the duration of the region.
         let mut handle = unsafe { WorkerHandle::<S>::new(inner, 0) };
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
+        debug_assert_eq!(handle.pending(), 0, "the root joins every task it spawned");
 
         // `completed` first: a worker that sees the region inactive then
         // also sees it completed, so it never goes idle, and parks, still

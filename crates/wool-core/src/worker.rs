@@ -7,9 +7,9 @@
 //! live region:
 //!
 //! * `top` — the next slot the owner will spawn into. **Private to the
-//!   owner** in the direct task stack (one of the paper's key points);
-//!   only the Table II *base* strategy maintains the shared mirror
-//!   `top_shared`.
+//!   owner** in the direct task stack (one of the paper's key points),
+//!   so it lives in the owner's `WorkerHandle`, not here; only the
+//!   Table II *base* strategy maintains the shared mirror `top_shared`.
 //! * `bot` — the oldest unstolen task; thieves steal at `bot` and it is
 //!   "implicitly owned by the worker that has stolen (or joined with)
 //!   the task bot points to" (§III-A) — there is no lock on it in the
@@ -44,8 +44,6 @@ use crate::trace::{probe, TraceRing, TRACE};
 /// State touched only by the worker's own thread.
 #[derive(Debug)]
 pub(crate) struct OwnerState {
-    /// Next slot to spawn into (the paper's private `top`).
-    pub top: usize,
     /// xorshift64 state for victim selection.
     pub rng: u64,
     /// Event counters.
@@ -62,7 +60,6 @@ pub(crate) struct OwnerState {
 impl OwnerState {
     fn new(seed: u64) -> Self {
         OwnerState {
-            top: 0,
             rng: seed | 1,
             stats: Stats::default(),
             tb: TimeBreak::default(),

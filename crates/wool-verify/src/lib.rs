@@ -11,8 +11,10 @@
 //!    `exec.rs` through the `cfg(loom)` harness `wool_core::model`:
 //!    worker 0 runs a sequence of forks while model threads steal. Each
 //!    join checks, where it returns, that its task ran exactly once and
-//!    handed back its result (`support::exec::Region`). The publish suite also holds the known open double-run defect as a
-//!    `should_panic` model (ROADMAP item 4).
+//!    handed back its result (`support::exec::Region`). The publish suite
+//!    also holds the known open stale-thief double run as a
+//!    `should_panic` model (ROADMAP: "Every task runs exactly once, even
+//!    under a stale thief").
 //! 2. **Every strategy rung** (`tests/strategy_rungs.rs`): one generic
 //!    model — nested fork, `for_each_spawn(3)`, and stack overflow —
 //!    for all 9 rungs of the Table II / Figure 4 ladder.

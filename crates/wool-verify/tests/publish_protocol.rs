@@ -70,8 +70,9 @@ fn stale_backoff_after_slot_reuse() {
     stale_thief_over_three_incarnations(false);
 }
 
-/// **Known open defect** (ROADMAP item 4), kept as a live negative
-/// control on the shipped code: the same stale thief, but the owner
+/// **Known open defect**, the stale-thief double run (ROADMAP: "Every
+/// task runs exactly once, even under a stale thief"), kept as a live
+/// negative control on the shipped code: the same stale thief, but the owner
 /// also *publishes* the next incarnation before the thief validates.
 /// The validation (`bot` unchanged, slot below `n_public`) then passes,
 /// and the thief announces `STOLEN` over that incarnation's `TASK`: the

@@ -279,7 +279,6 @@ fn mul_subtract<C: Fork>(
             leaf_mul_subtract(db, ab, bb, lower_only);
         }
         (QTree::Node(dq), QTree::Node(aq), QTree::Node(bq)) => {
-            let h = s / 2;
             // dst00 -= a00 b00^T + a01 b01^T        (lower_only: diag)
             // dst01 -= a00 b10^T + a01 b11^T        (skipped if lower)
             // dst10 -= a10 b00^T + a11 b01^T
@@ -289,37 +288,15 @@ fn mul_subtract<C: Fork>(
                 let dq = &mut **dq;
                 [dq[0].take(), dq[1].take(), dq[2].take(), dq[3].take()]
             };
-            let [a00, a01, a10, a11] = [&aq[0], &aq[1], &aq[2], &aq[3]];
-            let [b00, b01, b10, b11] = [&bq[0], &bq[1], &bq[2], &bq[3]];
+            let q = &Quadrants {
+                a: aq,
+                b: bq,
+                h: s / 2,
+                lower_only,
+            };
             let ((n00, n01), (n10, n11)) = c.fork(
-                |c| {
-                    c.fork(
-                        |c| {
-                            let t = mul_subtract(c, h, d00, a00, b00, lower_only);
-                            mul_subtract(c, h, t, a01, b01, lower_only)
-                        },
-                        |c| {
-                            if lower_only {
-                                d01
-                            } else {
-                                let t = mul_subtract(c, h, d01, a00, b10, false);
-                                mul_subtract(c, h, t, a01, b11, false)
-                            }
-                        },
-                    )
-                },
-                |c| {
-                    c.fork(
-                        |c| {
-                            let t = mul_subtract(c, h, d10, a10, b00, false);
-                            mul_subtract(c, h, t, a11, b01, false)
-                        },
-                        |c| {
-                            let t = mul_subtract(c, h, d11, a10, b10, lower_only);
-                            mul_subtract(c, h, t, a11, b11, lower_only)
-                        },
-                    )
-                },
+                |c| c.fork(|c| q.update(c, d00, 0, 0), |c| q.update(c, d01, 0, 2)),
+                |c| c.fork(|c| q.update(c, d10, 2, 0), |c| q.update(c, d11, 2, 2)),
             );
             let dq = &mut **dq;
             dq[0] = n00;
@@ -330,6 +307,31 @@ fn mul_subtract<C: Fork>(
         _ => unreachable!("quadtree shape mismatch (all trees share one side)"),
     }
     Some(d)
+}
+
+/// The operands of one `mul_subtract` split, borrowed as one value: each
+/// fork branch captures a single reference to them, so its closure fits
+/// a task descriptor's inline area instead of being boxed.
+struct Quadrants<'a> {
+    a: &'a [Option<QTree>; 4],
+    b: &'a [Option<QTree>; 4],
+    /// The quadrants' side.
+    h: usize,
+    lower_only: bool,
+}
+
+impl Quadrants<'_> {
+    /// `d -= a[i] b[j]^T + a[i+1] b[j+1]^T`, the destination quadrant
+    /// `(i / 2, j / 2)`. A symmetric (`lower_only`) update skips the upper
+    /// quadrant and keeps only the lower triangle of the diagonal ones.
+    fn update<C: Fork>(&self, c: &mut C, d: Option<QTree>, i: usize, j: usize) -> Option<QTree> {
+        if self.lower_only && i < j {
+            return d;
+        }
+        let lower = self.lower_only && i == j;
+        let t = mul_subtract(c, self.h, d, &self.a[i], &self.b[j], lower);
+        mul_subtract(c, self.h, t, &self.a[i + 1], &self.b[j + 1], lower)
+    }
 }
 
 /// `B := B * L^-T` on quadtrees of side `s` (lower-triangular `L`).

@@ -187,6 +187,91 @@ fn panic_under_concurrency() {
     check::<wool_core::LockedBase>();
 }
 
+/// Unwinding joins every pending task, on every strategy rung at p=1
+/// and p=2, in two shapes: a `for_each_spawn` whose direct `body(0)`
+/// panics with `n - 1` iterations pending, and a `fork` whose call
+/// branch panics two levels down, with a spawned branch pending at each
+/// level. Each pending task runs exactly once, the payload reaches
+/// `run`'s caller, and the next region on the same pool is correct.
+#[test]
+fn unwinding_joins_every_pending_task_on_every_rung() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+    fn payload(r: std::thread::Result<()>) -> &'static str {
+        let err = r.expect_err("the region must unwind");
+        err.downcast_ref::<&'static str>()
+            .copied()
+            .expect("a &str payload")
+    }
+
+    fn check<S: Strategy>() {
+        const N: usize = 32;
+        for workers in [1, 2] {
+            let mut pool: Pool<S> = Pool::new(workers);
+            let label = format!("{} p={workers}", S::NAME);
+
+            let runs: Vec<AtomicUsize> = (0..N).map(|_| AtomicUsize::new(0)).collect();
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(|h| {
+                    h.for_each_spawn(N, &|h, i| {
+                        if i == 0 {
+                            panic!("body(0) panics");
+                        }
+                        std::hint::black_box(fib(h, 8));
+                        runs[i].fetch_add(1, Relaxed);
+                    })
+                })
+            }));
+            assert_eq!(payload(r), "body(0) panics", "{label}");
+            for (i, n) in runs.iter().enumerate().skip(1) {
+                assert_eq!(n.load(Relaxed), 1, "{label}: iteration {i}");
+            }
+            assert_eq!(pool.run(|h| fib(h, 20)), 6765, "{label}");
+
+            let runs = [AtomicUsize::new(0), AtomicUsize::new(0)];
+            let spawned = |h: &mut WorkerHandle<S>, level: usize| {
+                std::hint::black_box(fib(h, 8));
+                runs[level].fetch_add(1, Relaxed);
+            };
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                pool.run(|h| {
+                    h.fork(
+                        |h| {
+                            h.fork(
+                                |h| {
+                                    std::hint::black_box(fib(h, 8));
+                                    panic!("call branch panics")
+                                },
+                                |h| spawned(h, 1),
+                            )
+                        },
+                        |h| spawned(h, 0),
+                    );
+                })
+            }));
+            assert_eq!(payload(r), "call branch panics", "{label}");
+            for (level, n) in runs.iter().enumerate() {
+                assert_eq!(
+                    n.load(Relaxed),
+                    1,
+                    "{label}: spawned branch of level {level}"
+                );
+            }
+            assert_eq!(pool.run(|h| fib(h, 20)), 6765, "{label}");
+        }
+    }
+    check::<WoolFull>();
+    check::<WoolAllPublic>();
+    check::<WoolNoLeap>();
+    check::<TaskSpecific>();
+    check::<SyncOnTask>();
+    check::<LockedBase>();
+    check::<StealLockBase>();
+    check::<StealLockPeek>();
+    check::<StealLockTrylock>();
+}
+
 /// Deep nesting across pool sizes and small stacks exercises the
 /// overflow fallback concurrently.
 #[test]
