@@ -1,8 +1,9 @@
 //! Pool configuration.
 
 /// Largest accepted worker count. A thief's index is encoded in a task
-/// state word as `STOLEN_BASE + i`, which this bound keeps in range.
-pub(crate) const MAX_WORKERS: usize = 1 << 16;
+/// state word as `STOLEN_BASE + i`, which this bound keeps below the
+/// smallest task word, `TASK_MIN`.
+pub(crate) const MAX_WORKERS: usize = crate::slot::TASK_MIN - crate::slot::STOLEN_BASE;
 
 /// Configuration for a [`crate::Pool`] or a [`ServePool`](crate::ServePool).
 ///

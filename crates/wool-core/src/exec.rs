@@ -28,8 +28,8 @@ use std::marker::PhantomData;
 
 use crate::pool::PoolInner;
 use crate::slot::{
-    check_transition, is_done, is_stolen, spin_while_empty, stolen, thief_of, RawWrapper, TaskRepr,
-    TaskSlot, DONE, DONE_PANIC, EMPTY, TASK,
+    check_transition, is_done, is_stolen, is_task, spin_while_empty, stolen, thief_of, wrapper_of,
+    RawWrapper, TaskRepr, TaskSlot, DONE, DONE_PANIC, EMPTY,
 };
 use crate::strategy::{StealSync, Strategy};
 use crate::timebreak::Category;
@@ -98,8 +98,9 @@ where
 }
 
 /// The task-specific wrapper (`wrap_f` in Figure 3), monomorphized per
-/// task type and strategy. Executes the task in place; never touches the
-/// slot's `state` (the caller publishes completion).
+/// task type and strategy; its address is the task's `TASK(wrapper)`
+/// state word. Executes the task in place; never touches the slot's
+/// `state` (the caller publishes completion).
 ///
 /// # Safety
 /// `slot` must hold a task of exactly type `B`; `ctx` must point to the
@@ -127,6 +128,13 @@ pub struct WorkerHandle<S: Strategy> {
     /// This worker's task stack: its first descriptor and its capacity.
     stack: *const TaskSlot,
     capacity: usize,
+    /// The owner's copy of `Worker::n_public`, which only the owner
+    /// writes: `set_n_public` updates both, so the private-path test
+    /// reads no shared word.
+    n_public: usize,
+    /// Private joins since the last report, flushed into
+    /// `Stats::inlined_private` by `publish_report`.
+    pub(crate) private_joins: u64,
     idx: usize,
     /// Cached configuration (hot-path reads).
     trip_distance: usize,
@@ -152,6 +160,10 @@ impl<S: Strategy> WorkerHandle<S> {
             // From the whole slice, so the pointer may reach every slot.
             stack: wkr.slots.as_ptr(),
             capacity: wkr.capacity(),
+            // relaxed-ok: `n_public` is written only by this worker's
+            // thread, which is the calling thread.
+            n_public: wkr.n_public.load(Relaxed),
+            private_joins: 0,
             idx,
             trip_distance: pool.cfg.trip_distance,
             publish_batch: pool.cfg.publish_batch,
@@ -197,6 +209,31 @@ impl<S: Strategy> WorkerHandle<S> {
     /// Tasks spawned on this handle and not yet joined.
     pub(crate) fn pending(&self) -> usize {
         self.top
+    }
+
+    /// Publishes this worker's report of region `epoch`: `finish` stops
+    /// the trace ring and fills the report, with the private joins
+    /// counted in this handle, then the Release store of `report_epoch`
+    /// hands both to the coordinator (see `Worker`'s `Sync` safety
+    /// comment).
+    ///
+    /// # Safety
+    /// This handle's thread holds no borrow of `own`.
+    pub(crate) unsafe fn publish_report(&mut self, epoch: u64) {
+        let wkr = self.wkr();
+        let private_joins = std::mem::take(&mut self.private_joins);
+        *wkr.report.get() = self.own().finish(private_joins);
+        wkr.report_epoch.store(epoch, Release);
+    }
+
+    /// Moves the public boundary to `n`, in the owner's copy and in the
+    /// shared word thieves read.
+    #[inline(always)]
+    fn set_n_public(&mut self, n: usize) {
+        self.n_public = n;
+        // Release: thieves that Acquire-read a raised boundary must see
+        // the task words and closure data written before it.
+        self.wkr().n_public.store(n, Release);
     }
 
     /// This worker's owner-only state.
@@ -338,7 +375,6 @@ impl<S: Strategy> WorkerHandle<S> {
     /// join it (possibly via a guard) before those borrows expire.
     #[inline(always)]
     unsafe fn try_push<B: TaskBody<S>>(&mut self, b: B) -> Result<usize, B> {
-        let wkr = self.wkr();
         let k = self.top;
         if k == self.capacity {
             return Err(b);
@@ -346,14 +382,15 @@ impl<S: Strategy> WorkerHandle<S> {
         let slot = self.slot(k);
         // Guard: a descriptor being (re)used for a push may be freshly
         // EMPTY, left DONE/DONE_PANIC by a joined steal, or — rarely —
-        // still TASK: a stale thief's back-off can restore TASK *after*
-        // the owner consumed the task through the private fast path
-        // (its CAS landed between the owner's TASK load and EMPTY
-        // store; see the back-off in `steal_nolock`). What must
-        // never be here is a live STOLEN marker: that descriptor is
+        // still a task word: a stale thief's back-off can restore its
+        // word *after* the owner consumed the task through the private
+        // fast path (its CAS landed between the owner's task-word load
+        // and EMPTY store; see the back-off in `steal_nolock`). What
+        // must never be here is a live STOLEN marker: that descriptor is
         // executing on another worker.
         check_transition(slot, |s| !is_stolen(s), "spawn reuses slot");
-        TaskRepr::<B, B::Output>::store(slot, b, task_wrapper::<B, S> as RawWrapper);
+        TaskRepr::<B, B::Output>::store(slot, b);
+        let task = task_wrapper::<B, S> as RawWrapper as usize;
         // With private tasks the publication fence is the later Release
         // store to `n_public`; otherwise this store itself publishes the
         // task to thieves. (Either way this compiles to a plain store on
@@ -363,20 +400,20 @@ impl<S: Strategy> WorkerHandle<S> {
             // relaxed-ok: the slot is private (above `n_public`); no
             // thief may read it until the later Release store to
             // `n_public` publishes it, and that store orders this one.
-            slot.state.store(TASK, Relaxed);
+            slot.state.store(task, Relaxed);
         } else {
-            slot.state.store(TASK, Release);
+            slot.state.store(task, Release);
         }
         self.top = k + 1;
         if S::SHARED_TOP {
-            wkr.top_shared.store(k + 1, Release);
+            self.wkr().top_shared.store(k + 1, Release);
         }
         if S::PRIVATE_TASKS {
             if S::PUBLISH_ALL {
-                wkr.n_public.store(k + 1, Release);
+                self.set_n_public(k + 1);
             // relaxed-ok: advisory trip-wire flag; a missed set only
             // delays publication until the next spawn or steal request.
-            } else if wkr.publish_request.load(Relaxed) {
+            } else if self.wkr().publish_request.load(Relaxed) {
                 self.publish();
             }
         }
@@ -392,17 +429,16 @@ impl<S: Strategy> WorkerHandle<S> {
         // relaxed-ok: advisory flag reset; losing a concurrent set only
         // delays the next publication, it cannot lose tasks.
         wkr.publish_request.store(false, Relaxed);
-        let own = self.own();
+        let np = self.n_public;
         // relaxed-ok: `n_public` is written only by this thread; its own
         // last store is always visible to it.
-        let np = wkr.n_public.load(Relaxed);
+        #[cfg(any(debug_assertions, loom))]
+        assert_eq!(np, wkr.n_public.load(Relaxed), "stale n_public copy");
         let top = self.top;
         if top > np {
             let new = (np + self.publish_batch).min(top);
-            // Release: thieves that Acquire-read the new boundary must
-            // see the TASK states and closure data written before it.
-            wkr.n_public.store(new, Release);
-            probe!(own, Publish, new - np);
+            self.set_n_public(new);
+            probe!(self.own(), Publish, new - np);
             // Tasks are public: wake a parked worker to steal them. The
             // trip wire armed at region start makes the root's first
             // spawn land here, so a region that spawns wakes one at once.
@@ -430,53 +466,51 @@ impl<S: Strategy> WorkerHandle<S> {
         if S::SHARED_TOP {
             return self.join_task_shared_top::<B>(k);
         }
-        let wkr = self.wkr();
-        let own = self.own();
         let slot = self.slot(k);
 
-        // relaxed-ok: `n_public` is written only by this thread.
-        if S::PRIVATE_TASKS && k >= wkr.n_public.load(Relaxed) {
+        if S::PRIVATE_TASKS && k >= self.n_public {
             // Private fast path: no atomic RMW, no fence — the ~3-cycle
-            // row of Table II.
-            probe!(own, JoinFastPrivate, k);
+            // row of Table II — and nothing read or written through the
+            // `Worker` pointer: the count stays in the handle until the
+            // report.
+            self.private_joins += 1;
+            probe!(self.own(), JoinFastPrivate, k);
             // relaxed-ok (both loads below): the closure data was written
             // by this thread; a transient thief writes only the state
             // word (its CAS), never the data, so there is nothing to
-            // acquire — we wait for the *value* TASK only.
-            if slot.state.load(Relaxed) != TASK {
+            // acquire — we wait for a task word's *value* only.
+            let mut s = slot.state.load(Relaxed);
+            while !is_task(s) {
                 // A stale thief transiently CASed this slot; because the
                 // slot is private its post-CAS validation must fail, so
-                // it will restore TASK. Extremely rare.
-                while slot.state.load(Relaxed) != TASK {
-                    crate::sync::hint::spin_loop();
-                }
+                // it will restore the task word. Extremely rare.
+                crate::sync::hint::spin_loop();
+                s = slot.state.load(Relaxed);
             }
-            // Guard: we just observed TASK, but a stale thief may CAS
-            // TASK→EMPTY between that observation and this store (its
-            // back-off restores TASK only over an EMPTY; harmless since
-            // we overwrite with EMPTY). Anything else is a protocol bug.
-            check_transition(slot, |s| s == TASK || s == EMPTY, "private pop");
+            // Guard: we just observed a task word, but a stale thief may
+            // CAS it to EMPTY between that observation and this store
+            // (its back-off restores the word only over an EMPTY;
+            // harmless since we overwrite with EMPTY). Anything else is
+            // a protocol bug.
+            check_transition(slot, |s| is_task(s) || s == EMPTY, "private pop");
             // relaxed-ok: un-publishes a slot only this thread may touch
             // (transient thieves excepted, see the guard above).
             slot.state.store(EMPTY, Relaxed);
-            return self.call_inline::<B>(slot);
+            return self.call_inline::<B>(slot, s);
         }
 
         // Public fast path: one atomic exchange (§III-A).
         let s = slot.state.swap(EMPTY, AcqRel);
-        if s == TASK {
-            probe!(own, JoinFastPublic, k);
-            if S::PRIVATE_TASKS && !S::PUBLISH_ALL {
-                // We inlined a public task — the situation private tasks
-                // are designed to exploit (§III-B): privatize down to
-                // the new top. Safe because the swap above acquired the
-                // only descriptor between the old boundary and `top`.
-                // relaxed-ok: `n_public` is written only by this thread.
-                if wkr.n_public.load(Relaxed) > k {
-                    wkr.n_public.store(k, Release);
-                }
+        if is_task(s) {
+            probe!(self.own(), JoinFastPublic, k);
+            // We inlined a public task — the situation private tasks are
+            // designed to exploit (§III-B): privatize down to the new
+            // top. Safe because the swap above acquired the only
+            // descriptor between the old boundary and `top`.
+            if S::PRIVATE_TASKS && !S::PUBLISH_ALL && self.n_public > k {
+                self.set_n_public(k);
             }
-            return self.call_inline::<B>(slot);
+            return self.call_inline::<B>(slot, s);
         }
         self.rts_join::<B>(slot, k, s)
     }
@@ -498,7 +532,9 @@ impl<S: Strategy> WorkerHandle<S> {
 
         if !was_stolen {
             probe!(own, JoinFastPublic, k);
-            return self.call_inline::<B>(slot);
+            // relaxed-ok: the task word this thread stored at the spawn;
+            // in this strategy no thief writes a slot it has not taken.
+            return self.call_inline::<B>(slot, slot.state.load(Relaxed));
         }
         probe!(own, RtsJoin, k);
         let s = slot.state.load(Acquire);
@@ -536,23 +572,25 @@ impl<S: Strategy> WorkerHandle<S> {
         self.finish_stolen::<B>(slot, s)
     }
 
-    /// The inlined call: direct (task-specific) or through the wrapper.
+    /// The inlined call of the task whose word `task` the join
+    /// acquired: direct (task-specific) or through the wrapper.
     #[inline(always)]
-    unsafe fn call_inline<B: TaskBody<S>>(&mut self, slot: &TaskSlot) -> B::Output {
+    unsafe fn call_inline<B: TaskBody<S>>(&mut self, slot: &TaskSlot, task: usize) -> B::Output {
         if S::TASK_SPECIFIC_JOIN {
             // Direct call, visible to the optimizer — the paper's
             // task-specific join. Panics propagate naturally.
             TaskRepr::<B, B::Output>::take_closure(slot).run(self)
         } else {
-            self.call_via_wrapper::<B>(slot)
+            self.call_via_wrapper::<B>(slot, task)
         }
     }
 
     /// Generic (non-task-specific) inlined call through the wrapper
-    /// function pointer; used by the `SyncOnTask` and `LockedBase` rungs
-    /// and by the re-acquisition path of `RTS_join`.
-    unsafe fn call_via_wrapper<B: TaskBody<S>>(&mut self, slot: &TaskSlot) -> B::Output {
-        let wrapper = slot.wrapper();
+    /// decoded from the acquired task word `s`; used by the
+    /// `SyncOnTask` and `LockedBase` rungs and by the re-acquisition
+    /// path of `RTS_join`.
+    unsafe fn call_via_wrapper<B: TaskBody<S>>(&mut self, slot: &TaskSlot, s: usize) -> B::Output {
+        let wrapper = wrapper_of(s);
         if !wrapper(slot as *const TaskSlot, self as *mut Self as *mut ()) {
             let payload = TaskRepr::<B, B::Output>::take_panic(slot);
             std::panic::resume_unwind(payload);
@@ -578,12 +616,12 @@ impl<S: Strategy> WorkerHandle<S> {
                 // back-off restore or its STOLEN announcement.
                 s = spin_while_empty(slot);
             }
-            if s == TASK {
+            if is_task(s) {
                 // The thief backed off and restored the task; race for
                 // it again with the swap.
                 s = slot.state.swap(EMPTY, AcqRel);
-                if s == TASK {
-                    return self.call_via_wrapper::<B>(slot);
+                if is_task(s) {
+                    return self.call_via_wrapper::<B>(slot, s);
                 }
                 continue;
             }
@@ -598,12 +636,8 @@ impl<S: Strategy> WorkerHandle<S> {
             probe!(self.own(), JoinSlow, join_thief);
             // Maintain `n_public <= top`: the stolen task may have been
             // the last public descriptor; everything above `k` is dead.
-            {
-                let wkr = self.wkr();
-                // relaxed-ok: `n_public` is written only by this thread.
-                if S::PRIVATE_TASKS && wkr.n_public.load(Relaxed) > k {
-                    wkr.n_public.store(k, Release);
-                }
+            if S::PRIVATE_TASKS && self.n_public > k {
+                self.set_n_public(k);
             }
             // The task was stolen and is complete: the thief advanced
             // `bot` past it; having synchronized on DONE we own `bot`
@@ -735,7 +769,7 @@ impl<S: Strategy> WorkerHandle<S> {
         let b = victim.bot.load(Acquire);
         if S::PRIVATE_TASKS {
             // Acquire pairs with the owner's Release publication store:
-            // observing `np > b` makes the TASK state and closure data
+            // observing `np > b` makes the task word and closure data
             // of every slot below `np` visible.
             let np = victim.n_public.load(Acquire);
             if b >= np {
@@ -749,7 +783,8 @@ impl<S: Strategy> WorkerHandle<S> {
                 return self.found_nothing(victim_idx);
             }
         }
-        if b >= victim.capacity() || victim.slot(b).state.load(Acquire) != TASK {
+        let task = victim.slots.get(b).map_or(EMPTY, |s| s.state.load(Acquire));
+        if !is_task(task) {
             return self.found_nothing(victim_idx);
         }
         let slot = victim.slot(b);
@@ -759,7 +794,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // data) and orders our later writes after the acquisition.
         if slot
             .state
-            .compare_exchange(TASK, EMPTY, AcqRel, Relaxed)
+            .compare_exchange(task, EMPTY, AcqRel, Relaxed)
             .is_err()
         {
             return self.lost_race(victim_idx);
@@ -773,18 +808,19 @@ impl<S: Strategy> WorkerHandle<S> {
         {
             // "Writing back the old value of state is appropriate since
             // the transient value (EMPTY) only makes thieves abort and
-            // the joining owner wait." (§III-A) Restore only over our
-            // own EMPTY, though: our CAS can land between the owner's
-            // private-path TASK load and its EMPTY store, in which case
-            // the owner has consumed the task and may already have
+            // the joining owner wait." (§III-A) The old value is the
+            // task word our CAS acquired. Restore it only over our own
+            // EMPTY, though: our CAS can land between the owner's
+            // private-path task-word load and its EMPTY store, in which
+            // case the owner has consumed the task and may already have
             // pushed, published or joined the next incarnation here. A
             // plain store would overwrite that incarnation's state; the
             // CAS fails instead and leaves it alone. (If the owner's
-            // EMPTY is still there, the CAS leaves dead TASK residue
+            // EMPTY is still there, the CAS leaves a dead task word
             // above its top, as `try_push` describes.)
             // relaxed-ok: failure ordering — a failed CAS publishes
             // nothing and we touch the slot no further.
-            let _ = slot.state.compare_exchange(EMPTY, TASK, Release, Relaxed);
+            let _ = slot.state.compare_exchange(EMPTY, task, Release, Relaxed);
             probe!(self.own(), Backoff, victim_idx);
             return StealOutcome::Retry;
         }
@@ -805,7 +841,7 @@ impl<S: Strategy> WorkerHandle<S> {
                 probe!(self.own(), PublishRequest, victim_idx);
             }
         }
-        self.execute_stolen(slot, victim_idx, leap)
+        self.execute_stolen(slot, task, victim_idx, leap)
     }
 
     /// §IV-C lock-based steal protocols (Figure 4's base/peek/trylock).
@@ -820,7 +856,7 @@ impl<S: Strategy> WorkerHandle<S> {
             // Peek before locking: read the descriptor `bot` points to
             // and lock only when it holds a stealable task.
             let b = victim.bot.load(Acquire);
-            if b >= victim.capacity() || victim.slot(b).state.load(Acquire) != TASK {
+            if !is_task(victim.slots.get(b).map_or(EMPTY, |s| s.state.load(Acquire))) {
                 return self.found_nothing(victim_idx);
             }
         }
@@ -835,7 +871,8 @@ impl<S: Strategy> WorkerHandle<S> {
         // `bot` is protected by the lock: thieves never back off (§IV-C).
         // relaxed-ok: lock-protected word.
         let b = victim.bot.load(Relaxed);
-        if b >= victim.capacity() || victim.slot(b).state.load(Acquire) != TASK {
+        let task = victim.slots.get(b).map_or(EMPTY, |s| s.state.load(Acquire));
+        if !is_task(task) {
             victim.lock.unlock();
             return self.found_nothing(victim_idx);
         }
@@ -845,7 +882,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // relaxed-ok: failure ordering — a failed CAS acquires nothing.
         if slot
             .state
-            .compare_exchange(TASK, EMPTY, AcqRel, Relaxed)
+            .compare_exchange(task, EMPTY, AcqRel, Relaxed)
             .is_err()
         {
             victim.lock.unlock();
@@ -857,7 +894,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // relaxed-ok: lock-protected word.
         victim.bot.store(b + 1, Relaxed);
         victim.lock.unlock();
-        self.execute_stolen(slot, victim_idx, leap)
+        self.execute_stolen(slot, task, victim_idx, leap)
     }
 
     /// Table II *base* steal: everything under the victim lock, validity
@@ -882,21 +919,25 @@ impl<S: Strategy> WorkerHandle<S> {
         // (The owner observes `bot > k` only under the same lock, by
         // which time STOLEN below is visible.)
         // Guard: in this strategy the state word is only a completion
-        // signal — a live slot below the shared `top` must read TASK
-        // (every push stores it, and no join path clears it here).
-        check_transition(slot, |s| s == TASK, "shared-top STOLEN mark");
+        // signal — a live slot below the shared `top` must hold a task
+        // word (every push stores it, and no join path clears it here).
+        check_transition(slot, is_task, "shared-top STOLEN mark");
+        // Acquire pairs with the owner's Release store of the task word.
+        let task = slot.state.load(Acquire);
         slot.state.store(stolen(self.idx), Release);
         // relaxed-ok: lock-protected word.
         victim.bot.store(b + 1, Relaxed);
         victim.lock.unlock();
-        self.execute_stolen(slot, victim_idx, leap)
+        self.execute_stolen(slot, task, victim_idx, leap)
     }
 
-    /// Runs a task just stolen from `victim_idx` and publishes its
-    /// completion.
+    /// Runs a task just stolen from `victim_idx`, through the wrapper
+    /// decoded from the task word `task` the steal acquired, and
+    /// publishes its completion.
     unsafe fn execute_stolen(
         &mut self,
         slot: &TaskSlot,
+        task: usize,
         victim_idx: usize,
         leap: bool,
     ) -> StealOutcome {
@@ -913,13 +954,13 @@ impl<S: Strategy> WorkerHandle<S> {
             }
         };
 
-        let wrapper: RawWrapper = slot.wrapper();
+        let wrapper = wrapper_of(task);
         let ok = wrapper(slot as *const TaskSlot, self as *mut Self as *mut ());
         // Guard: between our STOLEN announcement and this completion
         // store the only other writer is the joining owner's public-path
         // swap, which consumes our STOLEN marker (leaving EMPTY) and then
         // waits for this store in spin_while_empty / leap_wait. Other
-        // thieves' CASes expect TASK and cannot touch the slot. (The
+        // thieves' CASes expect a task word and cannot touch the slot. (The
         // EMPTY case was found by the wool-verify slot model: the
         // original guard demanded STOLEN(me) only.)
         let me = stolen(self.idx);

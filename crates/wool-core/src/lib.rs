@@ -236,8 +236,16 @@ mod tests {
             let (a, b) = c.fork(|c| fib(c, n - 1), |c| fib(c, n - 2));
             a + b
         }
-        let (r, report) = span::measure(|c| fib(c, 20));
-        assert_eq!(r, fib_ref(20));
+        // A preemption inside one ~1 ms run lands in its span; keep the
+        // run with the smallest span out of up to five, as Table I does.
+        let report = (0..5)
+            .map(|_| {
+                let (r, report) = span::measure(|c| fib(c, 20));
+                assert_eq!(r, fib_ref(20));
+                report
+            })
+            .min_by_key(|report| report.span0)
+            .unwrap();
         assert!(report.work > 0);
         assert!(report.span0 > 0);
         assert!(report.span0 <= report.span_c, "c-model span is larger");

@@ -31,6 +31,9 @@ pub struct ModelPool<S: Strategy> {
 pub struct Thief<S: Strategy> {
     inner: Arc<PoolInner>,
     idx: usize,
+    /// Private joins of the stolen tasks so far: each steal's handle
+    /// counts its own.
+    private_joins: u64,
     _strategy: PhantomData<S>,
 }
 
@@ -47,6 +50,7 @@ impl<S: Strategy> ModelPool<S> {
             .map(|idx| Thief {
                 inner: Arc::clone(&inner),
                 idx,
+                private_joins: 0,
                 _strategy: PhantomData,
             })
             .collect();
@@ -57,16 +61,20 @@ impl<S: Strategy> ModelPool<S> {
         (pool, thieves)
     }
 
-    /// Runs `f` as worker 0's root task, after the region start of
-    /// `Pool::run` (`PoolInner::begin_root`: the trip wire is armed when
-    /// there is a thief). A pool models one region.
+    /// Runs `f` as worker 0's root task between the region start and
+    /// end of `Pool::run` (`PoolInner::begin_root`: the trip wire is
+    /// armed when there is a thief; `WorkerHandle::publish_report`). A
+    /// pool models one region.
     pub fn run<R>(&mut self, f: impl FnOnce(&mut WorkerHandle<S>) -> R) -> R {
         // SAFETY: `&mut self` makes this the only thread acting as
         // worker 0, and the thieves never act as it; the handle does not
         // outlive `self.inner`.
         unsafe {
             self.inner.begin_root(1);
-            f(&mut WorkerHandle::new(&self.inner, 0))
+            let mut h = WorkerHandle::new(&self.inner, 0);
+            let r = f(&mut h);
+            h.publish_report(1);
+            r
         }
     }
 
@@ -94,7 +102,9 @@ impl<S: Strategy> Thief<S> {
         // worker `idx`; the handle does not outlive `self.inner`.
         unsafe {
             let mut h = WorkerHandle::<S>::new(&self.inner, self.idx);
-            h.try_steal_from(0, false) == StealOutcome::Executed
+            let stole = h.try_steal_from(0, false) == StealOutcome::Executed;
+            self.private_joins += h.private_joins;
+            stole
         }
     }
 
@@ -107,14 +117,14 @@ impl<S: Strategy> Thief<S> {
     /// This worker's counters so far.
     pub fn stats(&self) -> Stats {
         // SAFETY: only the thread holding this thief acts as its worker.
-        unsafe { (*self.inner.workers[self.idx].own.get()).stats }
+        unsafe { (*self.inner.workers[self.idx].own.get()).counters(self.private_joins) }
     }
 }
 
-/// The counters of the worker `h` belongs to.
+/// The counters of the worker `h` belongs to, so far.
 pub fn stats<S: Strategy>(h: &WorkerHandle<S>) -> Stats {
     // SAFETY: `h` lives on its owner thread; the borrow ends here.
-    unsafe { h.own().stats }
+    unsafe { h.own().counters(h.private_joins) }
 }
 
 /// Raises worker `h`'s publication request, as a thief's privacy miss

@@ -96,9 +96,9 @@ impl PoolInner {
         own.begin(&self.cfg, Category::Na);
         own.seen_epoch = epoch;
         debug_assert_eq!(w0.bot.load(Relaxed), 0);
-        // `n_public` may be left above the (empty) stack when the last
-        // public task of the previous region was stolen, or under the
-        // all-public rung; re-arm it for the fresh stack.
+        // `n_public` may be left above the (empty) stack under the
+        // all-public rung; re-arm it for the fresh stack. The root's
+        // handle, made after this, copies it.
         w0.n_public.store(0, Relaxed);
         // The background workers are idle at region start, so arm the
         // trip wire: the root's first spawn publishes at once instead of
@@ -276,7 +276,6 @@ impl<S: Strategy> Pool<S> {
         // SAFETY: we hold `&mut self`, so no other `run` is live and this
         // thread is worker 0 until the region ends.
         unsafe { inner.begin_root(epoch) };
-        let w0 = &inner.workers[0];
 
         let t0 = cycles::now();
         inner.active.store(true, Release);
@@ -302,7 +301,7 @@ impl<S: Strategy> Pool<S> {
 
         // Worker 0 publishes its report through its own mailbox, like
         // the background workers. SAFETY: as at region start.
-        unsafe { w0.publish_report(epoch) };
+        unsafe { handle.publish_report(epoch) };
 
         // Close the region on every background worker: only those that
         // joined it are waited for.
@@ -411,7 +410,7 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
             let seen = unsafe { handle.own().seen_epoch };
             if seen == done && wkr.report_epoch.load(Relaxed) != done {
                 // SAFETY: this thread owns worker `idx`.
-                unsafe { wkr.publish_report(done) };
+                unsafe { handle.publish_report(done) };
             }
             // Park until a region this worker has not joined opens (its
             // root's first publication wakes the worker) or the pool

@@ -428,7 +428,7 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
     // Publish this worker's statistics for the pool to collect after
     // joining the thread, which also synchronizes with everything this
     // thread ever wrote. SAFETY: this thread owns worker `idx`.
-    unsafe { wkr.publish_report(u64::MAX) };
+    unsafe { handle.publish_report(u64::MAX) };
 }
 
 #[cfg(test)]

@@ -12,19 +12,22 @@
 //! Each slot carries:
 //!
 //! * `state` — the synchronization word thief and victim coordinate on:
-//!   `EMPTY`, `TASK`, `STOLEN(i)`, `DONE` (§III-A). The paper packs the
-//!   wrapper function pointer into the `TASK` value; Rust does not
-//!   guarantee function pointer alignment, so we keep the wrapper in a
-//!   dedicated word of the same cache line, which preserves the property
-//!   that matters: a single cache-block transfer moves both the signal
-//!   and the data needed to run the stolen task.
-//! * `wrapper` — the task-specific wrapper function (the paper's
-//!   `wrap_f`), used by thieves and by the non-task-specific join.
+//!   `EMPTY`, `TASK(wrapper)`, `STOLEN(i)`, `DONE` (§III-A). As in the
+//!   paper, `TASK(wrapper)` *is* the task-specific wrapper's address
+//!   (the paper's `wrap_f`): any word from [`TASK_MIN`] up is a task,
+//!   since no function lies in the first page, and the other values all
+//!   stay below it. Whoever acquires the task calls the wrapper decoded
+//!   from the word it acquired.
 //! * `data` — 64 bytes of inline storage holding the closure before
 //!   execution and the result (or panic payload) after. Tasks whose
 //!   closure or result does not fit are transparently boxed; the slot
 //!   then holds the box pointer, which mirrors the pointer-queue designs
 //!   the paper compares against, but only as a rare fallback.
+//!
+//! `state` comes first and `data` right after it, so the state word and
+//! the first 56 bytes of the closure share one cache line: a spawn
+//! writes one line, and a single cache-block transfer moves both the
+//! signal and the data needed to run the stolen task.
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
 use crate::worker::Idle;
@@ -40,18 +43,24 @@ pub const DATA_WORDS: usize = 8;
 
 /// State word: no task stored (or transiently held by a thief mid-CAS).
 pub const EMPTY: usize = 0;
-/// State word: a stealable/joinable task is stored.
-pub const TASK: usize = 1;
 /// State word: a stolen task completed successfully.
 pub const DONE: usize = 2;
 /// State word: a stolen task panicked (payload stored in the slot).
 pub const DONE_PANIC: usize = 3;
 /// State word base for `STOLEN(i)`, encoded as `STOLEN_BASE + i`.
 pub const STOLEN_BASE: usize = 4;
+/// The smallest `TASK(wrapper)` word: a stored task's state is its
+/// wrapper's address, and no function lies in the first page. Every
+/// other state, `STOLEN(i)` included, stays below it.
+pub const TASK_MIN: usize = 4096;
 
 /// Returns the `STOLEN(i)` encoding for thief index `i`.
 #[inline(always)]
 pub fn stolen(thief: usize) -> usize {
+    debug_assert!(
+        thief < TASK_MIN - STOLEN_BASE,
+        "STOLEN({thief}) reads as a task"
+    );
     STOLEN_BASE + thief
 }
 
@@ -62,10 +71,16 @@ pub fn thief_of(state: usize) -> usize {
     state - STOLEN_BASE
 }
 
+/// True if the state word denotes a stored task, `TASK(wrapper)`.
+#[inline(always)]
+pub fn is_task(state: usize) -> bool {
+    state >= TASK_MIN
+}
+
 /// True if the state word denotes a stolen, not-yet-completed task.
 #[inline(always)]
 pub fn is_stolen(state: usize) -> bool {
-    state >= STOLEN_BASE
+    (STOLEN_BASE..TASK_MIN).contains(&state)
 }
 
 /// True if the state word denotes a completed stolen task.
@@ -74,9 +89,21 @@ pub fn is_done(state: usize) -> bool {
     state == DONE || state == DONE_PANIC
 }
 
-/// The wrapper function stored in a slot: executes the task in place,
-/// writing the result (or panic payload) back into the slot. Returns
-/// `true` on success, `false` if the task panicked (the caller then
+/// Decodes a `TASK(wrapper)` state word, `wrapper as usize`, back to
+/// its wrapper. Callers test words with [`is_task`], never against a
+/// function's address: Rust does not make function addresses unique.
+///
+/// # Safety
+/// `state` must be a wrapper's address.
+#[inline(always)]
+pub unsafe fn wrapper_of(state: usize) -> RawWrapper {
+    debug_assert!(is_task(state));
+    std::mem::transmute::<usize, RawWrapper>(state)
+}
+
+/// A task's wrapper, whose address is its `TASK(wrapper)` state word:
+/// executes the task in place, writing the result (or panic payload)
+/// back into the slot. Returns `true` on success, `false` if the task panicked (the caller then
 /// publishes `DONE` or `DONE_PANIC` accordingly — the wrapper itself
 /// never touches `state`, so the caller can order its own slot writes
 /// before the completion signal).
@@ -90,40 +117,28 @@ pub type RawWrapper = unsafe fn(*const TaskSlot, *mut ()) -> bool;
 ///
 /// `#[repr(align(128))]` keeps each descriptor on its own pair of cache
 /// lines so thieves polling one worker's `bot` slot do not false-share
-/// with the owner pushing at `top`. The fields take 80 bytes; the rest
-/// is padding.
-#[repr(align(128))]
+/// with the owner pushing at `top`. `repr(C)` keeps `state` first: it
+/// and the first 56 bytes of `data` share a cache line. The fields take
+/// 72 bytes; the rest is padding.
+#[repr(C, align(128))]
 pub struct TaskSlot {
     /// The synchronization word (see module docs).
     pub state: AtomicUsize,
-    /// The task-specific wrapper; written by the owner before the slot
-    /// is published, read by whoever acquires the task.
-    wrapper: UnsafeCell<MaybeUninit<RawWrapper>>,
     /// Inline closure/result storage.
     data: UnsafeCell<MaybeUninit<[u64; DATA_WORDS]>>,
 }
 
-// SAFETY: cross-thread access to `wrapper` and `data` is
-// governed by the `state` word protocol: a thread may touch them only
-// while it owns the slot (after winning the CAS/swap that acquires the
-// task, or — for the owner — while the slot is above `bot` and private,
-// or before publication). All ownership transfers happen through
-// Release stores / Acquire loads (or RMWs) on `state`, or through the
-// `n_public` publication fence, establishing happens-before for the
-// plain accesses.
+// SAFETY: cross-thread access to `data` is governed by the `state` word
+// protocol: a thread may touch it only while it owns the slot (after
+// winning the CAS/swap that acquires the task, or — for the owner —
+// while the slot is above `bot` and private, or before publication).
+// All ownership transfers happen through Release stores / Acquire loads
+// (or RMWs) on `state`, or through the `n_public` publication fence,
+// establishing happens-before for the plain accesses.
 unsafe impl Sync for TaskSlot {}
 unsafe impl Send for TaskSlot {}
 
 impl TaskSlot {
-    /// Reads the wrapper function.
-    ///
-    /// # Safety
-    /// Caller must own the slot and the wrapper must have been written.
-    #[inline(always)]
-    pub unsafe fn wrapper(&self) -> RawWrapper {
-        (*self.wrapper.get()).assume_init()
-    }
-
     /// Raw pointer to the data area.
     #[inline(always)]
     fn data_ptr(&self) -> *mut u8 {
@@ -135,10 +150,9 @@ impl TaskSlot {
 /// allocated zeroed and never written at creation.
 ///
 /// All-zero bytes are an empty descriptor: `state` is [`EMPTY`], and
-/// `wrapper` and `data` are `MaybeUninit`. So the zero pages the
-/// allocator maps for a large block are already valid descriptors, and
-/// each 4 KiB page (32 descriptors) is committed by the first spawn that
-/// reaches it.
+/// `data` is `MaybeUninit`. So the zero pages the allocator maps for a
+/// large block are already valid descriptors, and each 4 KiB page (32
+/// descriptors) is committed by the first spawn that reaches it.
 ///
 /// The block is allocated with 16-byte alignment, which `calloc` serves
 /// on 64-bit targets without clearing freshly mapped pages; at
@@ -236,15 +250,15 @@ impl<F, R> TaskRepr<F, R> {
     /// True if both the closure and the result are stored inline.
     pub const INLINE: bool = fits_inline::<F>() && fits_inline::<R>();
 
-    /// Stores the closure (and `wrapper`) into the slot.
+    /// Stores the closure into the slot.
     ///
-    /// Does **not** touch `state`; the caller publishes afterwards.
+    /// Does **not** touch `state`; the caller stores the task's
+    /// `TASK(wrapper)` word afterwards.
     ///
     /// # Safety
     /// Caller must own the slot (owner thread, slot above `top`).
     #[inline(always)]
-    pub unsafe fn store(slot: &TaskSlot, f: F, wrapper: RawWrapper) {
-        (*slot.wrapper.get()).write(wrapper);
+    pub unsafe fn store(slot: &TaskSlot, f: F) {
         if Self::INLINE {
             (slot.data_ptr() as *mut F).write(f);
         } else {
@@ -398,10 +412,10 @@ pub fn check_transition(slot: &TaskSlot, legal: impl Fn(usize) -> bool, about: &
 pub fn spin_while_empty(slot: &TaskSlot) -> usize {
     let mut idle = Idle::default();
     loop {
-        // Acquire pairs with the thief's Release stores of `TASK` (steal
-        // back-off restore) and `DONE`/`DONE_PANIC` (completion): once we
-        // see the stable value, the thief's writes to `data`
-        // happen-before our reads of them.
+        // Acquire pairs with the thief's Release stores of the task
+        // word (steal back-off restore) and `DONE`/`DONE_PANIC`
+        // (completion): once we see the stable value, the thief's
+        // writes to `data` happen-before our reads of them.
         let s = slot.state.load(Ordering::Acquire);
         if s != EMPTY {
             return s;
@@ -416,26 +430,46 @@ pub fn spin_while_empty(slot: &TaskSlot) -> usize {
 mod tests {
     use super::*;
 
+    unsafe fn nop_wrapper(_: *const TaskSlot, _: *mut ()) -> bool {
+        true
+    }
+
     #[test]
     fn state_encoding_roundtrip() {
-        for i in [0usize, 1, 7, 63, 1024] {
+        for i in [0usize, 1, 7, 63, 1024, TASK_MIN - STOLEN_BASE - 1] {
             let s = stolen(i);
             assert!(is_stolen(s));
+            assert!(!is_task(s));
             assert_eq!(thief_of(s), i);
             assert!(!is_done(s));
         }
-        assert!(!is_stolen(EMPTY));
-        assert!(!is_stolen(TASK));
-        assert!(!is_stolen(DONE));
+        let task = nop_wrapper as RawWrapper as usize;
+        assert!(is_task(task));
+        // SAFETY: `task` is a wrapper's address.
+        assert_eq!(unsafe { wrapper_of(task) } as usize, task);
+        for small in [EMPTY, DONE, DONE_PANIC] {
+            assert!(!is_task(small));
+            assert!(!is_stolen(small));
+        }
+        assert!(!is_stolen(task));
         assert!(is_done(DONE));
         assert!(is_done(DONE_PANIC));
-        assert!(!is_done(TASK));
+        assert!(!is_done(task));
     }
 
     #[test]
     fn slot_is_two_cache_lines() {
         assert_eq!(std::mem::align_of::<TaskSlot>(), 128);
         assert_eq!(std::mem::size_of::<TaskSlot>(), 128);
+    }
+
+    /// The state word and the start of the closure share the first cache
+    /// line, so a spawn writes one line and a thief pulls one.
+    #[test]
+    fn state_word_shares_a_cache_line_with_the_closure() {
+        assert_eq!(std::mem::size_of::<TaskSlot>(), 128);
+        assert_eq!(std::mem::offset_of!(TaskSlot, state), 0);
+        assert_eq!(std::mem::offset_of!(TaskSlot, data), 8);
     }
 
     #[test]
@@ -473,14 +507,11 @@ mod tests {
     where
         F: FnOnce() -> R,
     {
-        unsafe fn wrapper(_: *const TaskSlot, _: *mut ()) -> bool {
-            true
-        }
         let stack = TaskStack::new(1);
         let slot = &stack[0];
         // SAFETY: single-threaded test; we own the slot throughout.
         unsafe {
-            TaskRepr::<F, R>::store(slot, f, wrapper);
+            TaskRepr::<F, R>::store(slot, f);
             let ok = TaskRepr::<F, R>::exec_in_place(slot, |f| f());
             assert!(ok);
             TaskRepr::<F, R>::take_result(slot)
@@ -506,10 +537,7 @@ mod tests {
     where
         F: FnOnce() -> R,
     {
-        unsafe fn wrapper(_: *const TaskSlot, _: *mut ()) -> bool {
-            true
-        }
-        TaskRepr::<F, R>::store(slot, f, wrapper);
+        TaskRepr::<F, R>::store(slot, f);
         TaskRepr::<F, R>::take_closure(slot)
     }
 
@@ -529,16 +557,13 @@ mod tests {
     fn panic_payload_roundtrip() {
         let stack = TaskStack::new(1);
         let slot = &stack[0];
-        unsafe fn wrapper(_: *const TaskSlot, _: *mut ()) -> bool {
-            true
-        }
         fn boom() -> u64 {
             panic!("boom-42")
         }
         let f: fn() -> u64 = boom;
         // SAFETY: single-threaded test.
         unsafe {
-            TaskRepr::<fn() -> u64, u64>::store(slot, f, wrapper);
+            TaskRepr::<fn() -> u64, u64>::store(slot, f);
             let ok = TaskRepr::<fn() -> u64, u64>::exec_in_place(slot, |f| f());
             assert!(!ok);
             let payload = TaskRepr::<fn() -> u64, u64>::take_panic(slot);
@@ -551,8 +576,9 @@ mod tests {
     fn spin_while_empty_returns_stable_state() {
         let stack = TaskStack::new(1);
         let slot = &stack[0];
-        slot.state.store(TASK, Ordering::Release);
-        assert_eq!(spin_while_empty(slot), TASK);
+        let task = nop_wrapper as RawWrapper as usize;
+        slot.state.store(task, Ordering::Release);
+        assert_eq!(spin_while_empty(slot), task);
         slot.state.store(stolen(3), Ordering::Release);
         assert_eq!(spin_while_empty(slot), stolen(3));
     }

@@ -22,7 +22,8 @@ pub struct Stats {
     /// fills it in as `inlined_private + inlined_public + rts_joins`.
     pub spawns: u64,
     /// Joins that found the task private and used the plain-load path
-    /// (`join_fast_private` events).
+    /// (`join_fast_private` events). Counted in the `WorkerHandle`, not
+    /// by the probe, and filled in by the worker's report.
     pub inlined_private: u64,
     /// Joins that acquired the task with the atomic swap
     /// (`join_fast_public`).
@@ -62,6 +63,7 @@ impl Stats {
         let mut copy = *self;
         match kind {
             EventKind::Spawn => Some(self.spawns),
+            EventKind::JoinFastPrivate => Some(self.inlined_private),
             _ => copy.counter(kind).copied(),
         }
     }

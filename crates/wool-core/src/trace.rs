@@ -6,8 +6,9 @@
 //!
 //! * **Counting.** A kind that [`Stats`] counts bumps exactly one
 //!   counter, named next to the kind in the table below, so each counter
-//!   is the number of events of one kind (`Stats::spawns` alone is
-//!   derived, see [`EventKind::Spawn`]).
+//!   is the number of events of one kind (`Stats::spawns` is derived,
+//!   see [`EventKind::Spawn`], and `Stats::inlined_private` is counted
+//!   in the worker's handle, see [`EventKind::JoinFastPrivate`]).
 //! * **Tracing.** In a build with the `trace` cargo feature ([`TRACE`]),
 //!   a worker whose pool was configured with `instrument_trace` also
 //!   records the event, timestamped, into its own [`TraceRing`]. The
@@ -99,8 +100,10 @@ events! {
     /// `arg` = stack depth.
     Overflow = "overflow" => overflow_inlines,
     /// A join resolved on the private fast path (task above the public
-    /// boundary; no synchronization). `arg` = stack depth.
-    JoinFastPrivate = "join_fast_private" => inlined_private,
+    /// boundary; no synchronization). `arg` = stack depth. Counted
+    /// beside the probe in the `WorkerHandle`, so the fast path touches
+    /// no `Worker` state; the report fills in `Stats::inlined_private`.
+    JoinFastPrivate = "join_fast_private",
     /// A join resolved on the public fast path (atomic swap saw the
     /// task unstolen). `arg` = stack depth.
     JoinFastPublic = "join_fast_public" => inlined_public,

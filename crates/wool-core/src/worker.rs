@@ -80,18 +80,28 @@ impl OwnerState {
         }
     }
 
-    /// Ends the measurement window and returns its report. Stops the
-    /// trace ring first, so a reader that synchronizes with the
-    /// report's publication may snapshot the ring.
-    pub fn finish(&mut self) -> WorkerReport {
+    /// Ends the measurement window and returns its report, with the
+    /// `private_joins` its `WorkerHandle` counted. Stops the trace ring
+    /// first, so a reader that synchronizes with the report's
+    /// publication may snapshot the ring.
+    pub fn finish(&mut self, private_joins: u64) -> WorkerReport {
         self.trace.set_enabled(false);
-        let mut stats = self.stats;
+        let mut stats = self.counters(private_joins);
         // The owner joins every task it pushed exactly once, and each
         // join bumps exactly one of these counters.
         stats.spawns = stats.inlined_private + stats.inlined_public + stats.rts_joins;
         WorkerReport {
             stats,
             breakdown: self.tb.finish(),
+        }
+    }
+
+    /// The counters so far, with the `private_joins` that the worker's
+    /// `WorkerHandle` counted.
+    pub fn counters(&self, private_joins: u64) -> Stats {
+        Stats {
+            inlined_private: private_joins,
+            ..self.stats
         }
     }
 
@@ -162,7 +172,7 @@ pub(crate) const CLOSED: u64 = 1 << 63;
 // this worker (there is exactly one — background workers are pinned, and
 // worker 0 is driven by the single thread inside `Pool::run`, which
 // holds `&mut Pool`); `report` is written by that thread, in
-// `publish_report`, and read by the coordinator only after it
+// `WorkerHandle::publish_report`, and read by the coordinator only after it
 // Acquire-reads a matching `report_epoch` value, which `publish_report`
 // Release-writes after the report. The one
 // exception for `own` is the trace ring (in a `TRACE` build): the
@@ -194,19 +204,6 @@ impl Worker {
             thread: OnceLock::new(),
             dead: AtomicBool::new(false),
         }
-    }
-
-    /// Publishes the owner's report of the region `epoch`: `finish`
-    /// stops the trace ring and fills `report`, then the Release store
-    /// of `report_epoch` hands both to the coordinator (see the `Sync`
-    /// safety comment above).
-    ///
-    /// # Safety
-    /// The caller is the thread acting as this worker, and holds no
-    /// borrow of `own`.
-    pub unsafe fn publish_report(&self, epoch: u64) {
-        *self.report.get() = (*self.own.get()).finish();
-        self.report_epoch.store(epoch, Release);
     }
 
     /// The slot at stack index `i`.

@@ -17,7 +17,7 @@ use wool_verify::support::exec::{check_region, check_region_with, thief_loop, Re
 /// its inline join *privatizes* the boundary down, and the second fork
 /// reuses the slot for a private task — while a stale thief that
 /// validated against the old boundary still holds a CAS window. The
-/// §III-B back-off clause (`n_public <= b` ⇒ restore TASK) is what makes
+/// §III-B back-off clause (`n_public <= b` ⇒ restore the task word) is what makes
 /// the owner's private spin terminate.
 #[test]
 fn private_join_vs_stale_thief_backoff() {
@@ -60,11 +60,11 @@ fn stale_thief_over_three_incarnations(publish: bool) {
 }
 
 /// The stale thief's CAS lands inside the owner's private pop, between
-/// its TASK load and its EMPTY store, and its back-off comes only after
-/// the owner has run that task and spawned the next incarnation. The
-/// back-off's compare-and-swap restore must leave that incarnation
-/// alone; a plain TASK store over it trips a transition guard or runs a
-/// task twice.
+/// its task-word load and its EMPTY store, and its back-off comes only
+/// after the owner has run that task and spawned the next incarnation.
+/// The back-off's compare-and-swap restore must leave that incarnation
+/// alone; a plain store of the task word over it trips a transition
+/// guard or runs a task twice.
 #[test]
 fn stale_backoff_after_slot_reuse() {
     stale_thief_over_three_incarnations(false);
@@ -75,13 +75,15 @@ fn stale_backoff_after_slot_reuse() {
 /// negative control on the shipped code: the same stale thief, but the owner
 /// also *publishes* the next incarnation before the thief validates.
 /// The validation (`bot` unchanged, slot below `n_public`) then passes,
-/// and the thief announces `STOLEN` over that incarnation's `TASK`: the
+/// and the thief announces `STOLEN` over that incarnation's task word: the
 /// debug/loom guard fires, and a release build can run the task twice.
 /// A CAS on the announcement alone is no fix, because the owner may
-/// also have joined the incarnation and left `EMPTY`. The planned fix
-/// is a generation tag in the `TASK` value (ROADMAP items 3 and 4), so
-/// a stale CAS cannot succeed on a later incarnation; with it, this
-/// becomes an ordinary passing model and loses its `should_panic`.
+/// also have joined the incarnation and left `EMPTY`. Nor does the task
+/// word tell incarnations apart: it is the wrapper's address, the same
+/// for every incarnation of one task type. The planned fix is a privatization epoch in the
+/// shared `n_public` word (same ROADMAP item), which the thief
+/// re-validates after its CAS; with it, this becomes an ordinary
+/// passing model and loses its `should_panic`.
 #[test]
 #[should_panic(expected = "STOLEN announcement")]
 fn stale_announcement_over_published_incarnation() {

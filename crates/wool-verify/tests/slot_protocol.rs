@@ -1,5 +1,5 @@
 //! Exhaustive models of the slot state machine (§III-A): owner swap vs.
-//! thief CAS over `EMPTY`/`TASK`/`STOLEN(i)`/`DONE`, with public-only
+//! thief CAS over `EMPTY`/`TASK(w)`/`STOLEN(i)`/`DONE`, with public-only
 //! descriptors (the `TaskSpecific` rung; the `n_public` machinery is
 //! modeled in `publish_protocol.rs`). The owner and the thieves run the
 //! production `fork` and `try_steal_from` of `exec.rs`.
@@ -34,7 +34,7 @@ fn one_task_two_thieves() {
 
 /// Descriptor reincarnation: the owner forks twice on the same slot
 /// while a thief runs. A stale thief that read `bot` before the first
-/// incarnation resolved may CAS the second incarnation's TASK — the
+/// incarnation resolved may CAS the second incarnation's task word — the
 /// §III-A back-off validation (`bot` re-check) decides whether that
 /// acquisition stands. Both incarnations must run exactly once.
 #[test]

@@ -1,8 +1,8 @@
 //! Scheduler invariants under sustained multi-threaded stress.
 
 use wool_core::{
-    LockedBase, Pool, PoolConfig, StealLockBase, StealLockPeek, StealLockTrylock, Strategy,
-    SyncOnTask, TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap, WorkerHandle,
+    LockedBase, Pool, PoolConfig, ServePool, StealLockBase, StealLockPeek, StealLockTrylock,
+    Strategy, SyncOnTask, TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap, WorkerHandle,
 };
 use workloads::fib as wfib;
 
@@ -30,9 +30,10 @@ fn spawns_equal_joins() {
 /// `Stats::spawns` is derived from the join counters when the report is
 /// made, not counted at the spawn. Check that it still counts every
 /// pushed task exactly, on every strategy rung, at p=1 and p=2, for both
-/// `fork` and `for_each_spawn`. A one-worker region must also never
-/// publish: the region-start trip wire is armed only when there is a
-/// thief.
+/// `fork` and `for_each_spawn`, and on a two-worker serve pool, whose
+/// workers report once, at shutdown. A one-worker region must also
+/// never publish: the region-start trip wire is armed only when there
+/// is a thief.
 #[test]
 fn spawn_counts_are_exact_on_every_rung() {
     fn check<S: Strategy>() {
@@ -77,6 +78,24 @@ fn spawn_counts_are_exact_on_every_rung() {
                 assert_eq!(t.publishes, 0, "for_each_spawn on {} p=1: {t:?}", S::NAME);
             }
         }
+
+        const JOBS: u64 = 64;
+        const JOB_N: u64 = 12;
+        let serve: ServePool<S> = ServePool::with_config(PoolConfig::with_workers(2));
+        let handles: Vec<_> = (0..JOBS)
+            .map(|_| serve.submit(|h| wfib::fib(h, JOB_N)).unwrap())
+            .collect();
+        for handle in handles {
+            assert_eq!(handle.join(), wfib::fib_serial(JOB_N));
+        }
+        let t = serve.shutdown().unwrap().total;
+        let label = format!("serve on {}: {t:?}", S::NAME);
+        assert_eq!(t.spawns, JOBS * wfib::fib_spawn_count(JOB_N), "{label}");
+        assert_eq!(
+            t.spawns,
+            t.inlined_private + t.inlined_public + t.rts_joins,
+            "{label}"
+        );
     }
     check::<WoolFull>();
     check::<WoolAllPublic>();
