@@ -68,46 +68,38 @@ pub fn run(args: &BenchArgs) -> Result {
         p2: 0,
         reps: 1,
     };
-    let repeats = 3;
+    let rounds = 3;
 
-    // Serial baseline first: T_S.
-    let mut serial = System::create(SystemKind::Serial, 1);
-    let t_s = measure_job(&mut serial, &spec, repeats).seconds;
-
-    let ladder: Vec<(String, System)> = vec![
-        ("Base".into(), System::create(SystemKind::WoolLockedBase, 1)),
-        (
-            "Synchronize on task".into(),
-            System::create(SystemKind::WoolSyncOnTask, 1),
-        ),
-        (
-            "Task specific join".into(),
-            System::create(SystemKind::WoolTaskSpecific, 1),
-        ),
-        (
-            "Private tasks (no private)".into(),
-            System::create(SystemKind::WoolAllPublic, 1),
-        ),
-        (
-            "Private tasks (all private)".into(),
-            System::create(SystemKind::Wool, 1),
-        ),
-    ];
-
-    let mut rows = Vec::new();
-    for (label, mut sys) in ladder {
-        let m = measure_job(&mut sys, &spec, repeats);
-        rows.push(Row {
-            version: label,
-            seconds: m.seconds,
-            overhead_cycles: cycles_per((m.seconds - t_s).max(0.0), tasks),
-        });
+    // The serial baseline T_S and the five rungs, timed round-robin: each
+    // round runs every system once, and each keeps its fastest round, so
+    // a slow stretch of the host hits every row alike rather than the one
+    // measured during it.
+    let mut systems: Vec<(&str, System, f64)> = [
+        ("Base", SystemKind::WoolLockedBase),
+        ("Synchronize on task", SystemKind::WoolSyncOnTask),
+        ("Task specific join", SystemKind::WoolTaskSpecific),
+        ("Private tasks (no private)", SystemKind::WoolAllPublic),
+        ("Private tasks (all private)", SystemKind::Wool),
+        ("Serial", SystemKind::Serial),
+    ]
+    .into_iter()
+    .map(|(label, kind)| (label, System::create(kind, 1), f64::INFINITY))
+    .collect();
+    for _ in 0..rounds {
+        for (_, sys, best) in &mut systems {
+            *best = best.min(measure_job(sys, &spec, 1).seconds);
+        }
     }
-    rows.push(Row {
-        version: "Serial".into(),
-        seconds: t_s,
-        overhead_cycles: 0.0,
-    });
+
+    let t_s = systems.last().expect("serial row").2;
+    let rows = systems
+        .into_iter()
+        .map(|(label, _, seconds)| Row {
+            version: label.into(),
+            seconds,
+            overhead_cycles: cycles_per((seconds - t_s).max(0.0), tasks),
+        })
+        .collect();
 
     Result { n, tasks, rows }
 }

@@ -93,14 +93,47 @@ pub struct ServeReport {
     pub trace: Option<Trace>,
 }
 
-/// Runs a job on a worker; the second argument is that worker's
-/// completed-jobs counter.
-type Run<S> = Box<dyn FnOnce(&mut WorkerHandle<S>, &AtomicU64) + Send>;
+/// A queued job's half of its [`JobCell`](handle::JobCell). The trait is
+/// object-safe, so the injector queues every job as one `Arc<dyn Run<S>>`,
+/// whatever its closure and result.
+trait Run<S: Strategy>: Send + Sync {
+    /// Runs the closure on `h` and resolves the handle with its result or
+    /// panic; `completed` is this worker's completed-jobs counter.
+    fn run(&self, h: &mut WorkerHandle<S>, completed: &AtomicU64);
+    /// Resolves the handle with the discard panic, unless the job ran.
+    fn discard(&self);
+}
 
-/// A queued root job: the submitted closure, wrapped so that running it
-/// resolves its handle (see [`Job::new`]).
+impl<S, R, F> Run<S> for handle::JobCell<R, Option<F>>
+where
+    S: Strategy,
+    F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
+    R: Send + 'static,
+{
+    fn run(&self, h: &mut WorkerHandle<S>, completed: &AtomicU64) {
+        let Some(f) = self.take_closure() else { return };
+        // Contain the job's panic to the job: the worker survives, the
+        // payload travels to whoever joins the handle.
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(h)));
+        // relaxed-ok: only this worker writes its counter, and the count
+        // precedes `complete`'s AcqRel swap: a joiner that reads the
+        // result reads the count, so `pending_jobs` skips the job.
+        completed.store(completed.load(Relaxed) + 1, Relaxed);
+        self.complete(outcome);
+    }
+
+    fn discard(&self) {
+        if self.take_closure().is_some() {
+            self.complete(Err(Box::new(handle::DISCARDED)));
+        }
+    }
+}
+
+/// A queued root job: the job half of its cell. Dropping it unrun (a pool
+/// torn down with the job queued, or a submission turned away) resolves
+/// its handle with the discard panic.
 struct Job<S: Strategy> {
-    run: Run<S>,
+    cell: Arc<dyn Run<S>>,
     /// Cycle timestamp of the submission, for the backdated Inject event
     /// (0 in an untraced build).
     submit_ts: u64,
@@ -109,31 +142,25 @@ struct Job<S: Strategy> {
 }
 
 impl<S: Strategy> Job<S> {
-    /// Packages `f` with the completing half of its handle. Running the
-    /// job resolves the handle with `f`'s result or panic; dropping it
-    /// unrun resolves the handle with a discard panic.
+    /// Allocates the one cell of a job running `f`, and its handle.
     fn new<R, F>(f: F) -> (Self, JobHandle<R>)
     where
         F: FnOnce(&mut WorkerHandle<S>) -> R + Send + 'static,
         R: Send + 'static,
     {
-        let (done, handle) = handle::channel();
-        let run = Box::new(move |h: &mut WorkerHandle<S>, completed: &AtomicU64| {
-            // Contain the job's panic to the job: the worker survives,
-            // the payload travels to whoever joins the handle.
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| f(h)));
-            // relaxed-ok: only this worker writes its counter, and the
-            // count precedes `complete`'s AcqRel swap: a joiner that reads
-            // the result reads the count, so `pending_jobs` skips the job.
-            completed.store(completed.load(Relaxed) + 1, Relaxed);
-            done.complete(outcome);
-        });
+        let (cell, handle) = handle::JobCell::new(f);
         let job = Job {
-            run,
+            cell,
             submit_ts: if TRACE { crate::cycles::now() } else { 0 },
             tag: 0,
         };
         (job, handle)
+    }
+}
+
+impl<S: Strategy> Drop for Job<S> {
+    fn drop(&mut self) {
+        self.cell.discard();
     }
 }
 
@@ -395,7 +422,7 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
                 probe!(handle.own(), Inject, tag, at = job.submit_ts);
                 probe!(handle.own(), Dequeue, tag);
             }
-            (job.run)(&mut handle, &shared.completed[idx]);
+            job.cell.run(&mut handle, &shared.completed[idx]);
             // SAFETY: as above.
             unsafe { probe!(handle.own(), JobDone, tag) }
             idle.rounds = 0;
@@ -460,10 +487,18 @@ mod tests {
     #[test]
     fn stop_reports_after_a_job_unwinds_its_worker() {
         let pool = ServePool::start(2);
-        let (mut job, _handle) = Job::new(|_| ());
-        job.run = Box::new(|_: &mut WorkerHandle<WoolFull>, _: &AtomicU64| {
-            panic!("job unwinds its worker")
-        });
+        struct Unwinds;
+        impl Run<WoolFull> for Unwinds {
+            fn run(&self, _: &mut WorkerHandle<WoolFull>, _: &AtomicU64) {
+                panic!("job unwinds its worker")
+            }
+            fn discard(&self) {}
+        }
+        let job = Job {
+            cell: Arc::new(Unwinds),
+            submit_ts: 0,
+            tag: 0,
+        };
         assert!(pool.shared.injector.push(job).is_ok());
         // The workers run the queued job before they exit, so one of
         // them dies without publishing its report.

@@ -1,13 +1,20 @@
-//! Job completion objects: the two halves of a submission.
+//! The one heap cell of a submission, and the handle that reads it.
 //!
 //! A [`JobHandle`] is what [`submit`](crate::ServePool::submit) hands
 //! back: a one-shot handle to the job's result. A client polls it with
 //! [`is_finished`](JobHandle::is_finished) and blocks on it with
 //! [`join`](JobHandle::join), which re-raises a panic raised inside the
 //! job, mirroring `std::thread::JoinHandle`.
-//! Its producer half, the [`Completer`], rides inside the queued job and
-//! resolves the handle exactly once: with the job's outcome, or, if the
-//! job is dropped unrun, with a discard panic, so no waiter hangs.
+//!
+//! Each submission allocates exactly one block, a reference-counted
+//! [`JobCell`]: the state word, the closure until a worker takes it, and
+//! the outcome after that. The queued job holds one reference and the
+//! handle the other, which sees the cell's closure only as `dyn Send`,
+//! so it is typed by the result alone. The job half resolves the handle
+//! exactly once: with the job's outcome, or, if the job is dropped
+//! unrun, with a discard panic, so no waiter hangs. A worker that
+//! finishes a job before its client joins drops the second-last
+//! reference, and the submitting thread frees the cell in `join`.
 //!
 //! The completion path is lock-free for the common case: the worker
 //! writes the result and swaps one state word, PENDING → DONE. A
@@ -20,7 +27,7 @@
 use crate::sync::atomic::AtomicU8;
 use crate::sync::atomic::Ordering::{AcqRel, Acquire};
 use crate::worker::Idle;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 const PENDING: u8 = 0;
@@ -34,48 +41,10 @@ pub(super) const DISCARDED: &str = "wool-serve: job discarded without running (p
 /// What the job produced: the result, or the panic it raised.
 type Outcome<R> = std::thread::Result<R>; // lint-ok: type alias only, no thread API use
 
-/// Creates the two halves of one job's completion.
-pub(super) fn channel<R>() -> (Completer<R>, JobHandle<R>) {
-    let core = Arc::new(JobCore {
-        state: AtomicU8::new(PENDING),
-        outcome: UnsafeCell::new(None),
-        waiters: Mutex::new(()),
-        cv: Condvar::new(),
-    });
-    let done = Completer {
-        core: Arc::clone(&core),
-    };
-    (done, JobHandle { core })
-}
-
-/// The producer half: resolves its [`JobHandle`] exactly once.
-pub(super) struct Completer<R> {
-    core: Arc<JobCore<R>>,
-}
-
-impl<R> Completer<R> {
-    /// Resolves the handle with the job's outcome.
-    pub(super) fn complete(self, outcome: Outcome<R>) {
-        self.core.complete(outcome);
-    }
-}
-
-impl<R> Drop for Completer<R> {
-    /// A job dropped unrun (a pool torn down with the job still queued,
-    /// or a submission turned away) resolves its handle with the
-    /// [`DISCARDED`] panic.
-    fn drop(&mut self) {
-        // The completer is the only writer, so a pending state here means
-        // `complete` never ran.
-        if !self.core.is_done() {
-            self.core.complete(Err(Box::new(DISCARDED)));
-        }
-    }
-}
-
-/// Shared completion cell between the worker that runs the job and the
-/// handle that consumes it.
-struct JobCore<R> {
+/// One job's only heap block, shared by the queued job and its
+/// [`JobHandle`]. `C` is the closure slot: `Option<F>` on the job's
+/// side, `dyn Send` on the handle's, which never touches it.
+pub(super) struct JobCell<R, C: ?Sized> {
     /// PENDING → DONE, or PENDING → WAITING → DONE. Consumers move it to
     /// WAITING only while holding the waiters lock, which is what lets a
     /// sleeping `join` rely on the notify.
@@ -84,21 +53,48 @@ struct JobCore<R> {
     /// Guards the PENDING → WAITING move and the condvar sleep.
     waiters: Mutex<()>,
     cv: Condvar,
+    /// The submitted closure until the job half takes it.
+    closure: Cell<C>,
 }
 
-// SAFETY: `outcome` is written exactly once by the completing worker
-// before the Release half of its swap to DONE, and read only by the
-// single handle owner after an Acquire read of DONE — a classic one-shot
-// hand-off.
-unsafe impl<R: Send> Send for JobCore<R> {}
-unsafe impl<R: Send> Sync for JobCore<R> {}
+// SAFETY: `outcome` is written exactly once by the job half before the
+// Release half of its swap to DONE, and read only by the single handle
+// owner after an Acquire read of DONE — a classic one-shot hand-off.
+// `closure` is touched only through `take_closure`, which only the job
+// half calls: one `Job` owns that half, and the injector moves it between
+// threads by value, so one thread at a time reaches the slot.
+unsafe impl<R: Send, C: ?Sized + Send> Send for JobCell<R, C> {}
+unsafe impl<R: Send, C: ?Sized + Send> Sync for JobCell<R, C> {}
 
-impl<R> JobCore<R> {
+impl<R, F: Send + 'static> JobCell<R, Option<F>> {
+    /// Allocates the cell of a job running `f`, and its handle.
+    pub(super) fn new(f: F) -> (Arc<Self>, JobHandle<R>) {
+        let cell = Arc::new(JobCell {
+            state: AtomicU8::new(PENDING),
+            outcome: UnsafeCell::new(None),
+            waiters: Mutex::new(()),
+            cv: Condvar::new(),
+            closure: Cell::new(Some(f)),
+        });
+        let handle = JobHandle {
+            cell: Arc::clone(&cell) as Arc<JobCell<R, dyn Send>>,
+        };
+        (cell, handle)
+    }
+
+    /// Takes the closure out: `Some` once, then `None`. Called only by the
+    /// job half (see the `Sync` impl).
+    pub(super) fn take_closure(&self) -> Option<F> {
+        self.closure.take()
+    }
+}
+
+impl<R, C: ?Sized> JobCell<R, C> {
     /// Publishes the job's outcome and wakes the consumer, if one
-    /// waits. Called exactly once, by the job's [`Completer`].
-    fn complete(&self, outcome: Outcome<R>) {
-        // SAFETY: single writer (the job's one `Completer`, which calls
-        // this once), and no reader until the swap below.
+    /// waits. Called exactly once, by the job half.
+    pub(super) fn complete(&self, outcome: Outcome<R>) {
+        // SAFETY: single writer (the job half, which calls this once), and
+        // no reader until the swap below.
         unsafe { *self.outcome.get() = Some(outcome) };
         if self.state.swap(DONE, AcqRel) == WAITING {
             // The consumer set WAITING under the lock and holds it until
@@ -153,13 +149,13 @@ fn resolve<R>(outcome: Outcome<R>) -> R {
 /// the result is discarded) — the same semantics as
 /// `std::thread::JoinHandle`.
 pub struct JobHandle<R> {
-    core: Arc<JobCore<R>>,
+    cell: Arc<JobCell<R, dyn Send>>,
 }
 
 impl<R: Send> JobHandle<R> {
     /// Whether the job has finished (successfully or by panicking).
     pub fn is_finished(&self) -> bool {
-        self.core.is_done()
+        self.cell.is_done()
     }
 
     /// Blocks until the job finishes and returns its result.
@@ -168,26 +164,26 @@ impl<R: Send> JobHandle<R> {
     /// Re-raises the job's panic, if it panicked.
     pub fn join(self) -> R {
         let mut idle = Idle::default();
-        while !self.core.is_done() && !idle.parks_next() {
+        while !self.cell.is_done() && !idle.parks_next() {
             idle.snooze();
         }
-        if !self.core.is_done() {
-            let mut w = self.core.waiters();
-            if self.core.announce_wait() {
-                while !self.core.is_done() {
-                    w = self.core.cv.wait(w).unwrap_or_else(PoisonError::into_inner);
+        if !self.cell.is_done() {
+            let mut w = self.cell.waiters();
+            if self.cell.announce_wait() {
+                while !self.cell.is_done() {
+                    w = self.cell.cv.wait(w).unwrap_or_else(PoisonError::into_inner);
                 }
             }
         }
         // SAFETY: handle consumed by value — exclusive access.
-        resolve(unsafe { self.core.take() })
+        resolve(unsafe { self.cell.take() })
     }
 }
 
 impl<R> std::fmt::Debug for JobHandle<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("JobHandle")
-            .field("finished", &self.core.is_done())
+            .field("finished", &self.cell.is_done())
             .finish()
     }
 }
@@ -203,13 +199,13 @@ mod tests {
     #[test]
     fn complete_races_join() {
         for i in 0..ROUNDS {
-            let (done, handle) = channel();
+            let (cell, handle) = JobCell::new(());
             let v = std::thread::scope(|s| {
                 s.spawn(move || {
                     for _ in 0..i % 64 {
                         std::hint::spin_loop();
                     }
-                    done.complete(Ok(i));
+                    cell.complete(Ok(i));
                 });
                 handle.join()
             });
