@@ -18,7 +18,7 @@ use workloads::fib::fib_spawn_count;
 use workloads::{WorkloadKind, WorkloadSpec};
 
 use crate::cli::BenchArgs;
-use crate::measure::{cycles_per, measure_job};
+use crate::measure::{cycles_per, measure_job, on_one_cpu};
 use crate::report::{fmt_sig, Table};
 use crate::system::{System, SystemKind};
 
@@ -27,7 +27,7 @@ use crate::system::{System, SystemKind};
 pub struct Row {
     /// Paper row label.
     pub version: String,
-    /// Execution time, seconds.
+    /// Execution time of `fib(n)` at the fastest trial's rate, seconds.
     pub seconds: f64,
     /// Per-task overhead over a procedure call, cycles.
     pub overhead_cycles: f64,
@@ -58,22 +58,29 @@ pub fn fib_n_for_scale(scale: f64) -> u64 {
     }
 }
 
+/// The fib argument of one timed trial: 75 024 tasks, at most about a
+/// millisecond per rung, so that most trials see no interrupt.
+const TRIAL_N: u64 = 24;
+
 /// Runs the experiment.
 pub fn run(args: &BenchArgs) -> Result {
     let n = fib_n_for_scale(args.scale);
     let tasks = fib_spawn_count(n);
-    let spec = WorkloadSpec {
+    let trial_n = n.min(TRIAL_N);
+    let trial_tasks = fib_spawn_count(trial_n);
+    let trial = WorkloadSpec {
         kind: WorkloadKind::Fib,
-        p1: n as usize,
+        p1: trial_n as usize,
         p2: 0,
         reps: 1,
     };
-    let rounds = 3;
+    // Three times `fib(n)`'s work per rung, and at least ten trials.
+    let trials = (3 * tasks / trial_tasks).max(10);
 
-    // The serial baseline T_S and the five rungs, timed round-robin: each
-    // round runs every system once, and each keeps its fastest round, so
-    // a slow stretch of the host hits every row alike rather than the one
-    // measured during it.
+    // The serial baseline T_S and the five rungs, timed round-robin on
+    // one pinned CPU (a one-worker pool runs on the calling thread): each
+    // round runs one trial of every system, and each keeps its fastest,
+    // so a slow stretch of the host hits every row alike.
     let mut systems: Vec<(&str, System, f64)> = [
         ("Base", SystemKind::WoolLockedBase),
         ("Synchronize on task", SystemKind::WoolSyncOnTask),
@@ -85,19 +92,22 @@ pub fn run(args: &BenchArgs) -> Result {
     .into_iter()
     .map(|(label, kind)| (label, System::create(kind, 1), f64::INFINITY))
     .collect();
-    for _ in 0..rounds {
-        for (_, sys, best) in &mut systems {
-            *best = best.min(measure_job(sys, &spec, 1).seconds);
+    on_one_cpu(|| {
+        for _ in 0..trials {
+            for (_, sys, best) in &mut systems {
+                *best = best.min(measure_job(sys, &trial, 1).seconds);
+            }
         }
-    }
+    });
 
     let t_s = systems.last().expect("serial row").2;
+    let per_n = tasks as f64 / trial_tasks as f64;
     let rows = systems
         .into_iter()
-        .map(|(label, _, seconds)| Row {
+        .map(|(label, _, best)| Row {
             version: label.into(),
-            seconds,
-            overhead_cycles: cycles_per((seconds - t_s).max(0.0), tasks),
+            seconds: best * per_n,
+            overhead_cycles: cycles_per((best - t_s).max(0.0), trial_tasks),
         })
         .collect();
 

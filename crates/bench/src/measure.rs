@@ -57,6 +57,56 @@ pub fn measure_job(system: &mut System, spec: &WorkloadSpec, repeats: usize) -> 
     best
 }
 
+/// Runs `f` with the calling thread pinned to the lowest CPU its
+/// affinity mask allows, and restores the mask afterwards, also when `f`
+/// unwinds. Where the mask cannot be read or set, `f` runs unpinned.
+pub fn on_one_cpu<R>(f: impl FnOnce() -> R) -> R {
+    let _restore = affinity::pin_lowest();
+    f()
+}
+
+#[cfg(target_os = "linux")]
+mod affinity {
+    use std::mem::size_of;
+
+    /// glibc's `cpu_set_t`: one bit per CPU, 1024 CPUs.
+    type CpuSet = [u64; 16];
+
+    extern "C" {
+        fn sched_getaffinity(pid: i32, size: usize, set: *mut CpuSet) -> i32;
+        fn sched_setaffinity(pid: i32, size: usize, set: *const CpuSet) -> i32;
+    }
+
+    /// The calling thread's saved mask, restored on drop.
+    pub struct Restore(CpuSet);
+
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            // SAFETY: pid 0 is the calling thread, the set a `cpu_set_t`.
+            unsafe { sched_setaffinity(0, size_of::<CpuSet>(), &self.0) };
+        }
+    }
+
+    pub fn pin_lowest() -> Option<Restore> {
+        let mut saved: CpuSet = [0; 16];
+        // SAFETY: as in `Restore::drop`.
+        if unsafe { sched_getaffinity(0, size_of::<CpuSet>(), &mut saved) } != 0 {
+            return None;
+        }
+        let word = saved.iter().position(|&w| w != 0)?;
+        let mut one: CpuSet = [0; 16];
+        one[word] = 1 << saved[word].trailing_zeros();
+        // SAFETY: as in `Restore::drop`.
+        let pinned = unsafe { sched_setaffinity(0, size_of::<CpuSet>(), &one) } == 0;
+        pinned.then_some(Restore(saved))
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod affinity {
+    pub fn pin_lowest() {}
+}
+
 /// Convenience: seconds → cycles per `n` events.
 pub fn cycles_per(seconds: f64, n: u64) -> f64 {
     if n == 0 {

@@ -31,10 +31,11 @@ use crate::slot::{
     check_transition, is_done, is_stolen, is_task, spin_while_empty, stolen, thief_of, wrapper_of,
     RawWrapper, TaskRepr, TaskSlot, DONE, DONE_PANIC, EMPTY,
 };
+use crate::stats::Stats;
 use crate::strategy::{StealSync, Strategy};
-use crate::timebreak::Category;
-use crate::trace::probe;
-use crate::worker::{Idle, OwnerState, Worker};
+use crate::timebreak::{Category, TimeBreak};
+use crate::trace::{probe, TraceRing, TRACE};
+use crate::worker::{Idle, Rng, Worker, WorkerReport};
 
 /// Outcome of one steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,6 +120,8 @@ where
 /// Obtain one from [`crate::Pool::run`]; it cannot be constructed,
 /// cloned, or sent to another thread from user code.
 pub struct WorkerHandle<S: Strategy> {
+    // All of the worker's owner-only state lives here; the shared
+    // `Worker` keeps what other threads read or write.
     pool: *const PoolInner,
     wkr: *const Worker,
     /// Next slot to spawn into: the paper's private `top`, held here so
@@ -132,9 +135,12 @@ pub struct WorkerHandle<S: Strategy> {
     /// writes: `set_n_public` updates both, so the private-path test
     /// reads no shared word.
     n_public: usize,
-    /// Private joins since the last report, flushed into
-    /// `Stats::inlined_private` by `publish_report`.
-    pub(crate) private_joins: u64,
+    /// Event counters of the current measurement window (`probe!`).
+    pub(crate) stats: Stats,
+    /// Event trace ring; between windows it waits in the mailbox.
+    pub(crate) trace: TraceRing,
+    tb: TimeBreak,
+    rng: Rng,
     idx: usize,
     /// Cached configuration (hot-path reads).
     trip_distance: usize,
@@ -163,7 +169,10 @@ impl<S: Strategy> WorkerHandle<S> {
             // relaxed-ok: `n_public` is written only by this worker's
             // thread, which is the calling thread.
             n_public: wkr.n_public.load(Relaxed),
-            private_joins: 0,
+            stats: Stats::default(),
+            trace: TraceRing::default(),
+            tb: TimeBreak::default(),
+            rng: Rng::for_worker(idx),
             idx,
             trip_distance: pool.cfg.trip_distance,
             publish_batch: pool.cfg.publish_batch,
@@ -211,18 +220,38 @@ impl<S: Strategy> WorkerHandle<S> {
         self.top
     }
 
-    /// Publishes this worker's report of region `epoch`: `finish` stops
-    /// the trace ring and fills the report, with the private joins
-    /// counted in this handle, then the Release store of `report_epoch`
-    /// hands both to the coordinator (see `Worker`'s `Sync` safety
-    /// comment).
-    ///
-    /// # Safety
-    /// This handle's thread holds no borrow of `own`.
-    pub(crate) unsafe fn publish_report(&mut self, epoch: u64) {
+    /// Starts a measurement window (a batch region, or a serve worker's
+    /// life): zeroes the counters and arms the configured
+    /// instrumentation, the time breakdown starting in category `start`
+    /// and the trace ring taken back from the report mailbox.
+    pub(crate) fn begin(&mut self, start: Category) {
+        let cfg = &self.pool().cfg;
+        self.stats = Stats::default();
+        self.tb.reset(cfg.instrument_time, start);
+        if TRACE && cfg.instrument_trace {
+            // SAFETY: the coordinator reads the mailbox only before this
+            // window could open (see `Worker`'s `Sync` safety comment).
+            let parked = unsafe { &mut (*self.wkr().report.get()).trace };
+            self.trace = std::mem::take(parked);
+            self.trace.clear();
+        }
+    }
+
+    /// Ends the measurement window: moves its report of `epoch` and the
+    /// trace ring into the mailbox, and the Release store of
+    /// `report_epoch` hands both to the coordinator.
+    pub(crate) fn publish_report(&mut self, epoch: u64) {
+        let mut stats = self.stats;
+        // The owner joins every task it pushed exactly once, and each
+        // join bumps exactly one of these counters.
+        stats.spawns = stats.inlined_private + stats.inlined_public + stats.rts_joins;
+        let breakdown = self.tb.finish();
         let wkr = self.wkr();
-        let private_joins = std::mem::take(&mut self.private_joins);
-        *wkr.report.get() = self.own().finish(private_joins);
+        // SAFETY: the mailbox is this thread's until the Release store
+        // below (see `Worker`'s `Sync` safety comment).
+        let mailbox = unsafe { &mut *wkr.report.get() };
+        mailbox.report = WorkerReport { stats, breakdown };
+        mailbox.trace = std::mem::take(&mut self.trace);
         wkr.report_epoch.store(epoch, Release);
     }
 
@@ -234,19 +263,6 @@ impl<S: Strategy> WorkerHandle<S> {
         // Release: thieves that Acquire-read a raised boundary must see
         // the task words and closure data written before it.
         self.wkr().n_public.store(n, Release);
-    }
-
-    /// This worker's owner-only state.
-    ///
-    /// # Safety
-    /// The returned borrow must be short-lived: callers must not hold it
-    /// across any call into user code or into another `own()` caller
-    /// (standard `UnsafeCell` discipline; this thread is the only one
-    /// that ever touches the cell).
-    #[allow(clippy::mut_from_ref)]
-    #[inline(always)]
-    pub(crate) unsafe fn own<'a>(&self) -> &'a mut OwnerState {
-        &mut *self.wkr().own.get()
     }
 
     /// Index of this worker within the pool (0 = the `run` caller).
@@ -273,9 +289,7 @@ impl<S: Strategy> WorkerHandle<S> {
     /// the `trace` cargo feature.
     #[inline(always)]
     pub fn note_split(&mut self, len: usize) {
-        // SAFETY: `own()` contract — owner thread, short-lived borrow
-        // not held across user code.
-        unsafe { probe!(self.own(), Split, len.min(u32::MAX as usize)) }
+        probe!(self, Split, len.min(u32::MAX as usize));
     }
 
     // ------------------------------------------------------------------
@@ -295,16 +309,15 @@ impl<S: Strategy> WorkerHandle<S> {
         RA: Send,
         RB: Send,
     {
-        // SAFETY: this handle is live on its owner thread. The `own`
-        // borrows below are short-lived and never held across user code,
-        // and the spawned task is joined on every control path out of
-        // here (JoinGuard covers unwinding out of `a`).
+        // SAFETY: this handle is live on its owner thread, and the
+        // spawned task is joined on every control path out of here
+        // (JoinGuard covers unwinding out of `a`).
         unsafe {
             let k = match self.try_push(ClosureTask(b)) {
                 Ok(k) => k,
                 Err(ClosureTask(b)) => {
                     // Task-pool overflow: execute eagerly, in program order.
-                    probe!(self.own(), Overflow, self.capacity);
+                    probe!(self, Overflow, self.capacity);
                     let ra = a(self);
                     let rb = b(self);
                     return (ra, rb);
@@ -334,9 +347,8 @@ impl<S: Strategy> WorkerHandle<S> {
         if n == 0 {
             return;
         }
-        // SAFETY: as in `fork`: owner thread, short `own` borrows, and
-        // every spawned iteration is joined before return (JoinGuard on
-        // unwind).
+        // SAFETY: as in `fork`: owner thread, and every spawned
+        // iteration is joined before return (JoinGuard on unwind).
         unsafe {
             let mut guard = JoinGuard::<S, ForEachTask<'_, F>>::arm(self, 0);
             for i in 1..n {
@@ -344,7 +356,7 @@ impl<S: Strategy> WorkerHandle<S> {
                     Ok(_) => guard.pending += 1,
                     Err(t) => {
                         // Overflow: run eagerly.
-                        probe!(self.own(), Overflow, self.capacity);
+                        probe!(self, Overflow, self.capacity);
                         t.run(self);
                     }
                 }
@@ -368,7 +380,7 @@ impl<S: Strategy> WorkerHandle<S> {
     ///
     /// Spawns are not counted here: every pushed task is joined exactly
     /// once by its owner, so the report derives `Stats::spawns` from the
-    /// join counters (see `OwnerState::finish`).
+    /// join counters (see `publish_report`).
     ///
     /// # Safety
     /// The pushed task may borrow the caller's stack; the caller must
@@ -417,7 +429,7 @@ impl<S: Strategy> WorkerHandle<S> {
                 self.publish();
             }
         }
-        probe!(self.own(), Spawn, k + 1);
+        probe!(self, Spawn, k + 1);
         Ok(k)
     }
 
@@ -438,7 +450,7 @@ impl<S: Strategy> WorkerHandle<S> {
         if top > np {
             let new = (np + self.publish_batch).min(top);
             self.set_n_public(new);
-            probe!(self.own(), Publish, new - np);
+            probe!(self, Publish, new - np);
             // Tasks are public: wake a parked worker to steal them. The
             // trip wire armed at region start makes the root's first
             // spawn land here, so a region that spawns wakes one at once.
@@ -473,8 +485,7 @@ impl<S: Strategy> WorkerHandle<S> {
             // row of Table II — and nothing read or written through the
             // `Worker` pointer: the count stays in the handle until the
             // report.
-            self.private_joins += 1;
-            probe!(self.own(), JoinFastPrivate, k);
+            probe!(self, JoinFastPrivate, k);
             // relaxed-ok (both loads below): the closure data was written
             // by this thread; a transient thief writes only the state
             // word (its CAS), never the data, so there is nothing to
@@ -502,7 +513,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // Public fast path: one atomic exchange (§III-A).
         let s = slot.state.swap(EMPTY, AcqRel);
         if is_task(s) {
-            probe!(self.own(), JoinFastPublic, k);
+            probe!(self, JoinFastPublic, k);
             // We inlined a public task — the situation private tasks are
             // designed to exploit (§III-B): privatize down to the new
             // top. Safe because the swap above acquired the only
@@ -519,7 +530,6 @@ impl<S: Strategy> WorkerHandle<S> {
     /// by comparing the shared `top` with `bot`.
     unsafe fn join_task_shared_top<B: TaskBody<S>>(&mut self, k: usize) -> B::Output {
         let wkr = self.wkr();
-        let own = self.own();
         let slot = self.slot(k);
 
         wkr.lock.lock();
@@ -531,16 +541,16 @@ impl<S: Strategy> WorkerHandle<S> {
         wkr.lock.unlock();
 
         if !was_stolen {
-            probe!(own, JoinFastPublic, k);
+            probe!(self, JoinFastPublic, k);
             // relaxed-ok: the task word this thread stored at the spawn;
             // in this strategy no thief writes a slot it has not taken.
             return self.call_inline::<B>(slot, slot.state.load(Relaxed));
         }
-        probe!(own, RtsJoin, k);
+        probe!(self, RtsJoin, k);
         let s = slot.state.load(Acquire);
         debug_assert!(is_stolen(s) || is_done(s));
         probe!(
-            own,
+            self,
             JoinSlow,
             if is_stolen(s) {
                 thief_of(s)
@@ -608,7 +618,7 @@ impl<S: Strategy> WorkerHandle<S> {
         k: usize,
         mut s: usize,
     ) -> B::Output {
-        probe!(self.own(), RtsJoin, k);
+        probe!(self, RtsJoin, k);
         let mut join_thief = u32::MAX as usize;
         loop {
             if s == EMPTY {
@@ -633,7 +643,7 @@ impl<S: Strategy> WorkerHandle<S> {
             // Reached iff the task was stolen (whether or not we had to
             // wait for it); count it here so `stolen_joins` matches the
             // thieves' steal counters exactly.
-            probe!(self.own(), JoinSlow, join_thief);
+            probe!(self, JoinSlow, join_thief);
             // Maintain `n_public <= top`: the stolen task may have been
             // the last public descriptor; everything above `k` is dead.
             if S::PRIVATE_TASKS && self.n_public > k {
@@ -678,11 +688,8 @@ impl<S: Strategy> WorkerHandle<S> {
         // `top` past the awaited descriptor or the nested spawns would
         // overwrite its state word and result.
         self.top += 1;
-        let prev = {
-            let own = self.own();
-            probe!(own, Leapfrog, thief);
-            own.tb.switch(Category::Lf)
-        };
+        probe!(self, Leapfrog, thief);
+        let prev = self.tb.switch(Category::Lf);
         let mut idle = Idle::default();
         let s = loop {
             let s = slot.state.load(Acquire);
@@ -709,7 +716,7 @@ impl<S: Strategy> WorkerHandle<S> {
             }
         };
         self.top -= 1;
-        self.own().tb.switch(prev);
+        self.tb.switch(prev);
         s
     }
 
@@ -744,7 +751,7 @@ impl<S: Strategy> WorkerHandle<S> {
     /// Ends a steal attempt on `victim_idx` that found nothing.
     #[inline(always)]
     unsafe fn found_nothing(&mut self, victim_idx: usize) -> StealOutcome {
-        probe!(self.own(), StealFail, victim_idx);
+        probe!(self, StealFail, victim_idx);
         StealOutcome::Empty
     }
 
@@ -752,7 +759,7 @@ impl<S: Strategy> WorkerHandle<S> {
     /// task.
     #[inline(always)]
     unsafe fn lost_race(&mut self, victim_idx: usize) -> StealOutcome {
-        probe!(self.own(), StealLost, victim_idx);
+        probe!(self, StealLost, victim_idx);
         StealOutcome::Retry
     }
 
@@ -779,7 +786,7 @@ impl<S: Strategy> WorkerHandle<S> {
                 // publishes without waiting for this request.)
                 // relaxed-ok: advisory trip-wire flag (see try_push).
                 victim.publish_request.store(true, Relaxed);
-                probe!(self.own(), PublishRequest, victim_idx);
+                probe!(self, PublishRequest, victim_idx);
                 return self.found_nothing(victim_idx);
             }
         }
@@ -821,7 +828,7 @@ impl<S: Strategy> WorkerHandle<S> {
             // relaxed-ok: failure ordering — a failed CAS publishes
             // nothing and we touch the slot no further.
             let _ = slot.state.compare_exchange(EMPTY, task, Release, Relaxed);
-            probe!(self.own(), Backoff, victim_idx);
+            probe!(self, Backoff, victim_idx);
             return StealOutcome::Retry;
         }
         // Guard: same exclusive-hold argument as the back-off restore.
@@ -838,7 +845,7 @@ impl<S: Strategy> WorkerHandle<S> {
             let np = victim.n_public.load(Relaxed);
             if np.saturating_sub(b + 1) < self.trip_distance {
                 victim.publish_request.store(true, Relaxed);
-                probe!(self.own(), PublishRequest, victim_idx);
+                probe!(self, PublishRequest, victim_idx);
             }
         }
         self.execute_stolen(slot, task, victim_idx, leap)
@@ -941,17 +948,14 @@ impl<S: Strategy> WorkerHandle<S> {
         victim_idx: usize,
         leap: bool,
     ) -> StealOutcome {
-        let prev_cat = {
-            let own = self.own();
-            // Only a blocked join's leap-frog steals with `leap`, so its
-            // work is LA; a thief's top-level steal runs NA work.
-            if leap {
-                probe!(own, LeapSteal, victim_idx);
-                own.tb.switch(Category::La)
-            } else {
-                probe!(own, StealSuccess, victim_idx);
-                own.tb.switch(Category::Na)
-            }
+        // Only a blocked join's leap-frog steals with `leap`, so its
+        // work is LA; a thief's top-level steal runs NA work.
+        let prev_cat = if leap {
+            probe!(self, LeapSteal, victim_idx);
+            self.tb.switch(Category::La)
+        } else {
+            probe!(self, StealSuccess, victim_idx);
+            self.tb.switch(Category::Na)
         };
 
         let wrapper = wrapper_of(task);
@@ -968,26 +972,27 @@ impl<S: Strategy> WorkerHandle<S> {
         // Publish completion *after* the result write.
         slot.state
             .store(if ok { DONE } else { DONE_PANIC }, Release);
-        self.own().tb.switch(prev_cat);
+        self.tb.switch(prev_cat);
         StealOutcome::Executed
     }
 
     /// One round of random-victim stealing for an idle worker; returns
     /// true if a task was stolen and executed.
-    ///
-    /// # Safety
-    /// Must run on the thread owning this handle's worker.
-    pub(crate) unsafe fn steal_round(&mut self) -> bool {
+    pub(crate) fn steal_round(&mut self) -> bool {
         let p = self.num_workers();
         if p <= 1 {
             return false;
         }
-        let r = self.own().next_rand();
+        let r = self.rng.next();
         let mut victim = (r % (p as u64 - 1)) as usize;
         if victim >= self.idx {
             victim += 1;
         }
-        matches!(self.try_steal_from(victim, false), StealOutcome::Executed)
+        // SAFETY: a handle runs on the thread acting as its worker.
+        matches!(
+            unsafe { self.try_steal_from(victim, false) },
+            StealOutcome::Executed
+        )
     }
 }
 

@@ -31,9 +31,9 @@ pub struct ModelPool<S: Strategy> {
 pub struct Thief<S: Strategy> {
     inner: Arc<PoolInner>,
     idx: usize,
-    /// Private joins of the stolen tasks so far: each steal's handle
-    /// counts its own.
-    private_joins: u64,
+    /// Counters of the steals so far: each steal's handle counts its
+    /// own.
+    stats: Stats,
     _strategy: PhantomData<S>,
 }
 
@@ -50,7 +50,7 @@ impl<S: Strategy> ModelPool<S> {
             .map(|idx| Thief {
                 inner: Arc::clone(&inner),
                 idx,
-                private_joins: 0,
+                stats: Stats::default(),
                 _strategy: PhantomData,
             })
             .collect();
@@ -69,13 +69,10 @@ impl<S: Strategy> ModelPool<S> {
         // SAFETY: `&mut self` makes this the only thread acting as
         // worker 0, and the thieves never act as it; the handle does not
         // outlive `self.inner`.
-        unsafe {
-            self.inner.begin_root(1);
-            let mut h = WorkerHandle::new(&self.inner, 0);
-            let r = f(&mut h);
-            h.publish_report(1);
-            r
-        }
+        let mut h = unsafe { self.inner.begin_root() };
+        let r = f(&mut h);
+        h.publish_report(1);
+        r
     }
 
     /// `Pool::run`'s region-exit close of region `epoch` on background
@@ -103,7 +100,7 @@ impl<S: Strategy> Thief<S> {
         unsafe {
             let mut h = WorkerHandle::<S>::new(&self.inner, self.idx);
             let stole = h.try_steal_from(0, false) == StealOutcome::Executed;
-            self.private_joins += h.private_joins;
+            self.stats += h.stats;
             stole
         }
     }
@@ -116,15 +113,13 @@ impl<S: Strategy> Thief<S> {
 
     /// This worker's counters so far.
     pub fn stats(&self) -> Stats {
-        // SAFETY: only the thread holding this thief acts as its worker.
-        unsafe { (*self.inner.workers[self.idx].own.get()).counters(self.private_joins) }
+        self.stats
     }
 }
 
 /// The counters of the worker `h` belongs to, so far.
 pub fn stats<S: Strategy>(h: &WorkerHandle<S>) -> Stats {
-    // SAFETY: `h` lives on its owner thread; the borrow ends here.
-    unsafe { h.own().counters(h.private_joins) }
+    h.stats
 }
 
 /// Raises worker `h`'s publication request, as a thief's privacy miss

@@ -38,7 +38,7 @@ use crate::exec::WorkerHandle;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
 use crate::timebreak::{Category, TimeBreakdown};
-use crate::trace::{probe, Trace, TraceRing, WorkerTrace, TRACE};
+use crate::trace::{probe, Trace, TraceRing, TRACE};
 use crate::worker::{DeadOnUnwind, Idle, Worker, WorkerReport, CLOSED};
 
 /// Shared, strategy-independent pool state.
@@ -59,52 +59,53 @@ pub(crate) struct PoolInner {
 }
 
 impl PoolInner {
-    /// Builds the shared state for a validated configuration, with
-    /// trace rings installed when tracing is configured. Used by both
-    /// the batch [`Pool`] and the serve pool (`crate::serve`).
+    /// Builds the shared state for a validated configuration, with a
+    /// trace ring in each worker's mailbox when tracing is configured.
+    /// Used by both the batch [`Pool`] and the serve pool
+    /// (`crate::serve`).
     pub(crate) fn build(cfg: PoolConfig) -> Arc<PoolInner> {
-        let p = cfg.workers;
-        let workers: Box<[Worker]> = (0..p).map(|i| Worker::new(i, cfg.stack_capacity)).collect();
-        let inner = Arc::new(PoolInner {
+        let ring = || {
+            if TRACE && cfg.instrument_trace {
+                TraceRing::new(cfg.trace_capacity)
+            } else {
+                TraceRing::default()
+            }
+        };
+        let workers: Box<[Worker]> = (0..cfg.workers)
+            .map(|_| Worker::new(cfg.stack_capacity, ring()))
+            .collect();
+        Arc::new(PoolInner {
             workers,
             cfg,
             active: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
             epoch: AtomicU64::new(0),
             completed: AtomicU64::new(0),
-        });
-        if TRACE && inner.cfg.instrument_trace {
-            for w in inner.workers.iter() {
-                // SAFETY: no worker thread exists yet; this thread has
-                // exclusive access to every owner cell.
-                unsafe { (*w.own.get()).trace = TraceRing::new(inner.cfg.trace_capacity) };
-            }
-        }
-        inner
+        })
     }
 
-    /// Starts worker 0's part of region `epoch`: opens its measurement
-    /// window and re-arms its stack for the root task.
+    /// Starts worker 0's part of a region: re-arms its stack for the
+    /// root task and returns the root's handle, its measurement window
+    /// open.
     ///
     /// # Safety
-    /// The calling thread must be the unique thread acting as worker 0,
-    /// and no region may be live. (Background workers never touch
-    /// worker 0's owner state.)
-    pub(crate) unsafe fn begin_root(&self, epoch: u64) {
+    /// As for [`WorkerHandle::new`] for worker 0, and no region may be
+    /// live.
+    pub(crate) unsafe fn begin_root<S: Strategy>(&self) -> WorkerHandle<S> {
         let w0 = &self.workers[0];
-        let own = &mut *w0.own.get();
-        own.begin(&self.cfg, Category::Na);
-        own.seen_epoch = epoch;
         debug_assert_eq!(w0.bot.load(Relaxed), 0);
         // `n_public` may be left above the (empty) stack under the
-        // all-public rung; re-arm it for the fresh stack. The root's
-        // handle, made after this, copies it.
+        // all-public rung; re-arm it for the fresh stack. The handle,
+        // made after this, copies it.
         w0.n_public.store(0, Relaxed);
         // The background workers are idle at region start, so arm the
         // trip wire: the root's first spawn publishes at once instead of
         // waiting for a thief's request. A one-worker region has no
         // thief and never publishes.
         w0.publish_request.store(self.workers.len() > 1, Relaxed);
+        let mut h = WorkerHandle::new(self, 0);
+        h.begin(Category::Na);
+        h
     }
 
     /// Background worker `idx` joins region `epoch`, before it touches
@@ -141,8 +142,9 @@ impl PoolInner {
     /// trace when tracing is configured. `joined(i)` says whether worker
     /// `i` took part. The coordinator waits for the report of each worker
     /// that did. A worker that did not gets an empty report and an empty
-    /// trace, and its state is not touched at all: its thread may be
-    /// running, and its ring still holds an earlier region's events.
+    /// trace, and its mailbox is not touched at all: its thread may be
+    /// running, and the ring there still holds an earlier region's
+    /// events.
     ///
     /// A batch region collects with its own epoch and closes each
     /// background worker out in `joined`; the serve pool collects with
@@ -155,11 +157,7 @@ impl PoolInner {
             if !joined(i) {
                 reports.push(WorkerReport::default());
                 if let Some(snaps) = &mut snaps {
-                    snaps.push(WorkerTrace {
-                        worker: i,
-                        events: Vec::new(),
-                        dropped: 0,
-                    });
+                    snaps.push(TraceRing::default().snapshot(i));
                 }
                 continue;
             }
@@ -169,16 +167,13 @@ impl PoolInner {
                 idle.snooze();
             }
             // SAFETY: the Acquire above pairs with the owner's Release
-            // publish; the owner will not write this epoch's report
-            // again.
-            reports.push(unsafe { *w.report.get() });
+            // publish, and the owner leaves the mailbox alone until its
+            // next window, which for a batch worker needs the next
+            // region (`&mut Pool`) and never comes for a serve worker.
+            let mailbox = unsafe { &*w.report.get() };
+            reports.push(mailbox.report);
             if let Some(snaps) = &mut snaps {
-                // SAFETY: covered by the same Acquire edge as the report:
-                // an owner disables its ring strictly before its Release
-                // publish and re-enables it only at its next `begin`,
-                // which for a batch worker needs the next region (`&mut
-                // Pool`) and never comes for a serve worker.
-                snaps.push(unsafe { (*w.own.get()).trace.snapshot(i) });
+                snaps.push(mailbox.trace.snapshot(i));
             }
         }
         Reports {
@@ -274,8 +269,9 @@ impl<S: Strategy> Pool<S> {
         let inner = &*self.inner;
         let epoch = inner.epoch.fetch_add(1, Relaxed) + 1;
         // SAFETY: we hold `&mut self`, so no other `run` is live and this
-        // thread is worker 0 until the region ends.
-        unsafe { inner.begin_root(epoch) };
+        // thread is worker 0 until the region ends; the handle does not
+        // outlive the region.
+        let mut handle = unsafe { inner.begin_root::<S>() };
 
         let t0 = cycles::now();
         inner.active.store(true, Release);
@@ -286,9 +282,6 @@ impl<S: Strategy> Pool<S> {
             Idle::wake_all(&inner.workers);
         }
 
-        // SAFETY: the pool outlives the handle; this thread is the
-        // unique worker 0 for the duration of the region.
-        let mut handle = unsafe { WorkerHandle::<S>::new(inner, 0) };
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
         debug_assert_eq!(handle.pending(), 0, "the root joins every task it spawned");
 
@@ -300,8 +293,8 @@ impl<S: Strategy> Pool<S> {
         let wall = cycles::now().wrapping_sub(t0);
 
         // Worker 0 publishes its report through its own mailbox, like
-        // the background workers. SAFETY: as at region start.
-        unsafe { handle.publish_report(epoch) };
+        // the background workers.
+        handle.publish_report(epoch);
 
         // Close the region on every background worker: only those that
         // joined it are waited for.
@@ -362,8 +355,9 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
     let mut handle = unsafe { WorkerHandle::<S>::new(&inner, idx) };
     let wkr = &inner.workers[idx];
     let _dead_on_unwind = DeadOnUnwind(wkr);
-    let cfg = &inner.cfg;
     let mut idle = Idle::default();
+    // The region epoch this worker most recently joined (and began).
+    let mut seen_epoch = 0;
 
     loop {
         if inner.shutdown.load(Acquire) {
@@ -371,31 +365,25 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
         }
         if inner.active.load(Acquire) {
             let epoch = inner.epoch.load(Acquire);
-            // SAFETY: owner-only state, this is the owning thread.
-            unsafe {
-                let own = handle.own();
-                if own.seen_epoch != epoch {
-                    // Join the region before touching any of it. A
-                    // failed join means the coordinator has already
-                    // closed it without this worker: steal nothing and
-                    // go back to idling.
-                    if !inner.join_region(idx, epoch) {
-                        continue;
-                    }
-                    own.seen_epoch = epoch;
-                    own.begin(cfg, Category::St);
+            if seen_epoch != epoch {
+                // Join the region before touching any of it. A failed
+                // join means the coordinator has already closed it
+                // without this worker: steal nothing and go back to
+                // idling.
+                if !inner.join_region(idx, epoch) {
+                    continue;
                 }
+                seen_epoch = epoch;
+                handle.begin(Category::St);
             }
-            // SAFETY: this thread owns worker `idx`.
-            if unsafe { handle.steal_round() } {
+            if handle.steal_round() {
                 idle.rounds = 0;
             } else {
                 if idle.rounds == 0 {
                     // First empty-handed round after useful work: the
                     // start of an idle span on the exported timeline
                     // (closed by the next steal success).
-                    // SAFETY: this thread owns worker `idx`.
-                    unsafe { probe!(handle.own(), Idle, 0) }
+                    probe!(handle, Idle, 0);
                 }
                 // Inside a region a thief never parks.
                 idle.snooze();
@@ -406,21 +394,16 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
             // report from it: the coordinator closed it out and waits
             // only for the workers that joined.
             let done = inner.completed.load(Acquire);
-            // SAFETY: owner-only state, this is the owning thread.
-            let seen = unsafe { handle.own().seen_epoch };
-            if seen == done && wkr.report_epoch.load(Relaxed) != done {
-                // SAFETY: this thread owns worker `idx`.
-                unsafe { handle.publish_report(done) };
+            if seen_epoch == done && wkr.report_epoch.load(Relaxed) != done {
+                handle.publish_report(done);
             }
             // Park until a region this worker has not joined opens (its
             // root's first publication wakes the worker) or the pool
-            // shuts down. SAFETY: this thread owns worker `idx`.
-            unsafe {
-                idle.wait(wkr, || {
-                    inner.shutdown.load(SeqCst)
-                        || (inner.active.load(SeqCst) && inner.epoch.load(SeqCst) != seen)
-                })
-            };
+            // shuts down.
+            idle.wait(&mut handle, || {
+                inner.shutdown.load(SeqCst)
+                    || (inner.active.load(SeqCst) && inner.epoch.load(SeqCst) != seen_epoch)
+            });
         }
     }
 }

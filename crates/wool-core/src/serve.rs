@@ -402,12 +402,8 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
     // SAFETY: the pool (via Arc) outlives the loop; this thread is the
     // unique owner of worker `idx`.
     let mut handle = unsafe { WorkerHandle::<S>::new(&inner, idx) };
-    let cfg = &inner.cfg;
-    let wkr = &inner.workers[idx];
-    let _dead_on_unwind = DeadOnUnwind(wkr);
-
-    // SAFETY: owner-only state, this is the owning thread.
-    unsafe { handle.own().begin(cfg, Category::St) };
+    let _dead_on_unwind = DeadOnUnwind(&inner.workers[idx]);
+    handle.begin(Category::St);
 
     let queue = &shared.injector;
     let mut idle = Idle::default();
@@ -415,23 +411,18 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
         // 1. A queued root job comes first.
         if let Some(job) = queue.pop() {
             let tag = job.tag;
-            // SAFETY: this thread owns worker `idx`. The Inject event is
-            // backdated to the submitter's timestamp so queueing latency
-            // is visible on the timeline.
-            unsafe {
-                probe!(handle.own(), Inject, tag, at = job.submit_ts);
-                probe!(handle.own(), Dequeue, tag);
-            }
+            // The Inject event is backdated to the submitter's timestamp
+            // so queueing latency is visible on the timeline.
+            probe!(handle, Inject, tag, at = job.submit_ts);
+            probe!(handle, Dequeue, tag);
             job.cell.run(&mut handle, &shared.completed[idx]);
-            // SAFETY: as above.
-            unsafe { probe!(handle.own(), JobDone, tag) }
+            probe!(handle, JobDone, tag);
             idle.rounds = 0;
             continue;
         }
 
         // 2. Injector empty: help an in-flight job.
-        // SAFETY: this thread owns worker `idx`.
-        if unsafe { handle.steal_round() } {
+        if handle.steal_round() {
             idle.rounds = 0;
             continue;
         }
@@ -445,17 +436,15 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
         // closed bit); a steal target that appears with no submission
         // waits for a publication's wake or the park timeout.
         if idle.rounds == 0 {
-            // SAFETY: this thread owns worker `idx`.
-            unsafe { probe!(handle.own(), Idle, 0) }
+            probe!(handle, Idle, 0);
         }
-        // SAFETY: this thread owns worker `idx`.
-        unsafe { idle.wait(wkr, || !queue.is_empty() || queue.is_closed()) };
+        idle.wait(&mut handle, || !queue.is_empty() || queue.is_closed());
     }
 
     // Publish this worker's statistics for the pool to collect after
     // joining the thread, which also synchronizes with everything this
-    // thread ever wrote. SAFETY: this thread owns worker `idx`.
-    unsafe { handle.publish_report(u64::MAX) };
+    // thread ever wrote.
+    handle.publish_report(u64::MAX);
 }
 
 #[cfg(test)]

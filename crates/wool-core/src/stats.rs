@@ -4,9 +4,9 @@
 //! spawns (`N_T` for task granularity `G_T = T_S / N_T`), steals (`N_M`
 //! for load-balancing granularity `G_L = T_S / N_M`), leap-frog steals,
 //! and the thief back-offs §III-A promises stay below 1% of successful
-//! steals. Counters live in owner-only state and are incremented with
-//! plain adds, so the hot spawn/join paths pay one `add` instruction at
-//! most. Each counter is the number of events of one
+//! steals. Counters live in the owner's `WorkerHandle` and are
+//! incremented with plain adds, so the hot spawn/join paths pay one
+//! `add` instruction at most. Each counter is the number of events of one
 //! [`EventKind`](crate::trace::EventKind), bumped by the same `probe!`
 //! that traces the event (see [`crate::trace`]).
 
@@ -22,8 +22,7 @@ pub struct Stats {
     /// fills it in as `inlined_private + inlined_public + rts_joins`.
     pub spawns: u64,
     /// Joins that found the task private and used the plain-load path
-    /// (`join_fast_private` events). Counted in the `WorkerHandle`, not
-    /// by the probe, and filled in by the worker's report.
+    /// (`join_fast_private`).
     pub inlined_private: u64,
     /// Joins that acquired the task with the atomic swap
     /// (`join_fast_public`).
@@ -63,7 +62,6 @@ impl Stats {
         let mut copy = *self;
         match kind {
             EventKind::Spawn => Some(self.spawns),
-            EventKind::JoinFastPrivate => Some(self.inlined_private),
             _ => copy.counter(kind).copied(),
         }
     }

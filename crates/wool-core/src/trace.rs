@@ -7,16 +7,17 @@
 //! * **Counting.** A kind that [`Stats`] counts bumps exactly one
 //!   counter, named next to the kind in the table below, so each counter
 //!   is the number of events of one kind (`Stats::spawns` is derived,
-//!   see [`EventKind::Spawn`], and `Stats::inlined_private` is counted
-//!   in the worker's handle, see [`EventKind::JoinFastPrivate`]).
+//!   see [`EventKind::Spawn`]).
 //! * **Tracing.** In a build with the `trace` cargo feature ([`TRACE`]),
 //!   a worker whose pool was configured with `instrument_trace` also
 //!   records the event, timestamped, into its own [`TraceRing`]. The
-//!   ring lives in the worker's owner-private state: recording is plain
-//!   stores and an increment, with no atomics, no sharing and no
-//!   allocation. The coordinator snapshots a ring only after it has
-//!   observed the worker's end-of-region report (an acquire on
-//!   `report_epoch`), which orders every prior store.
+//!   ring lives in the worker's handle, beside the counters: recording
+//!   is plain stores and an increment, with no atomics, no sharing and
+//!   no allocation. At the end of a measurement window the owner moves
+//!   the ring into its report mailbox; the coordinator snapshots it
+//!   there only after it has observed the report (an acquire on
+//!   `report_epoch`), which orders every prior store, and the owner's
+//!   next window takes it back.
 //!
 //! Without the feature the recording half is dead code: it is still
 //! type-checked, and the compiler removes it, so an untraced hot path
@@ -32,23 +33,22 @@ use crate::stats::Stats;
 /// Whether this build records events (the `trace` cargo feature).
 pub const TRACE: bool = cfg!(feature = "trace");
 
-/// Counts one `$kind` event of the worker whose owner state is `$own`
-/// (a `&mut OwnerState`) and, in a [`TRACE`] build whose ring is on,
-/// records it with argument `$arg` and the current cycle count, or the
-/// timestamp given as `at = $ts`. `$arg` and `$ts` are evaluated only
-/// when the event is recorded.
+/// Counts one `$kind` event of the worker that the handle `$h` (a
+/// `WorkerHandle` place) acts as and, in a [`TRACE`] build whose ring is
+/// on, records it with argument `$arg` and the current cycle count, or
+/// the timestamp given as `at = $ts`. `$arg` and `$ts` are evaluated
+/// only when the event is recorded.
 macro_rules! probe {
-    ($own:expr, $kind:ident, $arg:expr) => {
-        $crate::trace::probe!($own, $kind, $arg, at = $crate::cycles::now())
+    ($h:expr, $kind:ident, $arg:expr) => {
+        $crate::trace::probe!($h, $kind, $arg, at = $crate::cycles::now())
     };
-    ($own:expr, $kind:ident, $arg:expr, at = $ts:expr) => {{
-        let own: &mut $crate::worker::OwnerState = $own;
+    ($h:expr, $kind:ident, $arg:expr, at = $ts:expr) => {{
         let kind = $crate::trace::EventKind::$kind;
-        if let Some(n) = own.stats.counter(kind) {
+        if let Some(n) = $h.stats.counter(kind) {
             *n += 1;
         }
-        if $crate::trace::TRACE && own.trace.is_enabled() {
-            own.trace.record(kind, $ts, ($arg) as u32);
+        if $crate::trace::TRACE && $h.trace.is_enabled() {
+            $h.trace.record(kind, $ts, ($arg) as u32);
         }
     }};
 }
@@ -100,10 +100,8 @@ events! {
     /// `arg` = stack depth.
     Overflow = "overflow" => overflow_inlines,
     /// A join resolved on the private fast path (task above the public
-    /// boundary; no synchronization). `arg` = stack depth. Counted
-    /// beside the probe in the `WorkerHandle`, so the fast path touches
-    /// no `Worker` state; the report fills in `Stats::inlined_private`.
-    JoinFastPrivate = "join_fast_private",
+    /// boundary; no synchronization). `arg` = stack depth.
+    JoinFastPrivate = "join_fast_private" => inlined_private,
     /// A join resolved on the public fast path (atomic swap saw the
     /// task unstolen). `arg` = stack depth.
     JoinFastPublic = "join_fast_public" => inlined_public,
@@ -200,32 +198,23 @@ pub struct Event {
 /// monotone. Exactly one thread writes; readers take a
 /// [`snapshot`](TraceRing::snapshot) only after an external
 /// happens-before edge (the worker's report publication).
-#[derive(Debug)]
+///
+/// The default ring allocates, holds and records nothing: it is what a
+/// worker's handle holds outside a traced measurement window.
+#[derive(Debug, Default)]
 pub struct TraceRing {
     buf: Vec<Event>,
     /// Next sequence number == total events ever recorded.
     seq: u64,
-    /// Recording gate; when false, [`TraceRing::record`] is a no-op.
-    enabled: bool,
 }
 
 impl TraceRing {
     /// Creates a ring holding at most `capacity` events (rounded up to
-    /// 1). Recording starts disabled.
+    /// 1).
     pub fn new(capacity: usize) -> Self {
         TraceRing {
             buf: Vec::with_capacity(capacity.max(1)),
-            ..TraceRing::off()
-        }
-    }
-
-    /// A ring that holds nothing and must never be enabled: the
-    /// placeholder of a worker whose pool does not trace.
-    pub(crate) const fn off() -> Self {
-        TraceRing {
-            buf: Vec::new(),
             seq: 0,
-            enabled: false,
         }
     }
 
@@ -234,15 +223,10 @@ impl TraceRing {
         self.buf.capacity()
     }
 
-    /// Turns recording on or off.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether recording is on.
+    /// Whether the ring records: every ring but the default one.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.buf.capacity() != 0
     }
 
     /// Forgets all recorded events and restarts sequence numbers.
@@ -251,11 +235,11 @@ impl TraceRing {
         self.seq = 0;
     }
 
-    /// Records one event if recording is on. Owner thread only; no
+    /// Records one event if the ring is enabled. Owner thread only; no
     /// allocation.
     #[inline]
     pub fn record(&mut self, kind: EventKind, ts: u64, arg: u32) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         let ev = Event {

@@ -1,4 +1,8 @@
-//! Per-worker state: the direct task stack and its pointers.
+//! Per-worker shared state: the direct task stack, its pointers, and
+//! the fields other threads read or write. Everything only the owner
+//! touches (`top`, counters, trace ring, rng, time breakdown) lives in
+//! the owner's [`WorkerHandle`], and reaches other threads only through
+//! the report [`Mailbox`].
 //!
 //! Each worker owns an array of [`TaskSlot`]s managed with strict stack
 //! discipline (§III-A), a [`TaskStack`]: zero-mapped at construction,
@@ -34,85 +38,32 @@ use std::time::Duration;
 
 use crate::pad::CachePadded;
 
-use crate::config::PoolConfig;
+use crate::exec::WorkerHandle;
 use crate::slot::{TaskSlot, TaskStack};
 use crate::spinlock::SpinLock;
 use crate::stats::Stats;
-use crate::timebreak::{Category, TimeBreak, TimeBreakdown};
-use crate::trace::{probe, TraceRing, TRACE};
+use crate::strategy::Strategy;
+use crate::timebreak::TimeBreakdown;
+use crate::trace::{probe, TraceRing};
 
-/// State touched only by the worker's own thread.
+/// A worker's victim-selection generator (xorshift64*), seeded from
+/// the worker's index so that the workers' streams differ.
 #[derive(Debug)]
-pub(crate) struct OwnerState {
-    /// xorshift64 state for victim selection.
-    pub rng: u64,
-    /// Event counters.
-    pub stats: Stats,
-    /// CPU-time breakdown instrumentation.
-    pub tb: TimeBreak,
-    /// Region epoch this worker has most recently joined (and begun).
-    pub seen_epoch: u64,
-    /// Event trace ring (owner-writes-only; see [`crate::trace`]).
-    /// Installed by the pool at construction when tracing is configured.
-    pub trace: TraceRing,
-}
+pub(crate) struct Rng(u64);
 
-impl OwnerState {
-    fn new(seed: u64) -> Self {
-        OwnerState {
-            rng: seed | 1,
-            stats: Stats::default(),
-            tb: TimeBreak::default(),
-            seen_epoch: 0,
-            trace: TraceRing::off(),
-        }
+impl Rng {
+    pub fn for_worker(index: usize) -> Self {
+        Rng(0x9E3779B97F4A7C15u64.wrapping_mul(index as u64 + 1) | 1)
     }
 
-    /// Starts a measurement window (a batch region, or a serve worker's
-    /// life): zeroes the counters and arms the instrumentation `cfg`
-    /// enables, with the time breakdown starting in category `start`.
-    pub fn begin(&mut self, cfg: &PoolConfig, start: Category) {
-        self.stats = Stats::default();
-        self.tb.reset(cfg.instrument_time, start);
-        if TRACE && cfg.instrument_trace {
-            self.trace.clear();
-            self.trace.set_enabled(true);
-        }
-    }
-
-    /// Ends the measurement window and returns its report, with the
-    /// `private_joins` its `WorkerHandle` counted. Stops the trace ring
-    /// first, so a reader that synchronizes with the report's
-    /// publication may snapshot the ring.
-    pub fn finish(&mut self, private_joins: u64) -> WorkerReport {
-        self.trace.set_enabled(false);
-        let mut stats = self.counters(private_joins);
-        // The owner joins every task it pushed exactly once, and each
-        // join bumps exactly one of these counters.
-        stats.spawns = stats.inlined_private + stats.inlined_public + stats.rts_joins;
-        WorkerReport {
-            stats,
-            breakdown: self.tb.finish(),
-        }
-    }
-
-    /// The counters so far, with the `private_joins` that the worker's
-    /// `WorkerHandle` counted.
-    pub fn counters(&self, private_joins: u64) -> Stats {
-        Stats {
-            inlined_private: private_joins,
-            ..self.stats
-        }
-    }
-
-    /// Next pseudo-random value (xorshift64*).
+    /// Next pseudo-random value.
     #[inline]
-    pub fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
+    pub fn next(&mut self) -> u64 {
+        let mut x = self.0;
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        self.rng = x;
+        self.0 = x;
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 }
@@ -124,7 +75,18 @@ pub(crate) struct WorkerReport {
     pub breakdown: TimeBreakdown,
 }
 
-/// One worker: shared coordination fields plus owner-only state.
+/// The report mailbox: the one hand-off of owner data to another
+/// thread. The owner's `publish_report` fills it at the end of a
+/// measurement window and moves its trace ring in; the coordinator
+/// reads both there; the owner's next `begin` takes the ring back.
+#[derive(Debug)]
+pub(crate) struct Mailbox {
+    pub report: WorkerReport,
+    pub trace: TraceRing,
+}
+
+/// One worker: what other threads read or write. Its owner-only state
+/// lives in the owner's [`WorkerHandle`].
 pub(crate) struct Worker {
     /// Index of the oldest unstolen task; thieves steal here.
     pub bot: CachePadded<AtomicUsize>,
@@ -139,11 +101,9 @@ pub(crate) struct Worker {
     pub lock: SpinLock,
     /// The direct task stack itself.
     pub slots: TaskStack,
-    /// Owner-only state; see the `Sync` safety comment.
-    pub own: UnsafeCell<OwnerState>,
     /// End-of-region report mailbox, published by the owner and read by
     /// the coordinating thread after `report_epoch` is advanced.
-    pub report: UnsafeCell<WorkerReport>,
+    pub report: UnsafeCell<Mailbox>,
     /// Epoch whose report has been published (Release/Acquire pair with
     /// reads of `report`).
     pub report_epoch: AtomicU64,
@@ -167,26 +127,25 @@ pub(crate) struct Worker {
 /// Tag bit of [`Worker::joined`]: the coordinator closed that epoch.
 pub(crate) const CLOSED: u64 = 1 << 63;
 
-// SAFETY: `own` and `report` are interior-mutable but accessed under a
-// strict protocol: `own` only ever by the thread currently acting as
-// this worker (there is exactly one — background workers are pinned, and
-// worker 0 is driven by the single thread inside `Pool::run`, which
-// holds `&mut Pool`); `report` is written by that thread, in
-// `WorkerHandle::publish_report`, and read by the coordinator only after it
-// Acquire-reads a matching `report_epoch` value, which `publish_report`
-// Release-writes after the report. The one
-// exception for `own` is the trace ring (in a `TRACE` build): the
-// coordinator reads `own.trace` of other workers that joined the region,
-// but only after the same `report_epoch` acquire — the owner disables
-// the ring and stops writing it strictly before the Release publish, so
-// those reads race with nothing. It never reads the ring of a worker it
-// closed out of the region. All other fields are atomics, the lock, the
+// SAFETY: `report` is interior-mutable but handed over under a strict
+// protocol. It belongs to the thread acting as this worker (there is
+// exactly one: background workers are pinned, and worker 0 is driven by
+// the single thread inside `Pool::run`, which holds `&mut Pool`), except
+// between that thread's Release store of `report_epoch` in
+// `WorkerHandle::publish_report` and its next `WorkerHandle::begin`.
+// In that span the coordinator reads it, only after it Acquire-reads
+// the matching `report_epoch`, and the owner does not touch it: a batch
+// worker's next window opens only in a later region, whose `active`
+// store the coordinator makes after its reads, and a serve worker has
+// no next window. All other fields are atomics, the lock, the
 // `OnceLock` thread handle, or `TaskSlot`s with their own protocol.
 unsafe impl Sync for Worker {}
 unsafe impl Send for Worker {}
 
 impl Worker {
-    pub fn new(index: usize, capacity: usize) -> Self {
+    /// A worker with `capacity` task descriptors; `trace` waits in its
+    /// mailbox for the first measurement window.
+    pub fn new(capacity: usize, trace: TraceRing) -> Self {
         Worker {
             bot: CachePadded::new(AtomicUsize::new(0)),
             n_public: AtomicUsize::new(0),
@@ -194,10 +153,10 @@ impl Worker {
             top_shared: AtomicUsize::new(0),
             lock: SpinLock::new(),
             slots: TaskStack::new(capacity),
-            own: UnsafeCell::new(OwnerState::new(
-                0x9E3779B97F4A7C15u64.wrapping_mul(index as u64 + 1),
-            )),
-            report: UnsafeCell::new(WorkerReport::default()),
+            report: UnsafeCell::new(Mailbox {
+                report: WorkerReport::default(),
+                trace,
+            }),
             report_epoch: AtomicU64::new(0),
             joined: AtomicU64::new(0),
             parked: CachePadded::new(AtomicBool::new(false)),
@@ -260,18 +219,20 @@ impl Idle {
         self.rounds.saturating_add(1) >= Self::PARK_AT
     }
 
-    /// One empty round of worker `wkr` that may park: snooze until the
-    /// park round, then park unless `has_work()`, which runs after the
-    /// flag is set and fenced. The trace records `park` and `unpark`
-    /// around the park itself.
-    ///
-    /// # Safety
-    /// The calling thread must own `wkr`.
+    /// One empty round of the worker that `h` acts as, when it may
+    /// park: snooze until the park round, then park unless `has_work()`,
+    /// which runs after the flag is set and fenced. The trace records
+    /// `park` and `unpark` around the park itself.
     #[cfg_attr(loom, track_caller)]
-    pub(crate) unsafe fn wait(&mut self, wkr: &Worker, has_work: impl FnOnce() -> bool) {
+    pub(crate) fn wait<S: Strategy>(
+        &mut self,
+        h: &mut WorkerHandle<S>,
+        has_work: impl FnOnce() -> bool,
+    ) {
         if !self.parks_next() {
             return self.snooze();
         }
+        let wkr = h.wkr();
         wkr.thread.get_or_init(crate::sync::thread::current);
         wkr.parked.store(true, SeqCst);
         fence(SeqCst);
@@ -282,10 +243,10 @@ impl Idle {
             self.rounds = 0;
             return;
         }
-        probe!(&mut *wkr.own.get(), Park, 0);
+        probe!(h, Park, 0);
         crate::sync::thread::park_timeout(Self::PARK_TIMEOUT);
         wkr.parked.store(false, Relaxed);
-        probe!(&mut *wkr.own.get(), Unpark, 0);
+        probe!(h, Unpark, 0);
     }
 
     /// Wakes one parked worker, if any; call it after making work
@@ -336,7 +297,7 @@ mod tests {
 
     #[test]
     fn new_worker_is_quiescent() {
-        let w = Worker::new(0, 64);
+        let w = Worker::new(64, TraceRing::default());
         assert_eq!(w.bot.load(Ordering::Relaxed), 0);
         assert_eq!(w.n_public.load(Ordering::Relaxed), 0);
         assert!(!w.publish_request.load(Ordering::Relaxed));
@@ -345,19 +306,13 @@ mod tests {
 
     #[test]
     fn rng_streams_differ_between_workers() {
-        let a = Worker::new(0, 16);
-        let b = Worker::new(1, 16);
-        // SAFETY: exclusive access in test.
-        let (ra, rb) = unsafe { ((*a.own.get()).next_rand(), (*b.own.get()).next_rand()) };
-        assert_ne!(ra, rb);
+        assert_ne!(Rng::for_worker(0).next(), Rng::for_worker(1).next());
     }
 
     #[test]
     fn rng_is_not_constant() {
-        let w = Worker::new(3, 16);
-        // SAFETY: exclusive access in test.
-        let own = unsafe { &mut *w.own.get() };
-        let vals: Vec<u64> = (0..8).map(|_| own.next_rand()).collect();
+        let mut rng = Rng::for_worker(3);
+        let vals: Vec<u64> = (0..8).map(|_| rng.next()).collect();
         let first = vals[0];
         assert!(vals.iter().any(|&v| v != first));
     }

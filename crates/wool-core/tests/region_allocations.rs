@@ -1,0 +1,34 @@
+//! A parallel region allocates only its report: 1000 untraced
+//! `Pool::run` regions of one `fork` on a two-worker pool, counted by a
+//! global allocator. Worker 0's fresh handle per region allocates
+//! nothing.
+
+mod counting;
+
+use std::sync::atomic::Ordering::Relaxed;
+
+use counting::ALLOCS;
+use wool_core::Pool;
+
+const REGIONS: u64 = 1000;
+
+/// Allocations per region: the gathered reports and the `RunReport`'s
+/// per-worker counters.
+const PER_REGION: u64 = 2;
+
+#[test]
+fn a_region_allocates_only_its_report() {
+    let mut pool: Pool = Pool::new(2);
+    // The first region pays for one-time setup.
+    assert_eq!(pool.run(|h| h.fork(|_| 1, |_| 2)), (1, 2));
+
+    let before = ALLOCS.load(Relaxed);
+    for _ in 0..REGIONS {
+        assert_eq!(pool.run(|h| h.fork(|_| 1, |_| 2)), (1, 2));
+    }
+    let allocs = ALLOCS.load(Relaxed) - before;
+    assert!(
+        allocs <= PER_REGION * REGIONS + 8,
+        "{REGIONS} regions made {allocs} allocations"
+    );
+}

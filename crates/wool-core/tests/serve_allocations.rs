@@ -5,49 +5,15 @@
 //! every allocation made since before it started has been freed, also
 //! for a job whose handle was dropped before the job ran and for a job
 //! whose panic reached `join`.
-//!
-//! This file holds a single test, so no other test allocates while it
-//! counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+mod counting;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
+use counting::{ALLOCS, FREES};
 use wool_core::ServePool;
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: forwards every call to the system allocator unchanged.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        // A realloc frees one block and allocates another.
-        ALLOCS.fetch_add(1, Relaxed);
-        FREES.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const JOBS: u64 = 1000;
 

@@ -289,13 +289,11 @@ mod tests {
     #[test]
     fn steal_graph_edges_and_totals() {
         let mut t1 = TraceRing::new(64);
-        t1.set_enabled(true);
         for _ in 0..3 {
             t1.record(EventKind::StealSuccess, 20, 0);
         }
         t1.record(EventKind::StealFail, 31, 2);
         let mut t2 = TraceRing::new(64);
-        t2.set_enabled(true);
         t2.record(EventKind::LeapSteal, 25, 0);
         t2.record(EventKind::Backoff, 40, 1);
 
@@ -331,7 +329,6 @@ mod tests {
     fn failed_counts_only_empty_attempts() {
         use EventKind::*;
         let mut r = TraceRing::new(64);
-        r.set_enabled(true);
         let outcomes = [StealSuccess, LeapSteal, StealFail, StealLost, Backoff];
         for (i, &kind) in outcomes.iter().enumerate() {
             for _ in 0..=i {
@@ -350,7 +347,6 @@ mod tests {
     #[test]
     fn interval_histogram_buckets_log2() {
         let mut r = TraceRing::new(64);
-        r.set_enabled(true);
         // Steals at t = 0, 1, 5, 1029: intervals 1 (bucket 0),
         // 4 (bucket 2), 1024 (bucket 10).
         for ts in [0u64, 1, 5, 1029] {
@@ -366,7 +362,6 @@ mod tests {
     #[test]
     fn utilization_counts_idle_spans() {
         let mut r = TraceRing::new(64);
-        r.set_enabled(true);
         r.record(EventKind::Spawn, 0, 1);
         r.record(EventKind::Idle, 100, 0);
         r.record(EventKind::Unpark, 300, 0);
@@ -385,11 +380,9 @@ mod tests {
     #[test]
     fn trailing_idle_span_counts_to_trace_end() {
         let mut r = TraceRing::new(16);
-        r.set_enabled(true);
         r.record(EventKind::Spawn, 0, 1);
         r.record(EventKind::Idle, 100, 0);
         let mut other = TraceRing::new(16);
-        other.set_enabled(true);
         other.record(EventKind::Spawn, 200, 1);
         // Trace span 0..200, worker 0 idle 100..200 → busy 0.5.
         let a = analyze(&Trace::new(vec![r.snapshot(0), other.snapshot(1)], 1.0));
@@ -400,7 +393,6 @@ mod tests {
     #[test]
     fn analysis_json_is_valid() {
         let mut r = TraceRing::new(16);
-        r.set_enabled(true);
         r.record(EventKind::StealSuccess, 2, 0);
         let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
         let parsed = minijson::parse(&a.to_json().pretty()).unwrap();

@@ -135,13 +135,11 @@ mod tests {
 
     fn sample_trace() -> Trace {
         let mut r0 = TraceRing::new(32);
-        r0.set_enabled(true);
         r0.record(EventKind::Spawn, 100, 1);
         r0.record(EventKind::Idle, 200, 0);
         r0.record(EventKind::StealSuccess, 300, 1);
         r0.record(EventKind::JoinFastPrivate, 400, 1);
         let mut r1 = TraceRing::new(32);
-        r1.set_enabled(true);
         r1.record(EventKind::Publish, 150, 2);
         Trace::new(vec![r0.snapshot(0), r1.snapshot(1)], 2.0)
     }

@@ -31,7 +31,6 @@ mod tests {
 
     fn filled_ring(cap: usize, n: u64) -> TraceRing {
         let mut r = TraceRing::new(cap);
-        r.set_enabled(true);
         for i in 0..n {
             r.record(EventKind::Spawn, 1000 + i, i as u32);
         }
@@ -40,7 +39,7 @@ mod tests {
 
     #[test]
     fn disabled_ring_records_nothing() {
-        let mut r = TraceRing::new(8);
+        let mut r = TraceRing::default();
         r.record(EventKind::Spawn, 1, 0);
         assert_eq!(r.recorded(), 0);
         assert!(r.snapshot(0).events.is_empty());
@@ -122,11 +121,9 @@ mod tests {
     #[test]
     fn trace_counts_and_epoch() {
         let mut a = TraceRing::new(16);
-        a.set_enabled(true);
         a.record(EventKind::StealSuccess, 50, 1);
         a.record(EventKind::StealFail, 60, 1);
         let mut b = TraceRing::new(16);
-        b.set_enabled(true);
         b.record(EventKind::StealSuccess, 40, 0);
         let t = Trace::new(vec![a.snapshot(0), b.snapshot(1)], 1.0);
         assert_eq!(t.len(), 3);

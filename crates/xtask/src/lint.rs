@@ -141,7 +141,7 @@ pub fn check_probe_only(content: &str) -> Vec<Finding> {
             findings.push(Finding {
                 line: idx + 1,
                 message: "event counted or traced outside `probe!`; \
-                          use `probe!(own, Kind, arg)`"
+                          use `probe!(handle, Kind, arg)`"
                     .into(),
             });
         }
@@ -282,26 +282,26 @@ mod tests {
 
     #[test]
     fn probe_rule_flags_counter_bumps_and_ring_records() {
-        let bump = "fn f(own: &mut O) {\n    own.stats.steals += 1;\n}\n";
+        let bump = "fn f(h: &mut WorkerHandle<S>) {\n    h.stats.steals += 1;\n}\n";
         let f = check_probe_only(bump);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].line, 2);
-        let spaced = "self.own().stats.backoffs+= 1;\n";
+        let spaced = "self.stats.backoffs+= 1;\n";
         assert_eq!(check_probe_only(spaced).len(), 1);
-        let record = "own.trace.record(EventKind::Park, now(), 0);\n";
+        let record = "h.trace.record(EventKind::Park, now(), 0);\n";
         assert_eq!(check_probe_only(record).len(), 1);
     }
 
     #[test]
     fn probe_rule_exempts_its_definition_tests_and_other_updates() {
-        let definition = "macro_rules! probe {\n    ($own:expr) => {{\n        \
-                          own.trace.record(kind, ts, arg);\n    }};\n}\n";
+        let definition = "macro_rules! probe {\n    ($h:expr) => {{\n        \
+                          $h.trace.record(kind, ts, arg);\n    }};\n}\n";
         assert!(check_probe_only(definition).is_empty());
-        let after = format!("{definition}own.stats.steals += 1;\n");
+        let after = format!("{definition}self.stats.steals += 1;\n");
         assert_eq!(check_probe_only(&after)[0].line, 6);
         let tests = "#[cfg(test)]\nmod tests { fn t(s: &mut S) { s.stats.steals += 1; } }\n";
         assert!(check_probe_only(tests).is_empty());
-        let comment = "// own.stats.steals += 1 used to live here\n";
+        let comment = "// self.stats.steals += 1 used to live here\n";
         assert!(check_probe_only(comment).is_empty());
         let derived = "stats.spawns = stats.inlined_private + stats.rts_joins;\n";
         assert!(check_probe_only(derived).is_empty());
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn probe_rule_applies_to_wool_core_only() {
-        let bump = "own.stats.steals += 1;\n";
+        let bump = "self.stats.steals += 1;\n";
         assert_eq!(check_file("wool-core", "exec.rs", bump).len(), 1);
         assert!(check_file("wool-par", "split.rs", bump).is_empty());
     }
