@@ -1,10 +1,9 @@
-//! Microbenchmark: owner-end push/pop throughput of the task-pool
-//! substrates — our Chase–Lev (fenced pop), the locked deque, and the
-//! idempotent LIFO pool.
+//! Microbenchmark: owner-end push/pop throughput of the baselines' deque
+//! substrates — our Chase–Lev (fenced pop) and the locked deque.
 
+use ws_baseline::chase_lev::OwnerToken;
+use ws_baseline::{ChaseLev, LockedDeque, StealProtocol};
 use ws_bench::microbench::Bench;
-use ws_deque::chase_lev::OwnerToken;
-use ws_deque::{ChaseLev, IdempotentLifo, LockedDeque, StealProtocol};
 
 const N: usize = 1000;
 
@@ -37,18 +36,6 @@ fn main() {
         }
         for _ in 0..N {
             std::hint::black_box(d.steal(StealProtocol::Base));
-        }
-    });
-    b.bench("deque/idempotent put+take", || {
-        let d = IdempotentLifo::new(2 * N);
-        // SAFETY: single-threaded bench owns the pool.
-        unsafe {
-            for i in 0..N {
-                let _ = d.put(i);
-            }
-            for _ in 0..N {
-                std::hint::black_box(d.take());
-            }
         }
     });
     b.finish();

@@ -30,6 +30,7 @@ pub struct Measurement {
 }
 
 /// Runs `spec` on `system` `repeats` times, keeping the fastest run.
+/// Building a run's inputs (`WorkloadSpec::job`) is not timed.
 pub fn measure_job(system: &mut System, spec: &WorkloadSpec, repeats: usize) -> Measurement {
     assert!(repeats >= 1);
     let mut best = Measurement {
@@ -41,8 +42,9 @@ pub fn measure_job(system: &mut System, spec: &WorkloadSpec, repeats: usize) -> 
     };
     for _ in 0..repeats {
         system.reset_stats();
+        let job = spec.job();
         let t0 = Instant::now();
-        let checksum = system.run_job(spec.job());
+        let checksum = system.run_job(job);
         let dt = t0.elapsed();
         let secs = dt.as_secs_f64();
         if secs < best.seconds {

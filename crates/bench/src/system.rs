@@ -11,8 +11,7 @@ use wool_core::{
     StealLockTrylock, SyncOnTask, TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap,
 };
 use ws_baseline::{
-    cilk_like, omp_like, tbb_like, CentralPool, CilkLikePool, OmpLikePool, SerialExecutor,
-    TbbLikePool,
+    cilk_like, omp_like, tbb_like, CilkLikePool, OmpLikePool, SerialExecutor, TbbLikePool,
 };
 
 /// Which scheduler to instantiate.
@@ -44,15 +43,13 @@ pub enum SystemKind {
     CilkLike,
     /// icc OpenMP stand-in: locked deques plus a global steal lock.
     OmpLike,
-    /// Carbon-style software analogue: one global task queue.
-    Central,
     /// Sequential execution with zero task overhead (T_S).
     Serial,
 }
 
 impl SystemKind {
     /// Every system, in declaration order.
-    pub const ALL: [SystemKind; 14] = [
+    pub const ALL: [SystemKind; 13] = [
         SystemKind::Wool,
         SystemKind::WoolAllPublic,
         SystemKind::WoolTaskSpecific,
@@ -65,7 +62,6 @@ impl SystemKind {
         SystemKind::TbbLike,
         SystemKind::CilkLike,
         SystemKind::OmpLike,
-        SystemKind::Central,
         SystemKind::Serial,
     ];
 
@@ -101,7 +97,6 @@ impl SystemKind {
             SystemKind::TbbLike => "tbb-like",
             SystemKind::CilkLike => "cilk-like",
             SystemKind::OmpLike => "omp-like",
-            SystemKind::Central => "central",
             SystemKind::Serial => "serial",
         }
     }
@@ -133,8 +128,6 @@ pub enum System {
     CilkLike(CilkLikePool),
     /// See [`SystemKind::OmpLike`].
     OmpLike(OmpLikePool),
-    /// See [`SystemKind::Central`].
-    Central(CentralPool),
     /// See [`SystemKind::Serial`].
     Serial(SerialExecutor),
 }
@@ -164,7 +157,6 @@ impl System {
             SystemKind::TbbLike => System::TbbLike(tbb_like(w)),
             SystemKind::CilkLike => System::CilkLike(cilk_like(w)),
             SystemKind::OmpLike => System::OmpLike(omp_like(w)),
-            SystemKind::Central => System::Central(CentralPool::new(w)),
             SystemKind::Serial => System::Serial(SerialExecutor::new()),
         }
     }
@@ -184,7 +176,6 @@ impl System {
             System::TbbLike(_) => SystemKind::TbbLike,
             System::CilkLike(_) => SystemKind::CilkLike,
             System::OmpLike(_) => SystemKind::OmpLike,
-            System::Central(_) => SystemKind::Central,
             System::Serial(_) => SystemKind::Serial,
         }
     }
@@ -204,7 +195,6 @@ impl System {
             System::TbbLike(p) => p.run_job(job),
             System::CilkLike(p) => p.run_job(job),
             System::OmpLike(p) => p.run_job(job),
-            System::Central(p) => p.run_job(job),
             System::Serial(e) => e.run_job(job),
         }
     }
@@ -216,7 +206,6 @@ impl System {
             System::TbbLike(p) => p.stats(),
             System::CilkLike(p) => p.stats(),
             System::OmpLike(p) => p.stats(),
-            System::Central(p) => p.stats(),
             _ => self.last_report().map(|r| r.total).unwrap_or_default(),
         }
     }
@@ -245,7 +234,6 @@ impl System {
             System::TbbLike(p) => p.reset_stats(),
             System::CilkLike(p) => p.reset_stats(),
             System::OmpLike(p) => p.reset_stats(),
-            System::Central(p) => p.reset_stats(),
             _ => {}
         }
     }
@@ -305,6 +293,6 @@ mod tests {
     fn names_are_distinct() {
         use std::collections::HashSet;
         let names: HashSet<_> = SystemKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), 14);
+        assert_eq!(names.len(), SystemKind::ALL.len());
     }
 }

@@ -17,14 +17,11 @@
 //!   a hand-rolled splitter).
 //!
 //! [`spec`] describes every workload/parameter combination of Table I
-//! so the bench harness can enumerate them. [`extra`] adds classic
-//! task-parallel programs beyond the paper's set (nqueens, sorting,
-//! Strassen, heat diffusion, knapsack).
+//! so the bench harness can enumerate them.
 
 #![warn(missing_docs)]
 
 pub mod cholesky;
-pub mod extra;
 pub mod fib;
 pub mod loops_par;
 pub mod mm;

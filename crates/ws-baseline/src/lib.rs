@@ -15,28 +15,71 @@
 //!   identifies as the source of Cilk++'s high steal cost.
 //! * [`OmpLikePool`] — the locked pool plus a **global steal lock**,
 //!   standing in for the more centralized icc OpenMP runtime.
-//! * [`CentralPool`] — a single global task queue shared by all
-//!   workers (the software analogue of the Carbon design point the
-//!   paper discusses in §I).
 //! * [`SerialExecutor`] — the no-overhead sequential baseline (`T_S`).
 //!
 //! All of them implement `wool_core::{Fork, Executor}`, so the
 //! `workloads` crate runs identical programs on every system.
 //!
+//! The pools sit on two deque substrates of their own, generic over
+//! `T: Send` and instantiated with pointers to heap task frames (the
+//! paper's "keeping only pointers in their task queues"):
+//!
+//! * [`chase_lev`] — an owner/thief circular deque in the style of
+//!   Chase & Lev (SPAA 2005) with the C11 orderings of Lê et al.
+//!   (PPoPP 2013). The owner's pop pays the sequentially-consistent
+//!   fence that the paper argues the direct task stack avoids.
+//! * [`locked`] — a mutex-protected deque with the three steal
+//!   protocols of §IV-C (*base*, *peek*, *trylock*).
+//!
 //! See DESIGN.md §3 for the substitution argument and its limits.
 
 #![warn(missing_docs)]
 
-pub mod central;
+pub mod chase_lev;
+pub mod locked;
 pub mod node;
 pub mod npool;
 pub mod queues;
 pub mod serial;
 
-pub use central::{CentralCtx, CentralPool};
+pub use chase_lev::ChaseLev;
+pub use locked::{LockedDeque, StealProtocol};
 pub use npool::{NodeCtx, NodePool, NodePoolConfig};
 pub use queues::{protocol, ChaseLevQueue, LockedQueue, NodeQueue};
 pub use serial::{SerialCtx, SerialExecutor};
+
+/// Outcome of a steal attempt, shared by both deque families.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Steal<T> {
+    /// A task was successfully taken from the victim.
+    Success(T),
+    /// The deque was observed empty.
+    Empty,
+    /// The attempt lost a race (CAS failure, lock contention, ...) and
+    /// may be retried immediately.
+    Retry,
+}
+
+impl<T> Steal<T> {
+    /// Returns the stolen value, if any.
+    pub fn success(self) -> Option<T> {
+        match self {
+            Steal::Success(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// True if the attempt should be retried without treating the victim
+    /// as empty.
+    pub fn is_retry(&self) -> bool {
+        matches!(self, Steal::Retry)
+    }
+
+    /// True if the victim was observed empty.
+    pub fn is_empty(&self) -> bool {
+        matches!(self, Steal::Empty)
+    }
+}
 
 /// TBB-like scheduler: Chase–Lev deque of boxed task pointers.
 pub type TbbLikePool = NodePool<ChaseLevQueue>;

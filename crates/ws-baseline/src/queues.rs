@@ -1,11 +1,11 @@
-//! Queue adapters plugging `ws-deque` structures into the baseline pool.
+//! Queue adapters plugging the deques of [`crate::chase_lev`] and
+//! [`crate::locked`] into the baseline pool.
 
 use std::cell::UnsafeCell;
 
-use ws_deque::chase_lev::OwnerToken;
-use ws_deque::{ChaseLev, LockedDeque, Steal, StealProtocol};
-
+use crate::chase_lev::OwnerToken;
 use crate::node::TaskHeader;
+use crate::{ChaseLev, LockedDeque, Steal, StealProtocol};
 
 /// A per-worker task queue of type-erased node pointers.
 ///
