@@ -1,13 +1,16 @@
 //! Figure 6 — *Breakdown of CPU time, selected workloads.*
 //!
-//! Instrumented Wool runs classify every worker's time into the paper's
-//! categories: NA (application), LA (application acquired through leap
-//! frogging), ST (stealing), LF (leap-frog overhead), with TR (startup/
-//! shutdown and untracked remainder) computed as region wall time times
-//! workers minus the tracked categories. Values are normalized to the
-//! single-worker NA time, as in the paper.
+//! Wool runs that record the breakdown events
+//! ([`TraceLevel::Breakdown`]) are classified by
+//! [`wool_trace::breakdown`] into the paper's categories: NA
+//! (application), LA (application acquired through leap frogging), ST
+//! (stealing), LF (leap-frog overhead), with TR (startup/shutdown and
+//! untracked remainder) computed as region wall time times workers minus
+//! the tracked categories. Values are normalized to the single-worker NA
+//! time, as in the paper.
 
-use wool_core::{Category, PoolConfig};
+use wool_core::{PoolConfig, TraceLevel};
+use wool_trace::Breakdown;
 use workloads::{WorkloadKind, WorkloadSpec};
 
 use crate::cli::BenchArgs;
@@ -67,23 +70,27 @@ pub fn run(args: &BenchArgs) -> Result {
         let mut bars = Vec::new();
         let mut na1 = f64::NAN;
         for &p in &sweep {
-            let cfg = PoolConfig::with_workers(p).instrument_time(true);
+            let cfg = PoolConfig::with_workers(p).trace(TraceLevel::Breakdown);
             let mut sys = System::create_with(SystemKind::Wool, cfg);
             measure_job(&mut sys, spec, 1);
-            let report = sys.last_report().expect("instrumented wool run");
-            let na = report.breakdown.get(Category::Na) as f64;
-            let la = report.breakdown.get(Category::La) as f64;
-            let st = report.breakdown.get(Category::St) as f64;
-            let lf = report.breakdown.get(Category::Lf) as f64;
-            // TR: untracked remainder of (wall * workers).
-            let wall_total = report.wall_ticks as f64 * p as f64;
-            let tr = (wall_total - (na + la + st + lf)).max(0.0);
+            let System::Wool(pool) = &sys else {
+                unreachable!("created as the full Wool pool")
+            };
+            let wall = pool.last_report().expect("a run just ended").wall_ticks;
+            let trace = pool.last_trace().expect("the pool records the breakdown");
+            let b = wool_trace::breakdown(trace, wall).unwrap_or_else(|| {
+                panic!(
+                    "{}: breakdown refused ({} events dropped)",
+                    spec.name(),
+                    trace.dropped()
+                )
+            });
             if p == 1 {
-                na1 = na.max(1.0);
+                na1 = (b.na as f64).max(1.0);
             }
             bars.push(Bar {
                 workers: p,
-                fractions: [tr / na1, na / na1, la / na1, st / na1, lf / na1],
+                fractions: b.cycles().map(|c| c as f64 / na1),
             });
         }
         panels.push(Panel {
@@ -108,8 +115,7 @@ pub fn render(r: &Result) -> Vec<Table> {
                 ),
                 &header,
             );
-            let labels = ["TR", "NA", "LA", "ST", "LF"];
-            for (i, label) in labels.iter().enumerate() {
+            for (i, label) in Breakdown::LABELS.iter().enumerate() {
                 let mut cells = vec![label.to_string()];
                 for b in &panel.bars {
                     cells.push(fmt_sig(b.fractions[i]));

@@ -211,7 +211,7 @@ impl System {
     }
 
     /// Full run report, if this is a Wool pool (per-worker statistics
-    /// and the time breakdown).
+    /// and the region's wall time).
     pub fn last_report(&self) -> Option<&wool_core::RunReport> {
         match self {
             System::Wool(p) => p.last_report(),

@@ -12,7 +12,7 @@
 
 use std::path::Path;
 
-use wool_core::{Pool, PoolConfig, Stats, WoolFull};
+use wool_core::{Pool, PoolConfig, Stats, TraceLevel, WoolFull};
 use wool_trace::Trace;
 
 use crate::report::{steal_summary_table, Table};
@@ -58,7 +58,7 @@ where
         panic!("recording a trace needs the `trace` feature");
     }
     let cfg = PoolConfig::with_workers(workers.max(2))
-        .instrument_trace(true)
+        .trace(TraceLevel::All)
         .trace_capacity(TRACE_CAPACITY);
     let mut pool: Pool<WoolFull> = Pool::with_config(cfg);
     pool.run(job);

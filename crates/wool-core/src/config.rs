@@ -1,5 +1,7 @@
 //! Pool configuration.
 
+use crate::trace::TraceLevel;
+
 /// Largest accepted worker count. A thief's index is encoded in a task
 /// state word as `STOLEN_BASE + i`, which this bound keeps below the
 /// smallest task word, `TASK_MIN`.
@@ -30,13 +32,11 @@ pub struct PoolConfig {
     pub trip_distance: usize,
     /// How many additional descriptors the owner publishes per request.
     pub publish_batch: usize,
-    /// Enable Figure 6 CPU-time breakdown for the next runs.
-    pub instrument_time: bool,
-    /// Enable per-worker event tracing for the next runs. Only takes
-    /// effect when the crate is built with the `trace` cargo feature
-    /// ([`crate::trace::TRACE`]); without it the field is accepted and
-    /// ignored.
-    pub instrument_trace: bool,
+    /// What each worker records in its event trace ring: nothing (the
+    /// default), the Figure 6 breakdown kinds, or every kind. Kinds
+    /// other than the breakdown kinds record only in a build with the
+    /// `trace` cargo feature ([`crate::trace::TRACE`]).
+    pub trace: TraceLevel,
     /// Per-worker trace ring capacity, in events. When a run records
     /// more, the oldest events are overwritten (and counted as dropped
     /// in the collected trace).
@@ -76,8 +76,7 @@ impl PoolConfig {
             stack_capacity: 8192,
             trip_distance: 2,
             publish_batch: 4,
-            instrument_time: false,
-            instrument_trace: false,
+            trace: TraceLevel::Off,
             trace_capacity: 1 << 20,
             injector_capacity: 1024,
             min_grain: 1,
@@ -91,16 +90,9 @@ impl PoolConfig {
         self
     }
 
-    /// Builder-style: enables time-breakdown instrumentation.
-    pub fn instrument_time(mut self, on: bool) -> Self {
-        self.instrument_time = on;
-        self
-    }
-
-    /// Builder-style: enables event tracing (needs the `trace` cargo
-    /// feature to record anything).
-    pub fn instrument_trace(mut self, on: bool) -> Self {
-        self.instrument_trace = on;
+    /// Builder-style: sets what the workers' trace rings record.
+    pub fn trace(mut self, level: TraceLevel) -> Self {
+        self.trace = level;
         self
     }
 
@@ -179,20 +171,20 @@ mod tests {
     fn builder_chains() {
         let c = PoolConfig::with_workers(3)
             .stack_capacity(64)
-            .instrument_time(true)
+            .min_grain(8)
             .validated();
         assert_eq!(c.workers, 3);
         assert_eq!(c.stack_capacity, 64);
-        assert!(c.instrument_time);
+        assert_eq!(c.min_grain, 8);
     }
 
     #[test]
     fn trace_builders() {
         let c = PoolConfig::with_workers(1)
-            .instrument_trace(true)
+            .trace(TraceLevel::Breakdown)
             .trace_capacity(0)
             .validated();
-        assert!(c.instrument_trace);
+        assert_eq!(c.trace, TraceLevel::Breakdown);
         assert_eq!(c.trace_capacity, 1, "degenerate capacity normalized");
     }
 

@@ -26,6 +26,7 @@
 use crate::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release};
 use std::marker::PhantomData;
 
+use crate::cycles;
 use crate::pool::PoolInner;
 use crate::slot::{
     check_transition, is_done, is_stolen, is_task, spin_while_empty, stolen, thief_of, wrapper_of,
@@ -33,9 +34,8 @@ use crate::slot::{
 };
 use crate::stats::Stats;
 use crate::strategy::{StealSync, Strategy};
-use crate::timebreak::{Category, TimeBreak};
-use crate::trace::{probe, TraceRing, TRACE};
-use crate::worker::{Idle, Rng, Worker, WorkerReport};
+use crate::trace::{probe, TraceLevel, TraceRing};
+use crate::worker::{Idle, Rng, Worker};
 
 /// Outcome of one steal attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,7 +139,6 @@ pub struct WorkerHandle<S: Strategy> {
     pub(crate) stats: Stats,
     /// Event trace ring; between windows it waits in the mailbox.
     pub(crate) trace: TraceRing,
-    tb: TimeBreak,
     rng: Rng,
     idx: usize,
     /// Cached configuration (hot-path reads).
@@ -171,7 +170,6 @@ impl<S: Strategy> WorkerHandle<S> {
             n_public: wkr.n_public.load(Relaxed),
             stats: Stats::default(),
             trace: TraceRing::default(),
-            tb: TimeBreak::default(),
             rng: Rng::for_worker(idx),
             idx,
             trip_distance: pool.cfg.trip_distance,
@@ -221,19 +219,16 @@ impl<S: Strategy> WorkerHandle<S> {
     }
 
     /// Starts a measurement window (a batch region, or a serve worker's
-    /// life): zeroes the counters and arms the configured
-    /// instrumentation, the time breakdown starting in category `start`
-    /// and the trace ring taken back from the report mailbox.
-    pub(crate) fn begin(&mut self, start: Category) {
-        let cfg = &self.pool().cfg;
+    /// life): zeroes the counters and, when the pool traces, takes the
+    /// trace ring back from the report mailbox and opens it.
+    pub(crate) fn begin(&mut self) {
         self.stats = Stats::default();
-        self.tb.reset(cfg.instrument_time, start);
-        if TRACE && cfg.instrument_trace {
+        if self.pool().cfg.trace != TraceLevel::Off {
             // SAFETY: the coordinator reads the mailbox only before this
             // window could open (see `Worker`'s `Sync` safety comment).
             let parked = unsafe { &mut (*self.wkr().report.get()).trace };
             self.trace = std::mem::take(parked);
-            self.trace.clear();
+            self.trace.open(cycles::now());
         }
     }
 
@@ -245,12 +240,14 @@ impl<S: Strategy> WorkerHandle<S> {
         // The owner joins every task it pushed exactly once, and each
         // join bumps exactly one of these counters.
         stats.spawns = stats.inlined_private + stats.inlined_public + stats.rts_joins;
-        let breakdown = self.tb.finish();
+        if self.trace.is_enabled() {
+            self.trace.close(cycles::now());
+        }
         let wkr = self.wkr();
         // SAFETY: the mailbox is this thread's until the Release store
         // below (see `Worker`'s `Sync` safety comment).
         let mailbox = unsafe { &mut *wkr.report.get() };
-        mailbox.report = WorkerReport { stats, breakdown };
+        mailbox.report = stats;
         mailbox.trace = std::mem::take(&mut self.trace);
         wkr.report_epoch.store(epoch, Release);
     }
@@ -689,7 +686,6 @@ impl<S: Strategy> WorkerHandle<S> {
         // overwrite its state word and result.
         self.top += 1;
         probe!(self, Leapfrog, thief);
-        let prev = self.tb.switch(Category::Lf);
         let mut idle = Idle::default();
         let s = loop {
             let s = slot.state.load(Acquire);
@@ -716,7 +712,7 @@ impl<S: Strategy> WorkerHandle<S> {
             }
         };
         self.top -= 1;
-        self.tb.switch(prev);
+        probe!(self, Resume, 0);
         s
     }
 
@@ -950,13 +946,11 @@ impl<S: Strategy> WorkerHandle<S> {
     ) -> StealOutcome {
         // Only a blocked join's leap-frog steals with `leap`, so its
         // work is LA; a thief's top-level steal runs NA work.
-        let prev_cat = if leap {
+        if leap {
             probe!(self, LeapSteal, victim_idx);
-            self.tb.switch(Category::La)
         } else {
             probe!(self, StealSuccess, victim_idx);
-            self.tb.switch(Category::Na)
-        };
+        }
 
         let wrapper = wrapper_of(task);
         let ok = wrapper(slot as *const TaskSlot, self as *mut Self as *mut ());
@@ -972,7 +966,7 @@ impl<S: Strategy> WorkerHandle<S> {
         // Publish completion *after* the result write.
         slot.state
             .store(if ok { DONE } else { DONE_PANIC }, Release);
-        self.tb.switch(prev_cat);
+        probe!(self, Resume, 0);
         StealOutcome::Executed
     }
 

@@ -22,10 +22,12 @@
 //! * [`ServePool`] — serve mode: persistent workers that take root jobs
 //!   from any thread through the bounded [`Injector`] and return
 //!   [`JobHandle`] futures, leaving the task-stack fast path untouched.
-//! * Instrumentation: scheduler event counters ([`Stats`]) and, with
-//!   the `trace` cargo feature, per-worker event traces, both fed by
-//!   one event vocabulary ([`trace`]); and the Figure 6 CPU-time
-//!   breakdown ([`TimeBreakdown`] by [`Category`]).
+//! * Instrumentation: scheduler event counters ([`Stats`]) and
+//!   per-worker event traces, both fed by one event vocabulary
+//!   ([`trace`]). A trace at [`TraceLevel::Breakdown`] holds the events
+//!   from which `wool_trace::analysis` derives the Figure 6 CPU-time
+//!   breakdown, in every build; every other kind records only with the
+//!   `trace` cargo feature.
 //! * Work/span measurement with the paper's 0-cycle and 2000-cycle
 //!   overhead models: [`span::measure`] runs a [`Fork`] program on a
 //!   serial executor, since the span of a task DAG does not depend on
@@ -68,7 +70,6 @@ pub mod spinlock;
 mod stats;
 mod strategy;
 pub mod sync;
-mod timebreak;
 pub mod trace;
 mod worker;
 
@@ -83,7 +84,7 @@ pub use strategy::{
     LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, StealSync, Strategy, SyncOnTask,
     TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap,
 };
-pub use timebreak::{Category, TimeBreakdown};
+pub use trace::TraceLevel;
 
 #[cfg(test)]
 mod tests {

@@ -22,8 +22,8 @@
 //! before returning.
 //!
 //! After each `run`, a [`RunReport`] is available with the per-worker
-//! scheduler statistics and, when the [`PoolConfig`] enables it, the
-//! CPU-time breakdown (Figure 6).
+//! scheduler statistics and, when the [`PoolConfig`] traces, the event
+//! trace (Figure 6 is a view over it, in `wool_trace::analysis`).
 
 use crate::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
 use crate::sync::atomic::{AtomicBool, AtomicU64};
@@ -37,9 +37,8 @@ use crate::cycles;
 use crate::exec::WorkerHandle;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
-use crate::timebreak::{Category, TimeBreakdown};
-use crate::trace::{probe, Trace, TraceRing, TRACE};
-use crate::worker::{DeadOnUnwind, Idle, Worker, WorkerReport, CLOSED};
+use crate::trace::{probe, Trace, TraceLevel, TraceRing};
+use crate::worker::{DeadOnUnwind, Idle, Worker, CLOSED};
 
 /// Shared, strategy-independent pool state.
 pub(crate) struct PoolInner {
@@ -64,15 +63,11 @@ impl PoolInner {
     /// Used by both the batch [`Pool`] and the serve pool
     /// (`crate::serve`).
     pub(crate) fn build(cfg: PoolConfig) -> Arc<PoolInner> {
-        let ring = || {
-            if TRACE && cfg.instrument_trace {
-                TraceRing::new(cfg.trace_capacity)
-            } else {
-                TraceRing::default()
-            }
-        };
         let workers: Box<[Worker]> = (0..cfg.workers)
-            .map(|_| Worker::new(cfg.stack_capacity, ring()))
+            .map(|_| {
+                let ring = TraceRing::new(cfg.trace, cfg.trace_capacity);
+                Worker::new(cfg.stack_capacity, ring)
+            })
             .collect();
         Arc::new(PoolInner {
             workers,
@@ -104,7 +99,7 @@ impl PoolInner {
         // thief and never publishes.
         w0.publish_request.store(self.workers.len() > 1, Relaxed);
         let mut h = WorkerHandle::new(self, 0);
-        h.begin(Category::Na);
+        h.begin();
         h
     }
 
@@ -138,24 +133,29 @@ impl PoolInner {
         }
     }
 
-    /// Gathers the reports of `epoch` in worker order, with the merged
-    /// trace when tracing is configured. `joined(i)` says whether worker
-    /// `i` took part. The coordinator waits for the report of each worker
-    /// that did. A worker that did not gets an empty report and an empty
-    /// trace, and its mailbox is not touched at all: its thread may be
-    /// running, and the ring there still holds an earlier region's
-    /// events.
+    /// Gathers the reports of `epoch` into `per_worker` (cleared first),
+    /// in worker order, and returns the merged trace when the pool
+    /// traces. `joined(i)` says whether worker `i` took part. The
+    /// coordinator waits for the report of each worker that did. A worker
+    /// that did not gets an empty report and an empty trace, and its
+    /// mailbox is not touched at all: its thread may be running, and the
+    /// ring there still holds an earlier region's events.
     ///
     /// A batch region collects with its own epoch and closes each
     /// background worker out in `joined`; the serve pool collects with
     /// `u64::MAX` after joining its workers, and leaves out the dead. A
     /// batch region panics when a worker that joined it has died.
-    pub(crate) fn collect_reports(&self, epoch: u64, joined: impl Fn(usize) -> bool) -> Reports {
-        let mut reports = Vec::with_capacity(self.workers.len());
-        let mut snaps = (TRACE && self.cfg.instrument_trace).then(Vec::new);
+    pub(crate) fn collect_reports(
+        &self,
+        epoch: u64,
+        joined: impl Fn(usize) -> bool,
+        per_worker: &mut Vec<Stats>,
+    ) -> Option<Trace> {
+        per_worker.clear();
+        let mut snaps = (self.cfg.trace != TraceLevel::Off).then(Vec::new);
         for (i, w) in self.workers.iter().enumerate() {
             if !joined(i) {
-                reports.push(WorkerReport::default());
+                per_worker.push(Stats::default());
                 if let Some(snaps) = &mut snaps {
                     snaps.push(TraceRing::default().snapshot(i));
                 }
@@ -171,24 +171,13 @@ impl PoolInner {
             // next window, which for a batch worker needs the next
             // region (`&mut Pool`) and never comes for a serve worker.
             let mailbox = unsafe { &*w.report.get() };
-            reports.push(mailbox.report);
+            per_worker.push(mailbox.report);
             if let Some(snaps) = &mut snaps {
                 snaps.push(mailbox.trace.snapshot(i));
             }
         }
-        Reports {
-            reports,
-            trace: snaps.map(|s| Trace::new(s, cycles::ticks_per_ns())),
-        }
+        snaps.map(|s| Trace::new(s, cycles::ticks_per_ns()))
     }
-}
-
-/// What [`PoolInner::collect_reports`] gathers for one epoch.
-pub(crate) struct Reports {
-    /// One report per worker, in worker order.
-    pub reports: Vec<WorkerReport>,
-    /// The merged event trace, when tracing is built in and configured.
-    pub trace: Option<Trace>,
 }
 
 /// Everything measured during one [`Pool::run`].
@@ -200,8 +189,6 @@ pub struct RunReport {
     pub per_worker: Vec<Stats>,
     /// Sum of `per_worker`.
     pub total: Stats,
-    /// Merged CPU-time breakdown (zeros unless time-instrumented).
-    pub breakdown: TimeBreakdown,
 }
 
 /// A work-stealing pool running the direct task stack scheduler with
@@ -297,20 +284,21 @@ impl<S: Strategy> Pool<S> {
         handle.publish_report(epoch);
 
         // Close the region on every background worker: only those that
-        // joined it are waited for.
-        let collected = inner.collect_reports(epoch, |i| i == 0 || !inner.close_region(i, epoch));
-        self.last_trace = collected.trace;
-        let reports = collected.reports;
-        let mut breakdown = TimeBreakdown::default();
-        for r in &reports {
-            breakdown.merge(&r.breakdown);
-        }
-        let per_worker: Vec<Stats> = reports.iter().map(|r| r.stats).collect();
+        // joined it are waited for. The previous report's vector takes
+        // the counters, so a region allocates nothing for them.
+        let mut per_worker = self
+            .last_report
+            .take()
+            .map_or_else(Vec::new, |r| r.per_worker);
+        self.last_trace = inner.collect_reports(
+            epoch,
+            |i| i == 0 || !inner.close_region(i, epoch),
+            &mut per_worker,
+        );
         self.last_report = Some(RunReport {
             wall_ticks: wall,
             total: per_worker.iter().copied().sum(),
             per_worker,
-            breakdown,
         });
 
         match result {
@@ -325,9 +313,9 @@ impl<S: Strategy> Pool<S> {
     }
 
     /// The event trace of the most recent [`run`](Pool::run), when the
-    /// pool was configured with
-    /// [`instrument_trace`](PoolConfig::instrument_trace) and the crate
-    /// was built with the `trace` feature; `None` otherwise.
+    /// pool's [`trace`](PoolConfig::trace) level is not `Off`; `None`
+    /// otherwise. Without the `trace` cargo feature it holds only the
+    /// breakdown kinds, at either level.
     pub fn last_trace(&self) -> Option<&Trace> {
         self.last_trace.as_ref()
     }
@@ -374,7 +362,7 @@ fn background_loop<S: Strategy>(inner: Arc<PoolInner>, idx: usize) {
                     continue;
                 }
                 seen_epoch = epoch;
-                handle.begin(Category::St);
+                handle.begin();
             }
             if handle.steal_round() {
                 idle.rounds = 0;
@@ -487,6 +475,28 @@ mod tests {
         assert_eq!(second.total.stolen_joins, 0);
     }
 
+    /// A breakdown trace holds only the kinds that open or close a
+    /// Figure 6 category, in every build, and counts the steals as
+    /// `Stats` does; every category it opens is closed.
+    #[test]
+    fn breakdown_trace_counts_the_steals() {
+        use crate::trace::EventKind::{LeapSteal, Leapfrog, Resume, StealSuccess};
+        let cfg = PoolConfig::with_workers(2).trace(TraceLevel::Breakdown);
+        let mut pool: Pool = Pool::with_config(cfg);
+        region_joined_by_worker_1(&mut pool, 18);
+        let trace = pool.last_trace().expect("the pool records the breakdown");
+        let total = pool.last_report().unwrap().total;
+        assert_eq!(trace.dropped(), 0);
+        assert!(trace.workers.iter().all(|w| w.window.0 < w.window.1));
+        let mut events = trace.workers.iter().flat_map(|w| &w.events);
+        assert!(events.all(|e| e.kind.is_breakdown()));
+        assert!(total.steals >= 1);
+        assert_eq!(trace.count(StealSuccess), total.steals);
+        assert_eq!(trace.count(LeapSteal), total.leap_steals);
+        let opened = total.steals + total.leap_steals + trace.count(Leapfrog);
+        assert_eq!(trace.count(Resume), opened);
+    }
+
     /// A region that waits for a dead worker's report panics with the
     /// worker's index instead of hanging.
     #[test]
@@ -497,7 +507,7 @@ mod tests {
         assert!(inner.join_region(1, 1));
         inner.workers[1].dead.store(true, Release);
         inner.workers[0].report_epoch.store(1, Release);
-        inner.collect_reports(1, |i| i == 0 || !inner.close_region(i, 1));
+        inner.collect_reports(1, |i| i == 0 || !inner.close_region(i, 1), &mut Vec::new());
     }
 
     /// The coordinator takes no snapshot of a closed-out worker's ring,
@@ -507,7 +517,7 @@ mod tests {
     fn closed_out_worker_contributes_no_trace() {
         use crate::trace::EventKind;
         let cfg = PoolConfig::with_workers(2)
-            .instrument_trace(true)
+            .trace(TraceLevel::All)
             .trace_capacity(1 << 16);
         let mut pool: Pool = Pool::with_config(cfg);
         region_joined_by_worker_1(&mut pool, 18);

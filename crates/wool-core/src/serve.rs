@@ -47,7 +47,6 @@ use crate::pad::CachePadded;
 use crate::pool::PoolInner;
 use crate::stats::Stats;
 use crate::strategy::{Strategy, WoolFull};
-use crate::timebreak::Category;
 use crate::trace::{probe, Trace, TRACE};
 use crate::worker::{DeadOnUnwind, Idle};
 
@@ -87,9 +86,9 @@ pub struct ServeReport {
     pub per_worker: Vec<Stats>,
     /// Sum of `per_worker`.
     pub total: Stats,
-    /// The merged event trace of the session, when the pool was
-    /// configured with `instrument_trace` and the crate was built with
-    /// the `trace` feature.
+    /// The merged event trace of the session, when the pool's
+    /// [`trace`](PoolConfig::trace) level is not `Off`. Without the
+    /// `trace` cargo feature it holds only the breakdown kinds.
     pub trace: Option<Trace>,
 }
 
@@ -240,12 +239,7 @@ impl<S: Strategy> ServePool<S> {
     /// # Panics
     /// Panics when `cfg.workers == 0`.
     pub fn with_config(cfg: PoolConfig) -> Self {
-        // The time breakdown describes one fork-join region; a serve
-        // session has none, so it does not measure it.
-        let inner = PoolInner::build(PoolConfig {
-            instrument_time: false,
-            ..cfg.validated()
-        });
+        let inner = PoolInner::build(cfg.validated());
         let shared = Arc::new(Shared {
             injector: Injector::with_capacity(inner.cfg.injector_capacity),
             completed: (0..inner.cfg.workers)
@@ -377,15 +371,15 @@ impl<S: Strategy> ServePool<S> {
         // A worker whose thread a job unwound is marked dead and
         // contributes an empty report.
         let w = &self.inner.workers;
-        let collected = self
-            .inner
-            .collect_reports(u64::MAX, |i| !w[i].dead.load(Acquire));
-        let per_worker: Vec<Stats> = collected.reports.iter().map(|r| r.stats).collect();
+        let mut per_worker = Vec::with_capacity(w.len());
+        let trace =
+            self.inner
+                .collect_reports(u64::MAX, |i| !w[i].dead.load(Acquire), &mut per_worker);
         Some(ServeReport {
             jobs: self.shared.jobs(),
             total: per_worker.iter().copied().sum(),
             per_worker,
-            trace: collected.trace,
+            trace,
         })
     }
 }
@@ -403,7 +397,7 @@ fn serve_loop<S: Strategy>(inner: Arc<PoolInner>, shared: Arc<Shared<S>>, idx: u
     // unique owner of worker `idx`.
     let mut handle = unsafe { WorkerHandle::<S>::new(&inner, idx) };
     let _dead_on_unwind = DeadOnUnwind(&inner.workers[idx]);
-    handle.begin(Category::St);
+    handle.begin();
 
     let queue = &shared.injector;
     let mut idle = Idle::default();
@@ -502,10 +496,11 @@ mod tests {
     #[test]
     fn trace_pairs_every_park_with_an_unpark() {
         use crate::trace::EventKind::{Park, Unpark};
+        use crate::trace::TraceLevel;
         use std::time::{Duration, Instant};
 
         let cfg = PoolConfig::with_workers(2)
-            .instrument_trace(true)
+            .trace(TraceLevel::All)
             .trace_capacity(1 << 14);
         let pool: ServePool = ServePool::with_config(cfg);
         let t0 = Instant::now();

@@ -8,20 +8,25 @@
 //!   counter, named next to the kind in the table below, so each counter
 //!   is the number of events of one kind (`Stats::spawns` is derived,
 //!   see [`EventKind::Spawn`]).
-//! * **Tracing.** In a build with the `trace` cargo feature ([`TRACE`]),
-//!   a worker whose pool was configured with `instrument_trace` also
-//!   records the event, timestamped, into its own [`TraceRing`]. The
+//! * **Tracing.** A worker whose pool's [`TraceLevel`] is not `Off`
+//!   also records the event, timestamped, into its own [`TraceRing`]:
+//!   at `Breakdown` only the kinds that open or close a Figure 6
+//!   category ([`EventKind::is_breakdown`]), at `All` every kind. The
 //!   ring lives in the worker's handle, beside the counters: recording
 //!   is plain stores and an increment, with no atomics, no sharing and
-//!   no allocation. At the end of a measurement window the owner moves
-//!   the ring into its report mailbox; the coordinator snapshots it
-//!   there only after it has observed the report (an acquire on
-//!   `report_epoch`), which orders every prior store, and the owner's
-//!   next window takes it back.
+//!   no allocation. The ring also stamps the worker's measurement
+//!   window. At the end of the window the owner moves the ring into its
+//!   report mailbox; the coordinator snapshots it there only after it
+//!   has observed the report (an acquire on `report_epoch`), which
+//!   orders every prior store, and the owner's next window takes it
+//!   back.
 //!
-//! Without the feature the recording half is dead code: it is still
-//! type-checked, and the compiler removes it, so an untraced hot path
-//! is the counter increment alone.
+//! Kinds other than the breakdown kinds record only in a build with the
+//! `trace` cargo feature ([`TRACE`]). Without it their recording half
+//! is dead code: it is still type-checked, and the compiler removes it,
+//! so an untraced hot path is the counter increment alone. The
+//! breakdown kinds sit on the steal and leap-frog paths only, and
+//! record in every build.
 //!
 //! A finished run's rings merge into a [`Trace`]; the `wool-trace`
 //! crate exports it as Chrome trace JSON and computes the steal graph.
@@ -34,10 +39,10 @@ use crate::stats::Stats;
 pub const TRACE: bool = cfg!(feature = "trace");
 
 /// Counts one `$kind` event of the worker that the handle `$h` (a
-/// `WorkerHandle` place) acts as and, in a [`TRACE`] build whose ring is
-/// on, records it with argument `$arg` and the current cycle count, or
-/// the timestamp given as `at = $ts`. `$arg` and `$ts` are evaluated
-/// only when the event is recorded.
+/// `WorkerHandle` place) acts as and, when its ring records the kind
+/// ([`TraceRing::records`]), records it with argument `$arg` and the
+/// current cycle count, or the timestamp given as `at = $ts`. `$arg`
+/// and `$ts` are evaluated only when the event is recorded.
 macro_rules! probe {
     ($h:expr, $kind:ident, $arg:expr) => {
         $crate::trace::probe!($h, $kind, $arg, at = $crate::cycles::now())
@@ -47,7 +52,7 @@ macro_rules! probe {
         if let Some(n) = $h.stats.counter(kind) {
             *n += 1;
         }
-        if $crate::trace::TRACE && $h.trace.is_enabled() {
+        if $h.trace.records(kind) {
             $h.trace.record(kind, $ts, ($arg) as u32);
         }
     }};
@@ -119,6 +124,10 @@ events! {
     /// A leapfrogging joiner took a task from its thief. `arg` = victim
     /// index.
     LeapSteal = "leap_steal" => leap_steals,
+    /// A stolen task (`StealSuccess`, `LeapSteal`) finished running on
+    /// this worker, or its leap-frog wait (`Leapfrog`) ended: the worker
+    /// resumes what it did before that event. `arg` = 0.
+    Resume = "resume",
     /// A steal attempt found nothing to steal. `arg` = victim index.
     StealFail = "steal_fail" => failed_steals,
     /// A steal attempt lost the race for a task to the owner or another
@@ -160,6 +169,14 @@ events! {
 }
 
 impl EventKind {
+    /// Whether the kind opens or closes a Figure 6 category: these
+    /// record at every [`TraceLevel`] but `Off`, in every build.
+    #[inline(always)]
+    pub const fn is_breakdown(self) -> bool {
+        use EventKind::*;
+        matches!(self, StealSuccess | LeapSteal | Leapfrog | Resume)
+    }
+
     /// Whether `arg` names another worker (victim or thief).
     pub fn arg_is_worker(self) -> bool {
         use EventKind::*;
@@ -191,6 +208,21 @@ pub struct Event {
     pub arg: u32,
 }
 
+/// What a pool's workers record in their [`TraceRing`]s
+/// ([`PoolConfig::trace`](crate::PoolConfig::trace)).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum TraceLevel {
+    /// Nothing: no ring, no trace, no clock read for it.
+    #[default]
+    Off,
+    /// The kinds that open or close a Figure 6 category
+    /// ([`EventKind::is_breakdown`]), in every build.
+    Breakdown,
+    /// Every kind with the `trace` cargo feature ([`TRACE`]); the
+    /// breakdown kinds alone without it.
+    All,
+}
+
 /// A fixed-capacity, owner-writes-only ring of [`Event`]s.
 ///
 /// It never reallocates: when it wraps, the oldest events are
@@ -199,22 +231,31 @@ pub struct Event {
 /// [`snapshot`](TraceRing::snapshot) only after an external
 /// happens-before edge (the worker's report publication).
 ///
-/// The default ring allocates, holds and records nothing: it is what a
-/// worker's handle holds outside a traced measurement window.
+/// The default ring (level `Off`) allocates, holds and records nothing:
+/// it is what a worker's handle holds outside a traced measurement
+/// window.
 #[derive(Debug, Default)]
 pub struct TraceRing {
     buf: Vec<Event>,
     /// Next sequence number == total events ever recorded.
     seq: u64,
+    level: TraceLevel,
+    /// Stamps of the measurement window ([`open`](TraceRing::open),
+    /// [`close`](TraceRing::close)).
+    window: (u64, u64),
 }
 
 impl TraceRing {
-    /// Creates a ring holding at most `capacity` events (rounded up to
-    /// 1).
-    pub fn new(capacity: usize) -> Self {
+    /// Creates a ring that records at `level`, holding at most
+    /// `capacity` events (rounded up to 1); the default ring for `Off`.
+    pub fn new(level: TraceLevel, capacity: usize) -> Self {
+        if level == TraceLevel::Off {
+            return TraceRing::default();
+        }
         TraceRing {
             buf: Vec::with_capacity(capacity.max(1)),
-            seq: 0,
+            level,
+            ..TraceRing::default()
         }
     }
 
@@ -226,17 +267,36 @@ impl TraceRing {
     /// Whether the ring records: every ring but the default one.
     #[inline(always)]
     pub fn is_enabled(&self) -> bool {
-        self.buf.capacity() != 0
+        self.level != TraceLevel::Off
     }
 
-    /// Forgets all recorded events and restarts sequence numbers.
-    pub fn clear(&mut self) {
+    /// Whether `probe!` records events of `kind` here. For a kind other
+    /// than the breakdown kinds this is constant false without the
+    /// `trace` feature.
+    #[inline(always)]
+    pub fn records(&self, kind: EventKind) -> bool {
+        if kind.is_breakdown() {
+            self.is_enabled()
+        } else {
+            TRACE && self.level == TraceLevel::All
+        }
+    }
+
+    /// Opens a measurement window at `ts`: forgets all recorded events
+    /// and restarts sequence numbers.
+    pub fn open(&mut self, ts: u64) {
         self.buf.clear();
         self.seq = 0;
+        self.window = (ts, ts);
     }
 
-    /// Records one event if the ring is enabled. Owner thread only; no
-    /// allocation.
+    /// Closes the measurement window at `ts`.
+    pub fn close(&mut self, ts: u64) {
+        self.window.1 = ts;
+    }
+
+    /// Records one event if the ring is enabled, whatever its level.
+    /// Owner thread only; no allocation.
     #[inline]
     pub fn record(&mut self, kind: EventKind, ts: u64, arg: u32) {
         if !self.is_enabled() {
@@ -279,6 +339,7 @@ impl TraceRing {
             worker,
             events,
             dropped: self.dropped(),
+            window: self.window,
         }
     }
 }
@@ -292,6 +353,9 @@ pub struct WorkerTrace {
     pub events: Vec<Event>,
     /// Events lost to ring wraparound.
     pub dropped: u64,
+    /// Start and end stamps of the worker's measurement window, in
+    /// cycles; `(0, 0)` for a worker that took no part.
+    pub window: (u64, u64),
 }
 
 /// A merged multi-worker trace, plus the cycle-to-nanosecond scale

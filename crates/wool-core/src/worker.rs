@@ -1,6 +1,6 @@
 //! Per-worker shared state: the direct task stack, its pointers, and
 //! the fields other threads read or write. Everything only the owner
-//! touches (`top`, counters, trace ring, rng, time breakdown) lives in
+//! touches (`top`, counters, trace ring, rng) lives in
 //! the owner's [`WorkerHandle`], and reaches other threads only through
 //! the report [`Mailbox`].
 //!
@@ -43,7 +43,6 @@ use crate::slot::{TaskSlot, TaskStack};
 use crate::spinlock::SpinLock;
 use crate::stats::Stats;
 use crate::strategy::Strategy;
-use crate::timebreak::TimeBreakdown;
 use crate::trace::{probe, TraceRing};
 
 /// A worker's victim-selection generator (xorshift64*), seeded from
@@ -68,20 +67,14 @@ impl Rng {
     }
 }
 
-/// Results a worker publishes at the end of a region.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WorkerReport {
-    pub stats: Stats,
-    pub breakdown: TimeBreakdown,
-}
-
 /// The report mailbox: the one hand-off of owner data to another
-/// thread. The owner's `publish_report` fills it at the end of a
-/// measurement window and moves its trace ring in; the coordinator
-/// reads both there; the owner's next `begin` takes the ring back.
+/// thread. The owner's `publish_report` fills it with the window's
+/// counters at the end of a measurement window and moves its trace ring
+/// in; the coordinator reads both there; the owner's next `begin` takes
+/// the ring back.
 #[derive(Debug)]
 pub(crate) struct Mailbox {
-    pub report: WorkerReport,
+    pub report: Stats,
     pub trace: TraceRing,
 }
 
@@ -154,7 +147,7 @@ impl Worker {
             lock: SpinLock::new(),
             slots: TaskStack::new(capacity),
             report: UnsafeCell::new(Mailbox {
-                report: WorkerReport::default(),
+                report: Stats::default(),
                 trace,
             }),
             report_epoch: AtomicU64::new(0),

@@ -4,7 +4,14 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use wool_core::{Category, Pool, PoolConfig, Strategy, TaskSpecific, WoolFull, WorkerHandle};
+use wool_core::{Pool, PoolConfig, Strategy, TaskSpecific, TraceLevel, WoolFull, WorkerHandle};
+
+/// The LA cycles of the last region, from its breakdown trace.
+fn la_cycles<S: Strategy>(pool: &Pool<S>) -> u64 {
+    let wall = pool.last_report().unwrap().wall_ticks;
+    let trace = pool.last_trace().expect("the pool records the breakdown");
+    wool_trace::breakdown(trace, wall).unwrap().la
+}
 
 /// Forces a steal: the CALL branch spins until the spawned branch has
 /// been executed — which can only happen on another worker, so the join
@@ -19,13 +26,14 @@ use wool_core::{Category, Pool, PoolConfig, Strategy, TaskSpecific, WoolFull, Wo
 /// worker that spins after a later, still private spawn can starve a
 /// thief of that task.
 ///
-/// The run is time-instrumented: a worker's time is LA (application
-/// code acquired by leap-frogging) exactly when it leap-frog stole.
+/// The run records the Figure 6 breakdown: a worker's time is LA
+/// (application code acquired by leap-frogging) exactly when it
+/// leap-frog stole.
 #[test]
 fn blocked_join_takes_stolen_path() {
     fn check<S: Strategy>() {
         let mut pool: Pool<S> =
-            Pool::with_config(PoolConfig::with_workers(2).instrument_time(true));
+            Pool::with_config(PoolConfig::with_workers(2).trace(TraceLevel::Breakdown));
         let stolen_by = AtomicUsize::new(usize::MAX);
         let started = AtomicBool::new(false);
 
@@ -60,7 +68,7 @@ fn blocked_join_takes_stolen_path() {
         let t = report.total;
         assert_eq!(t.steals, 1, "{label}: {t:?}");
         assert_eq!(t.stolen_joins, 1, "{label}: {t:?}");
-        let la = report.breakdown.get(Category::La);
+        let la = la_cycles(&pool);
         assert_eq!(la > 0, t.leap_steals > 0, "{label}: LA {la}, {t:?}");
     }
     check::<TaskSpecific>();
@@ -77,7 +85,7 @@ fn blocked_join_takes_stolen_path() {
 fn leap_frog_steal_runs_as_la() {
     fn check<S: Strategy>() {
         let mut pool: Pool<S> =
-            Pool::with_config(PoolConfig::with_workers(2).instrument_time(true));
+            Pool::with_config(PoolConfig::with_workers(2).trace(TraceLevel::Breakdown));
         let started = AtomicBool::new(false);
         let inner_ran = AtomicBool::new(false);
         let deadline = |t0: Instant| {
@@ -117,7 +125,7 @@ fn leap_frog_steal_runs_as_la() {
         let report = pool.last_report().unwrap();
         let t = report.total;
         assert!(t.leap_steals >= 1, "{label}: {t:?}");
-        assert!(report.breakdown.get(Category::La) > 0, "{label}: {t:?}");
+        assert!(la_cycles(&pool) > 0, "{label}: {t:?}");
     }
     check::<TaskSpecific>();
     check::<WoolFull>();

@@ -6,7 +6,7 @@
 
 use wool_core::trace::{EventKind, Trace};
 use wool_core::{LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, SyncOnTask};
-use wool_core::{Pool, PoolConfig, ServePool, Stats, Strategy, WorkerHandle};
+use wool_core::{Pool, PoolConfig, ServePool, Stats, Strategy, TraceLevel, WorkerHandle};
 use wool_core::{TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap};
 
 fn fib<S: Strategy>(h: &mut WorkerHandle<S>, n: u64) -> u64 {
@@ -21,7 +21,7 @@ fn fib<S: Strategy>(h: &mut WorkerHandle<S>, n: u64) -> u64 {
 /// pool for inspection.
 fn traced_fib_pool<S: Strategy>(workers: usize, n: u64, capacity: usize) -> Pool<S> {
     let cfg = PoolConfig::with_workers(workers)
-        .instrument_trace(true)
+        .trace(TraceLevel::All)
         .trace_capacity(capacity);
     let mut pool: Pool<S> = Pool::with_config(cfg);
     let r = pool.run(|h| fib(h, n));
@@ -79,7 +79,7 @@ fn traced_run_matches_stats() {
 #[test]
 fn serve_trace_counts_every_job() {
     let cfg = PoolConfig::with_workers(2)
-        .instrument_trace(true)
+        .trace(TraceLevel::All)
         .trace_capacity(1 << 16);
     let pool: ServePool = ServePool::with_config(cfg);
     let jobs = 64;
@@ -129,7 +129,7 @@ fn wraparound_drops_are_reported() {
 #[test]
 fn rings_reset_between_runs() {
     let cfg = PoolConfig::with_workers(2)
-        .instrument_trace(true)
+        .trace(TraceLevel::All)
         .trace_capacity(1 << 16);
     let mut pool: Pool<WoolFull> = Pool::with_config(cfg);
     pool.run(|h| fib(h, 18));

@@ -1,12 +1,12 @@
 //! Offline analysis of a merged [`Trace`]: the steal graph
-//! (thief→victim edge weights), steal-interval histograms, and
-//! per-worker utilization timelines.
+//! (thief→victim edge weights), steal-interval histograms, per-worker
+//! utilization timelines, and the Figure 6 CPU-time breakdown.
 
 use std::collections::BTreeMap;
 
 use minijson::Json;
 
-use crate::{EventKind, Trace};
+use crate::{EventKind, Trace, WorkerTrace};
 
 /// One thief→victim edge of the steal graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,6 +202,86 @@ fn utilization(trace: &Trace) -> Vec<WorkerUtilization> {
         .collect()
 }
 
+/// Figure 6's split of CPU time into the paper's five categories, in
+/// cycles.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Breakdown {
+    /// Startup and shutdown: the rest of wall time times workers.
+    pub tr: u64,
+    /// Other application code.
+    pub na: u64,
+    /// Application code acquired through leap frogging.
+    pub la: u64,
+    /// Stealing: searching for and acquiring work.
+    pub st: u64,
+    /// Leap-frog overhead: waiting at a blocked join.
+    pub lf: u64,
+}
+
+impl Breakdown {
+    /// The paper's labels, in the order of [`Breakdown::cycles`].
+    pub const LABELS: [&'static str; 5] = ["TR", "NA", "LA", "ST", "LF"];
+
+    /// The five categories in the paper's order.
+    pub fn cycles(&self) -> [u64; 5] {
+        [self.tr, self.na, self.la, self.st, self.lf]
+    }
+}
+
+/// One worker's share of [`breakdown`], with TR 0: its categories sum
+/// to its measurement window.
+fn worker_breakdown(w: &WorkerTrace) -> Option<Breakdown> {
+    if w.dropped > 0 {
+        return None;
+    }
+    // Indices into `acc`, in the order of `Breakdown::LABELS`.
+    let (na, la, st, lf) = (1, 2, 3, 4);
+    let mut acc = [0u64; 5];
+    let mut cur = if w.worker == 0 { na } else { st };
+    let mut outer = Vec::new();
+    let (start, end) = w.window;
+    let mut since = start;
+    for e in w.events.iter().filter(|e| e.kind.is_breakdown()) {
+        let ts = e.ts.min(end).max(since);
+        acc[cur] += ts - since;
+        since = ts;
+        let opened = match e.kind {
+            EventKind::StealSuccess => na,
+            EventKind::LeapSteal => la,
+            EventKind::Leapfrog => lf,
+            _ => {
+                cur = outer.pop()?;
+                continue;
+            }
+        };
+        outer.push(cur);
+        cur = opened;
+    }
+    acc[cur] += end.saturating_sub(since);
+    let [tr, na, la, st, lf] = acc;
+    Some(Breakdown { tr, na, la, st, lf })
+}
+
+/// Figure 6 for one region, from a trace that holds the breakdown kinds.
+/// Each worker's events replay on a stack: worker 0 starts in NA and
+/// every other worker in ST; `steal_success` opens NA, `leap_steal` LA
+/// and `leapfrog` LF, and `resume` returns to the category below. The
+/// time between two stamps of the worker's window goes to the category
+/// open in between. The workers are summed, and TR is the rest of
+/// `wall_ticks` times the number of workers. `None` when a ring dropped
+/// events or a `resume` finds no category open.
+pub fn breakdown(trace: &Trace, wall_ticks: u64) -> Option<Breakdown> {
+    let mut sum = Breakdown::default();
+    for w in &trace.workers {
+        let b = worker_breakdown(w)?;
+        (sum.na, sum.la, sum.st, sum.lf) =
+            (sum.na + b.na, sum.la + b.la, sum.st + b.st, sum.lf + b.lf);
+    }
+    let classified = sum.na + sum.la + sum.st + sum.lf;
+    sum.tr = (wall_ticks * trace.workers.len() as u64).saturating_sub(classified);
+    Some(sum)
+}
+
 impl Analysis {
     /// Failed attempts as a fraction of all attempts (0 when none).
     pub fn failed_ratio(&self) -> f64 {
@@ -284,16 +364,16 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceRing;
+    use crate::{TraceLevel, TraceRing};
 
     #[test]
     fn steal_graph_edges_and_totals() {
-        let mut t1 = TraceRing::new(64);
+        let mut t1 = TraceRing::new(TraceLevel::All, 64);
         for _ in 0..3 {
             t1.record(EventKind::StealSuccess, 20, 0);
         }
         t1.record(EventKind::StealFail, 31, 2);
-        let mut t2 = TraceRing::new(64);
+        let mut t2 = TraceRing::new(TraceLevel::All, 64);
         t2.record(EventKind::LeapSteal, 25, 0);
         t2.record(EventKind::Backoff, 40, 1);
 
@@ -328,7 +408,7 @@ mod tests {
     #[test]
     fn failed_counts_only_empty_attempts() {
         use EventKind::*;
-        let mut r = TraceRing::new(64);
+        let mut r = TraceRing::new(TraceLevel::All, 64);
         let outcomes = [StealSuccess, LeapSteal, StealFail, StealLost, Backoff];
         for (i, &kind) in outcomes.iter().enumerate() {
             for _ in 0..=i {
@@ -346,7 +426,7 @@ mod tests {
 
     #[test]
     fn interval_histogram_buckets_log2() {
-        let mut r = TraceRing::new(64);
+        let mut r = TraceRing::new(TraceLevel::All, 64);
         // Steals at t = 0, 1, 5, 1029: intervals 1 (bucket 0),
         // 4 (bucket 2), 1024 (bucket 10).
         for ts in [0u64, 1, 5, 1029] {
@@ -361,7 +441,7 @@ mod tests {
 
     #[test]
     fn utilization_counts_idle_spans() {
-        let mut r = TraceRing::new(64);
+        let mut r = TraceRing::new(TraceLevel::All, 64);
         r.record(EventKind::Spawn, 0, 1);
         r.record(EventKind::Idle, 100, 0);
         r.record(EventKind::Unpark, 300, 0);
@@ -379,10 +459,10 @@ mod tests {
 
     #[test]
     fn trailing_idle_span_counts_to_trace_end() {
-        let mut r = TraceRing::new(16);
+        let mut r = TraceRing::new(TraceLevel::All, 16);
         r.record(EventKind::Spawn, 0, 1);
         r.record(EventKind::Idle, 100, 0);
-        let mut other = TraceRing::new(16);
+        let mut other = TraceRing::new(TraceLevel::All, 16);
         other.record(EventKind::Spawn, 200, 1);
         // Trace span 0..200, worker 0 idle 100..200 → busy 0.5.
         let a = analyze(&Trace::new(vec![r.snapshot(0), other.snapshot(1)], 1.0));
@@ -390,9 +470,85 @@ mod tests {
         assert!((a.utilization[1].busy_fraction - 1.0).abs() < 1e-9);
     }
 
+    /// `worker`'s trace of a measurement window from `start` to `end`
+    /// holding `events`, as a breakdown ring records it.
+    fn window(worker: usize, start: u64, end: u64, events: &[(EventKind, u64)]) -> WorkerTrace {
+        let mut r = TraceRing::new(TraceLevel::Breakdown, 64);
+        r.open(start);
+        for &(kind, ts) in events {
+            r.record(kind, ts, 0);
+        }
+        r.close(end);
+        r.snapshot(worker)
+    }
+
+    #[test]
+    fn breakdown_charges_the_open_category() {
+        use EventKind::*;
+        // Worker 1 starts in ST and runs a stolen task 30..70; a spawn
+        // is no category event. Worker 0 starts in NA.
+        let w = window(1, 10, 100, &[(Spawn, 20), (StealSuccess, 30), (Resume, 70)]);
+        assert_eq!(worker_breakdown(&w).unwrap().cycles(), [0, 40, 0, 50, 0]);
+        let root = worker_breakdown(&window(0, 0, 50, &[])).unwrap();
+        assert_eq!(root.cycles(), [0, 50, 0, 0, 0]);
+        assert_eq!(Breakdown::LABELS, ["TR", "NA", "LA", "ST", "LF"]);
+    }
+
+    #[test]
+    fn nested_categories_restore_the_outer_one() {
+        use EventKind::*;
+        // NA, then a leap-frog wait (LF) that steals back a task (LA).
+        let events = [(Leapfrog, 10), (LeapSteal, 20), (Resume, 35), (Resume, 40)];
+        let b = worker_breakdown(&window(0, 0, 50, &events)).unwrap();
+        assert_eq!(b.cycles(), [0, 10 + 10, 15, 0, 10 + 5]);
+    }
+
+    /// Time outside a worker's window is not its own, and its categories
+    /// sum to the window; a worker that took no part has none.
+    #[test]
+    fn categories_sum_to_the_window() {
+        use EventKind::*;
+        let events = [
+            (StealSuccess, 5),
+            (Leapfrog, 30),
+            (Resume, 60),
+            (Resume, 120),
+        ];
+        let b = worker_breakdown(&window(2, 10, 100, &events)).unwrap();
+        assert_eq!(b.cycles(), [0, 20 + 40, 0, 0, 30]);
+        let absent = TraceRing::default().snapshot(1);
+        assert_eq!(worker_breakdown(&absent), Some(Breakdown::default()));
+    }
+
+    #[test]
+    fn tr_is_the_rest_of_wall_times_workers() {
+        use EventKind::*;
+        let stolen = window(1, 20, 90, &[(StealSuccess, 40), (Resume, 60)]);
+        let trace = Trace::new(vec![window(0, 5, 95, &[]), stolen], 1.0);
+        let b = breakdown(&trace, 100).unwrap();
+        assert_eq!(b.cycles(), [200 - 90 - 70, 90 + 20, 0, 50, 0]);
+        // Windows that overrun the wall time leave no TR.
+        assert_eq!(breakdown(&trace, 50).unwrap().tr, 0);
+    }
+
+    #[test]
+    fn breakdown_refuses_dropped_or_unbalanced_events() {
+        let mut r = TraceRing::new(TraceLevel::Breakdown, 2);
+        r.open(0);
+        for ts in 1..4 {
+            r.record(EventKind::StealSuccess, ts, 0);
+        }
+        r.close(10);
+        let trace = Trace::new(vec![window(0, 0, 10, &[]), r.snapshot(1)], 1.0);
+        assert_eq!(trace.dropped(), 1);
+        assert_eq!(breakdown(&trace, 10), None);
+        let unbalanced = window(2, 0, 10, &[(EventKind::Resume, 5)]);
+        assert_eq!(worker_breakdown(&unbalanced), None);
+    }
+
     #[test]
     fn analysis_json_is_valid() {
-        let mut r = TraceRing::new(16);
+        let mut r = TraceRing::new(TraceLevel::All, 16);
         r.record(EventKind::StealSuccess, 2, 0);
         let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
         let parsed = minijson::parse(&a.to_json().pretty()).unwrap();

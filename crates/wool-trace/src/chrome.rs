@@ -121,7 +121,8 @@ fn category(kind: EventKind) -> &'static str {
         | EventKind::StealFail
         | EventKind::StealLost
         | EventKind::Backoff
-        | EventKind::Leapfrog => "steal",
+        | EventKind::Leapfrog
+        | EventKind::Resume => "steal",
         EventKind::Publish | EventKind::PublishRequest => "publish",
         EventKind::Idle | EventKind::Park | EventKind::Unpark => "state",
         EventKind::Inject | EventKind::Dequeue | EventKind::JobDone => "serve",
@@ -131,15 +132,15 @@ fn category(kind: EventKind) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TraceRing;
+    use crate::{TraceLevel, TraceRing};
 
     fn sample_trace() -> Trace {
-        let mut r0 = TraceRing::new(32);
+        let mut r0 = TraceRing::new(TraceLevel::All, 32);
         r0.record(EventKind::Spawn, 100, 1);
         r0.record(EventKind::Idle, 200, 0);
         r0.record(EventKind::StealSuccess, 300, 1);
         r0.record(EventKind::JoinFastPrivate, 400, 1);
-        let mut r1 = TraceRing::new(32);
+        let mut r1 = TraceRing::new(TraceLevel::All, 32);
         r1.record(EventKind::Publish, 150, 2);
         Trace::new(vec![r0.snapshot(0), r1.snapshot(1)], 2.0)
     }

@@ -2,14 +2,16 @@
 //!
 //! `wool-core` counts and records its scheduler events itself: the event
 //! vocabulary, the per-worker rings and the merged [`Trace`] live in
-//! [`wool_core::trace`], and a pool built with the `trace` feature and
-//! configured with `instrument_trace` hands out a [`Trace`] after each
-//! run. This crate is the offline half on top of it:
+//! [`wool_core::trace`], and a pool whose [`TraceLevel`] is not `Off`
+//! hands out a [`Trace`] after each run. This crate is the offline half
+//! on top of it:
 //!
 //! * [`to_chrome_json`] exports a trace as a Chrome/Perfetto trace-event
 //!   document ([`chrome`]);
 //! * [`analyze`] computes the steal graph, steal-interval histograms and
-//!   per-worker utilization timelines ([`analysis`]).
+//!   per-worker utilization timelines ([`analysis`]);
+//! * [`breakdown`] splits a region's CPU time into Figure 6's categories
+//!   from a `TraceLevel::Breakdown` trace.
 //!
 //! It re-exports the trace data types, so users need only this crate to
 //! read a trace.
@@ -17,12 +19,12 @@
 #![warn(missing_docs)]
 
 pub use minijson;
-pub use wool_core::trace::{Event, EventKind, Trace, TraceRing, WorkerTrace};
+pub use wool_core::trace::{Event, EventKind, Trace, TraceLevel, TraceRing, WorkerTrace};
 
 pub mod analysis;
 pub mod chrome;
 
-pub use analysis::{analyze, Analysis, StealEdge, WorkerUtilization};
+pub use analysis::{analyze, breakdown, Analysis, Breakdown, StealEdge, WorkerUtilization};
 pub use chrome::to_chrome_json;
 
 #[cfg(test)]
@@ -30,7 +32,7 @@ mod tests {
     use super::*;
 
     fn filled_ring(cap: usize, n: u64) -> TraceRing {
-        let mut r = TraceRing::new(cap);
+        let mut r = TraceRing::new(TraceLevel::All, cap);
         for i in 0..n {
             r.record(EventKind::Spawn, 1000 + i, i as u32);
         }
@@ -74,11 +76,14 @@ mod tests {
     #[test]
     fn clear_resets_seq() {
         let mut r = filled_ring(4, 10);
-        r.clear();
+        r.open(3);
         assert_eq!(r.recorded(), 0);
         assert_eq!(r.dropped(), 0);
         r.record(EventKind::Idle, 5, 0);
-        assert_eq!(r.snapshot(0).events[0].seq, 0);
+        r.close(9);
+        let snap = r.snapshot(0);
+        assert_eq!(snap.events[0].seq, 0);
+        assert_eq!(snap.window, (3, 9));
     }
 
     #[test]
@@ -120,10 +125,10 @@ mod tests {
 
     #[test]
     fn trace_counts_and_epoch() {
-        let mut a = TraceRing::new(16);
+        let mut a = TraceRing::new(TraceLevel::All, 16);
         a.record(EventKind::StealSuccess, 50, 1);
         a.record(EventKind::StealFail, 60, 1);
-        let mut b = TraceRing::new(16);
+        let mut b = TraceRing::new(TraceLevel::All, 16);
         b.record(EventKind::StealSuccess, 40, 0);
         let t = Trace::new(vec![a.snapshot(0), b.snapshot(1)], 1.0);
         assert_eq!(t.len(), 3);

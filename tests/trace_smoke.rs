@@ -106,7 +106,7 @@ fn stress_trace_totals_agree_with_stats() {
 fn forced_steal_appears_in_graph() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
-    use wool_core::{Pool, PoolConfig, WoolFull, WorkerHandle};
+    use wool_core::{Pool, PoolConfig, TraceLevel, WoolFull, WorkerHandle};
 
     fn fib(h: &mut WorkerHandle<WoolFull>, n: u64) -> u64 {
         if n < 2 {
@@ -117,7 +117,7 @@ fn forced_steal_appears_in_graph() {
     }
 
     let cfg = PoolConfig::with_workers(4)
-        .instrument_trace(true)
+        .trace(TraceLevel::All)
         .trace_capacity(1 << 20);
     let mut pool: Pool<WoolFull> = Pool::with_config(cfg);
     let started = AtomicBool::new(false);
@@ -162,7 +162,7 @@ fn forced_steal_appears_in_graph() {
 #[test]
 fn steal_graph_total_equals_steals_on_every_rung() {
     use wool_core::{LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, SyncOnTask};
-    use wool_core::{Pool, PoolConfig, Strategy, WorkerHandle};
+    use wool_core::{Pool, PoolConfig, Strategy, TraceLevel, WorkerHandle};
     use wool_core::{TaskSpecific, WoolAllPublic, WoolFull, WoolNoLeap};
 
     fn fib<S: Strategy>(h: &mut WorkerHandle<S>, n: u64) -> u64 {
@@ -175,7 +175,7 @@ fn steal_graph_total_equals_steals_on_every_rung() {
 
     fn check<S: Strategy>() {
         let cfg = PoolConfig::with_workers(3)
-            .instrument_trace(true)
+            .trace(TraceLevel::All)
             .trace_capacity(1 << 20);
         let mut pool: Pool<S> = Pool::with_config(cfg);
         pool.run(|h| fib(h, 20));
