@@ -2,7 +2,7 @@
 //! substrates — our Chase–Lev (fenced pop) and the locked deque.
 
 use ws_baseline::chase_lev::OwnerToken;
-use ws_baseline::{ChaseLev, LockedDeque, StealProtocol};
+use ws_baseline::{ChaseLev, LockedDeque};
 use ws_bench::microbench::Bench;
 
 const N: usize = 1000;
@@ -29,13 +29,13 @@ fn main() {
             std::hint::black_box(d.pop());
         }
     });
-    b.bench("deque/locked steal(base)", || {
+    b.bench("deque/locked steal", || {
         let d = LockedDeque::new();
         for i in 0..N {
             d.push(i);
         }
         for _ in 0..N {
-            std::hint::black_box(d.steal(StealProtocol::Base));
+            std::hint::black_box(d.steal());
         }
     });
     b.finish();

@@ -78,7 +78,7 @@ fn main() {
     let mut b = Bench::from_args();
     let workers = default_workers();
     let mut pool: Pool = Pool::with_config(PoolConfig::with_workers(workers));
-    let default_grain = wool_par::adaptive_grain(N, workers, 1);
+    let default_grain = wool_par::adaptive_grain(N, workers);
     println!("par_loops: n = {N}, workers = {workers}, default grain = {default_grain}");
     let mut grains = GRAINS.to_vec();
     grains.push(default_grain);

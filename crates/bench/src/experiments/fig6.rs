@@ -6,17 +6,21 @@
 //! (application), LA (application acquired through leap frogging), ST
 //! (stealing), LF (leap-frog overhead), with TR (startup/shutdown and
 //! untracked remainder) computed as region wall time times workers minus
-//! the tracked categories. Values are normalized to the single-worker NA
-//! time, as in the paper.
+//! the tracked categories. Each bar sums [`REGIONS`] regions on one
+//! pool. Values are normalized to the single-worker NA time, as in the
+//! paper.
 
-use wool_core::{PoolConfig, TraceLevel};
+use wool_core::{Executor, Pool, PoolConfig, TraceLevel, WoolFull};
 use wool_trace::Breakdown;
 use workloads::{WorkloadKind, WorkloadSpec};
 
 use crate::cli::BenchArgs;
-use crate::measure::measure_job;
 use crate::report::{fmt_sig, Table};
-use crate::system::{System, SystemKind};
+
+/// Regions run and summed per bar. In one short region the other
+/// workers may steal nothing or not join at all; summed over several,
+/// a bar shows what they do on average.
+pub const REGIONS: usize = 5;
 
 /// Breakdown at one worker count, normalized to 1-worker NA.
 #[derive(Debug, Clone)]
@@ -71,20 +75,11 @@ pub fn run(args: &BenchArgs) -> Result {
         let mut na1 = f64::NAN;
         for &p in &sweep {
             let cfg = PoolConfig::with_workers(p).trace(TraceLevel::Breakdown);
-            let mut sys = System::create_with(SystemKind::Wool, cfg);
-            measure_job(&mut sys, spec, 1);
-            let System::Wool(pool) = &sys else {
-                unreachable!("created as the full Wool pool")
-            };
-            let wall = pool.last_report().expect("a run just ended").wall_ticks;
-            let trace = pool.last_trace().expect("the pool records the breakdown");
-            let b = wool_trace::breakdown(trace, wall).unwrap_or_else(|| {
-                panic!(
-                    "{}: breakdown refused ({} events dropped)",
-                    spec.name(),
-                    trace.dropped()
-                )
-            });
+            let mut pool: Pool<WoolFull> = Pool::with_config(cfg);
+            let mut b = Breakdown::default();
+            for _ in 0..REGIONS {
+                b += region_breakdown(&mut pool, spec);
+            }
             if p == 1 {
                 na1 = (b.na as f64).max(1.0);
             }
@@ -99,6 +94,20 @@ pub fn run(args: &BenchArgs) -> Result {
         });
     }
     Result { panels }
+}
+
+/// Runs `spec` as one region on `pool` and classifies its CPU time.
+fn region_breakdown(pool: &mut Pool<WoolFull>, spec: &WorkloadSpec) -> Breakdown {
+    pool.run_job(spec.job());
+    let wall = pool.last_report().expect("a run just ended").wall_ticks;
+    let trace = pool.last_trace().expect("the pool records the breakdown");
+    wool_trace::breakdown(trace, wall).unwrap_or_else(|| {
+        panic!(
+            "{}: breakdown refused ({} events dropped)",
+            spec.name(),
+            trace.dropped()
+        )
+    })
 }
 
 /// Renders one table per panel (rows = categories, columns = workers).

@@ -82,8 +82,9 @@ pub fn dump_json<T: ToJson>(path: &str, value: &T) {
 /// thief→victim edges, the failed-steal ratio, and the back-off ratio
 /// the paper claims stays "considerably less than 1%" (§III-A).
 pub fn steal_summary_table(analysis: &wool_trace::Analysis) -> Table {
+    let totals = &analysis.totals;
     let mut t = Table::new("Steal graph (from trace)", &["edge", "steals", "share"]);
-    let total = analysis.steals.max(1) as f64;
+    let total = totals.total_steals().max(1) as f64;
     for e in analysis.steal_graph.iter().take(10) {
         t.row(vec![
             format!("w{} <- w{}", e.thief, e.victim),
@@ -93,17 +94,17 @@ pub fn steal_summary_table(analysis: &wool_trace::Analysis) -> Table {
     }
     t.row(vec![
         "total steals".into(),
-        analysis.steals.to_string(),
+        totals.total_steals().to_string(),
         String::new(),
     ]);
     t.row(vec![
         "failed-steal ratio".into(),
-        fmt_sig(analysis.failed_ratio() * 100.0) + "%",
+        fmt_sig(totals.failed_ratio() * 100.0) + "%",
         String::new(),
     ]);
     t.row(vec![
         "back-off ratio".into(),
-        fmt_sig(analysis.backoff_ratio() * 100.0) + "%",
+        fmt_sig(totals.backoff_ratio() * 100.0) + "%",
         "paper: <1%".into(),
     ]);
     t

@@ -41,13 +41,6 @@ pub trait Fork: Sized {
         1
     }
 
-    /// The executor's configured minimum data-parallel leaf grain
-    /// (`wool-par`'s splitting floor; see `PoolConfig::min_grain`).
-    /// Executors without the knob report 1 (no floor).
-    fn min_grain(&self) -> usize {
-        1
-    }
-
     /// Scheduler hint from a data-parallel splitter: a range of `len`
     /// items is about to be forked in half. Tracing executors record
     /// it; the default is a no-op.
@@ -82,10 +75,6 @@ impl<S: Strategy> Fork for WorkerHandle<S> {
 
     fn num_workers(&self) -> usize {
         WorkerHandle::num_workers(self)
-    }
-
-    fn min_grain(&self) -> usize {
-        WorkerHandle::min_grain(self)
     }
 
     #[inline(always)]

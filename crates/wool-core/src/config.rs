@@ -45,14 +45,6 @@ pub struct PoolConfig {
     /// ([`ServePool`](crate::ServePool)), in jobs; rounded up to a power of two. Batch
     /// pools never allocate or touch the injector.
     pub injector_capacity: usize,
-    /// Minimum leaf size for data-parallel splitting (`wool-par`), in
-    /// items: the adaptive splitter never produces a sequential leaf
-    /// smaller than this. This is the pool-wide floor of the paper's
-    /// task granularity `G_T = T_S / N_T` — raising it trades potential
-    /// parallelism for lower per-task overhead. Must be at least 1
-    /// (1 = no floor; the splitter's own worker-count heuristic
-    /// dominates).
-    pub min_grain: usize,
 }
 
 impl Default for PoolConfig {
@@ -79,7 +71,6 @@ impl PoolConfig {
             trace: TraceLevel::Off,
             trace_capacity: 1 << 20,
             injector_capacity: 1024,
-            min_grain: 1,
         }
     }
 
@@ -108,31 +99,18 @@ impl PoolConfig {
         self
     }
 
-    /// Builder-style: sets the minimum data-parallel leaf grain.
-    pub fn min_grain(mut self, items: usize) -> Self {
-        self.min_grain = items;
-        self
-    }
-
     /// Validates the configuration, normalizing degenerate values.
     ///
     /// # Panics
     /// Panics when `workers == 0`: a pool needs at least one worker —
     /// there is no thread that could ever run a task. (Both
     /// `Pool::with_config` and `ServePool::with_config` funnel
-    /// through here, so the rejection is uniform.) Likewise panics when
-    /// `min_grain == 0`: a zero-item leaf could never terminate the
-    /// splitter's recursion.
+    /// through here, so the rejection is uniform.)
     pub fn validated(mut self) -> Self {
         assert!(
             self.workers >= 1,
             "invalid PoolConfig: workers == 0, but a pool needs at least one worker \
              (use PoolConfig::with_workers(n) with n >= 1, or default_workers())"
-        );
-        assert!(
-            self.min_grain >= 1,
-            "invalid PoolConfig: min_grain == 0, but a data-parallel leaf must hold \
-             at least one item (use min_grain(1) for no floor)"
         );
         assert!(
             self.workers <= MAX_WORKERS,
@@ -169,13 +147,9 @@ mod tests {
 
     #[test]
     fn builder_chains() {
-        let c = PoolConfig::with_workers(3)
-            .stack_capacity(64)
-            .min_grain(8)
-            .validated();
+        let c = PoolConfig::with_workers(3).stack_capacity(64).validated();
         assert_eq!(c.workers, 3);
         assert_eq!(c.stack_capacity, 64);
-        assert_eq!(c.min_grain, 8);
     }
 
     #[test]
@@ -226,20 +200,6 @@ mod tests {
     fn injector_capacity_builder() {
         let c = PoolConfig::with_workers(2).injector_capacity(3).validated();
         assert_eq!(c.injector_capacity, 3, "rounded later, by the queue");
-    }
-
-    #[test]
-    fn min_grain_defaults_and_builds() {
-        let c = PoolConfig::default().validated();
-        assert_eq!(c.min_grain, 1);
-        let c = PoolConfig::with_workers(2).min_grain(128).validated();
-        assert_eq!(c.min_grain, 128);
-    }
-
-    #[test]
-    #[should_panic(expected = "min_grain == 0")]
-    fn zero_min_grain_rejected() {
-        let _ = PoolConfig::with_workers(1).min_grain(0).validated();
     }
 
     #[test]

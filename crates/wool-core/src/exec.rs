@@ -144,7 +144,6 @@ pub struct WorkerHandle<S: Strategy> {
     /// Cached configuration (hot-path reads).
     trip_distance: usize,
     publish_batch: usize,
-    min_grain: usize,
     _strategy: PhantomData<S>,
     _not_send: PhantomData<*mut ()>,
 }
@@ -174,7 +173,6 @@ impl<S: Strategy> WorkerHandle<S> {
             idx,
             trip_distance: pool.cfg.trip_distance,
             publish_batch: pool.cfg.publish_batch,
-            min_grain: pool.cfg.min_grain,
             _strategy: PhantomData,
             _not_send: PhantomData,
         }
@@ -237,9 +235,7 @@ impl<S: Strategy> WorkerHandle<S> {
     /// `report_epoch` hands both to the coordinator.
     pub(crate) fn publish_report(&mut self, epoch: u64) {
         let mut stats = self.stats;
-        // The owner joins every task it pushed exactly once, and each
-        // join bumps exactly one of these counters.
-        stats.spawns = stats.inlined_private + stats.inlined_public + stats.rts_joins;
+        stats.spawns = stats.joins();
         if self.trace.is_enabled() {
             self.trace.close(cycles::now());
         }
@@ -272,13 +268,6 @@ impl<S: Strategy> WorkerHandle<S> {
     #[inline(always)]
     pub fn num_workers(&self) -> usize {
         self.pool().workers.len()
-    }
-
-    /// The pool's configured minimum data-parallel leaf grain
-    /// ([`crate::PoolConfig::min_grain`]).
-    #[inline(always)]
-    pub fn min_grain(&self) -> usize {
-        self.min_grain
     }
 
     /// Records a data-parallel split (a range of `len` items about to

@@ -296,8 +296,8 @@ mod tests {
         // Recursion depth far beyond 16 pending tasks.
         let r = pool.run(|h| fib(h, 22));
         assert_eq!(r, fib_ref(22));
-        let report = pool.last_report().unwrap();
-        assert!(report.total.overflow_inlines > 0);
+        let mut total = pool.last_report().unwrap().total;
+        assert!(*total.counter(crate::trace::EventKind::Overflow).unwrap() > 0);
     }
 
     #[test]

@@ -480,7 +480,7 @@ mod tests {
     /// `Stats` does; every category it opens is closed.
     #[test]
     fn breakdown_trace_counts_the_steals() {
-        use crate::trace::EventKind::{LeapSteal, Leapfrog, Resume, StealSuccess};
+        use crate::trace::EventKind::{Leapfrog, Resume};
         let cfg = PoolConfig::with_workers(2).trace(TraceLevel::Breakdown);
         let mut pool: Pool = Pool::with_config(cfg);
         region_joined_by_worker_1(&mut pool, 18);
@@ -491,9 +491,10 @@ mod tests {
         let mut events = trace.workers.iter().flat_map(|w| &w.events);
         assert!(events.all(|e| e.kind.is_breakdown()));
         assert!(total.steals >= 1);
-        assert_eq!(trace.count(StealSuccess), total.steals);
-        assert_eq!(trace.count(LeapSteal), total.leap_steals);
-        let opened = total.steals + total.leap_steals + trace.count(Leapfrog);
+        let counted = trace.stats();
+        assert_eq!(counted.steals, total.steals);
+        assert_eq!(counted.leap_steals, total.leap_steals);
+        let opened = counted.total_steals() + trace.count(Leapfrog);
         assert_eq!(trace.count(Resume), opened);
     }
 

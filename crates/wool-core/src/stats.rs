@@ -6,64 +6,65 @@
 //! and the thief back-offs §III-A promises stay below 1% of successful
 //! steals. Counters live in the owner's `WorkerHandle` and are
 //! incremented with plain adds, so the hot spawn/join paths pay one
-//! `add` instruction at most. Each counter is the number of events of one
-//! [`EventKind`](crate::trace::EventKind), bumped by the same `probe!`
-//! that traces the event (see [`crate::trace`]).
+//! `add` instruction at most.
+//!
+//! [`Stats`] is declared from the event table of [`crate::trace`]: each
+//! counter is the number of events of one [`EventKind`], named once in
+//! that table and bumped by the same `probe!` that traces the event.
+//! [`Trace::stats`](crate::trace::Trace::stats) counts a trace's events
+//! through the same map. `spawns` (`N_T`) is the one field that is not a
+//! counter: it is derived from the joins.
 
 use std::ops::AddAssign;
 
-use crate::trace::EventKind;
+use crate::trace::{events, EventKind};
 
-/// Event counters for one worker (or an aggregate over workers).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Stats {
-    /// Tasks spawned (the paper's `N_T`). Not counted at the spawn: the
-    /// owner joins every pushed task exactly once, so a worker's report
-    /// fills it in as `inlined_private + inlined_public + rts_joins`.
-    pub spawns: u64,
-    /// Joins that found the task private and used the plain-load path
-    /// (`join_fast_private`).
-    pub inlined_private: u64,
-    /// Joins that acquired the task with the atomic swap
-    /// (`join_fast_public`).
-    pub inlined_public: u64,
-    /// Joins that entered the slow path, `RTS_join` (`rts_join`).
-    pub rts_joins: u64,
-    /// Joins that found their task stolen and had to wait (`join_slow`).
-    pub stolen_joins: u64,
-    /// Successful steals (the paper's `N_M`; `steal_success`).
-    pub steals: u64,
-    /// Successful steals performed while leap-frogging (`leap_steal`).
-    pub leap_steals: u64,
-    /// Steal attempts that found no stealable task (`steal_fail`).
-    pub failed_steals: u64,
-    /// Steal attempts that lost the race for a task to another thief or
-    /// the owner (`steal_lost`).
-    pub lost_races: u64,
-    /// Steals aborted by the `bot` re-check (§III-A back-off; `backoff`).
-    pub backoffs: u64,
-    /// Times the owner raised the public boundary (§III-B publications;
-    /// `publish`).
-    pub publishes: u64,
-    /// Times a thief rang a victim's trip wire (`publish_request`): it
-    /// found only private tasks, or stole within the trip distance of
-    /// the public boundary.
-    pub publish_requests: u64,
-    /// Spawns that overflowed the task pool and ran eagerly inline
-    /// (`overflow`).
-    pub overflow_inlines: u64,
+/// Declares [`Stats`], its kind-to-counter map and its merge from the
+/// rows of the event table.
+macro_rules! stats {
+    ($($(#[doc = $doc:literal])* $kind:ident = $name:literal $(=> $field:ident)?,)*) => {
+        /// Event counters for one worker (or an aggregate over workers).
+        #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+        pub struct Stats {
+            /// Tasks spawned (the paper's `N_T`). Not counted at the
+            /// spawn: the owner joins every pushed task exactly once, so
+            /// a worker's report fills it in from the join counters.
+            pub spawns: u64,
+            $($(
+                #[doc = concat!(
+                    "Number of [`", stringify!($kind), "`](EventKind::",
+                    stringify!($kind), ") events (`", $name, "`)."
+                )]
+                pub $field: u64,
+            )?)*
+        }
+
+        impl Stats {
+            /// The counter of `kind`'s events, if `Stats` counts them.
+            #[inline(always)]
+            pub(crate) fn counter(&mut self, kind: EventKind) -> Option<&mut u64> {
+                match kind {
+                    $(EventKind::$kind => None $(.or(Some(&mut self.$field)))?,)*
+                }
+            }
+        }
+
+        impl AddAssign for Stats {
+            fn add_assign(&mut self, o: Self) {
+                self.spawns += o.spawns;
+                $($(self.$field += o.$field;)?)*
+            }
+        }
+    };
 }
+events!(stats);
 
 impl Stats {
-    /// The counter of `kind`'s events, `None` for a kind `Stats` does
-    /// not count. A steal attempt ends in exactly one of `steal_success`,
-    /// `leap_steal`, `steal_fail`, `steal_lost` and `backoff`.
-    pub fn count(&self, kind: EventKind) -> Option<u64> {
-        let mut copy = *self;
-        match kind {
-            EventKind::Spawn => Some(self.spawns),
-            _ => copy.counter(kind).copied(),
-        }
+    /// Joins of every kind. The owner joins each task it pushed exactly
+    /// once, and each join is one of these three events, so this is the
+    /// number of spawns.
+    pub(crate) fn joins(&self) -> u64 {
+        self.inlined_private + self.inlined_public + self.rts_joins
     }
 
     /// Total successful steals including leap-frog steals.
@@ -71,44 +72,37 @@ impl Stats {
         self.steals + self.leap_steals
     }
 
-    /// Back-offs as a fraction of successful steals (the paper reports
-    /// "always below 1%").
+    /// Steal attempts that found nothing to steal, as a fraction of all
+    /// attempts ([`EventKind::StealFail`] over the five outcomes an
+    /// attempt ends in).
+    pub fn failed_ratio(&self) -> f64 {
+        let mut copy = *self;
+        let attempts: u64 = EventKind::STEAL_OUTCOMES
+            .iter()
+            .filter_map(|&kind| copy.counter(kind).copied())
+            .sum();
+        ratio(self.failed_steals, attempts)
+    }
+
+    /// Back-offs as a fraction of successful steals, leap-frog steals
+    /// included (the paper reports "always below 1%").
     pub fn backoff_ratio(&self) -> f64 {
-        let s = self.total_steals();
-        if s == 0 {
-            0.0
-        } else {
-            self.backoffs as f64 / s as f64
-        }
+        ratio(self.backoffs, self.total_steals())
     }
 
     /// Joins resolved without any atomic instruction, as a fraction of
     /// all joins.
     pub fn private_join_ratio(&self) -> f64 {
-        let total = self.inlined_private + self.inlined_public + self.rts_joins;
-        if total == 0 {
-            0.0
-        } else {
-            self.inlined_private as f64 / total as f64
-        }
+        ratio(self.inlined_private, self.joins())
     }
 }
 
-impl AddAssign for Stats {
-    fn add_assign(&mut self, o: Self) {
-        self.spawns += o.spawns;
-        self.inlined_private += o.inlined_private;
-        self.inlined_public += o.inlined_public;
-        self.rts_joins += o.rts_joins;
-        self.stolen_joins += o.stolen_joins;
-        self.steals += o.steals;
-        self.leap_steals += o.leap_steals;
-        self.failed_steals += o.failed_steals;
-        self.lost_races += o.lost_races;
-        self.backoffs += o.backoffs;
-        self.publishes += o.publishes;
-        self.publish_requests += o.publish_requests;
-        self.overflow_inlines += o.overflow_inlines;
+/// `part / whole`, 0 when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -153,57 +147,34 @@ mod tests {
         seed.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
+    /// Random counts in every field, reached through the event table.
     fn random_stats(seed: &mut u64) -> Stats {
-        Stats {
+        let mut s = Stats {
             spawns: rng(seed) >> 32,
-            inlined_private: rng(seed) >> 32,
-            inlined_public: rng(seed) >> 32,
-            rts_joins: rng(seed) >> 32,
-            stolen_joins: rng(seed) >> 32,
-            steals: rng(seed) >> 32,
-            leap_steals: rng(seed) >> 32,
-            failed_steals: rng(seed) >> 32,
-            lost_races: rng(seed) >> 32,
-            backoffs: rng(seed) >> 32,
-            publishes: rng(seed) >> 32,
-            publish_requests: rng(seed) >> 32,
-            overflow_inlines: rng(seed) >> 32,
+            ..Stats::default()
+        };
+        for kind in EventKind::ALL {
+            if let Some(n) = s.counter(kind) {
+                *n = rng(seed) >> 32;
+            }
         }
+        s
     }
 
-    /// Fieldwise view of every counter, so merge tests cannot silently
-    /// ignore a newly added field: this match is exhaustive.
-    fn fields(s: &Stats) -> [u64; 13] {
-        let Stats {
-            spawns,
-            inlined_private,
-            inlined_public,
-            rts_joins,
-            stolen_joins,
-            steals,
-            leap_steals,
-            failed_steals,
-            lost_races,
-            backoffs,
-            publishes,
-            publish_requests,
-            overflow_inlines,
-        } = *s;
-        [
-            spawns,
-            inlined_private,
-            inlined_public,
-            rts_joins,
-            stolen_joins,
-            steals,
-            leap_steals,
-            failed_steals,
-            lost_races,
-            backoffs,
-            publishes,
-            publish_requests,
-            overflow_inlines,
-        ]
+    /// Fieldwise view of every field, reached through the event table.
+    fn fields(s: &Stats) -> Vec<u64> {
+        let mut s = *s;
+        let mut v = vec![s.spawns];
+        v.extend(EventKind::ALL.iter().filter_map(|&k| s.counter(k).copied()));
+        v
+    }
+
+    /// The table reaches every field, so the merge tests below cannot
+    /// miss one: `Stats` is `spawns` plus one `u64` per counted kind.
+    #[test]
+    fn table_reaches_every_field() {
+        let n = fields(&Stats::default()).len();
+        assert_eq!(std::mem::size_of::<Stats>(), n * std::mem::size_of::<u64>());
     }
 
     #[test]
@@ -228,7 +199,7 @@ mod tests {
         for _ in 0..20 {
             let parts: Vec<Stats> = (0..7).map(|_| random_stats(&mut seed)).collect();
             let merged: Stats = parts.iter().copied().sum();
-            let mut expect = [0u64; 13];
+            let mut expect = vec![0u64; fields(&merged).len()];
             for p in &parts {
                 for (e, f) in expect.iter_mut().zip(fields(p)) {
                     *e += f;
@@ -271,6 +242,7 @@ mod tests {
     #[test]
     fn ratios_handle_zero() {
         let s = Stats::default();
+        assert_eq!(s.failed_ratio(), 0.0);
         assert_eq!(s.backoff_ratio(), 0.0);
         assert_eq!(s.private_join_ratio(), 0.0);
     }
@@ -281,11 +253,13 @@ mod tests {
             steals: 8,
             leap_steals: 2,
             backoffs: 1,
+            failed_steals: 4,
             inlined_private: 6,
             inlined_public: 2,
             rts_joins: 2,
             ..Default::default()
         };
+        assert!((s.failed_ratio() - 4.0 / 15.0).abs() < 1e-12);
         assert!((s.backoff_ratio() - 0.1).abs() < 1e-12);
         assert!((s.private_join_ratio() - 0.6).abs() < 1e-12);
     }

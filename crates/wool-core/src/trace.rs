@@ -5,9 +5,10 @@
 //! it:
 //!
 //! * **Counting.** A kind that [`Stats`] counts bumps exactly one
-//!   counter, named next to the kind in the table below, so each counter
-//!   is the number of events of one kind (`Stats::spawns` is derived,
-//!   see [`EventKind::Spawn`]).
+//!   counter, the field named next to the kind in the table below, so
+//!   each counter is the number of events of one kind. The table
+//!   declares both `EventKind` and `Stats`; `Stats::spawns` is derived
+//!   (see [`EventKind::Spawn`]).
 //! * **Tracing.** A worker whose pool's [`TraceLevel`] is not `Off`
 //!   also records the event, timestamped, into its own [`TraceRing`]:
 //!   at `Breakdown` only the kinds that open or close a Figure 6
@@ -28,8 +29,9 @@
 //! breakdown kinds sit on the steal and leap-frog paths only, and
 //! record in every build.
 //!
-//! A finished run's rings merge into a [`Trace`]; the `wool-trace`
-//! crate exports it as Chrome trace JSON and computes the steal graph.
+//! A finished run's rings merge into a [`Trace`], which counts itself
+//! into [`Stats`] ([`Trace::stats`]); the `wool-trace` crate exports it
+//! as Chrome trace JSON and computes the steal graph and Figure 6.
 
 use std::collections::BTreeMap;
 
@@ -59,9 +61,91 @@ macro_rules! probe {
 }
 pub(crate) use probe;
 
-/// Declares [`EventKind`] from one table: each kind's doc, its exported
-/// name and, after `=>`, the [`Stats`] field that counts it.
+/// The event table: each kind's doc, its exported name and, after `=>`,
+/// the [`Stats`] field that counts it. It hands its rows to the macro
+/// `$then`, so that [`EventKind`] here and [`Stats`] in
+/// [`crate::stats`] are both declared from this one list. The rows'
+/// order is the order of `Stats`' fields in the worker's handle.
 macro_rules! events {
+    ($then:ident) => {
+        $then! {
+            /// A task was pushed onto the owner's task stack. `arg` = stack
+            /// depth after the push. Not counted here: every pushed task is
+            /// joined exactly once, so `Stats::spawns` is the sum of the three
+            /// join counters.
+            Spawn = "spawn",
+            /// A join resolved on the private fast path (task above the public
+            /// boundary; no synchronization). `arg` = stack depth.
+            JoinFastPrivate = "join_fast_private" => inlined_private,
+            /// A join resolved on the public fast path (atomic swap saw the
+            /// task unstolen). `arg` = stack depth.
+            JoinFastPublic = "join_fast_public" => inlined_public,
+            /// A join entered the run-time system (`RTS_join`): its task was
+            /// held by a thief, stolen, or done. `arg` = stack depth.
+            RtsJoin = "rts_join" => rts_joins,
+            /// A join found its task stolen. `arg` = the thief's worker index
+            /// (`u32::MAX` when the thief had already finished it).
+            JoinSlow = "join_slow" => stolen_joins,
+            /// A blocked joiner started leapfrogging: stealing back from the
+            /// thief that holds its task. `arg` = the thief's worker index.
+            Leapfrog = "leapfrog",
+            /// A steal took a task. `arg` = victim index.
+            StealSuccess = "steal_success" => steals,
+            /// A leapfrogging joiner took a task from its thief. `arg` = victim
+            /// index.
+            LeapSteal = "leap_steal" => leap_steals,
+            /// A stolen task (`StealSuccess`, `LeapSteal`) finished running on
+            /// this worker, or its leap-frog wait (`Leapfrog`) ended: the worker
+            /// resumes what it did before that event. `arg` = 0.
+            Resume = "resume",
+            /// A steal attempt found nothing to steal. `arg` = victim index.
+            StealFail = "steal_fail" => failed_steals,
+            /// A steal attempt lost the race for a task to the owner or another
+            /// thief (a failed CAS or trylock). `arg` = victim index.
+            StealLost = "steal_lost" => lost_races,
+            /// A steal attempt won its CAS but backed off, because the victim's
+            /// `bot` or public boundary moved (§III-A). `arg` = victim index.
+            Backoff = "backoff" => backoffs,
+            /// The owner made private tasks stealable. `arg` = number of tasks
+            /// published.
+            Publish = "publish" => publishes,
+            /// A thief asked a victim to publish (rang the trip wire): the
+            /// victim had only private tasks, or the steal landed within the
+            /// trip distance of its public boundary. `arg` = victim index.
+            PublishRequest = "publish_request" => publish_requests,
+            /// A spawn found the task stack full and ran its task eagerly.
+            /// `arg` = stack depth.
+            Overflow = "overflow" => overflow_inlines,
+            /// The worker ran out of local work and entered the steal loop.
+            /// `arg` = 0.
+            Idle = "idle",
+            /// The worker is about to park its thread, waiting for work.
+            /// `arg` = 0.
+            Park = "park",
+            /// The worker's park returned (woken or timed out); follows its
+            /// `Park`. `arg` = 0.
+            Unpark = "unpark",
+            /// A root job was pushed into the serve pool's global injector.
+            /// Recorded by the *dequeuing* worker (rings are owner-writes-only)
+            /// with the submission timestamp the job carried, so queueing
+            /// latency is visible on the exported timeline. `arg` = job tag.
+            Inject = "inject",
+            /// A root job was popped from the global injector by this worker.
+            /// `arg` = job tag.
+            Dequeue = "dequeue",
+            /// A root job ran to completion on this worker. `arg` = job tag.
+            JobDone = "job_done",
+            /// A data-parallel splitter (`wool-par`) forked a range in half.
+            /// `arg` = range length (in items) before the split, saturated to
+            /// `u32::MAX`.
+            Split = "split",
+        }
+    };
+}
+pub(crate) use events;
+
+/// Declares [`EventKind`] from the rows of `events!`.
+macro_rules! event_kind {
     ($($(#[doc = $doc:literal])* $kind:ident = $name:literal $(=> $field:ident)?,)*) => {
         /// What happened. The `arg` field of [`Event`] is kind-specific
         /// (see each variant's doc).
@@ -82,93 +166,21 @@ macro_rules! events {
                 }
             }
         }
-
-        impl Stats {
-            /// The counter of `kind`'s events, if `Stats` counts them.
-            #[inline(always)]
-            pub(crate) fn counter(&mut self, kind: EventKind) -> Option<&mut u64> {
-                match kind {
-                    $(EventKind::$kind => None $(.or(Some(&mut self.$field)))?,)*
-                }
-            }
-        }
     };
 }
-
-events! {
-    /// A task was pushed onto the owner's task stack. `arg` = stack
-    /// depth after the push. Not counted here: every pushed task is
-    /// joined exactly once, so `Stats::spawns` is the sum of the three
-    /// join counters.
-    Spawn = "spawn",
-    /// A spawn found the task stack full and ran its task eagerly.
-    /// `arg` = stack depth.
-    Overflow = "overflow" => overflow_inlines,
-    /// A join resolved on the private fast path (task above the public
-    /// boundary; no synchronization). `arg` = stack depth.
-    JoinFastPrivate = "join_fast_private" => inlined_private,
-    /// A join resolved on the public fast path (atomic swap saw the
-    /// task unstolen). `arg` = stack depth.
-    JoinFastPublic = "join_fast_public" => inlined_public,
-    /// A join entered the run-time system (`RTS_join`): its task was
-    /// held by a thief, stolen, or done. `arg` = stack depth.
-    RtsJoin = "rts_join" => rts_joins,
-    /// A join found its task stolen. `arg` = the thief's worker index
-    /// (`u32::MAX` when the thief had already finished it).
-    JoinSlow = "join_slow" => stolen_joins,
-    /// A blocked joiner started leapfrogging: stealing back from the
-    /// thief that holds its task. `arg` = the thief's worker index.
-    Leapfrog = "leapfrog",
-    /// A steal took a task. `arg` = victim index.
-    StealSuccess = "steal_success" => steals,
-    /// A leapfrogging joiner took a task from its thief. `arg` = victim
-    /// index.
-    LeapSteal = "leap_steal" => leap_steals,
-    /// A stolen task (`StealSuccess`, `LeapSteal`) finished running on
-    /// this worker, or its leap-frog wait (`Leapfrog`) ended: the worker
-    /// resumes what it did before that event. `arg` = 0.
-    Resume = "resume",
-    /// A steal attempt found nothing to steal. `arg` = victim index.
-    StealFail = "steal_fail" => failed_steals,
-    /// A steal attempt lost the race for a task to the owner or another
-    /// thief (a failed CAS or trylock). `arg` = victim index.
-    StealLost = "steal_lost" => lost_races,
-    /// A steal attempt won its CAS but backed off, because the victim's
-    /// `bot` or public boundary moved (§III-A). `arg` = victim index.
-    Backoff = "backoff" => backoffs,
-    /// The owner made private tasks stealable. `arg` = number of tasks
-    /// published.
-    Publish = "publish" => publishes,
-    /// A thief asked a victim to publish (rang the trip wire): the
-    /// victim had only private tasks, or the steal landed within the
-    /// trip distance of its public boundary. `arg` = victim index.
-    PublishRequest = "publish_request" => publish_requests,
-    /// The worker ran out of local work and entered the steal loop.
-    /// `arg` = 0.
-    Idle = "idle",
-    /// The worker is about to park its thread, waiting for work.
-    /// `arg` = 0.
-    Park = "park",
-    /// The worker's park returned (woken or timed out); follows its
-    /// `Park`. `arg` = 0.
-    Unpark = "unpark",
-    /// A root job was pushed into the serve pool's global injector.
-    /// Recorded by the *dequeuing* worker (rings are owner-writes-only)
-    /// with the submission timestamp the job carried, so queueing
-    /// latency is visible on the exported timeline. `arg` = job tag.
-    Inject = "inject",
-    /// A root job was popped from the global injector by this worker.
-    /// `arg` = job tag.
-    Dequeue = "dequeue",
-    /// A root job ran to completion on this worker. `arg` = job tag.
-    JobDone = "job_done",
-    /// A data-parallel splitter (`wool-par`) forked a range in half.
-    /// `arg` = range length (in items) before the split, saturated to
-    /// `u32::MAX`.
-    Split = "split",
-}
+events!(event_kind);
 
 impl EventKind {
+    /// The outcomes of a steal attempt: each attempt ends in exactly one
+    /// of these.
+    pub(crate) const STEAL_OUTCOMES: [EventKind; 5] = [
+        EventKind::StealSuccess,
+        EventKind::LeapSteal,
+        EventKind::StealFail,
+        EventKind::StealLost,
+        EventKind::Backoff,
+    ];
+
     /// Whether the kind opens or closes a Figure 6 category: these
     /// record at every [`TraceLevel`] but `Off`, in every build.
     #[inline(always)]
@@ -402,6 +414,22 @@ impl Trace {
             .min()
     }
 
+    /// Counts the retained events into [`Stats`] through the map
+    /// `probe!` counts with, and derives `spawns` as a worker's report
+    /// does. A trace that dropped nothing and recorded at
+    /// [`TraceLevel::All`] in a traced build reads exactly its run's
+    /// `Stats`.
+    pub fn stats(&self) -> Stats {
+        let mut stats = Stats::default();
+        for e in self.workers.iter().flat_map(|w| &w.events) {
+            if let Some(n) = stats.counter(e.kind) {
+                *n += 1;
+            }
+        }
+        stats.spawns = stats.joins();
+        stats
+    }
+
     /// Counts retained events per kind.
     pub fn counts(&self) -> BTreeMap<&'static str, u64> {
         let mut m = BTreeMap::new();
@@ -420,5 +448,34 @@ impl Trace {
             .flat_map(|w| w.events.iter())
             .filter(|e| e.kind == kind)
             .count() as u64
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One event of every kind counts 1 into each counted field, 0 into
+    /// none, and three joins derive three spawns.
+    #[test]
+    fn trace_stats_counts_one_event_of_every_kind() {
+        let mut ring = TraceRing::new(TraceLevel::All, EventKind::ALL.len());
+        for (ts, kind) in EventKind::ALL.into_iter().enumerate() {
+            ring.record(kind, ts as u64, 0);
+        }
+        let trace = Trace::new(vec![ring.snapshot(0)], 1.0);
+        assert_eq!(trace.dropped(), 0);
+        let mut stats = trace.stats();
+        let mut counted = 0;
+        for kind in EventKind::ALL {
+            if let Some(&mut n) = stats.counter(kind) {
+                assert_eq!(n, 1, "{}", kind.name());
+                counted += 1;
+            }
+        }
+        assert_eq!(stats.spawns, 3);
+        // Every field but `spawns` is a counter, so none was left out.
+        let fields = std::mem::size_of::<Stats>() / std::mem::size_of::<u64>();
+        assert_eq!(counted, fields - 1);
     }
 }

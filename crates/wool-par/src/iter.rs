@@ -39,7 +39,8 @@ impl<P: Producer> ParIter<P> {
     }
 
     /// Pins the sequential-fallback cutoff to `grain` items instead of
-    /// the adaptive model (still floored by the pool's `min_grain`).
+    /// the adaptive model: a floor on the task granularity `G_T` for a
+    /// loop whose items are too cheap to fork over one by one.
     ///
     /// # Panics
     /// Panics if `grain == 0`.
@@ -276,14 +277,13 @@ mod tests {
     }
 
     #[test]
-    fn min_grain_floor_respected() {
-        use wool_core::PoolConfig;
-        // A pool-wide floor coarser than the explicit grain: the floor
-        // wins. Correctness is unchanged; this exercises the clamp.
-        let cfg = PoolConfig::with_workers(2).min_grain(256);
-        let mut pool: Pool = Pool::with_config(cfg);
-        let total = pool.run(|h| par_range(0..1000).with_grain(1).sum(h));
+    fn grain_floor_respected() {
+        // A grain far coarser than the adaptive one: 1000 items halve
+        // into four leaves of 250, so the loop forks three times.
+        let mut pool: Pool = Pool::new(2);
+        let total = pool.run(|h| par_range(0..1000).with_grain(256).sum(h));
         assert_eq!(total, (0..1000).sum::<usize>());
+        assert_eq!(pool.last_report().unwrap().total.spawns, 3);
     }
 
     #[test]

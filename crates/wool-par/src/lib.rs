@@ -26,12 +26,12 @@
 //! ## Adaptive splitting (the paper's granularity model)
 //!
 //! The splitter chooses its sequential-fallback cutoff from the
-//! executor's *live worker count* and the pool's configured floor
-//! (`PoolConfig::min_grain`); see [`adaptive_grain`]. In the paper's
-//! §II terms: over-partitioning into ~8 leaves per worker keeps the
-//! load-balancing granularity `G_L = T_S / N_M` small enough that
-//! random stealing balances the loop, while the `min_grain` floor
-//! bounds the task granularity `G_T = T_S / N_T` from below so
+//! executor's *live worker count*; see [`adaptive_grain`]. In the
+//! paper's §II terms: over-partitioning into ~8 leaves per worker keeps
+//! the load-balancing granularity `G_L = T_S / N_M` small enough that
+//! random stealing balances the loop, while a per-loop floor
+//! (`with_grain`) bounds the task granularity `G_T = T_S / N_T` from
+//! below so
 //! per-task overhead (a few cycles on the private-task join fast path)
 //! stays amortized. Because the direct task stack publishes only a
 //! bounded public frontier (§III-B), the splits beyond that frontier

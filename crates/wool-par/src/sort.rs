@@ -20,8 +20,8 @@ pub const SORT_SEQUENTIAL_CUTOFF: usize = 512;
 
 /// Sorts `xs` in parallel (unstable, merge-based).
 ///
-/// The leaf cutoff is adaptive: `len / (8 * workers)`, floored by both
-/// [`SORT_SEQUENTIAL_CUTOFF`] and the pool's `min_grain`.
+/// The leaf cutoff is adaptive: `len / (8 * workers)`, floored by
+/// [`SORT_SEQUENTIAL_CUTOFF`].
 ///
 /// ```
 /// use wool_core::Pool;
@@ -41,11 +41,7 @@ where
         xs.sort_unstable();
         return;
     }
-    let grain = adaptive_grain(
-        n,
-        c.num_workers(),
-        c.min_grain().max(SORT_SEQUENTIAL_CUTOFF),
-    );
+    let grain = adaptive_grain(n, c.num_workers()).max(SORT_SEQUENTIAL_CUTOFF);
     let mut scratch = xs.to_vec();
     sort_rec(c, xs, &mut scratch, grain);
 }

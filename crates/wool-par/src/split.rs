@@ -20,24 +20,22 @@ use wool_core::Fork;
 pub const TASKS_PER_WORKER: usize = 8;
 
 /// Chooses the sequential-fallback cutoff (leaf size, in items) for a
-/// range of `len` items on an executor with `workers` workers and a
-/// pool-configured `min_grain` floor.
+/// range of `len` items on an executor with `workers` workers.
 ///
-/// `len / (8 * workers)`, floored at `min_grain` (the `G_T` bound —
-/// never make leaves so small that per-task overhead dominates) and at
-/// 1 (a zero-item leaf could not terminate the recursion).
-pub fn adaptive_grain(len: usize, workers: usize, min_grain: usize) -> usize {
+/// `len / (8 * workers)`, floored at 1 (a zero-item leaf could not
+/// terminate the recursion). A caller that knows its per-item cost sets
+/// a coarser floor, the `G_T` bound, per call with `with_grain`.
+pub fn adaptive_grain(len: usize, workers: usize) -> usize {
     let pieces = workers.saturating_mul(TASKS_PER_WORKER).max(1);
-    (len / pieces).max(min_grain).max(1)
+    (len / pieces).max(1)
 }
 
 /// Resolves the effective grain for one consumer invocation: an
-/// explicit `with_grain` wins (still floored by the pool's
-/// `min_grain`); otherwise the adaptive model decides.
+/// explicit `with_grain` wins; otherwise the adaptive model decides.
 pub(crate) fn effective_grain<C: Fork>(c: &C, len: usize, explicit: Option<usize>) -> usize {
     match explicit {
-        Some(g) => g.max(c.min_grain()).max(1),
-        None => adaptive_grain(len, c.num_workers(), c.min_grain()),
+        Some(g) => g.max(1),
+        None => adaptive_grain(len, c.num_workers()),
     }
 }
 
@@ -83,12 +81,10 @@ mod tests {
     #[test]
     fn grain_scales_with_workers_and_floors() {
         // 1M items on 4 workers: 8*4 = 32 pieces.
-        assert_eq!(adaptive_grain(1 << 20, 4, 1), (1 << 20) / 32);
-        // The pool floor wins when the heuristic would go finer.
-        assert_eq!(adaptive_grain(1024, 64, 100), 100);
+        assert_eq!(adaptive_grain(1 << 20, 4), (1 << 20) / 32);
         // Degenerate inputs stay at least 1.
-        assert_eq!(adaptive_grain(0, 4, 1), 1);
-        assert_eq!(adaptive_grain(10, usize::MAX, 1), 1);
+        assert_eq!(adaptive_grain(0, 4), 1);
+        assert_eq!(adaptive_grain(10, usize::MAX), 1);
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! testing crate.
 
 use wool_core::{
-    Fork, LockedBase, Pool, PoolConfig, StealLockBase, StealLockPeek, StealLockTrylock, Strategy,
-    SyncOnTask, TaskSpecific, WoolFull, WoolNoLeap,
+    Fork, LockedBase, Pool, StealLockBase, StealLockPeek, StealLockTrylock, Strategy, SyncOnTask,
+    TaskSpecific, WoolFull, WoolNoLeap,
 };
 use wool_par::{par_iter, par_iter_mut, par_range, par_sort_unstable};
 use ws_baseline::SerialExecutor;
@@ -37,14 +37,26 @@ fn input(n: usize, seed: u64) -> Vec<u64> {
     (0..n).map(|_| rng.next() % 1_000_003).collect()
 }
 
-/// Runs every consumer-vs-reference property on one executor context.
-fn check_all_props<C: Fork>(c: &mut C, xs: &[u64], label: &str) {
+/// `$it`, with its grain pinned to `$grain` when that is `Some`.
+macro_rules! grained {
+    ($it:expr, $grain:expr) => {{
+        let it = $it;
+        match $grain {
+            Some(g) => it.with_grain(g),
+            None => it,
+        }
+    }};
+}
+
+/// Runs every consumer-vs-reference property on one executor context,
+/// at the adaptive grain or at `grain`.
+fn check_all_props<C: Fork>(c: &mut C, xs: &[u64], label: &str, grain: Option<usize>) {
     // map + sum.
     let expect: u64 = xs
         .iter()
         .map(|&x| x.wrapping_mul(3))
         .fold(0, u64::wrapping_add);
-    let got = par_iter(xs).map(|x| x.wrapping_mul(3)).fold(
+    let got = grained!(par_iter(xs).map(|x| x.wrapping_mul(3)), grain).fold(
         c,
         || 0u64,
         |a, x| a.wrapping_add(x),
@@ -52,17 +64,17 @@ fn check_all_props<C: Fork>(c: &mut C, xs: &[u64], label: &str) {
     );
     assert_eq!(got, expect, "map+fold on {label}, n = {}", xs.len());
 
-    let got = par_iter(xs).map(|x| x.wrapping_mul(3)).sum(c);
+    let got = grained!(par_iter(xs).map(|x| x.wrapping_mul(3)), grain).sum(c);
     assert_eq!(got, expect, "map+sum on {label}, n = {}", xs.len());
 
     // reduce (max; identity = 0 works for the unsigned inputs).
     let expect = xs.iter().copied().max().unwrap_or(0);
-    let got = par_iter(xs).copied().reduce(c, || 0, u64::max);
+    let got = grained!(par_iter(xs).copied(), grain).reduce(c, || 0, u64::max);
     assert_eq!(got, expect, "reduce max on {label}, n = {}", xs.len());
 
     // for_each over a mutable copy.
     let mut ys = xs.to_vec();
-    par_iter_mut(&mut ys).for_each(c, |y| *y = y.wrapping_add(1));
+    grained!(par_iter_mut(&mut ys), grain).for_each(c, |y| *y = y.wrapping_add(1));
     assert!(
         ys.iter().zip(xs).all(|(y, x)| *y == x.wrapping_add(1)),
         "for_each on {label}, n = {}",
@@ -73,7 +85,7 @@ fn check_all_props<C: Fork>(c: &mut C, xs: &[u64], label: &str) {
     let n = xs.len();
     let expect: usize = (0..n).sum();
     assert_eq!(
-        par_range(0..n).sum(c),
+        grained!(par_range(0..n), grain).sum(c),
         expect,
         "range sum on {label}, n = {n}"
     );
@@ -86,12 +98,11 @@ fn check_all_props<C: Fork>(c: &mut C, xs: &[u64], label: &str) {
     assert_eq!(zs, expect, "sort on {label}, n = {}", xs.len());
 }
 
-fn check_strategy<S: Strategy>(workers: usize, min_grain: usize) {
-    let cfg = PoolConfig::with_workers(workers).min_grain(min_grain);
-    let mut pool: Pool<S> = Pool::with_config(cfg);
+fn check_strategy<S: Strategy>(workers: usize, grain: Option<usize>) {
+    let mut pool: Pool<S> = Pool::new(workers);
     for (i, &n) in SIZES.iter().enumerate() {
         let xs = input(n, 0xC0FFEE + i as u64);
-        pool.run(|h| check_all_props(h, &xs, S::NAME));
+        pool.run(|h| check_all_props(h, &xs, S::NAME, grain));
     }
 }
 
@@ -100,7 +111,7 @@ macro_rules! strategy_tests {
         $(
             #[test]
             fn $test() {
-                check_strategy::<$strategy>(4, 1);
+                check_strategy::<$strategy>(4, None);
             }
         )+
     };
@@ -119,10 +130,10 @@ strategy_tests! {
 
 #[test]
 fn props_single_worker_and_coarse_floor() {
-    // Degenerate pool shapes: one worker (pure private path) and a
-    // floor coarser than most inputs (splitting mostly disabled).
-    check_strategy::<WoolFull>(1, 1);
-    check_strategy::<WoolFull>(3, 4096);
+    // Degenerate shapes: one worker (pure private path) and a grain
+    // coarser than most inputs (splitting mostly disabled).
+    check_strategy::<WoolFull>(1, None);
+    check_strategy::<WoolFull>(3, Some(4096));
 }
 
 #[test]
@@ -130,6 +141,6 @@ fn props_serial_executor() {
     let mut e = SerialExecutor::new();
     for (i, &n) in SIZES.iter().enumerate() {
         let xs = input(n, 0xBEEF + i as u64);
-        e.run(|c| check_all_props(c, &xs, "serial"));
+        e.run(|c| check_all_props(c, &xs, "serial", None));
     }
 }

@@ -1,10 +1,10 @@
 //! Offline analysis of a merged [`Trace`]: the steal graph
-//! (thief→victim edge weights), steal-interval histograms, per-worker
-//! utilization timelines, and the Figure 6 CPU-time breakdown.
+//! (thief→victim edge weights) and the Figure 6 CPU-time breakdown.
 
 use std::collections::BTreeMap;
+use std::ops::AddAssign;
 
-use minijson::Json;
+use wool_core::Stats;
 
 use crate::{EventKind, Trace, WorkerTrace};
 
@@ -19,91 +19,26 @@ pub struct StealEdge {
     pub count: u64,
 }
 
-/// Utilization summary of one worker over the traced interval.
-#[derive(Debug, Clone)]
-pub struct WorkerUtilization {
-    /// Worker index.
-    pub worker: usize,
-    /// Fraction of the traced interval spent outside idle spans
-    /// (0.0–1.0). 1.0 when the worker never went idle.
-    pub busy_fraction: f64,
-    /// Busy fraction per timeline bucket (equal slices of the traced
-    /// interval), for plotting.
-    pub timeline: Vec<f64>,
-}
-
 /// The result of [`analyze`].
 #[derive(Debug, Clone)]
 pub struct Analysis {
-    /// Steal-graph edges sorted by descending count.
+    /// Steal-graph edges sorted by descending count; leap-frog steals
+    /// are edges too, so the counts sum to `totals.total_steals()`.
     pub steal_graph: Vec<StealEdge>,
-    /// Total successful steals in the trace, leap-frog steals included
-    /// (sum of edge counts).
-    pub steals: u64,
-    /// Total steal attempts: each ends in a success, a leap-frog steal,
-    /// a failure, a lost race or a back-off.
-    pub attempts: u64,
-    /// Attempts that found nothing.
-    pub failed: u64,
-    /// Attempts that lost the race for a task.
-    pub lost: u64,
-    /// Back-off events.
-    pub backoffs: u64,
-    /// Publish-request (trip-wire) events.
-    pub publish_requests: u64,
-    /// Leapfrog entries.
-    pub leapfrogs: u64,
-    /// Data-parallel splits (`wool-par` fork points).
-    pub splits: u64,
-    /// Histogram of intervals between consecutive successful steals by
-    /// the same thief: bucket `i` counts intervals in
-    /// `[2^i, 2^(i+1))` cycles (bucket 0 also holds 0-cycle intervals).
-    pub steal_interval_hist: Vec<u64>,
-    /// Per-worker utilization, indexed by worker.
-    pub utilization: Vec<WorkerUtilization>,
+    /// The trace's events counted into `Stats` ([`Trace::stats`]).
+    pub totals: Stats,
 }
 
-/// Number of timeline buckets in [`WorkerUtilization::timeline`].
-pub const TIMELINE_BUCKETS: usize = 32;
-
-/// Runs the full analysis pass over a merged trace.
+/// Computes the steal graph of a merged trace, and its totals.
 pub fn analyze(trace: &Trace) -> Analysis {
     let mut edges: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-    let mut failed = 0;
-    let mut lost = 0;
-    let mut backoffs = 0;
-    let mut publish_requests = 0;
-    let mut leapfrogs = 0;
-    let mut splits = 0;
-    let mut hist = vec![0u64; 64];
-    let mut max_bucket = 0;
-
     for w in &trace.workers {
-        let mut last_steal: Option<u64> = None;
         for e in &w.events {
-            match e.kind {
-                EventKind::StealFail => failed += 1,
-                EventKind::StealLost => lost += 1,
-                EventKind::Backoff => backoffs += 1,
-                EventKind::PublishRequest => publish_requests += 1,
-                EventKind::Leapfrog => leapfrogs += 1,
-                EventKind::Split => splits += 1,
-                EventKind::StealSuccess | EventKind::LeapSteal => {
-                    *edges.entry((w.worker, e.arg as usize)).or_insert(0) += 1;
-                    if let Some(prev) = last_steal {
-                        let dt = e.ts.saturating_sub(prev);
-                        let b = (64 - dt.leading_zeros()).saturating_sub(1) as usize;
-                        hist[b] += 1;
-                        max_bucket = max_bucket.max(b);
-                    }
-                    last_steal = Some(e.ts);
-                }
-                _ => {}
+            if matches!(e.kind, EventKind::StealSuccess | EventKind::LeapSteal) {
+                *edges.entry((w.worker, e.arg as usize)).or_insert(0) += 1;
             }
         }
     }
-    hist.truncate(max_bucket + 1);
-
     let mut steal_graph: Vec<StealEdge> = edges
         .into_iter()
         .map(|((thief, victim), count)| StealEdge {
@@ -118,88 +53,10 @@ pub fn analyze(trace: &Trace) -> Analysis {
             .then(a.thief.cmp(&b.thief))
             .then(a.victim.cmp(&b.victim))
     });
-    let steals = steal_graph.iter().map(|e| e.count).sum();
-
     Analysis {
         steal_graph,
-        steals,
-        attempts: steals + failed + lost + backoffs,
-        failed,
-        lost,
-        backoffs,
-        publish_requests,
-        leapfrogs,
-        splits,
-        steal_interval_hist: hist,
-        utilization: utilization(trace),
+        totals: trace.stats(),
     }
-}
-
-/// Computes per-worker busy fractions and bucketed timelines from
-/// idle/park → unpark/steal-success spans.
-fn utilization(trace: &Trace) -> Vec<WorkerUtilization> {
-    let (Some(start), Some(end)) = (
-        trace.epoch(),
-        trace
-            .workers
-            .iter()
-            .flat_map(|w| w.events.iter().map(|e| e.ts))
-            .max(),
-    ) else {
-        return Vec::new();
-    };
-    let span = (end - start).max(1) as f64;
-
-    trace
-        .workers
-        .iter()
-        .map(|w| {
-            // Collect this worker's idle spans.
-            let mut spans: Vec<(u64, u64)> = Vec::new();
-            let mut idle_since: Option<u64> = None;
-            for e in &w.events {
-                match e.kind {
-                    EventKind::Idle | EventKind::Park => {
-                        idle_since.get_or_insert(e.ts);
-                    }
-                    EventKind::Unpark | EventKind::StealSuccess | EventKind::Dequeue => {
-                        if let Some(s) = idle_since.take() {
-                            spans.push((s, e.ts));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            if let Some(s) = idle_since {
-                spans.push((s, end));
-            }
-
-            let idle_total: u64 = spans.iter().map(|(a, b)| b - a).sum();
-            let busy_fraction = (1.0 - idle_total as f64 / span).clamp(0.0, 1.0);
-
-            // Bucketed timeline: subtract each idle span's overlap with
-            // each bucket.
-            let bucket_w = span / TIMELINE_BUCKETS as f64;
-            let mut timeline = vec![1.0f64; TIMELINE_BUCKETS];
-            for &(a, b) in &spans {
-                let (a, b) = ((a - start) as f64, (b - start) as f64);
-                let first = ((a / bucket_w) as usize).min(TIMELINE_BUCKETS - 1);
-                let last = ((b / bucket_w) as usize).min(TIMELINE_BUCKETS - 1);
-                for (i, slot) in timeline.iter_mut().enumerate().take(last + 1).skip(first) {
-                    let lo = (i as f64) * bucket_w;
-                    let hi = lo + bucket_w;
-                    let overlap = (b.min(hi) - a.max(lo)).max(0.0);
-                    *slot = (*slot - overlap / bucket_w).clamp(0.0, 1.0);
-                }
-            }
-
-            WorkerUtilization {
-                worker: w.worker,
-                busy_fraction,
-                timeline,
-            }
-        })
-        .collect()
 }
 
 /// Figure 6's split of CPU time into the paper's five categories, in
@@ -225,6 +82,18 @@ impl Breakdown {
     /// The five categories in the paper's order.
     pub fn cycles(&self) -> [u64; 5] {
         [self.tr, self.na, self.la, self.st, self.lf]
+    }
+}
+
+/// Adds category by category: the breakdown of several regions, or of
+/// several workers.
+impl AddAssign for Breakdown {
+    fn add_assign(&mut self, o: Self) {
+        self.tr += o.tr;
+        self.na += o.na;
+        self.la += o.la;
+        self.st += o.st;
+        self.lf += o.lf;
     }
 }
 
@@ -273,92 +142,11 @@ fn worker_breakdown(w: &WorkerTrace) -> Option<Breakdown> {
 pub fn breakdown(trace: &Trace, wall_ticks: u64) -> Option<Breakdown> {
     let mut sum = Breakdown::default();
     for w in &trace.workers {
-        let b = worker_breakdown(w)?;
-        (sum.na, sum.la, sum.st, sum.lf) =
-            (sum.na + b.na, sum.la + b.la, sum.st + b.st, sum.lf + b.lf);
+        sum += worker_breakdown(w)?;
     }
     let classified = sum.na + sum.la + sum.st + sum.lf;
     sum.tr = (wall_ticks * trace.workers.len() as u64).saturating_sub(classified);
     Some(sum)
-}
-
-impl Analysis {
-    /// Failed attempts as a fraction of all attempts (0 when none).
-    pub fn failed_ratio(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.failed as f64 / self.attempts as f64
-        }
-    }
-
-    /// Back-offs as a fraction of successful steals, leap-frog steals
-    /// included (0 when none) — the paper's "always below 1% of
-    /// successful steals", and the ratio of `Stats::backoff_ratio`.
-    pub fn backoff_ratio(&self) -> f64 {
-        if self.steals == 0 {
-            0.0
-        } else {
-            self.backoffs as f64 / self.steals as f64
-        }
-    }
-
-    /// JSON form of the analysis (steal graph, ratios, histogram,
-    /// utilization) for embedding in reports.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "steal_graph".into(),
-                Json::Arr(
-                    self.steal_graph
-                        .iter()
-                        .map(|e| {
-                            Json::Obj(vec![
-                                ("thief".into(), Json::Num(e.thief as f64)),
-                                ("victim".into(), Json::Num(e.victim as f64)),
-                                ("count".into(), Json::Num(e.count as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("steals".into(), Json::Num(self.steals as f64)),
-            ("attempts".into(), Json::Num(self.attempts as f64)),
-            ("failed".into(), Json::Num(self.failed as f64)),
-            ("lost".into(), Json::Num(self.lost as f64)),
-            ("backoffs".into(), Json::Num(self.backoffs as f64)),
-            (
-                "publish_requests".into(),
-                Json::Num(self.publish_requests as f64),
-            ),
-            ("leapfrogs".into(), Json::Num(self.leapfrogs as f64)),
-            ("failed_ratio".into(), Json::Num(self.failed_ratio())),
-            ("backoff_ratio".into(), Json::Num(self.backoff_ratio())),
-            (
-                "steal_interval_hist".into(),
-                Json::Arr(
-                    self.steal_interval_hist
-                        .iter()
-                        .map(|&c| Json::Num(c as f64))
-                        .collect(),
-                ),
-            ),
-            (
-                "utilization".into(),
-                Json::Arr(
-                    self.utilization
-                        .iter()
-                        .map(|u| {
-                            Json::Obj(vec![
-                                ("worker".into(), Json::Num(u.worker as f64)),
-                                ("busy_fraction".into(), Json::Num(u.busy_fraction)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -379,10 +167,10 @@ mod tests {
 
         let trace = Trace::new(vec![t1.snapshot(1), t2.snapshot(2)], 1.0);
         let a = analyze(&trace);
-        assert_eq!(a.steals, 4, "leap-frog steals are steals");
-        assert_eq!(a.attempts, 6);
-        assert_eq!(a.failed, 1);
-        assert_eq!(a.backoffs, 1);
+        assert_eq!(a.totals, trace.stats());
+        assert_eq!(a.totals.total_steals(), 4, "leap-frog steals are steals");
+        assert_eq!(a.totals.failed_steals, 1);
+        assert_eq!(a.totals.backoffs, 1);
         assert_eq!(
             a.steal_graph[0],
             StealEdge {
@@ -399,11 +187,14 @@ mod tests {
                 count: 1
             }
         );
-        assert!((a.failed_ratio() - 1.0 / 6.0).abs() < 1e-12);
-        assert!((a.backoff_ratio() - 1.0 / 4.0).abs() < 1e-12, "over steals");
+        assert!((a.totals.failed_ratio() - 1.0 / 6.0).abs() < 1e-12);
+        assert!(
+            (a.totals.backoff_ratio() - 1.0 / 4.0).abs() < 1e-12,
+            "over steals"
+        );
     }
 
-    /// `failed` counts only attempts that found nothing, and the
+    /// A failed steal is only an attempt that found nothing, and the
     /// attempts are exactly the five outcomes.
     #[test]
     fn failed_counts_only_empty_attempts() {
@@ -418,56 +209,13 @@ mod tests {
         // Neither a publication request nor a leapfrog is an outcome.
         r.record(PublishRequest, 2, 0);
         r.record(Leapfrog, 3, 0);
-        let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
-        assert_eq!((a.steals, a.failed, a.lost, a.backoffs), (1 + 2, 3, 4, 5));
-        assert_eq!(a.attempts, 1 + 2 + 3 + 4 + 5);
-        assert_eq!(a.attempts, a.steals + a.failed + a.lost + a.backoffs);
-    }
-
-    #[test]
-    fn interval_histogram_buckets_log2() {
-        let mut r = TraceRing::new(TraceLevel::All, 64);
-        // Steals at t = 0, 1, 5, 1029: intervals 1 (bucket 0),
-        // 4 (bucket 2), 1024 (bucket 10).
-        for ts in [0u64, 1, 5, 1029] {
-            r.record(EventKind::StealSuccess, ts, 0);
-        }
-        let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
-        assert_eq!(a.steal_interval_hist.len(), 11);
-        assert_eq!(a.steal_interval_hist[0], 1);
-        assert_eq!(a.steal_interval_hist[2], 1);
-        assert_eq!(a.steal_interval_hist[10], 1);
-    }
-
-    #[test]
-    fn utilization_counts_idle_spans() {
-        let mut r = TraceRing::new(TraceLevel::All, 64);
-        r.record(EventKind::Spawn, 0, 1);
-        r.record(EventKind::Idle, 100, 0);
-        r.record(EventKind::Unpark, 300, 0);
-        r.record(EventKind::Spawn, 400, 1);
-        // Span 0..400; idle 100..300 → busy 200/400 = 0.5.
-        let a = analyze(&Trace::new(vec![r.snapshot(0)], 1.0));
-        assert_eq!(a.utilization.len(), 1);
-        assert!((a.utilization[0].busy_fraction - 0.5).abs() < 1e-9);
-        let tl = &a.utilization[0].timeline;
-        assert_eq!(tl.len(), TIMELINE_BUCKETS);
-        // Buckets fully inside the idle span are 0.
-        assert!(tl[TIMELINE_BUCKETS / 2].abs() < 1e-9);
-        assert!((tl[0] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn trailing_idle_span_counts_to_trace_end() {
-        let mut r = TraceRing::new(TraceLevel::All, 16);
-        r.record(EventKind::Spawn, 0, 1);
-        r.record(EventKind::Idle, 100, 0);
-        let mut other = TraceRing::new(TraceLevel::All, 16);
-        other.record(EventKind::Spawn, 200, 1);
-        // Trace span 0..200, worker 0 idle 100..200 → busy 0.5.
-        let a = analyze(&Trace::new(vec![r.snapshot(0), other.snapshot(1)], 1.0));
-        assert!((a.utilization[0].busy_fraction - 0.5).abs() < 1e-9);
-        assert!((a.utilization[1].busy_fraction - 1.0).abs() < 1e-9);
+        let s = analyze(&Trace::new(vec![r.snapshot(1)], 1.0)).totals;
+        assert_eq!(
+            (s.total_steals(), s.failed_steals, s.backoffs),
+            (1 + 2, 3, 5)
+        );
+        let attempts = 1 + 2 + 3 + 4 + 5;
+        assert!((s.failed_ratio() - 3.0 / attempts as f64).abs() < 1e-12);
     }
 
     /// `worker`'s trace of a measurement window from `start` to `end`
@@ -527,6 +275,9 @@ mod tests {
         let trace = Trace::new(vec![window(0, 5, 95, &[]), stolen], 1.0);
         let b = breakdown(&trace, 100).unwrap();
         assert_eq!(b.cycles(), [200 - 90 - 70, 90 + 20, 0, 50, 0]);
+        let mut twice = b;
+        twice += b;
+        assert_eq!(twice.cycles(), b.cycles().map(|c| 2 * c));
         // Windows that overrun the wall time leave no TR.
         assert_eq!(breakdown(&trace, 50).unwrap().tr, 0);
     }
@@ -544,14 +295,5 @@ mod tests {
         assert_eq!(breakdown(&trace, 10), None);
         let unbalanced = window(2, 0, 10, &[(EventKind::Resume, 5)]);
         assert_eq!(worker_breakdown(&unbalanced), None);
-    }
-
-    #[test]
-    fn analysis_json_is_valid() {
-        let mut r = TraceRing::new(TraceLevel::All, 16);
-        r.record(EventKind::StealSuccess, 2, 0);
-        let a = analyze(&Trace::new(vec![r.snapshot(1)], 1.0));
-        let parsed = minijson::parse(&a.to_json().pretty()).unwrap();
-        assert_eq!(parsed.get("steals").unwrap().as_u64(), Some(1));
     }
 }

@@ -8,8 +8,9 @@
 //!
 //! * [`to_chrome_json`] exports a trace as a Chrome/Perfetto trace-event
 //!   document ([`chrome`]);
-//! * [`analyze`] computes the steal graph, steal-interval histograms and
-//!   per-worker utilization timelines ([`analysis`]);
+//! * [`analyze`] computes the steal graph that `--trace-out` prints, with
+//!   the trace's totals counted into `Stats` by [`Trace::stats`]
+//!   ([`analysis`]);
 //! * [`breakdown`] splits a region's CPU time into Figure 6's categories
 //!   from a `TraceLevel::Breakdown` trace.
 //!
@@ -24,7 +25,7 @@ pub use wool_core::trace::{Event, EventKind, Trace, TraceLevel, TraceRing, Worke
 pub mod analysis;
 pub mod chrome;
 
-pub use analysis::{analyze, breakdown, Analysis, Breakdown, StealEdge, WorkerUtilization};
+pub use analysis::{analyze, breakdown, Analysis, Breakdown, StealEdge};
 pub use chrome::to_chrome_json;
 
 #[cfg(test)]

@@ -28,8 +28,8 @@
 //!   Chase & Lev (SPAA 2005) with the C11 orderings of Lê et al.
 //!   (PPoPP 2013). The owner's pop pays the sequentially-consistent
 //!   fence that the paper argues the direct task stack avoids.
-//! * [`locked`] — a mutex-protected deque with the three steal
-//!   protocols of §IV-C (*base*, *peek*, *trylock*).
+//! * [`locked`] — a mutex-protected deque whose thieves take the
+//!   victim's lock before they look for work (§IV-C's *base* protocol).
 //!
 //! See DESIGN.md §3 for the substitution argument and its limits.
 
@@ -43,9 +43,9 @@ pub mod queues;
 pub mod serial;
 
 pub use chase_lev::ChaseLev;
-pub use locked::{LockedDeque, StealProtocol};
+pub use locked::LockedDeque;
 pub use npool::{NodeCtx, NodePool, NodePoolConfig};
-pub use queues::{protocol, ChaseLevQueue, LockedQueue, NodeQueue};
+pub use queues::{ChaseLevQueue, LockedQueue, NodeQueue};
 pub use serial::{SerialCtx, SerialExecutor};
 
 /// Outcome of a steal attempt, shared by both deque families.
@@ -69,12 +69,6 @@ impl<T> Steal<T> {
         }
     }
 
-    /// True if the attempt should be retried without treating the victim
-    /// as empty.
-    pub fn is_retry(&self) -> bool {
-        matches!(self, Steal::Retry)
-    }
-
     /// True if the victim was observed empty.
     pub fn is_empty(&self) -> bool {
         matches!(self, Steal::Empty)
@@ -85,10 +79,10 @@ impl<T> Steal<T> {
 pub type TbbLikePool = NodePool<ChaseLevQueue>;
 
 /// Cilk++-like scheduler: per-worker locked deque of boxed tasks.
-pub type CilkLikePool = NodePool<LockedQueue<{ protocol::BASE }>>;
+pub type CilkLikePool = NodePool<LockedQueue>;
 
 /// OpenMP-like scheduler: locked deques plus a global steal lock.
-pub type OmpLikePool = NodePool<LockedQueue<{ protocol::BASE }>>;
+pub type OmpLikePool = NodePool<LockedQueue>;
 
 /// Creates a TBB-like pool with `workers` workers.
 pub fn tbb_like(workers: usize) -> TbbLikePool {

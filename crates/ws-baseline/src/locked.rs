@@ -1,56 +1,18 @@
-//! Lock-synchronized work-stealing deques.
+//! A lock-synchronized work-stealing deque: the substrate of the
+//! Cilk++-like and OpenMP-like baseline pools.
 //!
-//! These implement the three lock-based steal protocols of §IV-C of the
-//! Wool paper, used by the baseline schedulers and by the Figure 4
-//! reproduction:
-//!
-//! * **Base** — the thief takes the victim's lock immediately after
-//!   selecting it, then checks for work.
-//! * **Peek** — the thief first reads an unsynchronized emptiness hint
-//!   and only takes the lock when the victim looks non-empty.
-//! * **Trylock** — in addition to peeking, the thief uses `try_lock` and
-//!   aborts the steal attempt if the lock is contended.
-//!
-//! The owner's `push`/`pop` also take the lock, matching the paper's
-//! description of the *base* Wool alternative ("per-worker locks for
-//! mutual exclusion of thieves and victim") and the heavyweight locking
-//! it attributes to Cilk++'s stealing path.
+//! The owner pushes and pops at the back under the deque's lock, and a
+//! thief takes the same lock as soon as it has picked its victim, then
+//! looks for work: the *base* protocol of §IV-C of the Wool paper
+//! ("per-worker locks for mutual exclusion of thieves and victim"), and
+//! the heavyweight locking the paper attributes to Cilk++'s stealing
+//! path. Figure 4's peek and trylock rungs are wool-core strategies, not
+//! this deque.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use crate::Steal;
-
-/// Which §IV-C steal protocol a thief uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StealProtocol {
-    /// Lock first, then look for work.
-    Base,
-    /// Check an emptiness hint before locking.
-    Peek,
-    /// Peek, then `try_lock`; abort on contention.
-    Trylock,
-}
-
-impl StealProtocol {
-    /// All protocols, in the order Figure 4 plots them.
-    pub const ALL: [StealProtocol; 3] = [
-        StealProtocol::Base,
-        StealProtocol::Peek,
-        StealProtocol::Trylock,
-    ];
-
-    /// Human-readable name matching the paper's legend.
-    pub fn name(self) -> &'static str {
-        match self {
-            StealProtocol::Base => "base",
-            StealProtocol::Peek => "peek",
-            StealProtocol::Trylock => "trylock",
-        }
-    }
-}
 
 /// A deque protected by a per-worker mutex.
 ///
@@ -59,9 +21,6 @@ impl StealProtocol {
 #[derive(Debug)]
 pub struct LockedDeque<T> {
     inner: Mutex<VecDeque<T>>,
-    /// Unsynchronized length hint used by the *peek* and *trylock*
-    /// protocols. Updated under the lock, read without it.
-    len_hint: AtomicUsize,
 }
 
 impl<T> Default for LockedDeque<T> {
@@ -75,70 +34,27 @@ impl<T> LockedDeque<T> {
     pub fn new() -> Self {
         LockedDeque {
             inner: Mutex::new(VecDeque::new()),
-            len_hint: AtomicUsize::new(0),
         }
+    }
+
+    fn locked(&self) -> MutexGuard<'_, VecDeque<T>> {
+        // No deque operation runs user code under the lock.
+        self.inner.lock().expect("deque lock poisoned")
     }
 
     /// Owner: push a task (takes the lock).
     pub fn push(&self, v: T) {
-        let mut q = self.inner.lock().unwrap();
-        q.push_back(v);
-        self.len_hint.store(q.len(), Ordering::Relaxed);
+        self.locked().push_back(v);
     }
 
     /// Owner: pop the most recently pushed task (takes the lock).
     pub fn pop(&self) -> Option<T> {
-        let mut q = self.inner.lock().unwrap();
-        let v = q.pop_back();
-        self.len_hint.store(q.len(), Ordering::Relaxed);
-        v
+        self.locked().pop_back()
     }
 
-    /// Unsynchronized emptiness hint (may be stale).
-    pub fn is_empty_hint(&self) -> bool {
-        self.len_hint.load(Ordering::Relaxed) == 0
-    }
-
-    /// Approximate length (may be stale).
-    pub fn len_hint(&self) -> usize {
-        self.len_hint.load(Ordering::Relaxed)
-    }
-
-    /// Thief: attempt a steal using `protocol`.
-    pub fn steal(&self, protocol: StealProtocol) -> Steal<T> {
-        match protocol {
-            StealProtocol::Base => self.steal_locked(),
-            StealProtocol::Peek => {
-                if self.is_empty_hint() {
-                    Steal::Empty
-                } else {
-                    self.steal_locked()
-                }
-            }
-            StealProtocol::Trylock => {
-                if self.is_empty_hint() {
-                    return Steal::Empty;
-                }
-                match self.inner.try_lock() {
-                    Ok(mut q) => {
-                        let v = q.pop_front();
-                        self.len_hint.store(q.len(), Ordering::Relaxed);
-                        match v {
-                            Some(v) => Steal::Success(v),
-                            None => Steal::Empty,
-                        }
-                    }
-                    Err(_) => Steal::Retry,
-                }
-            }
-        }
-    }
-
-    fn steal_locked(&self) -> Steal<T> {
-        let mut q = self.inner.lock().unwrap();
-        let v = q.pop_front();
-        self.len_hint.store(q.len(), Ordering::Relaxed);
-        match v {
+    /// Thief: take the lock, then the oldest task if there is one.
+    pub fn steal(&self) -> Steal<T> {
+        match self.locked().pop_front() {
             Some(v) => Steal::Success(v),
             None => Steal::Empty,
         }
@@ -148,7 +64,7 @@ impl<T> LockedDeque<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -157,82 +73,50 @@ mod tests {
         d.push(1);
         d.push(2);
         d.push(3);
-        assert_eq!(d.steal(StealProtocol::Base).success(), Some(1));
+        assert_eq!(d.steal().success(), Some(1));
         assert_eq!(d.pop(), Some(3));
         assert_eq!(d.pop(), Some(2));
         assert_eq!(d.pop(), None);
     }
 
     #[test]
-    fn peek_avoids_locking_empty() {
-        let d: LockedDeque<u32> = LockedDeque::new();
-        // Hold the lock; peek must still report Empty without blocking.
-        let _guard = d.inner.lock().unwrap();
-        assert!(d.steal(StealProtocol::Peek).is_empty());
-        assert!(d.steal(StealProtocol::Trylock).is_empty());
-    }
+    fn concurrent_exactly_once() {
+        let d = Arc::new(LockedDeque::new());
+        let taken = Arc::new(AtomicUsize::new(0));
+        let sum = Arc::new(AtomicUsize::new(0));
+        const N: usize = 10_000;
 
-    #[test]
-    fn trylock_retries_on_contention() {
-        let d = LockedDeque::new();
-        d.push(7u32);
-        let _guard = d.inner.lock().unwrap();
-        assert!(d.steal(StealProtocol::Trylock).is_retry());
-    }
-
-    #[test]
-    fn hint_tracks_len() {
-        let d = LockedDeque::new();
-        assert_eq!(d.len_hint(), 0);
-        d.push(1);
-        d.push(2);
-        assert_eq!(d.len_hint(), 2);
-        d.pop();
-        assert_eq!(d.len_hint(), 1);
-        d.steal(StealProtocol::Base);
-        assert_eq!(d.len_hint(), 0);
-    }
-
-    #[test]
-    fn concurrent_exactly_once_all_protocols() {
-        for protocol in StealProtocol::ALL {
-            let d = Arc::new(LockedDeque::new());
-            let taken = Arc::new(AtomicUsize::new(0));
-            let sum = Arc::new(AtomicUsize::new(0));
-            const N: usize = 10_000;
-
-            let thieves: Vec<_> = (0..3)
-                .map(|_| {
-                    let d = Arc::clone(&d);
-                    let taken = Arc::clone(&taken);
-                    let sum = Arc::clone(&sum);
-                    std::thread::spawn(move || {
-                        while taken.load(Ordering::Relaxed) < N {
-                            if let Steal::Success(v) = d.steal(protocol) {
-                                sum.fetch_add(v, Ordering::Relaxed);
-                                taken.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                std::thread::yield_now();
-                            }
+        let thieves: Vec<_> = (0..3)
+            .map(|_| {
+                let d = Arc::clone(&d);
+                let taken = Arc::clone(&taken);
+                let sum = Arc::clone(&sum);
+                std::thread::spawn(move || {
+                    while taken.load(Ordering::Relaxed) < N {
+                        if let Steal::Success(v) = d.steal() {
+                            sum.fetch_add(v, Ordering::Relaxed);
+                            taken.fetch_add(1, Ordering::Relaxed);
+                        } else {
+                            std::thread::yield_now();
                         }
-                    })
+                    }
                 })
-                .collect();
+            })
+            .collect();
 
-            for i in 1..=N {
-                d.push(i);
-            }
-            // The owner also consumes.
-            while taken.load(Ordering::Relaxed) < N {
-                if let Some(v) = d.pop() {
-                    sum.fetch_add(v, Ordering::Relaxed);
-                    taken.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            for t in thieves {
-                t.join().unwrap();
-            }
-            assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2, "{protocol:?}");
+        for i in 1..=N {
+            d.push(i);
         }
+        // The owner also consumes.
+        while taken.load(Ordering::Relaxed) < N {
+            if let Some(v) = d.pop() {
+                sum.fetch_add(v, Ordering::Relaxed);
+                taken.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        for t in thieves {
+            t.join().unwrap();
+        }
+        assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2);
     }
 }

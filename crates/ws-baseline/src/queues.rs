@@ -5,7 +5,7 @@ use std::cell::UnsafeCell;
 
 use crate::chase_lev::OwnerToken;
 use crate::node::TaskHeader;
-use crate::{ChaseLev, LockedDeque, Steal, StealProtocol};
+use crate::{ChaseLev, LockedDeque, Steal};
 
 /// A per-worker task queue of type-erased node pointers.
 ///
@@ -81,33 +81,13 @@ impl NodeQueue for ChaseLevQueue {
     }
 }
 
-/// Cilk++-like substrate: a mutex-protected deque; `PROTOCOL` selects
-/// the §IV-C thief protocol.
-pub struct LockedQueue<const PROTOCOL: u8> {
+/// Cilk++-like substrate: a mutex-protected deque whose thieves lock
+/// before they look for work.
+pub struct LockedQueue {
     deque: LockedDeque<Ptr>,
 }
 
-/// Protocol selector values for [`LockedQueue`].
-pub mod protocol {
-    /// Lock immediately.
-    pub const BASE: u8 = 0;
-    /// Peek before locking.
-    pub const PEEK: u8 = 1;
-    /// Peek, then try_lock.
-    pub const TRYLOCK: u8 = 2;
-}
-
-impl<const PROTOCOL: u8> LockedQueue<PROTOCOL> {
-    fn protocol() -> StealProtocol {
-        match PROTOCOL {
-            protocol::BASE => StealProtocol::Base,
-            protocol::PEEK => StealProtocol::Peek,
-            _ => StealProtocol::Trylock,
-        }
-    }
-}
-
-impl<const PROTOCOL: u8> NodeQueue for LockedQueue<PROTOCOL> {
+impl NodeQueue for LockedQueue {
     fn new() -> Self {
         LockedQueue {
             deque: LockedDeque::new(),
@@ -123,7 +103,7 @@ impl<const PROTOCOL: u8> NodeQueue for LockedQueue<PROTOCOL> {
     }
 
     fn steal(&self) -> Option<*mut TaskHeader> {
-        self.deque.steal(Self::protocol()).success().map(|p| p.0)
+        self.deque.steal().success().map(|p| p.0)
     }
 }
 
@@ -156,9 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn locked_queue_order_all_protocols() {
-        exercise::<LockedQueue<{ protocol::BASE }>>();
-        exercise::<LockedQueue<{ protocol::PEEK }>>();
-        exercise::<LockedQueue<{ protocol::TRYLOCK }>>();
+    fn locked_queue_order() {
+        exercise::<LockedQueue>();
     }
 }

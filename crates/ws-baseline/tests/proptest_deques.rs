@@ -7,7 +7,7 @@
 
 use std::collections::VecDeque;
 use ws_baseline::chase_lev::OwnerToken;
-use ws_baseline::{ChaseLev, LockedDeque, StealProtocol};
+use ws_baseline::{ChaseLev, LockedDeque};
 
 /// Deterministic xorshift64* stream.
 struct Rng(u64);
@@ -78,12 +78,11 @@ fn chase_lev_matches_model() {
     }
 }
 
-/// The locked deque agrees with the same model under any protocol.
+/// The locked deque agrees with the same model.
 #[test]
 fn locked_matches_model() {
     let mut rng = Rng::new(0x10CED);
-    for round in 0..64 {
-        let proto = StealProtocol::ALL[round % 3];
+    for _ in 0..64 {
         let ops = random_ops(&mut rng);
         let d = LockedDeque::new();
         let mut model: VecDeque<u16> = VecDeque::new();
@@ -97,12 +96,17 @@ fn locked_matches_model() {
                     assert_eq!(d.pop(), model.pop_back());
                 }
                 Op::Steal => {
-                    // Uncontended: never Retry.
-                    assert_eq!(d.steal(proto).success(), model.pop_front());
+                    assert_eq!(d.steal().success(), model.pop_front());
                 }
             }
         }
-        assert_eq!(d.len_hint(), model.len());
+        // Drain and compare the remainder.
+        let mut rest = Vec::new();
+        while let Some(v) = d.pop() {
+            rest.push(v);
+        }
+        rest.reverse();
+        assert_eq!(rest, model.into_iter().collect::<Vec<_>>());
     }
 }
 

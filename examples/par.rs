@@ -9,7 +9,7 @@
 //! cargo run --release -p wool-par --example par -- [workers]
 //! ```
 
-use wool_core::{Pool, PoolConfig};
+use wool_core::Pool;
 use wool_par::{adaptive_grain, join, par_iter, par_iter_mut, par_range, par_sort_unstable};
 
 fn main() {
@@ -19,18 +19,24 @@ fn main() {
         .unwrap_or_else(wool_core::default_workers);
 
     let n = 1 << 20;
-    let cfg = PoolConfig::with_workers(workers).min_grain(64);
-    let mut pool: Pool = Pool::with_config(cfg);
+    let mut pool: Pool = Pool::new(workers);
     println!("workers        : {workers}");
     println!("items          : {n}");
     println!(
-        "adaptive grain : {} (len / (8 * workers), floored at min_grain = 64)",
-        adaptive_grain(n, workers, 64)
+        "adaptive grain : {} (len / (8 * workers))",
+        adaptive_grain(n, workers)
     );
+    // A floor on the leaf size for loops whose items are too cheap to
+    // fork over one by one: the map below runs leaves of at least 64.
+    let grain = adaptive_grain(n, workers).max(64);
 
     // Map over a mutable slice: xs[i] = i^2 (mod 2^64).
     let mut xs: Vec<u64> = (0..n as u64).collect();
-    pool.run(|h| par_iter_mut(&mut xs).for_each(h, |x| *x = x.wrapping_mul(*x)));
+    pool.run(|h| {
+        par_iter_mut(&mut xs)
+            .with_grain(grain)
+            .for_each(h, |x| *x = x.wrapping_mul(*x))
+    });
     assert_eq!(xs[3], 9);
 
     // Reduce: sum of the mapped slice, and a dot product over a range.

@@ -17,9 +17,9 @@ fn traced_fib_exports_valid_chrome_json() {
     );
     assert!(!trace.is_empty());
 
-    // --- acceptance: steal-graph total equals the Stats steal count ---
+    // --- acceptance: the trace counts exactly the run's Stats ---
     let analysis = analyze(&trace);
-    assert_eq!(analysis.steals, stats.total_steals());
+    assert_eq!(trace.stats(), stats);
     let edge_total: u64 = analysis.steal_graph.iter().map(|e| e.count).sum();
     assert_eq!(edge_total, stats.total_steals());
     assert_eq!(trace.count(wool_trace::EventKind::Spawn), stats.spawns);
@@ -81,7 +81,7 @@ fn traced_fib_exports_valid_chrome_json() {
             name == Some("steal_success") || name == Some("leap_steal")
         })
         .count() as u64;
-    assert_eq!(steal_instants, analysis.steals);
+    assert_eq!(steal_instants, stats.total_steals());
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_dir(&dir).ok();
@@ -93,8 +93,8 @@ fn traced_fib_exports_valid_chrome_json() {
 fn stress_trace_totals_agree_with_stats() {
     let (trace, stats) = record_stress_trace(4, 10, 2000, 4);
     assert_eq!(trace.dropped(), 0);
+    assert_eq!(trace.stats(), stats);
     let analysis = analyze(&trace);
-    assert_eq!(analysis.steals, stats.total_steals());
     let edge_total: u64 = analysis.steal_graph.iter().map(|e| e.count).sum();
     assert_eq!(edge_total, stats.total_steals());
 }
@@ -145,7 +145,7 @@ fn forced_steal_appears_in_graph() {
     let analysis = analyze(&trace);
     assert!(!analysis.steal_graph.is_empty());
     if trace.dropped() == 0 {
-        assert_eq!(analysis.steals, stats.total_steals());
+        assert_eq!(trace.stats(), stats);
         let edge_total: u64 = analysis.steal_graph.iter().map(|e| e.count).sum();
         assert_eq!(edge_total, stats.total_steals());
         // Thief/victim indices are in range and never self-referential.
@@ -156,9 +156,9 @@ fn forced_steal_appears_in_graph() {
     }
 }
 
-/// On every Table II rung, the steal graph of a traced `fib(20)` counts
-/// each steal once, leap-frog steals included, and the attempts split
-/// exactly into their outcomes.
+/// On every Table II rung, a traced `fib(20)` counts exactly its run's
+/// `Stats`, and its steal graph counts each steal once, leap-frog
+/// steals included.
 #[test]
 fn steal_graph_total_equals_steals_on_every_rung() {
     use wool_core::{LockedBase, StealLockBase, StealLockPeek, StealLockTrylock, SyncOnTask};
@@ -179,14 +179,13 @@ fn steal_graph_total_equals_steals_on_every_rung() {
             .trace_capacity(1 << 20);
         let mut pool: Pool<S> = Pool::with_config(cfg);
         pool.run(|h| fib(h, 20));
-        let steals = pool.last_report().unwrap().total.total_steals();
+        let stats = pool.last_report().unwrap().total;
         let trace = pool.take_trace().expect("tracing was configured");
         assert_eq!(trace.dropped(), 0, "{}", S::NAME);
+        assert_eq!(trace.stats(), stats, "{}", S::NAME);
         let a = analyze(&trace);
-        assert_eq!(a.steals, steals, "{}", S::NAME);
         let edge_total: u64 = a.steal_graph.iter().map(|e| e.count).sum();
-        assert_eq!(edge_total, steals, "{}", S::NAME);
-        assert_eq!(a.attempts, a.steals + a.failed + a.lost + a.backoffs);
+        assert_eq!(edge_total, stats.total_steals(), "{}", S::NAME);
     }
 
     check::<WoolFull>();
