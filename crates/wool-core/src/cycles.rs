@@ -50,11 +50,6 @@ pub fn ticks_per_ns() -> f64 {
     })
 }
 
-/// Converts a tick count from [`now`] into nanoseconds.
-pub fn ticks_to_ns(ticks: u64) -> f64 {
-    ticks as f64 / ticks_per_ns()
-}
-
 /// Converts a wall-clock duration into equivalent cycle ticks.
 pub fn duration_to_ticks(d: Duration) -> f64 {
     d.as_nanos() as f64 * ticks_per_ns()
@@ -88,7 +83,7 @@ mod tests {
         let t0 = now();
         std::thread::sleep(Duration::from_millis(5));
         let dt = now() - t0;
-        let ns = ticks_to_ns(dt);
+        let ns = dt as f64 / ticks_per_ns();
         assert!(ns > 3e6 && ns < 1e9, "5ms measured as {ns}ns");
     }
 }

@@ -4,13 +4,106 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use wool_core::{Pool, PoolConfig, Strategy, TaskSpecific, TraceLevel, WoolFull, WorkerHandle};
+use wool_core::trace::{EventKind, Trace};
+use wool_core::{
+    LockedBase, Pool, PoolConfig, StealLockBase, StealLockPeek, StealLockTrylock, Strategy,
+    SyncOnTask, TaskSpecific, TraceLevel, WoolAllPublic, WoolFull, WorkerHandle,
+};
 
 /// The LA cycles of the last region, from its breakdown trace.
 fn la_cycles<S: Strategy>(pool: &Pool<S>) -> u64 {
     let wall = pool.last_report().unwrap().wall_ticks;
     let trace = pool.last_trace().expect("the pool records the breakdown");
     wool_trace::breakdown(trace, wall).unwrap().la
+}
+
+/// Replays each worker's breakdown events on a stack of open frames
+/// (`leapfrog` pushes its thief, `steal_success` and `leap_steal` push a
+/// marker, `resume` pops) and checks leapfrogging's thief-only rule
+/// (§III, after Wagner & Calder): every `leap_steal`'s victim is the
+/// thief of the innermost open `leapfrog`. Returns the number of leap
+/// steals checked.
+fn check_thief_only(trace: &Trace, label: &str) -> usize {
+    let mut checked = 0;
+    for w in &trace.workers {
+        let me = w.worker;
+        assert_eq!(w.dropped, 0, "{label}: worker {me} dropped events");
+        let mut open: Vec<Option<u32>> = Vec::new();
+        for e in &w.events {
+            match e.kind {
+                EventKind::Leapfrog => open.push(Some(e.arg)),
+                EventKind::StealSuccess => open.push(None),
+                EventKind::LeapSteal => {
+                    let thief = open.iter().rev().find_map(|&f| f);
+                    assert_eq!(
+                        thief,
+                        Some(e.arg),
+                        "{label}: worker {me} leap-stole from {} while waiting on {thief:?}",
+                        e.arg
+                    );
+                    checked += 1;
+                    open.push(None);
+                }
+                EventKind::Resume => {
+                    let frame = open.pop();
+                    assert!(frame.is_some(), "{label}: worker {me} resumed nothing");
+                }
+                _ => {}
+            }
+        }
+    }
+    checked
+}
+
+/// A balanced task tree with spinning leaves, as the stress workload.
+fn stress<S: Strategy>(h: &mut WorkerHandle<S>, depth: u32) -> u64 {
+    if depth == 0 {
+        for _ in 0..256 {
+            std::hint::spin_loop();
+        }
+        return 1;
+    }
+    let (a, b) = h.fork(|h| stress(h, depth - 1), |h| stress(h, depth - 1));
+    a + b
+}
+
+/// Leapfrogging's thief-only rule on real runs: fib and stress on every
+/// leapfrogging rung at 3 and 4 workers (with 2 workers the thief is the
+/// only other worker, so the rule holds trivially).
+#[test]
+fn leap_steals_take_only_from_the_thief() {
+    fn check<S: Strategy>() -> usize {
+        let mut checked = 0;
+        for p in [3, 4] {
+            let cfg = PoolConfig::with_workers(p).trace(TraceLevel::Breakdown);
+            let mut pool: Pool<S> = Pool::with_config(cfg);
+            let label = format!("{} at p = {p}", S::NAME);
+            for _ in 0..12 {
+                assert_eq!(pool.run(|h| fib(h, 18)), 2584);
+                checked += check_thief_only(pool.last_trace().unwrap(), &label);
+                assert_eq!(pool.run(|h| stress(h, 8)), 256);
+                checked += check_thief_only(pool.last_trace().unwrap(), &label);
+            }
+        }
+        checked
+    }
+    let checked = check::<WoolFull>()
+        + check::<WoolAllPublic>()
+        + check::<TaskSpecific>()
+        + check::<SyncOnTask>()
+        + check::<LockedBase>()
+        + check::<StealLockBase>()
+        + check::<StealLockPeek>()
+        + check::<StealLockTrylock>();
+    assert!(checked > 0, "no leap steal happened to check");
+}
+
+fn fib<S: Strategy>(h: &mut WorkerHandle<S>, n: u64) -> u64 {
+    if n < 2 {
+        return n;
+    }
+    let (a, b) = h.fork(|h| fib(h, n - 1), |h| fib(h, n - 2));
+    a + b
 }
 
 /// Forces a steal: the CALL branch spins until the spawned branch has
@@ -178,13 +271,6 @@ fn worker_identity_in_tasks() {
 /// no-atomic private path.
 #[test]
 fn trip_wire_publishes_under_stealing() {
-    fn fib(h: &mut WorkerHandle<WoolFull>, n: u64) -> u64 {
-        if n < 2 {
-            return n;
-        }
-        let (a, b) = h.fork(|h| fib(h, n - 1), |h| fib(h, n - 2));
-        a + b
-    }
     let mut pool: Pool = Pool::new(4);
     let mut publishes = 0;
     let mut private = 0;

@@ -32,11 +32,23 @@ fn one_task_two_thieves() {
     });
 }
 
+/// Three thieves race each other and the owner for a single task: at
+/// most one CAS wins, and every loser either retries or gives up while
+/// the owner joins. (Bound 2: bound 3 takes a minute.)
+#[test]
+fn one_task_three_thieves() {
+    check_region::<TaskSpecific, _>(2, 4, 16, 2, 1, |h, t| {
+        t.fork(h, 0, |_| ());
+    });
+}
+
 /// Descriptor reincarnation: the owner forks twice on the same slot
 /// while a thief runs. A stale thief that read `bot` before the first
-/// incarnation resolved may CAS the second incarnation's task word — the
-/// §III-A back-off validation (`bot` re-check) decides whether that
-/// acquisition stands. Both incarnations must run exactly once.
+/// incarnation resolved may CAS the second incarnation's task word,
+/// which is then a legitimate steal: with one slot, `bot` cannot have
+/// moved while the word reads as a task, so the §III-A back-off's `bot`
+/// re-check never fires here (docs/VERIFICATION.md). Both incarnations
+/// must run exactly once.
 #[test]
 fn reincarnation_stale_thief() {
     check_region::<TaskSpecific, _>(2, 2, 16, 3, 2, |h, t| {

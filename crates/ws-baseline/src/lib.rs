@@ -20,15 +20,15 @@
 //! All of them implement `wool_core::{Fork, Executor}`, so the
 //! `workloads` crate runs identical programs on every system.
 //!
-//! The pools sit on two deque substrates of their own, generic over
-//! `T: Send` and instantiated with pointers to heap task frames (the
-//! paper's "keeping only pointers in their task queues"):
+//! The pools keep "only pointers in their task queues", as the paper
+//! says of these systems: a [`NodeQueue`] holds `*mut TaskHeader`s to
+//! heap task frames ([`node`]), and each queue of the pool is one of
 //!
-//! * [`chase_lev`] — an owner/thief circular deque in the style of
+//! * [`ChaseLev`] — an owner/thief circular deque in the style of
 //!   Chase & Lev (SPAA 2005) with the C11 orderings of Lê et al.
 //!   (PPoPP 2013). The owner's pop pays the sequentially-consistent
 //!   fence that the paper argues the direct task stack avoids.
-//! * [`locked`] — a mutex-protected deque whose thieves take the
+//! * [`LockedDeque`] — a mutex-protected deque whose thieves take the
 //!   victim's lock before they look for work (§IV-C's *base* protocol).
 //!
 //! See DESIGN.md §3 for the substitution argument and its limits.
@@ -39,50 +39,21 @@ pub mod chase_lev;
 pub mod locked;
 pub mod node;
 pub mod npool;
-pub mod queues;
 pub mod serial;
 
 pub use chase_lev::ChaseLev;
 pub use locked::LockedDeque;
-pub use npool::{NodeCtx, NodePool, NodePoolConfig};
-pub use queues::{ChaseLevQueue, LockedQueue, NodeQueue};
+pub use npool::{NodeCtx, NodePool, NodePoolConfig, NodeQueue};
 pub use serial::{SerialCtx, SerialExecutor};
 
-/// Outcome of a steal attempt, shared by both deque families.
-#[derive(Debug, PartialEq, Eq)]
-pub enum Steal<T> {
-    /// A task was successfully taken from the victim.
-    Success(T),
-    /// The deque was observed empty.
-    Empty,
-    /// The attempt lost a race (CAS failure, lock contention, ...) and
-    /// may be retried immediately.
-    Retry,
-}
-
-impl<T> Steal<T> {
-    /// Returns the stolen value, if any.
-    pub fn success(self) -> Option<T> {
-        match self {
-            Steal::Success(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// True if the victim was observed empty.
-    pub fn is_empty(&self) -> bool {
-        matches!(self, Steal::Empty)
-    }
-}
-
 /// TBB-like scheduler: Chase–Lev deque of boxed task pointers.
-pub type TbbLikePool = NodePool<ChaseLevQueue>;
+pub type TbbLikePool = NodePool<ChaseLev>;
 
 /// Cilk++-like scheduler: per-worker locked deque of boxed tasks.
-pub type CilkLikePool = NodePool<LockedQueue>;
+pub type CilkLikePool = NodePool<LockedDeque>;
 
 /// OpenMP-like scheduler: locked deques plus a global steal lock.
-pub type OmpLikePool = NodePool<LockedQueue>;
+pub type OmpLikePool = NodePool<LockedDeque>;
 
 /// Creates a TBB-like pool with `workers` workers.
 pub fn tbb_like(workers: usize) -> TbbLikePool {
@@ -167,7 +138,7 @@ mod tests {
     #[test]
     fn for_each_spawn_all_pools() {
         use std::sync::atomic::{AtomicU64, Ordering};
-        fn check<Q: crate::queues::NodeQueue>(mut p: NodePool<Q>) {
+        fn check<Q: NodeQueue>(mut p: NodePool<Q>) {
             let hits: Vec<AtomicU64> = (0..64).map(|_| AtomicU64::new(0)).collect();
             p.run(|c| {
                 c.for_each_spawn(64, &|_c, i| {

@@ -1,5 +1,5 @@
-//! A lock-synchronized work-stealing deque: the substrate of the
-//! Cilk++-like and OpenMP-like baseline pools.
+//! The Cilk++-like and OpenMP-like pools' task queue: a lock-synchronized
+//! deque of task pointers.
 //!
 //! The owner pushes and pops at the back under the deque's lock, and a
 //! thief takes the same lock as soon as it has picked its victim, then
@@ -12,111 +12,46 @@
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
 
-use crate::Steal;
+use crate::node::TaskHeader;
+use crate::NodeQueue;
 
 /// A deque protected by a per-worker mutex.
 ///
 /// The owner pushes/pops at the back (LIFO), thieves steal from the
 /// front (FIFO), as in all child-stealing schedulers.
-#[derive(Debug)]
-pub struct LockedDeque<T> {
-    inner: Mutex<VecDeque<T>>,
+pub struct LockedDeque {
+    inner: Mutex<VecDeque<*mut TaskHeader>>,
 }
 
-impl<T> Default for LockedDeque<T> {
-    fn default() -> Self {
-        Self::new()
+// SAFETY: the deque only stores and hands back the pointers; the pool's
+// node protocol decides which thread dereferences them.
+unsafe impl Send for LockedDeque {}
+unsafe impl Sync for LockedDeque {}
+
+impl LockedDeque {
+    fn locked(&self) -> MutexGuard<'_, VecDeque<*mut TaskHeader>> {
+        // No deque operation runs user code under the lock.
+        self.inner.lock().expect("deque lock poisoned")
     }
 }
 
-impl<T> LockedDeque<T> {
-    /// Creates an empty deque.
-    pub fn new() -> Self {
+impl NodeQueue for LockedDeque {
+    fn new() -> Self {
         LockedDeque {
             inner: Mutex::new(VecDeque::new()),
         }
     }
 
-    fn locked(&self) -> MutexGuard<'_, VecDeque<T>> {
-        // No deque operation runs user code under the lock.
-        self.inner.lock().expect("deque lock poisoned")
+    unsafe fn push(&self, node: *mut TaskHeader) {
+        self.locked().push_back(node);
     }
 
-    /// Owner: push a task (takes the lock).
-    pub fn push(&self, v: T) {
-        self.locked().push_back(v);
-    }
-
-    /// Owner: pop the most recently pushed task (takes the lock).
-    pub fn pop(&self) -> Option<T> {
+    unsafe fn pop(&self) -> Option<*mut TaskHeader> {
         self.locked().pop_back()
     }
 
-    /// Thief: take the lock, then the oldest task if there is one.
-    pub fn steal(&self) -> Steal<T> {
-        match self.locked().pop_front() {
-            Some(v) => Steal::Success(v),
-            None => Steal::Empty,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn lifo_for_owner_fifo_for_thief() {
-        let d = LockedDeque::new();
-        d.push(1);
-        d.push(2);
-        d.push(3);
-        assert_eq!(d.steal().success(), Some(1));
-        assert_eq!(d.pop(), Some(3));
-        assert_eq!(d.pop(), Some(2));
-        assert_eq!(d.pop(), None);
-    }
-
-    #[test]
-    fn concurrent_exactly_once() {
-        let d = Arc::new(LockedDeque::new());
-        let taken = Arc::new(AtomicUsize::new(0));
-        let sum = Arc::new(AtomicUsize::new(0));
-        const N: usize = 10_000;
-
-        let thieves: Vec<_> = (0..3)
-            .map(|_| {
-                let d = Arc::clone(&d);
-                let taken = Arc::clone(&taken);
-                let sum = Arc::clone(&sum);
-                std::thread::spawn(move || {
-                    while taken.load(Ordering::Relaxed) < N {
-                        if let Steal::Success(v) = d.steal() {
-                            sum.fetch_add(v, Ordering::Relaxed);
-                            taken.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-            })
-            .collect();
-
-        for i in 1..=N {
-            d.push(i);
-        }
-        // The owner also consumes.
-        while taken.load(Ordering::Relaxed) < N {
-            if let Some(v) = d.pop() {
-                sum.fetch_add(v, Ordering::Relaxed);
-                taken.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        for t in thieves {
-            t.join().unwrap();
-        }
-        assert_eq!(sum.load(Ordering::Relaxed), N * (N + 1) / 2);
+    /// Takes the lock, then the oldest task if there is one.
+    fn steal(&self) -> Option<*mut TaskHeader> {
+        self.locked().pop_front()
     }
 }

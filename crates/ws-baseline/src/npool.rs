@@ -1,12 +1,12 @@
 //! The generic baseline scheduler: heap task nodes over a pluggable
 //! work-stealing queue.
 //!
-//! Instantiated with [`crate::queues::ChaseLevQueue`] it stands in for
-//! **TBB** (child stealing, pointer deque with fence-synchronized owner
-//! pops, heap task objects); with [`crate::queues::LockedQueue`] it
-//! stands in for **Cilk++**'s heavyweight locked stealing path, and with
-//! the additional global steal lock for **icc OpenMP**'s centralized
-//! behavior (see DESIGN.md §3 for the substitution argument).
+//! Instantiated with [`crate::ChaseLev`] it stands in for **TBB** (child
+//! stealing, pointer deque with fence-synchronized owner pops, heap task
+//! objects); with [`crate::LockedDeque`] it stands in for **Cilk++**'s
+//! heavyweight locked stealing path, and with the additional global
+//! steal lock for **icc OpenMP**'s centralized behavior (see DESIGN.md
+//! §3 for the substitution argument).
 //!
 //! The region protocol (active flag, caller-as-worker-0) matches
 //! `wool_core::Pool` so that all systems see identical workloads.
@@ -26,22 +26,47 @@ use crate::node::{
     alloc_node, is_done, take_body_and_free, take_panic_and_free, take_result_and_free,
     ClosureBody, Fate, ForEachBody, NodeBody, TaskHeader, DONE, DONE_PANIC, PENDING, STOLEN_BASE,
 };
-use crate::queues::NodeQueue;
+
+/// A per-worker task queue of type-erased node pointers.
+///
+/// `push`/`pop` must only be called by the worker that owns the queue
+/// (the pool guarantees this: each queue is driven by exactly one
+/// thread). `steal` may be called by anyone.
+pub trait NodeQueue: Send + Sync + 'static {
+    /// Creates an empty queue.
+    fn new() -> Self;
+
+    /// Owner: push a task pointer.
+    ///
+    /// # Safety
+    /// Caller must be the unique owning worker thread.
+    unsafe fn push(&self, node: *mut TaskHeader);
+
+    /// Owner: pop the most recent push.
+    ///
+    /// # Safety
+    /// Caller must be the unique owning worker thread.
+    unsafe fn pop(&self) -> Option<*mut TaskHeader>;
+
+    /// Thief: take the oldest task, if any. `None` covers both "empty"
+    /// and "lost a race": the baseline steal loops simply retry.
+    fn steal(&self) -> Option<*mut TaskHeader>;
+}
 
 /// Per-worker scheduler counters (atomics: written by the owning worker,
 /// read by the coordinator at any time).
 #[derive(Debug, Default)]
-pub struct NodeStats {
+struct NodeStats {
     /// Tasks spawned.
-    pub spawns: AtomicU64,
+    spawns: AtomicU64,
     /// Successful steals.
-    pub steals: AtomicU64,
+    steals: AtomicU64,
     /// Successful steals while leap-frogging.
-    pub leap_steals: AtomicU64,
+    leap_steals: AtomicU64,
     /// Steal attempts that found nothing.
-    pub failed_steals: AtomicU64,
+    failed_steals: AtomicU64,
     /// Joins that found their task stolen.
-    pub stolen_joins: AtomicU64,
+    stolen_joins: AtomicU64,
 }
 
 /// One baseline worker.

@@ -1,13 +1,18 @@
-//! Property-style and stress tests for the deque substrates.
+//! Property-style and stress tests for the baseline pools' task queues,
+//! one suite generic over [`NodeQueue`] and run on both queues.
 //!
 //! Randomized cases are generated with a seeded xorshift64* generator
 //! (deterministic, dependency-free) instead of an external property
-//! testing crate: each test replays many random operation sequences
-//! against a `VecDeque` reference model.
+//! testing crate. The queues only move pointers, so the tests push
+//! integers disguised as `*mut TaskHeader` and never dereference them.
 
 use std::collections::VecDeque;
-use ws_baseline::chase_lev::OwnerToken;
-use ws_baseline::{ChaseLev, LockedDeque};
+use std::ptr::without_provenance_mut;
+use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::Arc;
+
+use ws_baseline::node::TaskHeader;
+use ws_baseline::{ChaseLev, LockedDeque, NodeQueue};
 
 /// Deterministic xorshift64* stream.
 struct Rng(u64);
@@ -25,178 +30,139 @@ impl Rng {
     }
 }
 
-/// Operations on a deque, executed single-threaded against a model.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    Push(u16),
-    Pop,
-    Steal,
+fn node(v: usize) -> *mut TaskHeader {
+    without_provenance_mut(v)
 }
 
-fn random_ops(rng: &mut Rng) -> Vec<Op> {
-    let len = (rng.next() % 400) as usize;
-    (0..len)
-        .map(|_| match rng.next() % 3 {
-            0 => Op::Push(rng.next() as u16),
-            1 => Op::Pop,
-            _ => Op::Steal,
-        })
-        .collect()
-}
-
-/// Chase–Lev agrees with a VecDeque model on any sequential history.
-#[test]
-fn chase_lev_matches_model() {
-    let mut rng = Rng::new(0xD5EA5E);
+/// The queue agrees with a `VecDeque` model on random sequential
+/// histories: push/pop/steal behave exactly like back-insert,
+/// back-remove and front-remove.
+fn matches_model<Q: NodeQueue>(seed: u64) {
+    let mut rng = Rng::new(seed);
     for _ in 0..64 {
-        let ops = random_ops(&mut rng);
-        let d = ChaseLev::new();
-        // SAFETY: single-threaded test is the unique owner.
-        let mut tok = unsafe { OwnerToken::new() };
-        let mut model: VecDeque<u16> = VecDeque::new();
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    d.push(v, &mut tok);
-                    model.push_back(v);
-                }
-                Op::Pop => {
-                    assert_eq!(d.pop(&mut tok), model.pop_back());
-                }
-                Op::Steal => {
-                    assert_eq!(d.steal().success(), model.pop_front());
+        let q = Q::new();
+        let mut model = VecDeque::new();
+        for _ in 0..rng.next() % 400 {
+            // SAFETY: this thread is the queue's only owner.
+            unsafe {
+                match rng.next() % 3 {
+                    0 => {
+                        let v = node(rng.next() as u16 as usize + 1);
+                        q.push(v);
+                        model.push_back(v);
+                    }
+                    1 => assert_eq!(q.pop(), model.pop_back()),
+                    // Single-threaded: no steal can lose a race.
+                    _ => assert_eq!(q.steal(), model.pop_front()),
                 }
             }
         }
         // Drain and compare the remainder.
         let mut rest = Vec::new();
-        while let Some(v) = d.pop(&mut tok) {
+        // SAFETY: as above.
+        while let Some(v) = unsafe { q.pop() } {
             rest.push(v);
         }
         rest.reverse();
-        assert_eq!(rest, model.into_iter().collect::<Vec<_>>());
+        assert_eq!(rest, Vec::from(model));
     }
 }
 
-/// The locked deque agrees with the same model.
-#[test]
-fn locked_matches_model() {
-    let mut rng = Rng::new(0x10CED);
-    for _ in 0..64 {
-        let ops = random_ops(&mut rng);
-        let d = LockedDeque::new();
-        let mut model: VecDeque<u16> = VecDeque::new();
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    d.push(v);
-                    model.push_back(v);
-                }
-                Op::Pop => {
-                    assert_eq!(d.pop(), model.pop_back());
-                }
-                Op::Steal => {
-                    assert_eq!(d.steal().success(), model.pop_front());
-                }
-            }
+/// Pushing well past the initial capacity keeps every element and the
+/// LIFO/FIFO order of both ends.
+fn grows<Q: NodeQueue>() {
+    const N: usize = 512;
+    let q = Q::new();
+    // SAFETY: this thread is the queue's only owner.
+    unsafe {
+        for i in 1..=N {
+            q.push(node(i));
         }
-        // Drain and compare the remainder.
-        let mut rest = Vec::new();
-        while let Some(v) = d.pop() {
-            rest.push(v);
+        assert_eq!(q.steal(), Some(node(1)));
+        for i in (2..=N).rev() {
+            assert_eq!(q.pop(), Some(node(i)));
         }
-        rest.reverse();
-        assert_eq!(rest, model.into_iter().collect::<Vec<_>>());
+        assert_eq!(q.pop(), None);
     }
+    assert_eq!(q.steal(), None);
 }
 
-/// Length hints never drift from the true size across a history.
-#[test]
-fn chase_lev_len_hint_bounded() {
-    let mut rng = Rng::new(0xB0B);
-    for _ in 0..64 {
-        let ops = random_ops(&mut rng);
-        let d = ChaseLev::new();
-        // SAFETY: unique owner.
-        let mut tok = unsafe { OwnerToken::new() };
-        let mut live = 0usize;
-        for op in ops {
-            match op {
-                Op::Push(v) => {
-                    d.push(v, &mut tok);
-                    live += 1;
-                }
-                Op::Pop => {
-                    if d.pop(&mut tok).is_some() {
-                        live -= 1;
-                    }
-                }
-                Op::Steal => {
-                    if d.steal().success().is_some() {
-                        live -= 1;
-                    }
-                }
-            }
-            assert_eq!(d.len_hint(), live);
-        }
-    }
-}
-
-/// Multi-threaded stress: with one owner and several thieves, the union
-/// of popped and stolen elements is exactly the pushed multiset.
-#[test]
-fn chase_lev_concurrent_multiset() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-    const PUSHES: u64 = 50_000;
+/// With one owner and several thieves, every pushed element is received
+/// exactly once, by the owner's pops or by one thief's steal.
+fn concurrent_exactly_once<Q: NodeQueue>() {
+    const PUSHES: usize = 50_000;
     const THIEVES: usize = 3;
 
-    let d: Arc<ChaseLev<u64>> = Arc::new(ChaseLev::new());
+    let q = Arc::new(Q::new());
     let done = Arc::new(AtomicBool::new(false));
-    let stolen_sum = Arc::new(AtomicU64::new(0));
+    let seen: Arc<Vec<AtomicU8>> = Arc::new((0..=PUSHES).map(|_| AtomicU8::new(0)).collect());
+    let receive = |seen: &[AtomicU8], v: *mut TaskHeader| {
+        let prev = seen[v.addr()].fetch_add(1, Ordering::Relaxed);
+        assert_eq!(prev, 0, "element {} received twice", v.addr());
+    };
 
     let thieves: Vec<_> = (0..THIEVES)
         .map(|_| {
-            let d = Arc::clone(&d);
-            let done = Arc::clone(&done);
-            let sum = Arc::clone(&stolen_sum);
+            let (q, done, seen) = (Arc::clone(&q), Arc::clone(&done), Arc::clone(&seen));
             std::thread::spawn(move || loop {
-                match d.steal() {
-                    ws_baseline::Steal::Success(v) => {
-                        sum.fetch_add(v, Ordering::Relaxed);
-                    }
-                    ws_baseline::Steal::Retry => {}
-                    ws_baseline::Steal::Empty => {
-                        if done.load(Ordering::Acquire) {
-                            break;
-                        }
-                        std::thread::yield_now();
-                    }
+                match q.steal() {
+                    Some(v) => receive(&seen, v),
+                    None if done.load(Ordering::Acquire) => break,
+                    None => std::thread::yield_now(),
                 }
             })
         })
         .collect();
 
-    // SAFETY: this thread is the unique owner.
-    let mut tok = unsafe { OwnerToken::new() };
-    let mut kept = 0u64;
-    for v in 1..=PUSHES {
-        d.push(v, &mut tok);
-        if v % 3 == 0 {
-            if let Some(x) = d.pop(&mut tok) {
-                kept += x;
+    // SAFETY: this thread is the queue's only owner.
+    unsafe {
+        for v in 1..=PUSHES {
+            q.push(node(v));
+            if v % 3 == 0 {
+                if let Some(x) = q.pop() {
+                    receive(&seen, x);
+                }
             }
         }
-    }
-    while let Some(x) = d.pop(&mut tok) {
-        kept += x;
+        while let Some(x) = q.pop() {
+            receive(&seen, x);
+        }
     }
     done.store(true, Ordering::Release);
     for t in thieves {
         t.join().unwrap();
     }
-    assert_eq!(
-        kept + stolen_sum.load(Ordering::Relaxed),
-        PUSHES * (PUSHES + 1) / 2
-    );
+    for (v, n) in seen.iter().enumerate().skip(1) {
+        assert_eq!(n.load(Ordering::Relaxed), 1, "element {v} lost");
+    }
+}
+
+#[test]
+fn chase_lev_matches_model() {
+    matches_model::<ChaseLev>(0xD5EA5E);
+}
+
+#[test]
+fn locked_matches_model() {
+    matches_model::<LockedDeque>(0x10CED);
+}
+
+#[test]
+fn chase_lev_grows() {
+    grows::<ChaseLev>();
+}
+
+#[test]
+fn locked_grows() {
+    grows::<LockedDeque>();
+}
+
+#[test]
+fn chase_lev_concurrent_multiset() {
+    concurrent_exactly_once::<ChaseLev>();
+}
+
+#[test]
+fn locked_concurrent_multiset() {
+    concurrent_exactly_once::<LockedDeque>();
 }

@@ -1,11 +1,13 @@
 //! Property-style tests across crates. Randomly shaped fork programs
-//! run on every `SystemKind` and on a Wool pool with a 16-slot task
-//! stack; each run must run every task exactly once and match the
-//! serial executor bit for bit. The span model obeys its algebraic
-//! laws. Cases are drawn from a seeded xorshift64* generator so runs
-//! are deterministic without an external property testing crate.
+//! run on every `SystemKind`, on Wool at 1 and 2 workers and on a Wool
+//! pool with a 16-slot task stack; each run must run every task exactly
+//! once, match the serial executor bit for bit and, on Wool rungs, join
+//! every spawn. The span model obeys its algebraic laws. Cases are
+//! drawn from a seeded xorshift64* generator so runs are deterministic
+//! without an external property testing crate.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 
 use wool_core::span::combine;
 use wool_core::{Fork, Job, PoolConfig};
@@ -33,7 +35,9 @@ impl Rng {
 
 /// A randomly shaped fork program. Leaves and `ForEach` indices each
 /// own one counter, and `Split` cells one slot of a `&mut [u64]`; both
-/// are numbered depth first, so a subtree's cells are one range.
+/// are numbered depth first, so a subtree's counters and cells are one
+/// range each. A `Loop` body's numbers are those of iteration 0, and
+/// iteration `i` adds `i` times the body's counters and cells.
 #[derive(Debug, Clone)]
 enum Tree {
     /// Spins `v` rounds and bumps counter `id`.
@@ -54,16 +58,40 @@ enum Tree {
         base: usize,
         len: usize,
     },
+    /// `for_each_spawn(n)` whose every iteration runs `body`.
+    Loop {
+        n: usize,
+        body: Box<Tree>,
+    },
 }
 
 impl Tree {
+    fn counters(&self) -> usize {
+        match self {
+            Tree::Fork(a, b) | Tree::Seq(a, b) => a.counters() + b.counters(),
+            Tree::Leaf { .. } => 1,
+            Tree::ForEach { n, .. } => *n,
+            Tree::Split { .. } => 0,
+            Tree::Loop { n, body } => n * body.counters(),
+        }
+    }
+
     fn cells(&self) -> usize {
         match self {
             Tree::Fork(a, b) | Tree::Seq(a, b) => a.cells() + b.cells(),
             Tree::Split { len, .. } => *len,
             Tree::Leaf { .. } | Tree::ForEach { .. } => 0,
+            Tree::Loop { n, body } => n * body.cells(),
         }
     }
+}
+
+/// Where a `Loop` iteration's counters and cells start, relative to
+/// the numbers in its body.
+#[derive(Clone, Copy, Default)]
+struct Shift {
+    counters: usize,
+    cells: usize,
 }
 
 /// Builds trees and numbers their counters and cells.
@@ -103,6 +131,14 @@ impl Gen {
                 }
             };
         }
+        if self.rng.next() % 5 == 0 {
+            let n = 1 + (self.rng.next() % 5) as usize;
+            let body = Box::new(self.tree(depth - 1));
+            // Numbers for iterations 1..n.
+            self.counters += (n - 1) * body.counters();
+            self.cells += (n - 1) * body.cells();
+            return Tree::Loop { n, body };
+        }
         let a = Box::new(self.tree(depth - 1));
         let b = Box::new(self.tree(depth - 1));
         if self.rng.next() % 2 == 0 {
@@ -121,13 +157,21 @@ fn mix(k: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs `t` over its `cells`. The float result combines the halves of
-/// every fork and sequence in tree order, so any executor that runs the
-/// tree faithfully returns the serial executor's bits.
-fn eval<C: Fork>(c: &mut C, t: &Tree, counters: &[AtomicU32], cells: &mut [u64]) -> (u64, f64) {
+/// Runs `t` over its `cells`, with its counter and cell numbers moved
+/// by `sh`. The float result combines the halves of every fork and
+/// sequence, and the iterations of every loop, in tree order, so any
+/// executor that runs the tree faithfully returns the serial executor's
+/// bits.
+fn eval<C: Fork>(
+    c: &mut C,
+    t: &Tree,
+    counters: &[AtomicU32],
+    cells: &mut [u64],
+    sh: Shift,
+) -> (u64, f64) {
     match t {
         Tree::Leaf { id, v } => {
-            counters[*id].fetch_add(1, Relaxed);
+            counters[sh.counters + id].fetch_add(1, Relaxed);
             for _ in 0..*v {
                 std::hint::spin_loop();
             }
@@ -135,25 +179,54 @@ fn eval<C: Fork>(c: &mut C, t: &Tree, counters: &[AtomicU32], cells: &mut [u64])
         }
         Tree::Fork(a, b) => {
             let (ca, cb) = cells.split_at_mut(a.cells());
-            let ((x, f), (y, g)) =
-                c.fork(|c| eval(c, a, counters, ca), |c| eval(c, b, counters, cb));
+            let ((x, f), (y, g)) = c.fork(
+                |c| eval(c, a, counters, ca, sh),
+                |c| eval(c, b, counters, cb, sh),
+            );
             (x.wrapping_add(y.rotate_left(1)), f + g)
         }
         Tree::Seq(a, b) => {
             let (ca, cb) = cells.split_at_mut(a.cells());
-            let (x, f) = eval(c, a, counters, ca);
-            let (y, g) = eval(c, b, counters, cb);
+            let (x, f) = eval(c, a, counters, ca, sh);
+            let (y, g) = eval(c, b, counters, cb, sh);
             (x.wrapping_sub(y).rotate_left(3), f * 0.75 - g)
         }
         Tree::ForEach { base, n } => {
             let acc = AtomicU64::new(0);
             c.for_each_spawn(*n, &|_c, i| {
-                counters[base + i].fetch_add(1, Relaxed);
+                counters[sh.counters + base + i].fetch_add(1, Relaxed);
                 acc.fetch_add((i as u64 + 1).wrapping_mul(7), Relaxed);
             });
             (acc.load(Relaxed), (*n as f64).sqrt())
         }
-        Tree::Split { base, .. } => split(c, *base, cells),
+        Tree::Split { base, .. } => split(c, sh.cells + base, cells),
+        Tree::Loop { n, body } => {
+            let (k, m) = (body.counters(), body.cells());
+            // Iteration `i` takes its `m` cells out of slot `i` once.
+            let mut rest = cells;
+            let chunks: Vec<Mutex<Option<&mut [u64]>>> = (0..*n)
+                .map(|_| {
+                    let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(m);
+                    rest = tail;
+                    Mutex::new(Some(chunk))
+                })
+                .collect();
+            let out: Vec<Mutex<(u64, f64)>> = (0..*n).map(|_| Mutex::new((0, 0.0))).collect();
+            c.for_each_spawn(*n, &|c, i| {
+                let chunk = chunks[i].lock().unwrap().take();
+                let chunk = chunk.expect("a loop iteration ran twice");
+                let sh = Shift {
+                    counters: sh.counters + i * k,
+                    cells: sh.cells + i * m,
+                };
+                *out[i].lock().unwrap() = eval(c, body, counters, chunk, sh);
+            });
+            out.into_iter()
+                .map(|r| r.into_inner().unwrap())
+                .fold((0, 0.0), |(x, f), (y, g)| {
+                    (x.rotate_left(7) ^ y, f * 0.5 + g)
+                })
+        }
     }
 }
 
@@ -177,13 +250,15 @@ struct TreeJob<'a> {
 
 impl Job<(u64, f64)> for TreeJob<'_> {
     fn call<C: Fork>(self, ctx: &mut C) -> (u64, f64) {
-        eval(ctx, self.tree, self.counters, self.cells)
+        eval(ctx, self.tree, self.counters, self.cells, Shift::default())
     }
 }
 
 /// Runs one generated tree on `sys` with fresh counters and cells,
-/// checks that every leaf, `ForEach` index and cell ran exactly once,
-/// and returns the integer result and the float result's bits.
+/// checks that every leaf, `ForEach` index and cell ran exactly once
+/// and, on a Wool rung, that every spawn was joined and every steal
+/// was joined as stolen, and returns the integer result and the float
+/// result's bits.
 fn run_tree(sys: &mut System, label: &str, seed: u64, gen: &Gen, t: &Tree) -> (u64, u64) {
     let counters: Vec<AtomicU32> = (0..gen.counters).map(|_| AtomicU32::new(0)).collect();
     let mut cells = vec![0u64; gen.cells];
@@ -206,20 +281,35 @@ fn run_tree(sys: &mut System, label: &str, seed: u64, gen: &Gen, t: &Tree) -> (u
             "{label}, seed {seed}: cell {k} is wrong in {t:?}"
         );
     }
+    if let Some(r) = sys.last_report() {
+        let s = &r.total;
+        let joins = s.inlined_private + s.inlined_public + s.rts_joins;
+        assert_eq!(s.spawns, joins, "{label}, seed {seed}: {s:?}");
+        assert_eq!(
+            s.total_steals(),
+            s.stolen_joins,
+            "{label}, seed {seed}: {s:?}"
+        );
+    }
     (x, f.to_bits())
 }
 
-/// Random fork programs, unbalanced and with up to 40-wide loops and
-/// `&mut` splits, run on every system at 3 workers and on a Wool pool
-/// whose 16-slot task stack overflows. Each run executes every task
-/// exactly once and returns the serial executor's integer and float
-/// results, bit for bit.
+/// Random fork programs, unbalanced, with up to 40-wide flat loops,
+/// loops of up to 5 subtrees and `&mut` splits, run on every system at
+/// 3 workers, on Wool at 1 and 2 workers and on a Wool pool whose
+/// 16-slot task stack overflows. Each run executes every task exactly
+/// once and returns the serial executor's integer and float results,
+/// bit for bit.
 #[test]
 fn random_trees_agree() {
     let mut systems: Vec<(String, System)> = SystemKind::ALL
         .iter()
         .map(|&k| (k.name().to_string(), System::create(k, 3)))
         .collect();
+    for p in [1, 2] {
+        let label = format!("wool, {p} worker(s)");
+        systems.push((label, System::create(SystemKind::Wool, p)));
+    }
     let small = PoolConfig::with_workers(3).stack_capacity(16);
     systems.push((
         "wool, stack_capacity(16)".to_string(),
